@@ -15,10 +15,6 @@
 
 #include "bench_common.h"
 #include "io/def.h"
-#include "pnr/cts.h"
-#include "pnr/floorplan.h"
-#include "pnr/placement.h"
-#include "pnr/powerplan.h"
 
 using namespace ffet;
 
@@ -116,18 +112,10 @@ int main(int argc, char** argv) {
   if (!args.quick) {
     flow::FlowConfig cfg = ffet_dual_ctx->config;
     cfg.utilization = 0.84;
-    netlist::Netlist nl = ffet_dual_ctx->netlist;
-    pnr::FloorplanOptions fo;
-    fo.target_utilization = cfg.utilization;
-    const pnr::Floorplan fp =
-        pnr::make_floorplan(nl, ffet_dual_ctx->tech(), fo);
-    const pnr::PowerPlan pp =
-        pnr::build_power_plan(nl, fp, *ffet_dual_ctx->library);
-    pnr::place(nl, fp, pp);
-    pnr::build_clock_tree(nl, fp);
-    const pnr::RouteResult rr = pnr::route_design(nl, fp);
+    flow::PhysicalState st;
+    flow::run_physical(*ffet_dual_ctx, cfg, &st);
     for (tech::Side s : {tech::Side::Front, tech::Side::Back}) {
-      const io::Def def = io::build_def(nl, rr, s);
+      const io::Def def = io::build_def(st.nl, st.routes, s);
       const std::string path = std::string("fig8b_ffet_") +
                                (s == tech::Side::Front ? "front" : "back") +
                                ".def";

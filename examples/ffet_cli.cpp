@@ -31,10 +31,6 @@
 #include "io/def.h"
 #include "io/verilog.h"
 #include "liberty/liberty_writer.h"
-#include "pnr/cts.h"
-#include "pnr/floorplan.h"
-#include "pnr/placement.h"
-#include "pnr/powerplan.h"
 #include "pnr/report.h"
 
 using namespace ffet;
@@ -121,7 +117,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const flow::FlowResult r = flow::run_physical(*ctx, cfg);
+  // Keep the signed-off state only when an artifact is asked for.
+  flow::PhysicalState st;
+  const flow::FlowResult r =
+      flow::run_physical(*ctx, cfg, dump || congestion ? &st : nullptr);
   std::printf("\narea   : %.1f um^2 (%.1f x %.1f), util %.1f%%\n",
               r.core_area_um2, r.core_width_um, r.core_height_um,
               r.utilization * 100);
@@ -135,17 +134,7 @@ int main(int argc, char** argv) {
               r.valid() ? "VALID" : "INVALID");
 
   if (dump || congestion) {
-    // Re-run the physical stages to get the intermediate artifacts.
-    netlist::Netlist nl = ctx->netlist;
-    pnr::FloorplanOptions fo;
-    fo.target_utilization = cfg.utilization;
-    fo.aspect_ratio = cfg.aspect_ratio;
-    const pnr::Floorplan fp = pnr::make_floorplan(nl, ctx->tech(), fo);
-    const pnr::PowerPlan pp = pnr::build_power_plan(nl, fp, *ctx->library);
-    pnr::place(nl, fp, pp);
-    pnr::build_clock_tree(nl, fp);
-    const pnr::RouteResult rr = pnr::route_design(nl, fp);
-
+    const pnr::RouteResult& rr = st.routes;
     if (congestion) {
       std::printf("\nfrontside congestion:\n%s\n",
                   pnr::render_heatmap(
@@ -166,15 +155,12 @@ int main(int argc, char** argv) {
       std::ofstream(p + ".lib")
           << liberty::to_liberty_string(*ctx->library);
       std::ofstream(p + ".v") << io::to_verilog_string(ctx->netlist);
-      const io::Def front = io::build_def(nl, rr, tech::Side::Front);
-      const io::Def back = io::build_def(nl, rr, tech::Side::Back);
-      const io::Def merged = io::merge_defs(front, back);
-      std::ofstream(p + ".front.def") << io::to_def_string(front);
-      std::ofstream(p + ".back.def") << io::to_def_string(back);
-      std::ofstream(p + ".merged.def") << io::to_def_string(merged);
-      const extract::RcNetlist rc =
-          extract::extract_rc(merged, nl, ctx->tech());
-      std::ofstream(p + ".spef") << extract::to_spef_string(rc, nl);
+      std::ofstream(p + ".front.def")
+          << io::to_def_string(io::build_def(st.nl, rr, tech::Side::Front));
+      std::ofstream(p + ".back.def")
+          << io::to_def_string(io::build_def(st.nl, rr, tech::Side::Back));
+      std::ofstream(p + ".merged.def") << io::to_def_string(st.merged);
+      std::ofstream(p + ".spef") << extract::to_spef_string(st.rc, st.nl);
       std::printf("\nwrote %s.{lef,lib,v,front.def,back.def,merged.def,"
                   "spef}\n",
                   p.c_str());

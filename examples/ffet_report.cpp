@@ -3,11 +3,11 @@
 // Three subcommands:
 //
 //   ffet_report timing [flow-opts] [--top K] [--period PS]
-//       Re-run the physical flow for the given config, then print the
-//       top-K worst endpoint paths stage by stage: arrival / slew / load /
-//       fanout per pin, the wafer side of every pin, and explicit markers
-//       where the path crosses front<->back through a dual-sided
-//       Drain-Merge output pin.  The worst path's name chain is
+//       Run the physical flow for the given config, keep its signed-off
+//       state, then print the top-K worst endpoint paths stage by stage:
+//       arrival / slew / load / fanout per pin, the wafer side of every
+//       pin, and explicit markers where the path crosses front<->back
+//       through a dual-sided Drain-Merge output pin.  The worst path's name chain is
 //       bit-identical to the STA report's critical_path string.
 //
 //   ffet_report nets [flow-opts] [--top N] [--net NAME]
@@ -57,7 +57,6 @@
 #include "report/net_report.h"
 #include "report/qor.h"
 #include "report/serve_stats.h"
-#include "report/snapshot.h"
 #include "report/timing_report.h"
 #include "sta/sta.h"
 
@@ -153,16 +152,17 @@ int cmd_timing(ArgReader& args) {
   }
 
   std::printf("config: %s\n", cfg.label().c_str());
-  const auto snap = report::build_snapshot(cfg);
-  sta::Sta sta(&snap->nl, &snap->rc, snap->sta_options);
-  const sta::TimingReport timing =
-      sta.analyze_timing(&snap->cts.sink_latency_ps);
+  const auto ctx = flow::prepare_design(cfg);
+  flow::PhysicalState st;
+  flow::run_physical(*ctx, cfg, &st);
+  sta::Sta sta(&st.nl, &st.rc, st.sta_options);
+  const sta::TimingReport timing = sta.analyze_timing(&st.cts.sink_latency_ps);
   std::printf("signoff: %.3f GHz (critical path %.2f ps)%s\n\n",
               timing.achieved_freq_ghz, timing.critical_path_ps,
-              snap->eco_ran ? "  [post-ECO]" : "");
+              st.eco_ran ? "  [post-ECO]" : "");
 
   const auto paths = report::build_timing_paths(
-      sta, snap->nl, &snap->rc, &snap->cts.sink_latency_ps, opts);
+      sta, st.nl, &st.rc, &st.cts.sink_latency_ps, opts);
   const double period = opts.target_period_ps > 0.0
                             ? opts.target_period_ps
                             : timing.critical_path_ps;
@@ -195,9 +195,11 @@ int cmd_nets(ArgReader& args) {
   }
 
   std::printf("config: %s\n\n", cfg.label().c_str());
-  const auto snap = report::build_snapshot(cfg);
+  const auto ctx = flow::prepare_design(cfg);
+  flow::PhysicalState st;
+  flow::run_physical(*ctx, cfg, &st);
   const report::NetReport rep =
-      report::build_net_report(snap->nl, snap->merged, snap->rc);
+      report::build_net_report(st.nl, st.merged, st.rc);
   if (!net_name.empty()) {
     std::fputs(report::format_net_detail(rep, net_name).c_str(), stdout);
   } else {

@@ -326,85 +326,99 @@ void emit_ledger(const FlowResult& res, int threads) {
   obs::append_jsonl_line(path, line);
 }
 
-}  // namespace
+/// Per-net toggle rates from `cycles` of the activity workload on `nl`
+/// (clock nets toggle twice per cycle).
+std::vector<double> simulate_toggles(const netlist::Netlist& nl, int cycles) {
+  riscv::Rv32Harness harness_like(&nl);  // drives clk/rst and memories
+  harness_like.load_program(activity_program());
+  harness_like.reset();
+  harness_like.sim().reset_activity();
+  harness_like.step(cycles);
+  std::vector<double> toggles(static_cast<std::size_t>(nl.num_nets()), 0.0);
+  for (int n = 0; n < nl.num_nets(); ++n) {
+    toggles[static_cast<std::size_t>(n)] =
+        nl.net(n).is_clock ? 2.0 : harness_like.sim().toggle_rate(n);
+  }
+  return toggles;
+}
 
-FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config) {
-  obs::init_from_env();
-  FFET_TRACE_SCOPE("flow.point");
-  const auto point0 = std::chrono::steady_clock::now();
-  FlowResult res;
-  res.config = config;
-  const int threads = runtime::resolve_threads(config.threads);
-  // One probe decision per point: every stage delta and the final sample
-  // agree, even if set_resource() flips concurrently.
-  const bool resource_on = obs::resource_enabled();
-  res.resource.sampled = resource_on;
+/// Run `fn` as the named flow stage when `timed`, else inline (the ECO
+/// re-signoff runs untimed inside its single "eco_signoff" stage).
+template <class Fn>
+auto in_stage(FlowResult& res, bool timed, const char* name, Fn&& fn) {
+  if (!timed) return fn();
+  StageClock clk(res, name);
+  return fn();
+}
 
-  // Work on a private copy: taps, CTS buffers and placement are per-run.
-  netlist::Netlist nl = ctx.netlist;
+/// Floorplan → powerplan → placement (+ independent DRC) → CTS → hold
+/// fixing → dual-sided routing (Algorithm 1).
+void place_and_route(const DesignContext& ctx, PhysicalState& st,
+                     FlowResult& res, const pnr::RouteOptions& ro) {
+  const FlowConfig& config = res.config;
+  netlist::Netlist& nl = st.nl;
 
   // --- floorplan -------------------------------------------------------------
   pnr::FloorplanOptions fo;
   fo.target_utilization = config.utilization;
   fo.aspect_ratio = config.aspect_ratio;
-  const pnr::Floorplan fp = [&] {
+  st.fp = [&] {
     StageClock clk(res, "floorplan");
     return pnr::make_floorplan(nl, ctx.tech(), fo);
   }();
-  res.core_area_um2 = fp.core_area_um2();
-  res.core_width_um = geom::to_um(fp.core.width());
-  res.core_height_um = geom::to_um(fp.core.height());
-  res.utilization = fp.achieved_utilization;
+  res.core_area_um2 = st.fp.core_area_um2();
+  res.core_width_um = geom::to_um(st.fp.core.width());
+  res.core_height_um = geom::to_um(st.fp.core.height());
+  res.utilization = st.fp.achieved_utilization;
 
   // --- powerplan ---------------------------------------------------------------
-  const pnr::PowerPlan pp = [&] {
+  st.pp = [&] {
     StageClock clk(res, "powerplan");
-    return pnr::build_power_plan(nl, fp, *ctx.library);
+    return pnr::build_power_plan(nl, st.fp, *ctx.library);
   }();
-  res.num_tap_cells = static_cast<int>(pp.tap_cells.size());
+  res.num_tap_cells = static_cast<int>(st.pp.tap_cells.size());
 
   // --- placement ----------------------------------------------------------------
   pnr::PlacementOptions po;
   po.seed = config.seed;
-  const pnr::PlacementResult pres = [&] {
+  st.placement = [&] {
     StageClock clk(res, "placement");
-    return pnr::place(nl, fp, pp, po);
+    return pnr::place(nl, st.fp, st.pp, po);
   }();
-  res.placement_legal = pres.legal;
-  res.placement_violations = pres.violations;
-  res.hpwl_um = pres.hpwl_um;
-  res.place_mean_displacement_um = pres.mean_displacement_um;
-  res.place_max_displacement_um = pres.max_displacement_um;
+  res.placement_legal = st.placement.legal;
+  res.placement_violations = st.placement.violations;
+  res.hpwl_um = st.placement.hpwl_um;
+  res.place_mean_displacement_um = st.placement.mean_displacement_um;
+  res.place_max_displacement_um = st.placement.max_displacement_um;
   // Independent signoff check of what the placer claims.
   {
     StageClock clk(res, "placement_drc");
-    res.placement_drc =
-        static_cast<int>(pnr::check_placement(nl, fp, pp).violations.size());
+    res.placement_drc = static_cast<int>(
+        pnr::check_placement(nl, st.fp, st.pp).violations.size());
   }
 
   // --- CTS -----------------------------------------------------------------------
-  const pnr::CtsResult cts = [&] {
+  st.cts = [&] {
     StageClock clk(res, "cts");
-    return pnr::build_clock_tree(nl, fp);
+    return pnr::build_clock_tree(nl, st.fp);
   }();
-  res.clock_skew_ps = cts.skew_ps;
-  res.clock_latency_ps = cts.mean_latency_ps;
-  res.clock_buffers = cts.num_buffers;
+  res.clock_skew_ps = st.cts.skew_ps;
+  res.clock_latency_ps = st.cts.mean_latency_ps;
+  res.clock_buffers = st.cts.num_buffers;
 
   // Post-CTS hold fixing: pad short paths against the tree's skew before
   // routing so the post-route hold check closes.
   res.hold_buffers = [&] {
     StageClock clk(res, "hold_fix");
-    return synth::fix_hold(nl, cts.sink_latency_ps);
+    return synth::fix_hold(nl, st.cts.sink_latency_ps);
   }();
 
   // --- routing (Algorithm 1) ------------------------------------------------------
-  pnr::RouteOptions ro;
-  ro.threads = threads;
-  pnr::RouteResult routes = [&] {
+  st.routes = [&] {
     StageClock clk(res, "route");
-    return pnr::route_design(nl, fp, ro);
+    return pnr::route_design(nl, st.fp, ro);
   }();
+  const pnr::RouteResult& routes = st.routes;
   res.route_valid = routes.valid;
   res.drv = routes.drv_estimate;
   res.route_passes = routes.rrr_passes;
@@ -421,207 +435,201 @@ FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config) {
   res.wirelength_back_um = routes.wirelength_back_um;
   res.num_instances = nl.num_instances();
 
-  // --- two DEFs -> merge -> dual-sided RC extraction -------------------------------
-  const io::Def merged = [&] {
-    StageClock clk(res, "def_merge");
-    const io::Def front = io::build_def(nl, routes, tech::Side::Front);
-    const io::Def back = io::build_def(nl, routes, tech::Side::Back);
+  st.sta_options.clock_skew_ps = st.cts.skew_ps;
+  st.sta_options.pi_reference_latency_ps = st.cts.mean_latency_ps;
+  st.sta_options.threads = ro.threads;
+}
+
+/// Structure-size accounting (the resource section's "allocation
+/// counters"): how big the per-point data plane got at signoff.
+void record_structure_sizes(const PhysicalState& st, FlowResult& res) {
+  if (!res.resource.sampled) return;
+  long long wires = 0;
+  for (const io::DefNet& n : st.merged.nets) {
+    wires += static_cast<long long>(n.wires.size());
+  }
+  res.resource.netlist_cells = st.nl.num_instances();
+  res.resource.netlist_nets = st.nl.num_nets();
+  res.resource.rc_nodes = st.rc.tree_node_count();
+  res.resource.route_grid_nodes =
+      static_cast<long long>(st.routes.gcols) * st.routes.grows;
+  res.resource.def_components =
+      static_cast<long long>(st.merged.components.size());
+  res.resource.def_wires = wires;
+}
+
+/// The timer a signoff measured the design with (after timing, hold and
+/// power analysis) and the toggle rates its power used (empty: the
+/// default activity factor).
+struct SignoffTimer {
+  sta::Sta sta;
+  std::vector<double> toggles;
+
+  const std::vector<double>* toggle_rates() const {
+    return toggles.empty() ? nullptr : &toggles;
+  }
+};
+
+/// Signoff of the routed design: two DEFs → merge → dual-sided RC
+/// extraction → STA → hold → [activity sim] → power → IR drop → structure
+/// sizes.  The first signoff times each step as its own stage; after the
+/// ECO (st.eco_ran) the caller times the whole re-signoff as one stage.
+SignoffTimer signoff(const DesignContext& ctx, PhysicalState& st,
+                     FlowResult& res) {
+  const FlowConfig& config = res.config;
+  const bool timed = !st.eco_ran;
+  st.merged = in_stage(res, timed, "def_merge", [&] {
+    const io::Def front = io::build_def(st.nl, st.routes, tech::Side::Front);
+    const io::Def back = io::build_def(st.nl, st.routes, tech::Side::Back);
     return io::merge_defs(front, back);
-  }();
-  extract::RcNetlist rc = [&] {
-    StageClock clk(res, "extract");
-    return extract::extract_rc(merged, nl, ctx.tech(), threads);
-  }();
+  });
+  st.rc = in_stage(res, timed, "extract", [&] {
+    return extract::extract_rc(st.merged, st.nl, ctx.tech(),
+                               st.sta_options.threads);
+  });
+  record_structure_sizes(st, res);
 
-  // Structure-size accounting (the resource section's "allocation
-  // counters"): how big the per-point data plane actually got.  Re-run
-  // after eco_signoff when the ECO reshapes the netlist/routes.
-  const auto record_structure_sizes = [&](const io::Def& def,
-                                          const extract::RcNetlist& rcn) {
-    if (!resource_on) return;
-    const long long rc_nodes = rcn.tree_node_count();
-    long long wires = 0;
-    for (const io::DefNet& n : def.nets) {
-      wires += static_cast<long long>(n.wires.size());
-    }
-    res.resource.netlist_cells = nl.num_instances();
-    res.resource.netlist_nets = nl.num_nets();
-    res.resource.rc_nodes = rc_nodes;
-    res.resource.route_grid_nodes =
-        static_cast<long long>(routes.gcols) * routes.grows;
-    res.resource.def_components = static_cast<long long>(def.components.size());
-    res.resource.def_wires = wires;
-  };
-  record_structure_sizes(merged, rc);
-
-  // --- STA + power -------------------------------------------------------------------
-  sta::StaOptions so;
-  so.clock_skew_ps = cts.skew_ps;
-  so.pi_reference_latency_ps = cts.mean_latency_ps;
-  so.threads = threads;
-  sta::Sta sta(&nl, &rc, so);
-  const sta::TimingReport timing = [&] {
-    StageClock clk(res, "sta_timing");
-    return sta.analyze_timing(&cts.sink_latency_ps);
-  }();
+  SignoffTimer out{sta::Sta(&st.nl, &st.rc, st.sta_options), {}};
+  sta::Sta& sta = out.sta;
+  const auto* latency = &st.cts.sink_latency_ps;
+  const sta::TimingReport timing = in_stage(
+      res, timed, "sta_timing", [&] { return sta.analyze_timing(latency); });
   res.achieved_freq_ghz = timing.achieved_freq_ghz;
   res.critical_path_ps = timing.critical_path_ps;
   if (obs::verbose()) {
-    const auto worst = sta.worst_paths(1, &cts.sink_latency_ps);
+    const auto worst = sta.worst_paths(1, latency);
     if (!worst.empty()) {
       const std::string ep = sta.endpoint_name(worst[0]);
-      std::printf("  [sta] signoff: worst_slack=%+.2f ps (%.3f GHz) "
+      std::printf("  [sta] %s: worst_slack=%+.2f ps (%.3f GHz) "
                   "endpoint=%s side_crossings=%d\n",
+                  st.eco_ran ? "eco_signoff" : "signoff",
                   timing.slack_ps(1000.0 / config.target_freq_ghz),
                   timing.achieved_freq_ghz, ep.c_str(),
                   sta.path_side_crossings(worst[0]));
     }
   }
-  const sta::HoldReport hold = [&] {
-    StageClock clk(res, "sta_hold");
-    return sta.analyze_hold(&cts.sink_latency_ps);
-  }();
+  const sta::HoldReport hold = in_stage(
+      res, timed, "sta_hold", [&] { return sta.analyze_hold(latency); });
   res.hold_slack_ps = hold.worst_slack_ps;
   res.hold_violations = hold.violations;
 
-  std::vector<double> toggles;
-  const std::vector<double>* toggles_ptr = nullptr;
   if (config.simulate_activity) {
-    StageClock clk(res, "activity_sim");
-    riscv::Rv32Harness harness_like(&nl);  // drives clk/rst and memories
-    harness_like.load_program(activity_program());
-    harness_like.reset();
-    harness_like.sim().reset_activity();
-    harness_like.step(config.activity_cycles);
-    toggles.resize(static_cast<std::size_t>(nl.num_nets()), 0.0);
-    for (int n = 0; n < nl.num_nets(); ++n) {
-      toggles[static_cast<std::size_t>(n)] =
-          nl.net(n).is_clock ? 2.0 : harness_like.sim().toggle_rate(n);
-    }
-    toggles_ptr = &toggles;
+    // Re-derived on every signoff: ECO buffers add nets.
+    out.toggles = in_stage(res, timed, "activity_sim", [&] {
+      return simulate_toggles(st.nl, config.activity_cycles);
+    });
   }
-
-  const sta::PowerReport power = [&] {
-    StageClock clk(res, "power");
-    return sta.analyze_power(res.achieved_freq_ghz, toggles_ptr);
-  }();
+  const sta::PowerReport power = in_stage(res, timed, "power", [&] {
+    return sta.analyze_power(res.achieved_freq_ghz, out.toggle_rates());
+  });
   res.power_uw = power.total_uw();
   res.switching_uw = power.switching_uw;
   res.internal_uw = power.internal_uw;
   res.leakage_uw = power.leakage_uw;
   res.efficiency_ghz_per_mw = power.efficiency_ghz_per_mw();
-  res.ir_drop_mv = pp.estimate_ir_drop_mv(res.power_uw);
+  res.ir_drop_mv = st.pp.estimate_ir_drop_mv(res.power_uw);
+  return out;
+}
 
-  // --- post-route ECO timing closure (src/opt) -------------------------------------
-  // Optional and off by default: with eco_passes == 0 nothing below runs
+/// Post-route ECO timing closure (src/opt), then a full re-signoff of the
+/// optimized design.  Only the ECO's own extras live here: the
+/// iso-frequency power and the route/netlist fields the accepted
+/// transforms moved.
+void eco_and_resignoff(const DesignContext& ctx, PhysicalState& st,
+                       FlowResult& res, const pnr::RouteOptions& ro) {
+  res.eco_pre_freq_ghz = res.achieved_freq_ghz;
+  res.eco_pre_power_uw = res.power_uw;
+
+  opt::EcoOptions eo;
+  eo.passes = res.config.eco_passes;
+  eo.threads = ro.threads;
+  eo.sta = st.sta_options;
+  eo.route = ro;
+  const opt::EcoReport eco = [&] {
+    StageClock clk(res, "eco");
+    return opt::run_eco(st.nl, st.fp, st.pp, st.routes, st.rc,
+                        st.cts.sink_latency_ps, eo);
+  }();
+  res.eco_passes_run = eco.passes_run;
+  res.eco_attempted = eco.attempted;
+  res.eco_accepted = eco.accepted;
+  res.eco_reverted = eco.reverted;
+  res.eco_upsized = eco.upsized;
+  res.eco_downsized = eco.downsized;
+  res.eco_buffers = eco.buffers;
+  res.eco_pin_flips = eco.pin_flips;
+  res.eco_sta_speedup = eco.sta_speedup();
+  if (obs::verbose()) {
+    std::printf("  [eco] passes=%d accepted=%d/%d (reverted %d)\n",
+                eco.passes_run, eco.accepted, eco.attempted, eco.reverted);
+  }
+  st.eco_ran = true;
+
+  // Full re-signoff on the optimized design: fresh merge + extraction +
+  // STA (the incremental state is bit-identical by construction, but the
+  // reported PPA must come from the same full pipeline as every other
+  // flow result).
+  {
+    StageClock clk(res, "eco_signoff");
+    const SignoffTimer timer = signoff(ctx, st, res);
+    // Iso-frequency power: the optimized design clocked at the pre-ECO
+    // frequency (the "faster at ~equal power" contract's denominator).
+    res.eco_iso_power_uw =
+        timer.sta.analyze_power(res.eco_pre_freq_ghz, timer.toggle_rates())
+            .total_uw();
+
+    // Routes, wirelength and netlist shape moved with the accepted
+    // transforms.
+    res.route_valid = st.routes.valid;
+    res.drv = st.routes.drv_estimate;
+    res.drv_wire = st.routes.drv_wire;
+    res.drv_pin_access = st.routes.drv_pin_access;
+    res.wirelength_front_um = st.routes.wirelength_front_um;
+    res.wirelength_back_um = st.routes.wirelength_back_um;
+    res.hpwl_um = pnr::compute_hpwl_um(st.nl);
+    res.num_instances = st.nl.num_instances();
+  }
+  res.eco_post_freq_ghz = res.achieved_freq_ghz;
+  res.eco_post_power_uw = res.power_uw;
+}
+
+}  // namespace
+
+FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config,
+                        PhysicalState* keep) {
+  obs::init_from_env();
+  FFET_TRACE_SCOPE("flow.point");
+  const auto point0 = std::chrono::steady_clock::now();
+  FlowResult res;
+  res.config = config;
+  const int threads = runtime::resolve_threads(config.threads);
+  // One probe decision per point: every stage delta and the final sample
+  // agree, even if set_resource() flips concurrently.
+  const bool resource_on = obs::resource_enabled();
+  res.resource.sampled = resource_on;
+
+  // Work on a private copy: taps, CTS buffers and placement are per-run.
+  PhysicalState local;
+  PhysicalState& st = keep != nullptr ? *keep : local;
+  st.nl = ctx.netlist;
+  st.eco_ran = false;
+
+  pnr::RouteOptions ro;
+  ro.threads = threads;
+  place_and_route(ctx, st, res, ro);
+  signoff(ctx, st, res);
+  // Optional and off by default: with eco_passes == 0 the ECO never runs
   // and every result above is exactly what the flow always produced.
   if (config.eco_passes > 0 && res.valid()) {
-    res.eco_pre_freq_ghz = res.achieved_freq_ghz;
-    res.eco_pre_power_uw = res.power_uw;
-
-    opt::EcoOptions eo;
-    eo.passes = config.eco_passes;
-    eo.threads = threads;
-    eo.sta = so;
-    eo.route = ro;
-    const opt::EcoReport eco = [&] {
-      StageClock clk(res, "eco");
-      return opt::run_eco(nl, fp, pp, routes, rc, cts.sink_latency_ps, eo);
-    }();
-    res.eco_passes_run = eco.passes_run;
-    res.eco_attempted = eco.attempted;
-    res.eco_accepted = eco.accepted;
-    res.eco_reverted = eco.reverted;
-    res.eco_upsized = eco.upsized;
-    res.eco_downsized = eco.downsized;
-    res.eco_buffers = eco.buffers;
-    res.eco_pin_flips = eco.pin_flips;
-    res.eco_sta_speedup = eco.sta_speedup();
-    if (obs::verbose()) {
-      std::printf("  [eco] passes=%d accepted=%d/%d (reverted %d)\n",
-                  eco.passes_run, eco.accepted, eco.attempted, eco.reverted);
-    }
-
-    // Full re-signoff on the optimized design: fresh merge + extraction +
-    // STA (the incremental state is bit-identical by construction, but the
-    // reported PPA must come from the same full pipeline as every other
-    // flow result).
-    {
-      StageClock clk(res, "eco_signoff");
-      const io::Def eco_front = io::build_def(nl, routes, tech::Side::Front);
-      const io::Def eco_back = io::build_def(nl, routes, tech::Side::Back);
-      const io::Def eco_merged = io::merge_defs(eco_front, eco_back);
-      rc = extract::extract_rc(eco_merged, nl, ctx.tech(), threads);
-      sta::Sta eco_sta(&nl, &rc, so);
-      const sta::TimingReport eco_timing =
-          eco_sta.analyze_timing(&cts.sink_latency_ps);
-      res.achieved_freq_ghz = eco_timing.achieved_freq_ghz;
-      res.critical_path_ps = eco_timing.critical_path_ps;
-      const sta::HoldReport eco_hold =
-          eco_sta.analyze_hold(&cts.sink_latency_ps);
-      res.hold_slack_ps = eco_hold.worst_slack_ps;
-      res.hold_violations = eco_hold.violations;
-      if (obs::verbose()) {
-        const auto worst = eco_sta.worst_paths(1, &cts.sink_latency_ps);
-        if (!worst.empty()) {
-          const std::string ep = eco_sta.endpoint_name(worst[0]);
-          std::printf("  [sta] eco_signoff: worst_slack=%+.2f ps (%.3f GHz) "
-                      "endpoint=%s side_crossings=%d\n",
-                      eco_timing.slack_ps(1000.0 / config.target_freq_ghz),
-                      eco_timing.achieved_freq_ghz, ep.c_str(),
-                      eco_sta.path_side_crossings(worst[0]));
-        }
-      }
-
-      if (config.simulate_activity) {
-        // ECO buffers add nets: re-derive toggle rates on the final netlist.
-        riscv::Rv32Harness harness_like(&nl);
-        harness_like.load_program(activity_program());
-        harness_like.reset();
-        harness_like.sim().reset_activity();
-        harness_like.step(config.activity_cycles);
-        toggles.assign(static_cast<std::size_t>(nl.num_nets()), 0.0);
-        for (int n = 0; n < nl.num_nets(); ++n) {
-          toggles[static_cast<std::size_t>(n)] =
-              nl.net(n).is_clock ? 2.0 : harness_like.sim().toggle_rate(n);
-        }
-        toggles_ptr = &toggles;
-      }
-      const sta::PowerReport eco_power =
-          eco_sta.analyze_power(res.achieved_freq_ghz, toggles_ptr);
-      res.power_uw = eco_power.total_uw();
-      res.switching_uw = eco_power.switching_uw;
-      res.internal_uw = eco_power.internal_uw;
-      res.leakage_uw = eco_power.leakage_uw;
-      res.efficiency_ghz_per_mw = eco_power.efficiency_ghz_per_mw();
-      res.ir_drop_mv = pp.estimate_ir_drop_mv(res.power_uw);
-      // Iso-frequency power: the optimized design clocked at the pre-ECO
-      // frequency (the "faster at ~equal power" contract's denominator).
-      res.eco_iso_power_uw =
-          eco_sta.analyze_power(res.eco_pre_freq_ghz, toggles_ptr).total_uw();
-
-      // Routes, wirelength and netlist shape moved with the accepted
-      // transforms.
-      res.route_valid = routes.valid;
-      res.drv = routes.drv_estimate;
-      res.drv_wire = routes.drv_wire;
-      res.drv_pin_access = routes.drv_pin_access;
-      res.wirelength_front_um = routes.wirelength_front_um;
-      res.wirelength_back_um = routes.wirelength_back_um;
-      res.hpwl_um = pnr::compute_hpwl_um(nl);
-      res.num_instances = nl.num_instances();
-      record_structure_sizes(eco_merged, rc);
-    }
-    res.eco_post_freq_ghz = res.achieved_freq_ghz;
-    res.eco_post_power_uw = res.power_uw;
+    eco_and_resignoff(ctx, st, res, ro);
   }
 
   if (!res.placement_legal) {
     res.invalid_reason =
         "placement: " +
-        (pres.message.empty()
-             ? std::to_string(pres.violations) + " violations"
-             : pres.message);
+        (st.placement.message.empty()
+             ? std::to_string(st.placement.violations) + " violations"
+             : st.placement.message);
   } else if (!res.route_valid) {
     std::ostringstream os;
     os << "route: drv=" << res.drv << " (wire=" << res.drv_wire

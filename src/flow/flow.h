@@ -17,7 +17,10 @@
 //     -> STA + power                           src/sta
 //
 // A `DesignContext` caches everything upstream of the physical stages so
-// utilization/layer sweeps re-run only floorplan→STA.
+// utilization/layer sweeps re-run only floorplan→STA.  The physical stages
+// are written once, in run_physical, over one `PhysicalState`; a caller
+// that needs the artifacts (the reporting CLI, DEF/SPEF dumps) passes a
+// state to keep instead of replaying the stages itself.
 //
 // Validity follows the paper: legal placement (no cell/tap violations) and
 // routing DRV < 10.
@@ -30,9 +33,12 @@
 #include <vector>
 
 #include "extract/extract.h"
+#include "io/def.h"
 #include "netlist/netlist.h"
 #include "pnr/cts.h"
+#include "pnr/floorplan.h"
 #include "pnr/placement.h"
+#include "pnr/powerplan.h"
 #include "pnr/router.h"
 #include "sta/sta.h"
 #include "stdcell/stdcell.h"
@@ -247,7 +253,8 @@ struct FlowResult {
   double eco_iso_power_uw = 0.0;
   double eco_sta_speedup = 0.0;  ///< mean full-STA / mean incremental-STA time
 
-  /// Per-stage wall/CPU timings in execution order (floorplan ... ir_drop).
+  /// Per-stage wall/CPU timings in execution order (floorplan ... power,
+  /// then eco and eco_signoff when the ECO ran).
   std::vector<StageTiming> stage_times;
 
   /// Peak/current RSS, fault counters and structure sizes (see
@@ -261,9 +268,29 @@ struct FlowResult {
   bool valid() const { return placement_legal && route_valid; }
 };
 
+/// The physical design of one flow point: the private netlist copy and
+/// every stage artifact, as signed off (post-ECO when the ECO ran).  The
+/// netlist references the DesignContext's library, so the context must
+/// outlive the state.
+struct PhysicalState {
+  netlist::Netlist nl{"", nullptr};  ///< with taps, CTS/hold/ECO buffers
+  pnr::Floorplan fp;
+  pnr::PowerPlan pp;
+  pnr::PlacementResult placement;
+  pnr::CtsResult cts;
+  pnr::RouteResult routes;
+  io::Def merged;  ///< front+back merge the signoff extracted from
+  extract::RcNetlist rc;
+  sta::StaOptions sta_options;  ///< what the signoff Sta used
+  bool eco_ran = false;
+};
+
 /// Run floorplan → STA on a prepared design.  The context is not modified
-/// (the netlist is copied for tap cells / CTS buffers).
-FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config);
+/// (the netlist is copied for tap cells / CTS buffers).  When `keep` is
+/// non-null it receives the finished state of this run (replacing its
+/// contents); otherwise the state dies with the call.
+FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config,
+                        PhysicalState* keep = nullptr);
 
 /// Convenience: prepare + run.
 FlowResult run_flow(const FlowConfig& config);

@@ -120,8 +120,7 @@ void write_json(const FlowResult& r, std::ostream& os) {
   }
 }
 
-std::string to_json(const FlowResult& result, int indent) {
-  (void)indent;
+std::string to_json(const FlowResult& result) {
   std::ostringstream os;
   write_json(result, os);
   return os.str();

@@ -89,7 +89,7 @@ class JsonBuilder {
 /// One result as a JSON object.  Doubles are formatted with std::to_chars
 /// (shortest round-trip, locale-independent), so serializing the same
 /// result twice yields identical bytes.
-std::string to_json(const FlowResult& result, int indent = 0);
+std::string to_json(const FlowResult& result);
 
 /// A sweep as a JSON array of objects.
 std::string to_json(const std::vector<FlowResult>& results);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <limits>
 #include <optional>
@@ -412,20 +410,6 @@ EcoReport run_eco(Netlist& nl, const pnr::Floorplan& fp,
            (ep_before - ep_after) >= options.min_gain_ps &&
            (trial_power - pre_power) <=
                options.max_power_increase * pre_power;
-    }
-    static const bool eco_debug = std::getenv("FFET_ECO_DEBUG") != nullptr;
-    if (eco_debug) {
-      std::fprintf(stderr,
-                   "[eco] kind=%d wns %.4f->%.4f ep %.4f->%.4f dP=%.2f "
-                   "drv %d->%d ok=%d\n",
-                   static_cast<int>(m.kind), cur.critical_path_ps,
-                   after.critical_path_ps, ep_before,
-                   target ? sta.endpoint_path_ps(target->endpoint,
-                                                 target->is_port,
-                                                 &clock_latency_ps)
-                          : 0.0,
-                   trial_power - pre_power, routes_snap.drv_estimate,
-                   routes.drv_estimate, ok ? 1 : 0);
     }
     if (ok) {
       cur = after;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "flow/flow.h"
 #include "flow/report_json.h"
 
@@ -129,6 +132,53 @@ TEST_F(FlowTest, SimulatedActivityPowerDiffersFromDefault) {
   // Frequencies identical: activity affects power only.
   EXPECT_DOUBLE_EQ(sim.achieved_freq_ghz, base.achieved_freq_ghz);
 }
+
+/// One stage-sequence case: optional stages switched on and the exact
+/// stage_times names they must produce (the flow report's "stages" array
+/// and bench_scale key on these names).
+struct StageCase {
+  const char* name;
+  bool simulate_activity;
+  int eco_passes;
+  std::vector<std::string> stages;
+};
+
+class StageSequenceTest : public FlowTest,
+                          public ::testing::WithParamInterface<StageCase> {};
+
+TEST_P(StageSequenceTest, StageTimesNameTheExactSequence) {
+  FlowConfig cfg = ffet_ctx_->config;
+  cfg.simulate_activity = GetParam().simulate_activity;
+  cfg.eco_passes = GetParam().eco_passes;
+  const FlowResult r = run_physical(*ffet_ctx_, cfg);
+  ASSERT_TRUE(r.valid());
+  std::vector<std::string> names;
+  for (const StageTiming& st : r.stage_times) names.push_back(st.stage);
+  EXPECT_EQ(names, GetParam().stages);
+}
+
+const std::vector<std::string> kPhysicalStages = {
+    "floorplan", "powerplan",  "placement", "placement_drc",
+    "cts",       "hold_fix",   "route",     "def_merge",
+    "extract",   "sta_timing", "sta_hold"};
+
+std::vector<std::string> with(std::vector<std::string> names,
+                              const std::vector<std::string>& tail) {
+  names.insert(names.end(), tail.begin(), tail.end());
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, StageSequenceTest,
+    ::testing::Values(
+        StageCase{"default", false, 0, with(kPhysicalStages, {"power"})},
+        StageCase{"activity", true, 0,
+                  with(kPhysicalStages, {"activity_sim", "power"})},
+        StageCase{"eco", false, 2,
+                  with(kPhysicalStages, {"power", "eco", "eco_signoff"})}),
+    [](const ::testing::TestParamInfo<StageCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST_F(FlowTest, LabelsAreInformative) {
   FlowConfig cfg;

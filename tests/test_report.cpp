@@ -27,7 +27,6 @@
 #include "report/net_report.h"
 #include "report/qor.h"
 #include "report/serve_stats.h"
-#include "report/snapshot.h"
 #include "report/timing_report.h"
 #include "sta/sta.h"
 
@@ -778,32 +777,84 @@ TEST(LedgerFlow, ResolveLedgerPathSemantics) {
 
 class ReportFlowTest : public ::testing::Test {
  protected:
+  /// One flow run and the physical state it kept.
+  struct KeptRun {
+    flow::FlowResult result;
+    flow::PhysicalState state;
+  };
+
   static void SetUpTestSuite() {
     flow::FlowConfig cfg;
     cfg.tech_kind = tech::TechKind::Ffet3p5T;
     cfg.backside_input_fraction = 0.5;
     cfg.rv32_registers = 8;  // reduced core, same as test_flow
     cfg.utilization = 0.65;
-    snap_ = build_snapshot(cfg).release();
+    ctx_ = flow::prepare_design(cfg).release();
+    run_ = new KeptRun;
+    run_->result = flow::run_physical(*ctx_, cfg, &run_->state);
+    // The same point through every optional signoff step: activity
+    // simulation, the ECO and its re-signoff.
+    cfg.eco_passes = 2;
+    cfg.simulate_activity = true;
+    eco_run_ = new KeptRun;
+    eco_run_->result = flow::run_physical(*ctx_, cfg, &eco_run_->state);
   }
   static void TearDownTestSuite() {
-    delete snap_;
-    snap_ = nullptr;
+    delete run_;
+    delete eco_run_;
+    delete ctx_;  // after the states: their netlists use its library
+    run_ = eco_run_ = nullptr;
+    ctx_ = nullptr;
   }
-  static Snapshot* snap_;
+  static flow::DesignContext* ctx_;
+  static KeptRun* run_;      ///< the default reduced point
+  static KeptRun* eco_run_;  ///< eco_passes = 2, simulate_activity
 };
 
-Snapshot* ReportFlowTest::snap_ = nullptr;
+flow::DesignContext* ReportFlowTest::ctx_ = nullptr;
+ReportFlowTest::KeptRun* ReportFlowTest::run_ = nullptr;
+ReportFlowTest::KeptRun* ReportFlowTest::eco_run_ = nullptr;
+
+TEST_F(ReportFlowTest, KeptStateIsTheSignedOffDesign) {
+  // The artifacts a caller keeps must be the design whose PPA the run
+  // reported: a fresh timer on them reproduces signoff bit for bit, and
+  // the netlist and merged DEF carry every hold and ECO buffer.
+  for (const KeptRun* run : {run_, eco_run_}) {
+    const flow::FlowResult& r = run->result;
+    const flow::PhysicalState& st = run->state;
+    SCOPED_TRACE(r.config.label());
+    ASSERT_TRUE(r.valid());
+    EXPECT_EQ(st.eco_ran, r.config.eco_passes > 0);
+
+    sta::Sta sta(&st.nl, &st.rc, st.sta_options);
+    const sta::TimingReport timing =
+        sta.analyze_timing(&st.cts.sink_latency_ps);
+    EXPECT_EQ(timing.achieved_freq_ghz, r.achieved_freq_ghz);
+    EXPECT_EQ(timing.critical_path_ps, r.critical_path_ps);
+    const sta::HoldReport hold = sta.analyze_hold(&st.cts.sink_latency_ps);
+    EXPECT_EQ(hold.worst_slack_ps, r.hold_slack_ps);
+    EXPECT_EQ(hold.violations, r.hold_violations);
+
+    EXPECT_EQ(st.nl.num_instances(), r.num_instances);
+    EXPECT_EQ(st.merged.components.size(),
+              static_cast<std::size_t>(r.num_instances));
+    if (r.resource.sampled) {
+      EXPECT_EQ(static_cast<long long>(st.merged.components.size()),
+                r.resource.def_components);
+    }
+  }
+}
 
 TEST_F(ReportFlowTest, WorstPathIsBitIdenticalToStaCriticalPath) {
-  sta::Sta sta(&snap_->nl, &snap_->rc, snap_->sta_options);
+  const flow::PhysicalState& st = run_->state;
+  sta::Sta sta(&st.nl, &st.rc, st.sta_options);
   const sta::TimingReport timing =
-      sta.analyze_timing(&snap_->cts.sink_latency_ps);
+      sta.analyze_timing(&st.cts.sink_latency_ps);
 
   TimingReportOptions opts;
   opts.top_k = 10;
   const std::vector<TimingPath> paths = build_timing_paths(
-      sta, snap_->nl, &snap_->rc, &snap_->cts.sink_latency_ps, opts);
+      sta, st.nl, &st.rc, &st.cts.sink_latency_ps, opts);
 
   ASSERT_GE(paths.size(), 10u) << "the reduced core has >= 10 endpoints";
   EXPECT_EQ(paths[0].path_names, timing.critical_path)
@@ -811,7 +862,7 @@ TEST_F(ReportFlowTest, WorstPathIsBitIdenticalToStaCriticalPath) {
 
   const std::vector<sta::PathEnd> ends =
       sta.worst_paths(static_cast<int>(paths.size()),
-                      &snap_->cts.sink_latency_ps);
+                      &st.cts.sink_latency_ps);
   std::vector<std::string> endpoints;
   for (std::size_t i = 0; i < paths.size(); ++i) {
     EXPECT_EQ(paths[i].endpoint, sta.endpoint_name(ends[i]));
@@ -838,25 +889,27 @@ TEST_F(ReportFlowTest, WorstPathIsBitIdenticalToStaCriticalPath) {
 }
 
 TEST_F(ReportFlowTest, TimingReportIsDeterministic) {
-  sta::Sta sta(&snap_->nl, &snap_->rc, snap_->sta_options);
-  sta.analyze_timing(&snap_->cts.sink_latency_ps);
+  const flow::PhysicalState& st = run_->state;
+  sta::Sta sta(&st.nl, &st.rc, st.sta_options);
+  sta.analyze_timing(&st.cts.sink_latency_ps);
   TimingReportOptions opts;
   opts.top_k = 5;
-  const auto a = build_timing_paths(sta, snap_->nl, &snap_->rc,
-                                    &snap_->cts.sink_latency_ps, opts);
-  const auto b = build_timing_paths(sta, snap_->nl, &snap_->rc,
-                                    &snap_->cts.sink_latency_ps, opts);
+  const auto a = build_timing_paths(sta, st.nl, &st.rc,
+                                    &st.cts.sink_latency_ps, opts);
+  const auto b = build_timing_paths(sta, st.nl, &st.rc,
+                                    &st.cts.sink_latency_ps, opts);
   EXPECT_EQ(format_timing_report(a, 0.0), format_timing_report(b, 0.0));
 }
 
 TEST_F(ReportFlowTest, NetAttributionCoversRoutedDesign) {
-  const std::string def_before = io::to_def_string(snap_->merged);
-  const NetReport rep = build_net_report(snap_->nl, snap_->merged, snap_->rc);
-  EXPECT_EQ(io::to_def_string(snap_->merged), def_before)
+  const flow::PhysicalState& st = run_->state;
+  const std::string def_before = io::to_def_string(st.merged);
+  const NetReport rep = build_net_report(st.nl, st.merged, st.rc);
+  EXPECT_EQ(io::to_def_string(st.merged), def_before)
       << "building a report must not mutate the design";
 
   ASSERT_EQ(rep.nets.size(),
-            static_cast<std::size_t>(snap_->nl.num_nets()));
+            static_cast<std::size_t>(st.nl.num_nets()));
   EXPECT_GT(rep.total_length_um, 0.0);
   EXPECT_GT(rep.total_elmore_ps, 0.0);
   EXPECT_GT(rep.total_vias, 0);
