@@ -12,7 +12,7 @@
 //   * incremental-vs-full STA speedup measured inside the ECO inner loop.
 //
 // Always writes BENCH_eco.json (cwd).  The committed copy at the repo root
-// is the baseline for the CI quick-bench step (scripts/check_bench.py eco),
+// is the baseline for the CI quick-bench step (ffet_report diff --mode eco),
 // which gates post_freq >= pre_freq and sta_speedup >= 1 — both
 // machine-independent (the speedup is a same-process ratio).
 //

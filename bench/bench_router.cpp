@@ -18,7 +18,7 @@
 //
 // Always writes BENCH_router.json (cwd).  The committed copy at the repo
 // root is the baseline the CI quick-bench step diffs against
-// (scripts/check_bench.py router): `astar_settled_per_route` and
+// (ffet_report diff --mode router): `astar_settled_per_route` and
 // `astar2_settled_per_route` are machine-independent and gated at +20 %;
 // `speedup` (legacy/astar) and `speedup2` (astar/astar2) are normalized
 // against engines measured in the same run, so they are load- and

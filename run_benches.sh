@@ -23,7 +23,7 @@
 # .ffet_ledger/ledger.jsonl; set FFET_LEDGER=0 to disable).
 # bench_router additionally writes BENCH_router.json (maze-routing kernel:
 # legacy vs. windowed A*); the committed copy is the baseline CI's
-# quick-bench regression gate diffs against (scripts/check_bench.py router).
+# quick-bench regression gate diffs against (ffet_report diff --mode router).
 # bench_scale writes BENCH_scale.json (workload-mesh scaling series:
 # per-stage cells/sec + peak RSS from ~10k to 1M+ cells); the committed
 # copy is the reference series, and CI's `ffet_report trend --rss-rise`

@@ -1,52 +1,18 @@
 #include "flow/config_json.h"
 
 #include <type_traits>
-#include <utility>
 
 #include "flow/report_json.h"
 
 namespace ffet::flow {
 
-namespace {
-
-// --- compile-time member census ---------------------------------------------
-// FlowConfig is an aggregate, so the number of data members equals the
-// largest N for which it brace-initializes from N distinct arguments.
-// `Probe` converts to anything; count_members() finds the maximum N by
-// recursion over the index sequence.
-
-struct Probe {
-  template <class T>
-  operator T() const;
-};
-
-template <class T, class... Args>
-concept BraceConstructible = requires { T{std::declval<Args>()...}; };
-
-template <class T, int... I>
-constexpr bool constructible_with(std::integer_sequence<int, I...>) {
-  return BraceConstructible<T, decltype((void(I), Probe{}))...>;
-}
-
-template <class T, int N = 0>
-constexpr int count_members() {
-  if constexpr (constructible_with<T>(
-                    std::make_integer_sequence<int, N + 1>{})) {
-    return count_members<T, N + 1>();
-  } else {
-    return N;
-  }
-}
-
 static_assert(std::is_aggregate_v<FlowConfig>,
               "the member census needs FlowConfig to stay an aggregate");
-static_assert(count_members<FlowConfig>() == kFlowConfigFieldCount,
+static_assert(detail::count_members<FlowConfig>() == kFlowConfigFieldCount,
               "FlowConfig gained or lost a field: update config_to_json, "
               "serve/config_codec config_from_json, FlowConfig::label() "
               "(if the field changes PPA), the FlowConfigJson tests, and "
               "kFlowConfigFieldCount in config_json.h");
-
-}  // namespace
 
 void append_config_json(JsonBuilder& j, const FlowConfig& cfg) {
   j.open_obj();

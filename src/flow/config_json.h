@@ -20,6 +20,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "flow/flow.h"
 
@@ -34,6 +35,40 @@ class JsonBuilder;
 /// config_from_json, label() (if the field changes PPA), the
 /// FlowConfigJson tests in test_serve.cpp — and then this constant.
 inline constexpr int kFlowConfigFieldCount = 16;
+
+// --- compile-time member census ---------------------------------------------
+// An aggregate's number of data members equals the largest N for which it
+// brace-initializes from N distinct arguments.  `CensusProbe` converts to
+// anything; count_members() finds the maximum N by recursion over the
+// index sequence.  Pins FlowConfig here and FlowResult/ResourceUsage in
+// report_json.cpp.
+
+namespace detail {
+
+struct CensusProbe {
+  template <class T>
+  operator T() const;
+};
+
+template <class T, class... Args>
+concept BraceConstructible = requires { T{std::declval<Args>()...}; };
+
+template <class T, int... I>
+constexpr bool constructible_with(std::integer_sequence<int, I...>) {
+  return BraceConstructible<T, decltype((void(I), CensusProbe{}))...>;
+}
+
+template <class T, int N = 0>
+constexpr int count_members() {
+  if constexpr (constructible_with<T>(
+                    std::make_integer_sequence<int, N + 1>{})) {
+    return count_members<T, N + 1>();
+  } else {
+    return N;
+  }
+}
+
+}  // namespace detail
 
 /// Append `cfg` as a JSON object ({"tech":"ffet",...}) to an open builder.
 void append_config_json(JsonBuilder& j, const FlowConfig& cfg);

@@ -1,145 +1,206 @@
 #include "flow/report_json.h"
 
-#include <ostream>
-#include <sstream>
+#include <iterator>
+#include <type_traits>
+#include <utility>
 
+#include "flow/config_json.h"
 #include "obs/obs.h"
-#include "obs/numfmt.h"
 
 namespace ffet::flow {
 
 namespace {
 
-class Obj {
- public:
-  Obj(std::ostream& os, int indent) : os_(os), indent_(indent) {
-    os_ << "{";
-  }
-  ~Obj() {
-    os_ << "\n" << pad(indent_) << "}";
-  }
+using S = ResultSection;
 
-  void field(const char* key, double v) {
-    sep();
-    os_ << '"' << key << "\": " << obs::format_double(v);
+/// A member's value widened to the JSON type it is written as.
+template <class T>
+FieldValue widen(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v;
+  } else if constexpr (std::is_integral_v<T>) {
+    return static_cast<long long>(v);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return static_cast<double>(v);
+  } else {
+    return std::string(v);
   }
-  void field(const char* key, int v) { sep(); os_ << '"' << key << "\": " << v; }
-  void field(const char* key, long v) {
-    sep();
-    os_ << '"' << key << "\": " << v;
-  }
-  void field(const char* key, bool v) {
-    sep();
-    os_ << '"' << key << "\": " << (v ? "true" : "false");
-  }
-  void field(const char* key, const std::string& v) {
-    sep();
-    std::string escaped;
-    obs::append_escaped(escaped, v);
-    os_ << '"' << key << "\": \"" << escaped << '"';
-  }
+}
 
- private:
-  void sep() {
-    os_ << (first_ ? "\n" : ",\n") << pad(indent_ + 1);
-    first_ = false;
-  }
-  static std::string pad(int n) { return std::string(2 * static_cast<std::size_t>(n), ' '); }
-
-  std::ostream& os_;
-  int indent_;
-  bool first_ = true;
+template <auto M>
+struct MemberOf;
+template <class C, class T, T C::*M>
+struct MemberOf<M> {
+  using type = C;
 };
+
+/// Getter for a data member of FlowResult, FlowConfig (via .config) or
+/// ResourceUsage (via .resource).
+template <auto M>
+FieldValue get(const FlowResult& r) {
+  using C = typename MemberOf<M>::type;
+  if constexpr (std::is_same_v<C, FlowConfig>) {
+    return widen(r.config.*M);
+  } else if constexpr (std::is_same_v<C, ResourceUsage>) {
+    return widen(r.resource.*M);
+  } else {
+    return widen(r.*M);
+  }
+}
+
+constexpr ResultField kResultFields[] = {
+    {"label", S::Top,
+     [](const FlowResult& r) -> FieldValue { return r.config.label(); }},
+    {"tech", S::Top,
+     [](const FlowResult& r) -> FieldValue {
+       return std::string(tech::to_string(r.config.tech_kind));
+     }},
+    {"front_layers", S::Top, get<&FlowConfig::front_layers>},
+    {"back_layers", S::Top, get<&FlowConfig::back_layers>},
+    {"backside_input_fraction", S::Top,
+     get<&FlowConfig::backside_input_fraction>},
+    {"target_freq_ghz", S::Top, get<&FlowConfig::target_freq_ghz>},
+    {"target_utilization", S::Top, get<&FlowConfig::utilization>},
+    {"seed", S::Top, get<&FlowConfig::seed>},
+    {"valid", S::Top,
+     [](const FlowResult& r) -> FieldValue { return r.valid(); }},
+    {"invalid_reason", S::Top, get<&FlowResult::invalid_reason>},
+
+    {"placement_violations", S::Diagnostics,
+     get<&FlowResult::placement_violations>},
+    {"placement_drc", S::Diagnostics, get<&FlowResult::placement_drc>},
+    {"place_mean_displacement_um", S::Diagnostics,
+     get<&FlowResult::place_mean_displacement_um>},
+    {"place_max_displacement_um", S::Diagnostics,
+     get<&FlowResult::place_max_displacement_um>},
+    {"drv", S::Diagnostics, get<&FlowResult::drv>},
+    {"drv_wire", S::Diagnostics, get<&FlowResult::drv_wire>},
+    {"drv_pin_access", S::Diagnostics, get<&FlowResult::drv_pin_access>},
+    {"route_passes", S::Diagnostics, get<&FlowResult::route_passes>},
+    {"route_ripups", S::Diagnostics, get<&FlowResult::route_ripups>},
+    {"route_region_ripups", S::Diagnostics,
+     get<&FlowResult::route_region_ripups>},
+    {"route_overflow", S::Diagnostics, get<&FlowResult::route_overflow>},
+    {"route_settled_nodes", S::Diagnostics,
+     get<&FlowResult::route_settled_nodes>},
+    {"route_window_expansions", S::Diagnostics,
+     get<&FlowResult::route_window_expansions>},
+    {"route_steiner_subnets", S::Diagnostics,
+     get<&FlowResult::route_steiner_subnets>},
+    {"route_fastpath", S::Diagnostics, get<&FlowResult::route_fastpath>},
+    {"clock_skew_ps", S::Diagnostics, get<&FlowResult::clock_skew_ps>},
+    {"ir_drop_mv", S::Diagnostics, get<&FlowResult::ir_drop_mv>},
+
+    {"utilization", S::Ppa, get<&FlowResult::utilization>},
+    {"core_area_um2", S::Ppa, get<&FlowResult::core_area_um2>},
+    {"wirelength_front_um", S::Ppa, get<&FlowResult::wirelength_front_um>},
+    {"wirelength_back_um", S::Ppa, get<&FlowResult::wirelength_back_um>},
+    {"achieved_freq_ghz", S::Ppa, get<&FlowResult::achieved_freq_ghz>},
+    {"power_uw", S::Ppa, get<&FlowResult::power_uw>},
+    {"efficiency_ghz_per_mw", S::Ppa,
+     get<&FlowResult::efficiency_ghz_per_mw>},
+
+    {"passes_run", S::Eco, get<&FlowResult::eco_passes_run>},
+    {"attempted", S::Eco, get<&FlowResult::eco_attempted>},
+    {"accepted", S::Eco, get<&FlowResult::eco_accepted>},
+    {"reverted", S::Eco, get<&FlowResult::eco_reverted>},
+    {"upsized", S::Eco, get<&FlowResult::eco_upsized>},
+    {"downsized", S::Eco, get<&FlowResult::eco_downsized>},
+    {"buffers", S::Eco, get<&FlowResult::eco_buffers>},
+    {"pin_flips", S::Eco, get<&FlowResult::eco_pin_flips>},
+    {"pre_freq_ghz", S::Eco, get<&FlowResult::eco_pre_freq_ghz>},
+    {"post_freq_ghz", S::Eco, get<&FlowResult::eco_post_freq_ghz>},
+    {"pre_power_uw", S::Eco, get<&FlowResult::eco_pre_power_uw>},
+    {"post_power_uw", S::Eco, get<&FlowResult::eco_post_power_uw>},
+    {"iso_power_uw", S::Eco, get<&FlowResult::eco_iso_power_uw>},
+    {"sta_speedup", S::Eco, get<&FlowResult::eco_sta_speedup>},
+
+    {"peak_rss_kb", S::Resource, get<&ResourceUsage::peak_rss_kb>},
+    {"current_rss_kb", S::Resource, get<&ResourceUsage::current_rss_kb>},
+    {"minor_faults", S::Resource, get<&ResourceUsage::minor_faults>},
+    {"major_faults", S::Resource, get<&ResourceUsage::major_faults>},
+    {"netlist_cells", S::Resource, get<&ResourceUsage::netlist_cells>},
+    {"netlist_nets", S::Resource, get<&ResourceUsage::netlist_nets>},
+    {"rc_nodes", S::Resource, get<&ResourceUsage::rc_nodes>},
+    {"route_grid_nodes", S::Resource, get<&ResourceUsage::route_grid_nodes>},
+    {"def_components", S::Resource, get<&ResourceUsage::def_components>},
+    {"def_wires", S::Resource, get<&ResourceUsage::def_wires>},
+
+    {"placement_legal", S::None, get<&FlowResult::placement_legal>},
+    {"route_valid", S::None, get<&FlowResult::route_valid>},
+    {"core_width_um", S::None, get<&FlowResult::core_width_um>},
+    {"core_height_um", S::None, get<&FlowResult::core_height_um>},
+    {"hpwl_um", S::None, get<&FlowResult::hpwl_um>},
+    {"num_instances", S::None, get<&FlowResult::num_instances>},
+    {"num_tap_cells", S::None, get<&FlowResult::num_tap_cells>},
+    {"clock_latency_ps", S::None, get<&FlowResult::clock_latency_ps>},
+    {"clock_buffers", S::None, get<&FlowResult::clock_buffers>},
+    {"hold_buffers", S::None, get<&FlowResult::hold_buffers>},
+    {"hold_slack_ps", S::None, get<&FlowResult::hold_slack_ps>},
+    {"hold_violations", S::None, get<&FlowResult::hold_violations>},
+    {"critical_path_ps", S::None, get<&FlowResult::critical_path_ps>},
+    {"switching_uw", S::None, get<&FlowResult::switching_uw>},
+    {"internal_uw", S::None, get<&FlowResult::internal_uw>},
+    {"leakage_uw", S::None, get<&FlowResult::leakage_uw>},
+};
+
+// The member census.  Every FlowResult member is one row, except three:
+// `config` (summarized by eight Top rows: label, tech and six values),
+// `stage_times` (the report's "stages" array) and `resource` (one row per
+// ResourceUsage member but the `sampled` gate).  valid() adds one row.  A
+// new member breaks the build here until it has a row, or is named in the
+// first message as deliberately unserialized.
+static_assert(std::is_aggregate_v<FlowResult> &&
+                  std::is_aggregate_v<ResourceUsage>,
+              "the member census needs both structs to stay aggregates");
+static_assert(detail::count_members<FlowResult>() == 58,
+              "FlowResult gained or lost a member: add or remove its row "
+              "in kResultFields (config and stage_times stay unserialized)");
+static_assert(detail::count_members<ResourceUsage>() == 11,
+              "ResourceUsage gained or lost a member: add or remove its "
+              "Resource row in kResultFields");
+static_assert(std::size(kResultFields) == (58 - 3) + (8 + 1) + (11 - 1),
+              "kResultFields must hold one row per serialized member");
+
+bool section_present(const FlowResult& r, ResultSection section) {
+  switch (section) {
+    case S::Eco:
+      return r.config.eco_passes > 0;
+    case S::Resource:
+      return r.resource.sampled;
+    default:
+      return true;
+  }
+}
+
+void write_field(JsonBuilder& j, const char* key, const FieldValue& v) {
+  std::visit([&](const auto& x) { j.field(key, x); }, v);
+}
+
+void write_section(JsonBuilder& j, const FlowResult& r,
+                   ResultSection section) {
+  for (const ResultField& f : kResultFields) {
+    if (f.section == section) write_field(j, f.key, f.get(r));
+  }
+}
 
 }  // namespace
 
-void write_json(const FlowResult& r, std::ostream& os) {
-  Obj o(os, 0);
-  o.field("label", r.config.label());
-  o.field("tech", std::string(tech::to_string(r.config.tech_kind)));
-  o.field("front_layers", r.config.front_layers);
-  o.field("back_layers", r.config.back_layers);
-  o.field("backside_input_fraction", r.config.backside_input_fraction);
-  o.field("target_freq_ghz", r.config.target_freq_ghz);
-  o.field("target_utilization", r.config.utilization);
-  o.field("valid", r.valid());
-  o.field("invalid_reason", r.invalid_reason);
-  o.field("placement_legal", r.placement_legal);
-  o.field("placement_violations", r.placement_violations);
-  o.field("placement_drc", r.placement_drc);
-  o.field("place_mean_displacement_um", r.place_mean_displacement_um);
-  o.field("place_max_displacement_um", r.place_max_displacement_um);
-  o.field("route_valid", r.route_valid);
-  o.field("drv", r.drv);
-  o.field("drv_wire", r.drv_wire);
-  o.field("drv_pin_access", r.drv_pin_access);
-  o.field("route_passes", r.route_passes);
-  o.field("route_ripups", r.route_ripups);
-  o.field("route_region_ripups", r.route_region_ripups);
-  o.field("route_overflow", r.route_overflow);
-  o.field("route_settled_nodes", r.route_settled_nodes);
-  o.field("route_window_expansions", r.route_window_expansions);
-  o.field("route_steiner_subnets", r.route_steiner_subnets);
-  o.field("route_fastpath", r.route_fastpath);
-  o.field("core_area_um2", r.core_area_um2);
-  o.field("utilization", r.utilization);
-  o.field("hpwl_um", r.hpwl_um);
-  o.field("wirelength_front_um", r.wirelength_front_um);
-  o.field("wirelength_back_um", r.wirelength_back_um);
-  o.field("num_instances", r.num_instances);
-  o.field("num_tap_cells", r.num_tap_cells);
-  o.field("clock_skew_ps", r.clock_skew_ps);
-  o.field("clock_latency_ps", r.clock_latency_ps);
-  o.field("clock_buffers", r.clock_buffers);
-  o.field("hold_buffers", r.hold_buffers);
-  o.field("hold_slack_ps", r.hold_slack_ps);
-  o.field("hold_violations", r.hold_violations);
-  o.field("ir_drop_mv", r.ir_drop_mv);
-  o.field("achieved_freq_ghz", r.achieved_freq_ghz);
-  o.field("critical_path_ps", r.critical_path_ps);
-  o.field("power_uw", r.power_uw);
-  o.field("switching_uw", r.switching_uw);
-  o.field("internal_uw", r.internal_uw);
-  o.field("leakage_uw", r.leakage_uw);
-  o.field("efficiency_ghz_per_mw", r.efficiency_ghz_per_mw);
-  if (r.config.eco_passes > 0) {
-    o.field("eco_passes_run", r.eco_passes_run);
-    o.field("eco_attempted", r.eco_attempted);
-    o.field("eco_accepted", r.eco_accepted);
-    o.field("eco_reverted", r.eco_reverted);
-    o.field("eco_upsized", r.eco_upsized);
-    o.field("eco_downsized", r.eco_downsized);
-    o.field("eco_buffers", r.eco_buffers);
-    o.field("eco_pin_flips", r.eco_pin_flips);
-    o.field("eco_pre_freq_ghz", r.eco_pre_freq_ghz);
-    o.field("eco_post_freq_ghz", r.eco_post_freq_ghz);
-    o.field("eco_pre_power_uw", r.eco_pre_power_uw);
-    o.field("eco_post_power_uw", r.eco_post_power_uw);
-    o.field("eco_iso_power_uw", r.eco_iso_power_uw);
-    o.field("eco_sta_speedup", r.eco_sta_speedup);
+std::span<const ResultField> result_fields() { return kResultFields; }
+
+std::string to_json(const FlowResult& r) {
+  std::string out;
+  out.reserve(2048);
+  JsonBuilder j(out);
+  j.open_obj();
+  for (const ResultField& f : kResultFields) {
+    if (f.section == S::Resource || !section_present(r, f.section)) continue;
+    const std::string key = f.section == S::Eco ? "eco_" + std::string(f.key)
+                                                : std::string(f.key);
+    write_field(j, key.c_str(), f.get(r));
   }
-}
-
-std::string to_json(const FlowResult& result) {
-  std::ostringstream os;
-  write_json(result, os);
-  return os.str();
-}
-
-void write_json(const std::vector<FlowResult>& results, std::ostream& os) {
-  os << "[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (i) os << ",";
-    os << "\n";
-    write_json(results[i], os);
-  }
-  os << "\n]";
-}
-
-std::string to_json(const std::vector<FlowResult>& results) {
-  std::ostringstream os;
-  write_json(results, os);
-  return os.str();
+  j.close_obj();
+  return out;
 }
 
 std::string flow_report_json(const FlowResult& r) {
@@ -147,90 +208,16 @@ std::string flow_report_json(const FlowResult& r) {
   out.reserve(2048);
   JsonBuilder j(out);
   j.open_obj();
-  j.field("schema", std::string("ffet.flow_report.v1"));
-  j.field("label", r.config.label());
-  j.field("tech", std::string(tech::to_string(r.config.tech_kind)));
-  j.field("front_layers", static_cast<long long>(r.config.front_layers));
-  j.field("back_layers", static_cast<long long>(r.config.back_layers));
-  j.field("backside_input_fraction", r.config.backside_input_fraction);
-  j.field("target_freq_ghz", r.config.target_freq_ghz);
-  j.field("target_utilization", r.config.utilization);
-  j.field("seed", static_cast<long long>(r.config.seed));
-
-  // Verdict.
-  j.field("valid", r.valid());
-  j.field("invalid_reason", r.invalid_reason);
-
-  // Convergence / quality diagnostics.
-  j.open_nested("diagnostics");
-  j.field("placement_violations", static_cast<long long>(r.placement_violations));
-  j.field("placement_drc", static_cast<long long>(r.placement_drc));
-  j.field("place_mean_displacement_um", r.place_mean_displacement_um);
-  j.field("place_max_displacement_um", r.place_max_displacement_um);
-  j.field("drv", static_cast<long long>(r.drv));
-  j.field("drv_wire", static_cast<long long>(r.drv_wire));
-  j.field("drv_pin_access", static_cast<long long>(r.drv_pin_access));
-  j.field("route_passes", static_cast<long long>(r.route_passes));
-  j.field("route_ripups", static_cast<long long>(r.route_ripups));
-  j.field("route_region_ripups",
-          static_cast<long long>(r.route_region_ripups));
-  j.field("route_overflow", static_cast<long long>(r.route_overflow));
-  j.field("route_settled_nodes", static_cast<long long>(r.route_settled_nodes));
-  j.field("route_window_expansions",
-          static_cast<long long>(r.route_window_expansions));
-  j.field("route_steiner_subnets",
-          static_cast<long long>(r.route_steiner_subnets));
-  j.field("route_fastpath", static_cast<long long>(r.route_fastpath));
-  j.field("clock_skew_ps", r.clock_skew_ps);
-  j.field("ir_drop_mv", r.ir_drop_mv);
-  j.close_obj();
-
-  // PPA summary.
-  j.open_nested("ppa");
-  j.field("utilization", r.utilization);
-  j.field("core_area_um2", r.core_area_um2);
-  j.field("wirelength_front_um", r.wirelength_front_um);
-  j.field("wirelength_back_um", r.wirelength_back_um);
-  j.field("achieved_freq_ghz", r.achieved_freq_ghz);
-  j.field("power_uw", r.power_uw);
-  j.field("efficiency_ghz_per_mw", r.efficiency_ghz_per_mw);
-  j.close_obj();
-
-  // Post-route ECO (only when the stage ran; absent otherwise so reports
-  // from eco_passes == 0 runs stay byte-identical to older builds).
-  if (r.config.eco_passes > 0) {
-    j.open_nested("eco");
-    j.field("passes_run", static_cast<long long>(r.eco_passes_run));
-    j.field("attempted", static_cast<long long>(r.eco_attempted));
-    j.field("accepted", static_cast<long long>(r.eco_accepted));
-    j.field("reverted", static_cast<long long>(r.eco_reverted));
-    j.field("upsized", static_cast<long long>(r.eco_upsized));
-    j.field("downsized", static_cast<long long>(r.eco_downsized));
-    j.field("buffers", static_cast<long long>(r.eco_buffers));
-    j.field("pin_flips", static_cast<long long>(r.eco_pin_flips));
-    j.field("pre_freq_ghz", r.eco_pre_freq_ghz);
-    j.field("post_freq_ghz", r.eco_post_freq_ghz);
-    j.field("pre_power_uw", r.eco_pre_power_uw);
-    j.field("post_power_uw", r.eco_post_power_uw);
-    j.field("iso_power_uw", r.eco_iso_power_uw);
-    j.field("sta_speedup", r.eco_sta_speedup);
-    j.close_obj();
-  }
-
-  // Resource usage (obs resource probe; absent when disabled so reports
-  // from FFET_RESOURCE=0 runs stay byte-identical to older builds).
-  if (r.resource.sampled) {
-    j.open_nested("resource");
-    j.field("peak_rss_kb", r.resource.peak_rss_kb);
-    j.field("current_rss_kb", r.resource.current_rss_kb);
-    j.field("minor_faults", r.resource.minor_faults);
-    j.field("major_faults", r.resource.major_faults);
-    j.field("netlist_cells", r.resource.netlist_cells);
-    j.field("netlist_nets", r.resource.netlist_nets);
-    j.field("rc_nodes", r.resource.rc_nodes);
-    j.field("route_grid_nodes", r.resource.route_grid_nodes);
-    j.field("def_components", r.resource.def_components);
-    j.field("def_wires", r.resource.def_wires);
+  j.field("schema", "ffet.flow_report.v1");
+  write_section(j, r, S::Top);
+  // Sections the run did not produce (no ECO, resource probe off) are
+  // absent, so those reports stay byte-identical to older builds.
+  for (const auto& [section, name] :
+       {std::pair{S::Diagnostics, "diagnostics"}, std::pair{S::Ppa, "ppa"},
+        std::pair{S::Eco, "eco"}, std::pair{S::Resource, "resource"}}) {
+    if (!section_present(r, section)) continue;
+    j.open_nested(name);
+    write_section(j, r, section);
     j.close_obj();
   }
 
@@ -261,10 +248,6 @@ std::string flow_report_json(const FlowResult& r) {
   }
   j.close_obj();
   return out;
-}
-
-void write_flow_report(const FlowResult& result, std::ostream& os) {
-  os << flow_report_json(result);
 }
 
 bool append_serve_report(std::string& line, const ServeAttribution& serve) {

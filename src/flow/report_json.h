@@ -1,14 +1,17 @@
 // report_json.h — machine-readable flow results.
 //
-// Serializes FlowConfig/FlowResult as JSON so sweeps can be plotted or
-// post-processed without parsing log text.  Hand-rolled emitter (flat
-// structures, no external dependency).
+// Serializes FlowResult as JSON so sweeps can be plotted or post-processed
+// without parsing log text.  One field table (result_fields()) lists every
+// serialized FlowResult value once, as a {key, section, getter} row; the
+// flat to_json object, the sectioned flow-report line and the report
+// reader's config keys are all walks of it.  A new result field is one row
+// there — a member census in report_json.cpp breaks the build until it is.
 
 #pragma once
 
-#include <iosfwd>
+#include <span>
 #include <string>
-#include <vector>
+#include <variant>
 
 #include "flow/flow.h"
 #include "obs/numfmt.h"
@@ -86,25 +89,44 @@ class JsonBuilder {
   std::string& out_;
 };
 
-/// One result as a JSON object.  Doubles are formatted with std::to_chars
-/// (shortest round-trip, locale-independent), so serializing the same
-/// result twice yields identical bytes.
+/// Where a FlowResult field lands in the flow-report line.
+enum class ResultSection {
+  Top,          ///< top level: the config summary and the verdict
+  Diagnostics,  ///< "diagnostics": convergence / quality
+  Ppa,          ///< "ppa": the PPA summary
+  Eco,          ///< "eco": present only when config.eco_passes > 0
+  Resource,     ///< "resource": present only when resource.sampled
+  None,         ///< not in the flow report (yet); to_json only
+};
+
+/// A field's value as the JSON type it is written as.
+using FieldValue = std::variant<bool, long long, double, std::string>;
+
+/// One serialized FlowResult value.
+struct ResultField {
+  const char* key;  ///< flow-report key; to_json prefixes Eco rows "eco_"
+  ResultSection section;
+  FieldValue (*get)(const FlowResult&);
+};
+
+/// The field table, in flow-report order: the one hand-written list of
+/// FlowResult fields behind to_json, flow_report_json and the report
+/// reader (report::read_flow_reports).
+std::span<const ResultField> result_fields();
+
+/// One result as a flat JSON object: every row of the field table except
+/// the machine-dependent Resource rows, Eco rows (prefixed "eco_") only
+/// when the ECO ran.  Doubles are formatted with std::to_chars (shortest
+/// round-trip, locale-independent), so serializing the same result twice
+/// yields identical bytes.
 std::string to_json(const FlowResult& result);
 
-/// A sweep as a JSON array of objects.
-std::string to_json(const std::vector<FlowResult>& results);
-
-void write_json(const FlowResult& result, std::ostream& os);
-void write_json(const std::vector<FlowResult>& results, std::ostream& os);
-
-/// One compact flow-report line (schema "ffet.flow_report.v1"): the result
-/// fields plus per-stage wall/CPU timings, convergence diagnostics, the
-/// validity verdict with its reason, and — when metrics are enabled — a
-/// snapshot of the obs counters and gauges.  This is the per-point record
-/// run_physical appends to FFET_FLOW_REPORT / FlowConfig::flow_report_path.
+/// One compact flow-report line (schema "ffet.flow_report.v1"): the field
+/// table's rows by section, plus per-stage wall/CPU timings and — when
+/// metrics are enabled — a snapshot of the obs counters and gauges.  This
+/// is the per-point record run_physical appends to FFET_FLOW_REPORT /
+/// FlowConfig::flow_report_path.
 std::string flow_report_json(const FlowResult& result);
-
-void write_flow_report(const FlowResult& result, std::ostream& os);
 
 /// Where a served point spent its time inside the sweep service: queued
 /// behind other points, probing the result cache, and running in a worker.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <queue>
@@ -220,8 +219,7 @@ struct UseOverlay {
 /// state:
 ///
 ///   * connect_legacy(): the original unbounded full-grid Dijkstra
-///     (std::priority_queue, live edge_cost() calls) — the QoR baseline
-///     and FFET_ROUTE_ENGINE=legacy escape hatch;
+///     (std::priority_queue, live edge_cost() calls) — the QoR baseline;
 ///   * connect_astar(): windowed A* — admissible Manhattan heuristic
 ///     scaled by the grid's per-pass cost floors, deterministic
 ///     (f, g, node-id) tie-breaking, a search window around the bounding
@@ -584,16 +582,6 @@ struct SubNet {
   std::vector<int> sinks;
   geom::Nm hpwl = 0;
 };
-
-RouteEngine resolve_engine(RouteEngine requested) {
-  if (requested != RouteEngine::Auto) return requested;
-  if (const char* env = std::getenv("FFET_ROUTE_ENGINE")) {
-    if (std::strcmp(env, "legacy") == 0) return RouteEngine::Legacy;
-    if (std::strcmp(env, "astar") == 0) return RouteEngine::Astar;
-    if (std::strcmp(env, "astar2") == 0) return RouteEngine::Astar2;
-  }
-  return RouteEngine::Astar2;
-}
 
 int sidx(Side s) { return s == Side::Front ? 0 : 1; }
 
@@ -1700,7 +1688,7 @@ RouteResult route_design(const Netlist& nl, const Floorplan& fp,
   FFET_TRACE_SCOPE("route.design");
   const tech::Technology& tech = nl.library().tech();
   RouteResult res;
-  const RouteEngine engine = resolve_engine(options.engine);
+  const RouteEngine engine = options.engine;
   res.engine_used = engine;
 
   GridSetup gs = build_grid_setup(nl, fp, tech, options);
@@ -1907,7 +1895,7 @@ RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
   FFET_TRACE_SCOPE("route.reroute");
   const tech::Technology& tech = nl.library().tech();
   RouteResult res;
-  const RouteEngine engine = resolve_engine(options.engine);
+  const RouteEngine engine = options.engine;
   res.engine_used = engine;
   // The ECO primitive routes its (few) dirty subnets monolithically with
   // the windowed A* kernel even under Astar2: region negotiation needs the

@@ -51,10 +51,9 @@ using tech::Side;
 /// path exists inside it, a per-pass edge-cost cache, and O(1) stamped tree
 /// membership; it routes each subnet monolithically source-to-sinks and
 /// rips up whole subnets.  `Legacy` is the original unbounded full-grid
-/// Dijkstra (kept as an escape hatch and as the QoR baseline).  `Auto`
-/// resolves to the FFET_ROUTE_ENGINE environment variable ("legacy",
-/// "astar" or "astar2") and defaults to Astar2.
-enum class RouteEngine { Auto, Legacy, Astar, Astar2 };
+/// Dijkstra.  `Astar2` is the default; `Legacy` and `Astar` stay as the
+/// QoR and speed baselines (bench_router, the engine-equivalence tests).
+enum class RouteEngine { Legacy, Astar, Astar2 };
 
 struct RouteOptions {
   int gcell_tracks = 15;       ///< gcell edge length in M2 track pitches
@@ -92,7 +91,7 @@ struct RouteOptions {
   /// Maze-search kernel (see RouteEngine).  Results are deterministic for
   /// either engine and identical across `threads` settings; the engines
   /// may legitimately differ from each other in tie-breaking.
-  RouteEngine engine = RouteEngine::Auto;
+  RouteEngine engine = RouteEngine::Astar2;
   /// Initial A* search-window margin, in gcells, around the bounding box
   /// of {current tree, target sink}.  Windowed attempts admit only paths
   /// that create no *hard* overflow; if none exists the margin doubles
@@ -199,8 +198,7 @@ struct RouteResult {
   long fastpath_routes = 0;
 
   /// Maze-search effort totals over all passes (sum of the per-pass
-  /// counters above), plus the kernel that actually ran after resolving
-  /// RouteOptions::engine / FFET_ROUTE_ENGINE.
+  /// counters above), plus the kernel that ran (RouteOptions::engine).
   long settled_nodes = 0;
   long window_expansions = 0;
   RouteEngine engine_used = RouteEngine::Astar2;

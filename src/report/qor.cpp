@@ -8,6 +8,8 @@
 #include <istream>
 #include <sstream>
 
+#include "flow/report_json.h"
+
 namespace ffet::report {
 
 namespace {
@@ -34,6 +36,15 @@ void appendf(std::string& out, const char* format, ...) {
   std::vsnprintf(buf, sizeof(buf), format, args);
   va_end(args);
   out += buf;
+}
+
+/// A top-level key of the flow report's field table: the config summary
+/// (its numeric values land in FlowRecord::config) and the verdict.
+bool is_top_key(const std::string& key) {
+  for (const flow::ResultField& f : flow::result_fields()) {
+    if (f.section == flow::ResultSection::Top && key == f.key) return true;
+  }
+  return false;
 }
 
 /// Read numeric members of a JSON object into a map (bools as 0/1);
@@ -90,11 +101,7 @@ std::vector<FlowRecord> read_flow_reports(std::istream& is, ReadStats* stats) {
         rec.invalid_reason = v.str;
       } else if (key == "valid" && v.is_bool()) {
         rec.valid = v.boolean;
-      } else if ((key == "front_layers" || key == "back_layers" ||
-                  key == "backside_input_fraction" ||
-                  key == "target_freq_ghz" || key == "target_utilization" ||
-                  key == "seed") &&
-                 v.is_number()) {
+      } else if (v.is_number() && is_top_key(key)) {
         rec.config[key] = v.number;
       } else if (key == "diagnostics" && v.is_object()) {
         read_number_map(v, rec.diagnostics, stats);

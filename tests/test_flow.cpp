@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,11 @@ struct StageCase {
   std::vector<std::string> stages;
 };
 
+// Print the case by name: gtest's default byte dump includes pointer values,
+// which ASLR changes from run to run, and the dump becomes part of the test
+// name that test discovery records.
+void PrintTo(const StageCase& c, std::ostream* os) { *os << c.name; }
+
 class StageSequenceTest : public FlowTest,
                           public ::testing::WithParamInterface<StageCase> {};
 
@@ -248,11 +254,6 @@ TEST_F(FlowTest, JsonReportWellFormed) {
         "\"valid\"", "\"drv\"", "\"label\"", "\"hold_slack_ps\""}) {
     EXPECT_NE(j.find(key), std::string::npos) << key;
   }
-  // Array form.
-  const std::string arr = to_json(std::vector<FlowResult>{r, r});
-  EXPECT_EQ(arr.front(), '[');
-  EXPECT_EQ(arr.back(), ']');
-  EXPECT_EQ(std::count(arr.begin(), arr.end(), '{'), 2);
 }
 
 }  // namespace

@@ -691,27 +691,20 @@ TEST_F(PnrTest, RouterDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST_F(PnrTest, RouteEngineEnvEscapeHatch) {
-  // RouteEngine::Auto resolves FFET_ROUTE_ENGINE; each value must select
-  // its kernel without touching any call site.
-  setenv("FFET_ROUTE_ENGINE", "legacy", 1);
-  const RoutedDesign l = route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6);
-  setenv("FFET_ROUTE_ENGINE", "astar", 1);
-  const RoutedDesign a = route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6);
-  setenv("FFET_ROUTE_ENGINE", "astar2", 1);
-  const RoutedDesign a2 =
-      route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6);
-  unsetenv("FFET_ROUTE_ENGINE");
-  EXPECT_EQ(l.rr.engine_used, RouteEngine::Legacy);
+TEST_F(PnrTest, RouteEngineOptionSelectsKernel) {
+  // RouteOptions::engine selects the kernel that runs; the default is the
+  // stage-2 engine.
+  RouteOptions astar_ro;
+  astar_ro.engine = RouteEngine::Astar;
+  const RoutedDesign a =
+      route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6, astar_ro);
+  const RoutedDesign d = route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6);
   EXPECT_EQ(a.rr.engine_used, RouteEngine::Astar);
-  EXPECT_EQ(a2.rr.engine_used, RouteEngine::Astar2);
+  EXPECT_EQ(d.rr.engine_used, RouteEngine::Astar2);
   // The stage-1 engines never decompose into 2-pin subnets; stage 2 always
   // does (every multi-gcell net contributes at least one).
   EXPECT_EQ(a.rr.steiner_subnets, 0);
-  EXPECT_GT(a2.rr.steiner_subnets, 0);
-  // Unset, Auto defaults to Astar2.
-  const RoutedDesign d = route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6);
-  EXPECT_EQ(d.rr.engine_used, RouteEngine::Astar2);
+  EXPECT_GT(d.rr.steiner_subnets, 0);
 }
 
 // --- routing: stage 2 (Steiner / congestion regions) ------------------------

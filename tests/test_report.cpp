@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <cstdio>
@@ -944,6 +945,66 @@ TEST_F(ReportFlowTest, NetAttributionCoversRoutedDesign) {
   EXPECT_NE(detail.find(rep.nets.front().name), std::string::npos);
   EXPECT_NE(format_net_detail(rep, "no_such_net").find("not found"),
             std::string::npos);
+}
+
+double as_number(const flow::FieldValue& v) {
+  if (const auto* i = std::get_if<long long>(&v)) {
+    return static_cast<double>(*i);
+  }
+  return std::get<double>(v);
+}
+
+std::size_t occurrences(const std::string& text, const std::string& what) {
+  std::size_t n = 0;
+  for (auto at = text.find(what); at != std::string::npos;
+       at = text.find(what, at + what.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(ReportFlowTest, FieldTableRoundTripsRowByRow) {
+  // One walk of the field table ties the struct, both emitters and the
+  // reader together: every numeric row reads back as exactly the
+  // FlowResult value, and to_json carries every non-resource row once.
+  for (const KeptRun* run : {run_, eco_run_}) {
+    const flow::FlowResult& r = run->result;
+    SCOPED_TRACE(r.config.label());
+    const bool eco = r.config.eco_passes > 0;
+    const FlowRecord rec = record_of(r);
+    const std::string flat = flow::to_json(r);
+    EXPECT_EQ(rec.has_eco, eco);
+    EXPECT_TRUE(rec.extra.empty());
+
+    for (const flow::ResultField& f : flow::result_fields()) {
+      SCOPED_TRACE(f.key);
+      const flow::FieldValue v = f.get(r);
+      const std::map<std::string, double>* read = nullptr;
+      switch (f.section) {
+        case flow::ResultSection::Top:
+          if (std::holds_alternative<long long>(v) ||
+              std::holds_alternative<double>(v)) {
+            read = &rec.config;
+          }
+          break;
+        case flow::ResultSection::Diagnostics: read = &rec.diagnostics; break;
+        case flow::ResultSection::Ppa: read = &rec.ppa; break;
+        case flow::ResultSection::Eco: read = eco ? &rec.eco : nullptr; break;
+        default: break;
+      }
+      if (read) {
+        const auto it = read->find(f.key);
+        ASSERT_NE(it, read->end());
+        EXPECT_EQ(it->second, as_number(v));
+      }
+
+      if (f.section == flow::ResultSection::Resource) continue;
+      const bool eco_row = f.section == flow::ResultSection::Eco;
+      const std::string key =
+          std::string(eco_row ? "\"eco_" : "\"") + f.key + "\":";
+      EXPECT_EQ(occurrences(flat, key), eco_row && !eco ? 0u : 1u);
+    }
+  }
 }
 
 // ------------------------------------------------- qor_only diff mode
