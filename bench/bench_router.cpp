@@ -18,11 +18,13 @@
 //
 // Always writes BENCH_router.json (cwd).  The committed copy at the repo
 // root is the baseline the CI quick-bench step diffs against
-// (ffet_report diff --mode router): `astar_settled_per_route` and
-// `astar2_settled_per_route` are machine-independent and gated at +20 %;
-// `speedup` (legacy/astar) and `speedup2` (astar/astar2) are normalized
-// against engines measured in the same run, so they are load- and
-// machine-insensitive, and gated at -20 % plus the 1.8x floor on
+// (ffet_report diff --mode router): every engine's deterministic work
+// counters (passes, ripups, region_ripups, window_expansions, drv_wire,
+// steiner_subnets, fastpath) must match exactly; `astar_settled_per_route`
+// and `astar2_settled_per_route` are machine-independent and gated at
+// +20 %; `speedup` (legacy/astar) and `speedup2` (astar/astar2) are
+// normalized against engines measured in the same run, so they are load-
+// and machine-insensitive, and gated at -20 % plus the 1.8x floor on
 // congested configs.
 //
 //   --quick   1 timing rep per configuration instead of 3

@@ -396,11 +396,35 @@ struct PathRouter {
     return walk_back(target);
   }
 
-  /// One bounded A* attempt inside [c_lo,c_hi]x[r_lo,r_hi].  With `prune`
-  /// set, edges already at their hard capacity are not crossed (a clean
-  /// path is demanded).  Returns true when `target` was settled.
-  bool search_window(const std::vector<int>& tree, int target, int c_lo,
-                     int c_hi, int r_lo, int r_hi, bool prune) {
+  /// Inclusive gcell window [c_lo,c_hi]x[r_lo,r_hi].
+  struct Window {
+    int c_lo = 0, c_hi = 0, r_lo = 0, r_hi = 0;
+    friend bool operator==(const Window&, const Window&) = default;
+  };
+  Window full_grid() const { return {0, g.cols - 1, 0, g.rows - 1}; }
+
+  /// The bounding box of {tree, target} grown by `margin` gcells on every
+  /// side and clamped to the grid (the windowed searches' region).
+  Window window_around(const std::vector<int>& tree, int target,
+                       int margin) const {
+    int c_lo = g.col_of(target), c_hi = c_lo;
+    int r_lo = g.row_of(target), r_hi = r_lo;
+    for (int t : tree) {
+      const int c = g.col_of(t), r = g.row_of(t);
+      c_lo = std::min(c_lo, c);
+      c_hi = std::max(c_hi, c);
+      r_lo = std::min(r_lo, r);
+      r_hi = std::max(r_hi, r);
+    }
+    return {std::max(0, c_lo - margin), std::min(g.cols - 1, c_hi + margin),
+            std::max(0, r_lo - margin), std::min(g.rows - 1, r_hi + margin)};
+  }
+
+  /// One bounded A* attempt inside `win`.  With `prune` set, edges already
+  /// at their hard capacity are not crossed (a clean path is demanded).
+  /// Returns true when `target` was settled.
+  bool search_window(const std::vector<int>& tree, int target, Window win,
+                     bool prune) {
     ++stamp;
     open.clear();
     const double fh = g.floor_h;
@@ -437,19 +461,19 @@ struct PathRouter {
           open.push({nd + heur(nc, nr), nd, nn});
         }
       };
-      if (c + 1 <= c_hi) {
+      if (c + 1 <= win.c_hi) {
         const auto e = static_cast<std::size_t>(g.h_edge(c, r));
         if (!prune || !h_blocked(e)) relax(c + 1, r, h_weight(e));
       }
-      if (c - 1 >= c_lo) {
+      if (c - 1 >= win.c_lo) {
         const auto e = static_cast<std::size_t>(g.h_edge(c - 1, r));
         if (!prune || !h_blocked(e)) relax(c - 1, r, h_weight(e));
       }
-      if (r + 1 <= r_hi) {
+      if (r + 1 <= win.r_hi) {
         const auto e = static_cast<std::size_t>(g.v_edge(c, r));
         if (!prune || !v_blocked(e)) relax(c, r + 1, v_weight(e));
       }
-      if (r - 1 >= r_lo) {
+      if (r - 1 >= win.r_lo) {
         const auto e = static_cast<std::size_t>(g.v_edge(c, r - 1));
         if (!prune || !v_blocked(e)) relax(c, r - 1, v_weight(e));
       }
@@ -464,50 +488,21 @@ struct PathRouter {
   /// window policy.
   std::vector<int> connect_astar(const std::vector<int>& tree, int target,
                                  int window_margin) {
-    int bc_lo = g.col_of(target), bc_hi = bc_lo;
-    int br_lo = g.row_of(target), br_hi = br_lo;
-    for (int t : tree) {
-      const int c = g.col_of(t), r = g.row_of(t);
-      bc_lo = std::min(bc_lo, c);
-      bc_hi = std::max(bc_hi, c);
-      br_lo = std::min(br_lo, r);
-      br_hi = std::max(br_hi, r);
+    const int margin = std::max(1, window_margin);
+    const Window first = window_around(tree, target, margin);
+    if (search_window(tree, target, first, true)) return walk_back(target);
+    // A re-attempt over the identical (clamped) window would fail
+    // identically; skip straight to the next escalation level.
+    const Window wide = window_around(tree, target, 2 * margin);
+    if (wide != first) {
+      ++expansions;
+      if (search_window(tree, target, wide, true)) return walk_back(target);
     }
-    int margin = std::max(1, window_margin);
-    int prev_c_lo = -1, prev_c_hi = -1, prev_r_lo = -1, prev_r_hi = -1;
-    bool searched_before = false;
-    for (int attempt = 0;; ++attempt) {
-      int c_lo, c_hi, r_lo, r_hi;
-      const bool prune = attempt < 2;
-      if (prune) {
-        c_lo = std::max(0, bc_lo - margin);
-        c_hi = std::min(g.cols - 1, bc_hi + margin);
-        r_lo = std::max(0, br_lo - margin);
-        r_hi = std::min(g.rows - 1, br_hi + margin);
-        margin *= 2;
-        // A re-attempt over the identical (clamped) window would fail
-        // identically; skip straight to the next escalation level.
-        if (searched_before && c_lo == prev_c_lo && c_hi == prev_c_hi &&
-            r_lo == prev_r_lo && r_hi == prev_r_hi) {
-          continue;
-        }
-      } else {
-        c_lo = 0;
-        c_hi = g.cols - 1;
-        r_lo = 0;
-        r_hi = g.rows - 1;
-      }
-      if (searched_before) ++expansions;
-      if (search_window(tree, target, c_lo, c_hi, r_lo, r_hi, prune)) {
-        return walk_back(target);
-      }
-      if (!prune) return {};  // full grid, unpruned: target unreachable
-      prev_c_lo = c_lo;
-      prev_c_hi = c_hi;
-      prev_r_lo = r_lo;
-      prev_r_hi = r_hi;
-      searched_before = true;
+    ++expansions;
+    if (search_window(tree, target, full_grid(), false)) {
+      return walk_back(target);
     }
+    return {};  // full grid, unpruned: target unreachable
   }
 
   /// Hard-pruned-only variant of connect_astar(): one windowed attempt,
@@ -517,28 +512,11 @@ struct PathRouter {
   /// which makes it safe for strict-improvement repair.
   std::vector<int> connect_pruned(const std::vector<int>& tree, int target,
                                   int window_margin) {
-    int bc_lo = g.col_of(target), bc_hi = bc_lo;
-    int br_lo = g.row_of(target), br_hi = br_lo;
-    for (int t : tree) {
-      const int c = g.col_of(t), r = g.row_of(t);
-      bc_lo = std::min(bc_lo, c);
-      bc_hi = std::max(bc_hi, c);
-      br_lo = std::min(br_lo, r);
-      br_hi = std::max(br_hi, r);
-    }
-    const int margin = std::max(1, window_margin);
-    const int c_lo = std::max(0, bc_lo - margin);
-    const int c_hi = std::min(g.cols - 1, bc_hi + margin);
-    const int r_lo = std::max(0, br_lo - margin);
-    const int r_hi = std::min(g.rows - 1, br_hi + margin);
-    if (search_window(tree, target, c_lo, c_hi, r_lo, r_hi, true)) {
-      return walk_back(target);
-    }
-    const bool was_full =
-        c_lo == 0 && r_lo == 0 && c_hi == g.cols - 1 && r_hi == g.rows - 1;
-    if (!was_full) {
+    const Window w = window_around(tree, target, std::max(1, window_margin));
+    if (search_window(tree, target, w, true)) return walk_back(target);
+    if (w != full_grid()) {
       ++expansions;
-      if (search_window(tree, target, 0, g.cols - 1, 0, g.rows - 1, true)) {
+      if (search_window(tree, target, full_grid(), true)) {
         return walk_back(target);
       }
     }
@@ -751,9 +729,9 @@ std::vector<SubNet> decompose_subnets(const Netlist& nl,
   return subnets;
 }
 
-/// Route one subnet on its side's grid and commit the usage (the shared
-/// inner kernel of route_design and reroute_nets).
-void route_one_subnet(RouteEngine engine, const RouteOptions& options,
+/// Route one subnet on its side's grid and commit the usage (the inner
+/// kernel of the stage-1 negotiation loop).
+void route_one_subnet(const RouteOptions& options,
                       std::vector<SubNet>& subnets,
                       std::array<SideGrid, 2>& grids,
                       std::array<PathRouter, 2>& routers,
@@ -780,7 +758,7 @@ void route_one_subnet(RouteEngine engine, const RouteOptions& options,
   for (int sink : todo) {
     if (pr.in_tree(sink)) continue;
     const std::vector<int> path =
-        engine == RouteEngine::Legacy
+        options.engine == RouteEngine::Legacy
             ? pr.connect_legacy(tree, sink)
             : pr.connect_astar(tree, sink, options.window_margin);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -832,6 +810,177 @@ void decay_history(SideGrid& g) {
     g.v_hist[i] *= kHistoryDecay;
     const double o = g.v_base[i] + g.v_use[i] - g.v_cap;
     if (o > 0) g.v_hist[i] += kHistoryGain * o / g.v_cap;
+  }
+}
+
+/// Convergence record shared by both negotiation loops: one RoutePassStat
+/// per executed pass, search effort read as deltas of the per-side
+/// routers, the result's pass/rip-up totals, and the FFET_VERBOSE
+/// one-line-per-side summary.  Overflows are read from the grids, which
+/// maintain them incrementally, so the pass barrier never rescans a grid.
+class PassRecorder {
+ public:
+  PassRecorder(RouteResult& res, const std::array<PathRouter, 2>& routers)
+      : res_(res),
+        routers_(routers),
+        settled_mark_{routers[0].settled, routers[1].settled},
+        expansions_mark_{routers[0].expansions, routers[1].expansions} {}
+
+  /// Pass 0 is the initial route (`ripped` counts the subnets routed);
+  /// every later pass is a rip-up-and-reroute round.  `regions` counts the
+  /// stage-2 congestion regions processed (zero for stage 1).
+  void record(int pass, std::array<std::size_t, 2> ripped,
+              std::array<int, 2> regions = {0, 0}) {
+    if (pass > 0) {
+      res_.rrr_passes = pass;
+      res_.ripups_total += static_cast<long>(ripped[0] + ripped[1]);
+      res_.region_ripups_total += regions[0] + regions[1];
+      FFET_METRIC_OBSERVE("route.ripups_per_pass", ripped[0] + ripped[1]);
+    }
+    RoutePassStat ps;
+    ps.pass = pass;
+    ps.ripped_front = static_cast<int>(ripped[0]);
+    ps.ripped_back = static_cast<int>(ripped[1]);
+    ps.overflow_front = routers_[0].g.overflow();
+    ps.overflow_back = routers_[1].g.overflow();
+    ps.hard_overflow =
+        routers_[0].g.hard_overflow() + routers_[1].g.hard_overflow();
+    ps.settled_front = routers_[0].settled - settled_mark_[0];
+    ps.settled_back = routers_[1].settled - settled_mark_[1];
+    ps.window_expansions_front =
+        static_cast<int>(routers_[0].expansions - expansions_mark_[0]);
+    ps.window_expansions_back =
+        static_cast<int>(routers_[1].expansions - expansions_mark_[1]);
+    ps.regions_front = regions[0];
+    ps.regions_back = regions[1];
+    for (int s = 0; s < 2; ++s) {
+      settled_mark_[s] = routers_[s].settled;
+      expansions_mark_[s] = routers_[s].expansions;
+    }
+    if (obs::verbose()) {
+      for (int s = 0; s < 2; ++s) {
+        std::printf(
+            "  [route] pass=%d side=%s %s=%d regions=%d overflow_total=%.1f "
+            "hard=%.1f settled=%ld expansions=%d\n",
+            pass, s == 0 ? "front" : "back",
+            pass == 0 ? "routed" : "ripups",
+            s == 0 ? ps.ripped_front : ps.ripped_back,
+            s == 0 ? ps.regions_front : ps.regions_back,
+            s == 0 ? ps.overflow_front : ps.overflow_back, ps.hard_overflow,
+            s == 0 ? ps.settled_front : ps.settled_back,
+            s == 0 ? ps.window_expansions_front : ps.window_expansions_back);
+      }
+    }
+    res_.pass_stats.push_back(ps);
+  }
+
+ private:
+  RouteResult& res_;
+  const std::array<PathRouter, 2>& routers_;
+  std::array<long, 2> settled_mark_;
+  std::array<long, 2> expansions_mark_;
+};
+
+// --- stage 1 (Legacy / Astar): whole-subnet negotiation -----------------------
+
+/// The stage-1 negotiation loop.  Routes every subnet marked in
+/// `needs_route` monolithically, short nets first (they have the least
+/// flexibility), then negotiates: each pass decays history, rips every
+/// marked subnet crossing an overflowed edge and reroutes it.  The best
+/// solution seen (by hard overflow, then total overflow) is restored at
+/// the end — negotiation is not monotone — and six passes without
+/// improvement stop the loop.  Unmarked subnets keep the edges
+/// `route_edges` already holds, which must be committed to the grids (the
+/// ECO reroute's carried nets); a full route marks every subnet.
+///
+/// A subnet touches only its own side's grid and router, so each side
+/// works through its in-order subsequence of the global order, and with
+/// threads >= 2 the two sides run concurrently, bit-identical to the
+/// serial run.  The pass barrier (overflow totals, best tracking, the
+/// convergence record) is serial.
+void negotiate_subnets(RouteResult& res, const RouteOptions& options,
+                       std::vector<SubNet>& subnets,
+                       std::array<SideGrid, 2>& grids,
+                       std::array<PathRouter, 2>& routers,
+                       std::vector<std::vector<GEdge>>& route_edges,
+                       const std::vector<char>& needs_route) {
+  std::vector<std::size_t> order;
+  for (std::size_t si = 0; si < subnets.size(); ++si) {
+    if (needs_route[si]) order.push_back(si);
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (subnets[a].hpwl != subnets[b].hpwl) {
+      return subnets[a].hpwl < subnets[b].hpwl;
+    }
+    return subnets[a].net < subnets[b].net;
+  });
+  std::array<std::vector<std::size_t>, 2> side_order;
+  for (std::size_t si : order) {
+    side_order[static_cast<std::size_t>(sidx(subnets[si].side))].push_back(si);
+  }
+  auto route_one = [&](std::size_t si) {
+    route_one_subnet(options, subnets, grids, routers, route_edges, si);
+  };
+
+  PassRecorder recorder(res, routers);
+  auto route_side_initial = [&](int s) {
+    for (std::size_t si : side_order[static_cast<std::size_t>(s)]) {
+      route_one(si);
+    }
+  };
+  runtime::parallel_invoke(options.threads, [&] { route_side_initial(0); },
+                           [&] { route_side_initial(1); });
+  recorder.record(0, {side_order[0].size(), side_order[1].size()});
+
+  auto total_hard = [&] {
+    return grids[0].hard_overflow() + grids[1].hard_overflow();
+  };
+  std::vector<std::vector<GEdge>> best_routes = route_edges;
+  double best_hard = total_hard();
+  double best_soft = grids[0].overflow() + grids[1].overflow();
+  int stale_passes = 0;
+  for (int pass = 1;
+       pass < options.rrr_passes && best_hard > 0.0 && stale_passes < 6;
+       ++pass) {
+    std::array<std::size_t, 2> ripped_counts{0, 0};
+    auto pass_side = [&](int s) {
+      const auto sz = static_cast<std::size_t>(s);
+      decay_history(grids[sz]);
+      grids[sz].rebuild_costs();
+      std::vector<std::size_t> ripped;
+      for (std::size_t si : side_order[sz]) {
+        if (subnet_crosses_overflow(subnets, grids, route_edges, si)) {
+          ripped.push_back(si);
+        }
+      }
+      for (std::size_t si : ripped) commit(grids[sz], route_edges[si], -1.0);
+      for (std::size_t si : ripped) route_one(si);
+      ripped_counts[sz] = ripped.size();
+    };
+    runtime::parallel_invoke(options.threads, [&] { pass_side(0); },
+                             [&] { pass_side(1); });
+    if (ripped_counts[0] + ripped_counts[1] == 0) break;
+    recorder.record(pass, ripped_counts);
+
+    const double hard = total_hard();
+    const double soft = grids[0].overflow() + grids[1].overflow();
+    if (hard < best_hard || (hard == best_hard && soft < best_soft)) {
+      best_hard = hard;
+      best_soft = soft;
+      best_routes = route_edges;
+      stale_passes = 0;
+    } else {
+      ++stale_passes;
+    }
+  }
+  // Restore the best solution (usage arrays included, for diagnostics).
+  if (best_routes != route_edges) {
+    for (SideGrid& g : grids) g.clear_use();
+    route_edges = std::move(best_routes);
+    for (std::size_t si = 0; si < subnets.size(); ++si) {
+      commit(grids[static_cast<std::size_t>(sidx(subnets[si].side))],
+             route_edges[si], +1.0);
+    }
   }
 }
 
@@ -1136,13 +1285,10 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   }
 
   // --- initial route: short 2-pin subnets first ----------------------------
-  const bool concurrent_sides = options.threads > 1;
   std::array<long, 2> fastpath{0, 0};
-  // Search-effort marks captured *before* the initial route so the pass-0
-  // record shows its real settled/expansion counts.
-  std::array<long, 2> settled_mark{routers[0].settled, routers[1].settled};
-  std::array<long, 2> expansions_mark{routers[0].expansions,
-                                      routers[1].expansions};
+  // Created *before* the initial route so the pass-0 record shows its real
+  // settled/expansion counts.
+  PassRecorder recorder(res, routers);
   auto route_side_initial = [&](int s) {
     FFET_TRACE_SCOPE("route.initial.", s == 0 ? "front" : "back");
     const auto sz = static_cast<std::size_t>(s);
@@ -1153,13 +1299,8 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       commit_tp(grids[sz], sides[sz], edge_refs, t, std::move(path));
     }
   };
-  if (concurrent_sides) {
-    runtime::parallel_invoke(options.threads, [&] { route_side_initial(0); },
-                             [&] { route_side_initial(1); });
-  } else {
-    route_side_initial(0);
-    route_side_initial(1);
-  }
+  runtime::parallel_invoke(options.threads, [&] { route_side_initial(0); },
+                           [&] { route_side_initial(1); });
 
   // --- hard-overflow repair -------------------------------------------------
   // The Steiner topology is fixed before congestion is known, so some
@@ -1258,52 +1399,9 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
                                                           sides[1].paths};
   bool current_is_best = true;
   double best_hard = total_hard();
-  double best_soft_front = grids[0].overflow();
-  double best_soft_back = grids[1].overflow();
-  double best_soft = best_soft_front + best_soft_back;
+  double best_soft = grids[0].overflow() + grids[1].overflow();
   int stale_passes = 0;
-
-  auto record_pass = [&](int pass, std::size_t ripped_front,
-                         std::size_t ripped_back, double soft_front,
-                         double soft_back, double hard, int regions_front,
-                         int regions_back) {
-    RoutePassStat ps;
-    ps.pass = pass;
-    ps.ripped_front = static_cast<int>(ripped_front);
-    ps.ripped_back = static_cast<int>(ripped_back);
-    ps.overflow_front = soft_front;
-    ps.overflow_back = soft_back;
-    ps.hard_overflow = hard;
-    ps.settled_front = routers[0].settled - settled_mark[0];
-    ps.settled_back = routers[1].settled - settled_mark[1];
-    ps.window_expansions_front =
-        static_cast<int>(routers[0].expansions - expansions_mark[0]);
-    ps.window_expansions_back =
-        static_cast<int>(routers[1].expansions - expansions_mark[1]);
-    ps.regions_front = regions_front;
-    ps.regions_back = regions_back;
-    settled_mark[0] = routers[0].settled;
-    settled_mark[1] = routers[1].settled;
-    expansions_mark[0] = routers[0].expansions;
-    expansions_mark[1] = routers[1].expansions;
-    if (obs::verbose()) {
-      for (int s = 0; s < 2; ++s) {
-        std::printf(
-            "  [route2] pass=%d side=%s %s=%d regions=%d overflow_total=%.1f "
-            "hard=%.1f settled=%ld expansions=%d\n",
-            pass, s == 0 ? "front" : "back",
-            pass == 0 ? "routed" : "ripups",
-            s == 0 ? ps.ripped_front : ps.ripped_back,
-            s == 0 ? ps.regions_front : ps.regions_back,
-            s == 0 ? ps.overflow_front : ps.overflow_back, ps.hard_overflow,
-            s == 0 ? ps.settled_front : ps.settled_back,
-            s == 0 ? ps.window_expansions_front : ps.window_expansions_back);
-      }
-    }
-    res.pass_stats.push_back(ps);
-  };
-  record_pass(0, sides[0].tps.size(), sides[1].tps.size(), best_soft_front,
-              best_soft_back, best_hard, 0, 0);
+  recorder.record(0, {sides[0].tps.size(), sides[1].tps.size()});
 
   std::array<std::size_t, 2> ripped_counts{0, 0};
   std::array<int, 2> region_counts{0, 0};
@@ -1457,32 +1555,18 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   for (int pass = 1; pass < options.rrr_passes &&
                      best_hard > hard_floor + 1e-9 && stale_passes < 6;
        ++pass) {
-    if (concurrent_sides) {
-      runtime::parallel_invoke(options.threads, [&] { pass_side(0, pass); },
-                               [&] { pass_side(1, pass); });
-    } else {
-      pass_side(0, pass);
-      pass_side(1, pass);
-    }
+    runtime::parallel_invoke(options.threads, [&] { pass_side(0, pass); },
+                             [&] { pass_side(1, pass); });
     if (ripped_counts[0] + ripped_counts[1] == 0) break;
     // Repair at the pass barrier: the pass's history update and region
     // reroutes shift soft congestion, which can open hard-clean detours
     // that were blocked a pass earlier.
     repair_hard(0);
     repair_hard(1);
-    res.rrr_passes = pass;
-    res.ripups_total += static_cast<long>(ripped_counts[0] + ripped_counts[1]);
-    res.region_ripups_total +=
-        static_cast<long>(region_counts[0] + region_counts[1]);
-    FFET_METRIC_OBSERVE("route.ripups_per_pass",
-                        ripped_counts[0] + ripped_counts[1]);
+    recorder.record(pass, ripped_counts, region_counts);
 
     const double hard = total_hard();
-    const double soft_front = grids[0].overflow();
-    const double soft_back = grids[1].overflow();
-    const double soft = soft_front + soft_back;
-    record_pass(pass, ripped_counts[0], ripped_counts[1], soft_front,
-                soft_back, hard, region_counts[0], region_counts[1]);
+    const double soft = grids[0].overflow() + grids[1].overflow();
     if (hard < best_hard || (hard == best_hard && soft < best_soft)) {
       best_hard = hard;
       best_soft = soft;
@@ -1569,11 +1653,13 @@ void finalize_route_result(RouteResult& res, const Floorplan& fp,
                            const RouteOptions& options,
                            const std::vector<SubNet>& subnets,
                            const std::vector<std::vector<GEdge>>& route_edges,
-                           const std::array<SideGrid, 2>& grids,
-                           const std::array<PathRouter, 2>& routers,
-                           const std::array<long, 2>& pin_totals,
-                           geom::Nm gsize) {
-  const double gsize_um = geom::to_um(gsize);
+                           const GridSetup& gs,
+                           const std::array<PathRouter, 2>& routers) {
+  res.gcell_w = gs.gsize;
+  res.gcell_h = gs.gsize;
+  res.gcols = gs.gcols;
+  res.grows = gs.grows;
+  const double gsize_um = geom::to_um(gs.gsize);
   // Layer assignment by wirelength quantile: longer nets ride higher layers.
   std::vector<std::size_t> by_len(subnets.size());
   for (std::size_t i = 0; i < by_len.size(); ++i) by_len[i] = i;
@@ -1631,7 +1717,7 @@ void finalize_route_result(RouteResult& res, const Floorplan& fp,
 
   double overflow = 0.0;
   double hard_overflow = 0.0;
-  for (const SideGrid& g : grids) {
+  for (const SideGrid& g : gs.grids) {
     overflow += g.overflow();
     hard_overflow += g.hard_overflow();
     res.capacity_units +=
@@ -1658,11 +1744,12 @@ void finalize_route_result(RouteResult& res, const Floorplan& fp,
   for (int side = 0; side < 2; ++side) {
     // A side without routing layers carries no signal hookup (its pin
     // landings are unused metal), so it cannot produce access violations.
-    const SideGrid& g = grids[static_cast<std::size_t>(side)];
+    const SideGrid& g = gs.grids[static_cast<std::size_t>(side)];
     if (g.h_cap <= 0.0 && g.v_cap <= 0.0) continue;
     pin_drv += std::max(
-        0.0, static_cast<double>(pin_totals[static_cast<std::size_t>(side)]) -
-                 pin_budget);
+        0.0,
+        static_cast<double>(gs.pin_totals[static_cast<std::size_t>(side)]) -
+            pin_budget);
   }
   res.drv_pin_access = static_cast<int>(std::round(pin_drv));
 
@@ -1688,203 +1775,20 @@ RouteResult route_design(const Netlist& nl, const Floorplan& fp,
   FFET_TRACE_SCOPE("route.design");
   const tech::Technology& tech = nl.library().tech();
   RouteResult res;
-  const RouteEngine engine = options.engine;
-  res.engine_used = engine;
-
   GridSetup gs = build_grid_setup(nl, fp, tech, options);
-  const geom::Nm gsize = gs.gsize;
-  res.gcell_w = gsize;
-  res.gcell_h = gsize;
-  res.gcols = gs.gcols;
-  res.grows = gs.grows;
-  std::array<SideGrid, 2>& grids = gs.grids;
-  auto side_index = [](Side s) { return sidx(s); };
-
   std::vector<SubNet> subnets = decompose_subnets(nl, tech, gs);
-
-  std::array<PathRouter, 2> routers{PathRouter(grids[0]), PathRouter(grids[1])};
+  std::array<PathRouter, 2> routers{PathRouter(gs.grids[0]),
+                                    PathRouter(gs.grids[1])};
   std::vector<std::vector<GEdge>> route_edges(subnets.size());
-
-  if (engine == RouteEngine::Astar2) {
-    // Stage 2: Steiner 2-pin decomposition + congestion-region rip-up.
-    route_astar2(res, options, subnets, grids, routers, route_edges);
-    finalize_route_result(res, fp, tech, options, subnets, route_edges, grids,
-                          routers, gs.pin_totals, gsize);
-    return res;
-  }
-
-  // Route order: short nets first (they have the least flexibility).
-  std::vector<std::size_t> order(subnets.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (subnets[a].hpwl != subnets[b].hpwl) {
-      return subnets[a].hpwl < subnets[b].hpwl;
-    }
-    return subnets[a].net < subnets[b].net;
-  });
-
-  // Per-side subsequences of `order`.  A subnet only ever touches its own
-  // side's grid and router, so the two sides can route concurrently; each
-  // side preserving its in-order subsequence of `order` makes any
-  // interleaving produce the same grids as the serial pass.
-  const bool concurrent_sides = options.threads > 1;
-  std::array<std::vector<std::size_t>, 2> side_order;
-  for (std::size_t si : order) {
-    side_order[static_cast<std::size_t>(side_index(subnets[si].side))]
-        .push_back(si);
-  }
-
-  // --- route with rip-up-and-reroute --------------------------------------------
-  auto route_one = [&](std::size_t si) {
-    route_one_subnet(engine, options, subnets, grids, routers, route_edges,
-                     si);
-  };
-
-  // The two sides touch disjoint grids and routers, so iterating each
-  // side's in-order subsequence of `order` produces exactly the grids the
-  // original interleaved serial loop did — and gives every side a
-  // traceable span in both serial and concurrent execution.
-  auto route_side_initial = [&](int s) {
-    FFET_TRACE_SCOPE("route.initial.", s == 0 ? "front" : "back");
-    for (std::size_t si : side_order[static_cast<std::size_t>(s)]) {
-      route_one(si);
-    }
-  };
-  if (concurrent_sides) {
-    runtime::parallel_invoke(options.threads, [&] { route_side_initial(0); },
-                             [&] { route_side_initial(1); });
+  if (options.engine == RouteEngine::Astar2) {
+    route_astar2(res, options, subnets, gs.grids, routers, route_edges);
   } else {
-    route_side_initial(0);
-    route_side_initial(1);
+    // A full stage-1 route is a reroute with nothing carried.
+    negotiate_subnets(res, options, subnets, gs.grids, routers, route_edges,
+                      std::vector<char>(subnets.size(), 1));
   }
-
-  // Negotiated rip-up-and-reroute: decay history, bump it on overflowed
-  // edges, reroute the nets crossing them.  The best solution seen (by hard
-  // overflow, then total overflow) is kept — negotiation is not monotone.
-  auto total_hard = [&] {
-    return grids[0].hard_overflow() + grids[1].hard_overflow();
-  };
-  std::vector<std::vector<GEdge>> best_routes = route_edges;
-  double best_hard = total_hard();
-  double best_soft_front = grids[0].overflow();
-  double best_soft_back = grids[1].overflow();
-  double best_soft = best_soft_front + best_soft_back;
-  int stale_passes = 0;
-
-  // Convergence record + optional FFET_VERBOSE one-line-per-side summary
-  // (this replaces ad-hoc printf debugging of negotiation stalls).  The
-  // overflow values are passed in, not recomputed — and since commit()
-  // maintains them incrementally, the pass barrier never rescans a grid.
-  // Search-effort counters are read as deltas of the per-side routers.
-  std::array<long, 2> settled_mark{0, 0};
-  std::array<long, 2> expansions_mark{0, 0};
-  auto record_pass = [&](int pass, std::size_t ripped_front,
-                         std::size_t ripped_back, double soft_front,
-                         double soft_back, double hard) {
-    RoutePassStat ps;
-    ps.pass = pass;
-    ps.ripped_front = static_cast<int>(ripped_front);
-    ps.ripped_back = static_cast<int>(ripped_back);
-    ps.overflow_front = soft_front;
-    ps.overflow_back = soft_back;
-    ps.hard_overflow = hard;
-    ps.settled_front = routers[0].settled - settled_mark[0];
-    ps.settled_back = routers[1].settled - settled_mark[1];
-    ps.window_expansions_front =
-        static_cast<int>(routers[0].expansions - expansions_mark[0]);
-    ps.window_expansions_back =
-        static_cast<int>(routers[1].expansions - expansions_mark[1]);
-    settled_mark[0] = routers[0].settled;
-    settled_mark[1] = routers[1].settled;
-    expansions_mark[0] = routers[0].expansions;
-    expansions_mark[1] = routers[1].expansions;
-    if (obs::verbose()) {
-      for (int s = 0; s < 2; ++s) {
-        std::printf(
-            "  [route] pass=%d side=%s %s=%d overflow_total=%.1f "
-            "hard=%.1f settled=%ld expansions=%d\n",
-            pass, s == 0 ? "front" : "back",
-            pass == 0 ? "routed" : "ripups",
-            s == 0 ? ps.ripped_front : ps.ripped_back,
-            s == 0 ? ps.overflow_front : ps.overflow_back, ps.hard_overflow,
-            s == 0 ? ps.settled_front : ps.settled_back,
-            s == 0 ? ps.window_expansions_front : ps.window_expansions_back);
-      }
-    }
-    res.pass_stats.push_back(ps);
-  };
-  record_pass(0, side_order[0].size(), side_order[1].size(),
-              best_soft_front, best_soft_back, best_hard);
-  auto crosses_overflow = [&](std::size_t si) {
-    return subnet_crosses_overflow(subnets, grids, route_edges, si);
-  };
-  for (int pass = 1;
-       pass < options.rrr_passes && best_hard > 0.0 && stale_passes < 6;
-       ++pass) {
-    // Each side negotiates its pass independently: decay its history,
-    // rebuild its edge-cost cache, find its overflowing subnets (in this
-    // side's `order` subsequence), rip them all, reroute them all —
-    // restricted to state the other side never touches, so serial
-    // per-side execution and concurrent execution produce identical
-    // grids.  The pass barrier below (overflow totals, best tracking,
-    // convergence record) is serial.
-    std::array<std::size_t, 2> ripped_counts{0, 0};
-    auto pass_side = [&](int s) {
-      FFET_TRACE_SCOPE("route.pass.", pass, s == 0 ? ".front" : ".back");
-      const auto sz = static_cast<std::size_t>(s);
-      decay_history(grids[sz]);
-      grids[sz].rebuild_costs();
-      std::vector<std::size_t> ripped;
-      for (std::size_t si : side_order[sz]) {
-        if (crosses_overflow(si)) ripped.push_back(si);
-      }
-      for (std::size_t si : ripped) {
-        commit(grids[sz], route_edges[si], -1.0);
-      }
-      for (std::size_t si : ripped) route_one(si);
-      ripped_counts[sz] = ripped.size();
-    };
-    if (concurrent_sides) {
-      runtime::parallel_invoke(options.threads, [&] { pass_side(0); },
-                               [&] { pass_side(1); });
-    } else {
-      pass_side(0);
-      pass_side(1);
-    }
-    if (ripped_counts[0] + ripped_counts[1] == 0) break;
-    res.rrr_passes = pass;
-    res.ripups_total +=
-        static_cast<long>(ripped_counts[0] + ripped_counts[1]);
-    FFET_METRIC_OBSERVE("route.ripups_per_pass",
-                        ripped_counts[0] + ripped_counts[1]);
-
-    const double hard = total_hard();
-    const double soft_front = grids[0].overflow();
-    const double soft_back = grids[1].overflow();
-    const double soft = soft_front + soft_back;
-    record_pass(pass, ripped_counts[0], ripped_counts[1], soft_front,
-                soft_back, hard);
-    if (hard < best_hard || (hard == best_hard && soft < best_soft)) {
-      best_hard = hard;
-      best_soft = soft;
-      best_routes = route_edges;
-      stale_passes = 0;
-    } else {
-      ++stale_passes;
-    }
-  }
-  // Restore the best solution (usage arrays included, for diagnostics).
-  if (best_routes != route_edges) {
-    for (SideGrid& g : grids) g.clear_use();
-    route_edges = std::move(best_routes);
-    for (std::size_t si = 0; si < subnets.size(); ++si) {
-      commit(grids[static_cast<std::size_t>(side_index(subnets[si].side))],
-             route_edges[si], +1.0);
-    }
-  }
-
-  finalize_route_result(res, fp, tech, options, subnets, route_edges, grids,
-                        routers, gs.pin_totals, gsize);
+  finalize_route_result(res, fp, tech, options, subnets, route_edges, gs,
+                        routers);
   return res;
 }
 
@@ -1895,23 +1799,16 @@ RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
   FFET_TRACE_SCOPE("route.reroute");
   const tech::Technology& tech = nl.library().tech();
   RouteResult res;
-  const RouteEngine engine = options.engine;
-  res.engine_used = engine;
-  // The ECO primitive routes its (few) dirty subnets monolithically with
-  // the windowed A* kernel even under Astar2: region negotiation needs the
-  // color map of *every* route, which carried nets don't have, and the ECO
-  // contract pins them anyway.  route_one_subnet maps any non-Legacy
-  // engine to connect_astar, so no translation is needed here.
+  // The ECO primitive negotiates its (few) dirty subnets with the stage-1
+  // loop even under Astar2: region negotiation needs the color map of
+  // *every* route, which carried nets don't have, and the ECO contract
+  // pins them anyway.  route_one_subnet maps any non-Legacy engine to the
+  // windowed A* kernel.
 
   // Rebuild grids and pin demand from the *current* netlist (moved/resized
   // cells and flipped pin sides shift the demand landscape), then decompose
   // every net; untouched subnets take their committed edges from `prev`.
   GridSetup gs = build_grid_setup(nl, fp, tech, options);
-  res.gcell_w = gs.gsize;
-  res.gcell_h = gs.gsize;
-  res.gcols = gs.gcols;
-  res.grows = gs.grows;
-  std::array<SideGrid, 2>& grids = gs.grids;
   std::vector<SubNet> subnets = decompose_subnets(nl, tech, gs);
 
   std::vector<char> is_dirty(static_cast<std::size_t>(nl.num_nets()), 0);
@@ -1927,6 +1824,11 @@ RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
     }
   }
 
+  // Carry and commit every clean subnet whose decomposition is unchanged;
+  // any mismatch (a terminal moved without the net being listed dirty)
+  // falls back to a fresh route of that subnet.  commit() keeps the grids'
+  // edge-cost caches current, so the dirty subnets route against the
+  // carried usage.
   std::vector<std::vector<GEdge>> route_edges(subnets.size());
   std::vector<char> needs_route(subnets.size(), 1);
   std::vector<const NetRoute*> carried(subnets.size(), nullptr);
@@ -1935,124 +1837,24 @@ RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
     if (is_dirty[static_cast<std::size_t>(sn.net)]) continue;
     const NetRoute* p = prev_of[static_cast<std::size_t>(sn.net)]
                                [static_cast<std::size_t>(sidx(sn.side))];
-    // Reuse only when the decomposition is unchanged; any mismatch (a
-    // terminal moved without the net being listed dirty) falls back to a
-    // fresh route of that subnet.
     if (p && p->source_gcell == sn.source && p->sink_gcells == sn.sinks) {
       route_edges[si] = p->edges;
       needs_route[si] = 0;
       carried[si] = p;
-    }
-  }
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    if (!needs_route[si]) {
-      commit(grids[static_cast<std::size_t>(sidx(subnets[si].side))],
+      commit(gs.grids[static_cast<std::size_t>(sidx(sn.side))],
              route_edges[si], +1.0);
     }
-  }
-  // The carried usage shifts edge costs: refresh the cost caches before
-  // routing the dirty subnets against them.
-  for (SideGrid& g : grids) g.rebuild_costs();
-
-  // Dirty subnets in the same global short-first order as a full route.
-  std::vector<std::size_t> order;
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    if (needs_route[si]) order.push_back(si);
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (subnets[a].hpwl != subnets[b].hpwl) {
-      return subnets[a].hpwl < subnets[b].hpwl;
-    }
-    return subnets[a].net < subnets[b].net;
-  });
-  std::array<std::vector<std::size_t>, 2> side_order;
-  for (std::size_t si : order) {
-    side_order[static_cast<std::size_t>(sidx(subnets[si].side))].push_back(si);
-  }
-
-  std::array<PathRouter, 2> routers{PathRouter(grids[0]),
-                                    PathRouter(grids[1])};
-  const bool concurrent_sides = options.threads > 1;
-  auto route_side_initial = [&](int s) {
-    for (std::size_t si : side_order[static_cast<std::size_t>(s)]) {
-      route_one_subnet(engine, options, subnets, grids, routers, route_edges,
-                       si);
-    }
-  };
-  if (concurrent_sides) {
-    runtime::parallel_invoke(options.threads, [&] { route_side_initial(0); },
-                             [&] { route_side_initial(1); });
-  } else {
-    route_side_initial(0);
-    route_side_initial(1);
   }
 
   // Bounded negotiation over the dirty subnets only — the untouched nets'
   // routes are pinned, exactly the "rip-up-and-reroute of only the
   // modified nets" contract the ECO loop needs.
-  auto total_hard = [&] {
-    return grids[0].hard_overflow() + grids[1].hard_overflow();
-  };
-  std::vector<std::vector<GEdge>> best_routes = route_edges;
-  double best_hard = total_hard();
-  double best_soft = grids[0].overflow() + grids[1].overflow();
-  int stale_passes = 0;
-  for (int pass = 1;
-       pass < options.rrr_passes && best_hard > 0.0 && stale_passes < 6;
-       ++pass) {
-    std::array<std::size_t, 2> ripped_counts{0, 0};
-    auto pass_side = [&](int s) {
-      const auto sz = static_cast<std::size_t>(s);
-      SideGrid& g = grids[sz];
-      decay_history(g);
-      g.rebuild_costs();
-      std::vector<std::size_t> ripped;
-      for (std::size_t si : side_order[sz]) {
-        if (subnet_crosses_overflow(subnets, grids, route_edges, si)) {
-          ripped.push_back(si);
-        }
-      }
-      for (std::size_t si : ripped) {
-        commit(g, route_edges[si], -1.0);
-      }
-      for (std::size_t si : ripped) {
-        route_one_subnet(engine, options, subnets, grids, routers,
-                         route_edges, si);
-      }
-      ripped_counts[sz] = ripped.size();
-    };
-    if (concurrent_sides) {
-      runtime::parallel_invoke(options.threads, [&] { pass_side(0); },
-                               [&] { pass_side(1); });
-    } else {
-      pass_side(0);
-      pass_side(1);
-    }
-    if (ripped_counts[0] + ripped_counts[1] == 0) break;
-    res.rrr_passes = pass;
-    res.ripups_total += static_cast<long>(ripped_counts[0] + ripped_counts[1]);
-    const double hard = total_hard();
-    const double soft = grids[0].overflow() + grids[1].overflow();
-    if (hard < best_hard || (hard == best_hard && soft < best_soft)) {
-      best_hard = hard;
-      best_soft = soft;
-      best_routes = route_edges;
-      stale_passes = 0;
-    } else {
-      ++stale_passes;
-    }
-  }
-  if (best_routes != route_edges) {
-    for (SideGrid& g : grids) g.clear_use();
-    route_edges = std::move(best_routes);
-    for (std::size_t si = 0; si < subnets.size(); ++si) {
-      commit(grids[static_cast<std::size_t>(sidx(subnets[si].side))],
-             route_edges[si], +1.0);
-    }
-  }
-
-  finalize_route_result(res, fp, tech, options, subnets, route_edges, grids,
-                        routers, gs.pin_totals, gs.gsize);
+  std::array<PathRouter, 2> routers{PathRouter(gs.grids[0]),
+                                    PathRouter(gs.grids[1])};
+  negotiate_subnets(res, options, subnets, gs.grids, routers, route_edges,
+                    needs_route);
+  finalize_route_result(res, fp, tech, options, subnets, route_edges, gs,
+                        routers);
   // Untouched subnets keep their previous layer assignment — their DEF
   // wires (and hence their extracted parasitics) must not drift when some
   // other net was modified.  Dirty subnets take the fresh quantile rank.
@@ -2063,8 +1865,9 @@ RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
     }
   }
   FFET_METRIC_ADD("route.reroutes", 1);
-  FFET_METRIC_OBSERVE("route.reroute_dirty_subnets",
-                      static_cast<double>(order.size()));
+  FFET_METRIC_OBSERVE(
+      "route.reroute_dirty_subnets",
+      std::count(needs_route.begin(), needs_route.end(), char{1}));
   return res;
 }
 

@@ -38,21 +38,27 @@ namespace ffet::pnr {
 
 using tech::Side;
 
-/// Maze-search kernel selection.  `Astar2` is the stage-2 engine: every
-/// multi-sink subnet is decomposed over a rectilinear Steiner topology
-/// (src/pnr/steiner.h) into independently-routed 2-pin subnets, uncongested
-/// subnets take a monotonic L/Z fast path that never touches the A* heap,
-/// and negotiation rips up by congestion *region* (src/pnr/region.h) with
-/// region reroutes batched across the thread pool (snapshot search + serial
-/// commit barrier, bit-identical at any thread count).  `Astar` is the
-/// stage-1 windowed A* engine: admissible Manhattan lower bound scaled by
-/// the per-pass minimum edge cost, a search window around {tree, target}
-/// that adaptively expands (x2, then full grid) when no hard-overflow-free
-/// path exists inside it, a per-pass edge-cost cache, and O(1) stamped tree
-/// membership; it routes each subnet monolithically source-to-sinks and
-/// rips up whole subnets.  `Legacy` is the original unbounded full-grid
-/// Dijkstra.  `Astar2` is the default; `Legacy` and `Astar` stay as the
-/// QoR and speed baselines (bench_router, the engine-equivalence tests).
+/// Routing engine selection.  There are two negotiation loops:
+///
+///   * `Astar2` (stage 2, the default): every multi-sink subnet is
+///     decomposed over a rectilinear Steiner topology (src/pnr/steiner.h)
+///     into independently-routed 2-pin subnets, uncongested subnets take a
+///     monotonic L/Z fast path that never touches the A* heap, and
+///     negotiation rips up by congestion *region* (src/pnr/region.h) with
+///     region reroutes batched across the thread pool (snapshot search +
+///     serial commit barrier, bit-identical at any thread count);
+///   * stage 1, shared by `Astar` and `Legacy` and by reroute_nets(): each
+///     per-side subnet is routed monolithically source-to-sinks and
+///     negotiation rips up whole subnets.  The two engines differ only in
+///     the maze kernel.  `Astar` is windowed A*: admissible Manhattan lower
+///     bound scaled by the per-pass minimum edge cost, a search window
+///     around {tree, target} that adaptively expands (x2, then full grid)
+///     when no hard-overflow-free path exists inside it, a per-pass
+///     edge-cost cache, and O(1) stamped tree membership.  `Legacy` is the
+///     original unbounded full-grid Dijkstra.
+///
+/// `Legacy` and `Astar` stay as the QoR and speed baselines (bench_router,
+/// the engine-equivalence tests).
 enum class RouteEngine { Legacy, Astar, Astar2 };
 
 struct RouteOptions {
@@ -86,7 +92,7 @@ struct RouteOptions {
   /// the two wafer sides fully independent (separate grids, separate edge
   /// pools), so with threads >= 2 the frontside and backside route
   /// concurrently within each PathFinder pass.  Results are bit-identical
-  /// to threads == 1, which runs the original interleaved serial order.
+  /// to threads == 1, which routes the frontside, then the backside.
   int threads = 1;
   /// Maze-search kernel (see RouteEngine).  Results are deterministic for
   /// either engine and identical across `threads` settings; the engines
@@ -198,10 +204,9 @@ struct RouteResult {
   long fastpath_routes = 0;
 
   /// Maze-search effort totals over all passes (sum of the per-pass
-  /// counters above), plus the kernel that ran (RouteOptions::engine).
+  /// counters above).
   long settled_nodes = 0;
   long window_expansions = 0;
-  RouteEngine engine_used = RouteEngine::Astar2;
 
   double total_wirelength_um() const {
     return wirelength_front_um + wirelength_back_um;
@@ -224,6 +229,12 @@ RouteResult route_design(const netlist::Netlist& nl, const Floorplan& fp,
 /// conservatively re-routed too.  Untouched nets keep their previous layer
 /// assignment, so their DEF wires — and extracted parasitics — are
 /// bit-identical to `prev`.  The ECO engine's routing primitive.
+///
+/// The dirty subnets negotiate in the stage-1 loop (see RouteEngine; under
+/// `Astar2` with the windowed A* kernel), which also fills `pass_stats`.  A
+/// full stage-1 route is this loop with nothing carried: for `Legacy` and
+/// `Astar`, `reroute_nets(nl, fp, {}, {}, options)` returns exactly what
+/// route_design(nl, fp, options) does.
 RouteResult reroute_nets(const netlist::Netlist& nl, const Floorplan& fp,
                          const RouteResult& prev,
                          const std::vector<netlist::NetId>& dirty_nets,

@@ -546,6 +546,35 @@ int router_gate(const json::Value& base, const json::Value& now,
       failures.push_back(buf);
     }
   };
+  // Exact checks: the engines' work counters are deterministic (same
+  // design, same options, bit-identical at any thread count), so any
+  // difference is a behaviour change even when the speed held.  A counter
+  // the baseline lacks (an older schema) is skipped.
+  auto check_counters = [&](const std::string& key, const json::Value& b,
+                            const json::Value& n) {
+    for (const char* engine : {"legacy", "astar", "astar2"}) {
+      const json::Value* be = b.find(engine);
+      if (!be || !be->is_object()) continue;
+      const json::Value* ne = n.find(engine);
+      for (const char* field :
+           {"passes", "ripups", "region_ripups", "window_expansions",
+            "drv_wire", "steiner_subnets", "fastpath"}) {
+        const json::Value* bf = be->find(field);
+        if (!bf || !bf->is_number()) continue;
+        const json::Value* nf =
+            ne && ne->is_object() ? ne->find(field) : nullptr;
+        const std::string what = key + ": " + engine + "." + field;
+        if (!nf || !nf->is_number()) {
+          failures.push_back(what + " missing from new run");
+        } else if (nf->number != bf->number) {
+          char buf[64];
+          std::snprintf(buf, sizeof(buf), " changed %.0f -> %.0f",
+                        bf->number, nf->number);
+          failures.push_back(what + buf);
+        }
+      }
+    }
+  };
   for (const auto& [key, b] : base_by_cfg) {
     const auto it = new_by_cfg.find(key);
     if (it == new_by_cfg.end()) {
@@ -557,6 +586,7 @@ int router_gate(const json::Value& base, const json::Value& now,
     check_ratio(key, *b, n, "astar2_settled_per_route", true);
     check_ratio(key, *b, n, "speedup", false);
     check_ratio(key, *b, n, "speedup2", false);
+    check_counters(key, *b, n);
   }
 
   // Absolute floor, independent of the baseline: at every congested

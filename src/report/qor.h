@@ -132,8 +132,11 @@ std::string format_diff(const DiffReport& report);
 int eco_gate(const json::Value& base, const json::Value& now,
              std::string& out);
 
-/// The bench_router gate (>20 % regression vs the committed baseline on
-/// machine-portable metrics) — the port of scripts/check_bench_router.py.
+/// The bench_router gate vs the committed baseline: for every config and
+/// engine the deterministic work counters (passes, ripups, region_ripups,
+/// window_expansions, drv_wire, steiner_subnets, fastpath) must match
+/// exactly, per-route search effort may rise at most 20 %, and the
+/// engine-vs-engine speedups may fall at most 20 %.
 int router_gate(const json::Value& base, const json::Value& now,
                 std::string& out);
 

@@ -378,6 +378,97 @@ void expect_all_sinks_connected(const netlist::Netlist& nl,
   }
 }
 
+/// The per-pass search-effort counters must sum to the result's totals.
+void expect_pass_stats_sum_to_totals(const RouteResult& rr) {
+  long settled = 0, wexp = 0;
+  for (const RoutePassStat& ps : rr.pass_stats) {
+    settled += ps.settled_front + ps.settled_back;
+    wexp += ps.window_expansions_front + ps.window_expansions_back;
+  }
+  EXPECT_EQ(settled, rr.settled_nodes);
+  EXPECT_EQ(wexp, rr.window_expansions);
+}
+
+/// Two route results are the same route for route (net, side, edges,
+/// layers) and counter for counter, pass records included.
+void expect_same_routing(const RouteResult& a, const RouteResult& b) {
+  ASSERT_EQ(a.routes.size(), b.routes.size());
+  for (std::size_t i = 0; i < a.routes.size(); ++i) {
+    const NetRoute& x = a.routes[i];
+    const NetRoute& y = b.routes[i];
+    EXPECT_EQ(x.net, y.net);
+    EXPECT_EQ(x.side, y.side);
+    EXPECT_EQ(x.edges, y.edges) << "route " << i << " differs";
+    EXPECT_EQ(x.h_layer_index, y.h_layer_index) << "route " << i;
+    EXPECT_EQ(x.v_layer_index, y.v_layer_index) << "route " << i;
+  }
+  EXPECT_EQ(a.rrr_passes, b.rrr_passes);
+  EXPECT_EQ(a.ripups_total, b.ripups_total);
+  EXPECT_EQ(a.settled_nodes, b.settled_nodes);
+  EXPECT_EQ(a.window_expansions, b.window_expansions);
+  EXPECT_EQ(a.overflow_total, b.overflow_total);
+  EXPECT_EQ(a.drv_wire, b.drv_wire);
+  EXPECT_EQ(a.drv_estimate, b.drv_estimate);
+  ASSERT_EQ(a.pass_stats.size(), b.pass_stats.size());
+  for (std::size_t p = 0; p < a.pass_stats.size(); ++p) {
+    const RoutePassStat& x = a.pass_stats[p];
+    const RoutePassStat& y = b.pass_stats[p];
+    EXPECT_EQ(std::tie(x.pass, x.ripped_front, x.ripped_back,
+                       x.settled_front, x.settled_back,
+                       x.window_expansions_front, x.window_expansions_back),
+              std::tie(y.pass, y.ripped_front, y.ripped_back,
+                       y.settled_front, y.settled_back,
+                       y.window_expansions_front, y.window_expansions_back))
+        << "pass " << p;
+    EXPECT_EQ(x.hard_overflow, y.hard_overflow) << "pass " << p;
+  }
+}
+
+/// A deliberately congested design: the 8-register core on a 2+2-layer
+/// FFET stack at 80 % utilization, placed with its clock tree.  Route it
+/// with options() — the capacity fudge squeezed to 2.4, since the small
+/// core does not congest otherwise.
+struct CongestedDesign {
+  tech::Technology tech;
+  stdcell::Library lib;
+  netlist::Netlist nl;
+  Floorplan fp;
+
+  explicit CongestedDesign(const tech::Technology& ffet)
+      : tech(ffet.with_routing_limit(2, 2)),
+        lib(dual_sided_library(tech)),
+        nl(riscv::build_rv32_core(lib, eight_registers())) {
+    FloorplanOptions fo;
+    fo.target_utilization = 0.8;
+    fp = make_floorplan(nl, tech, fo);
+    const PowerPlan pp = build_power_plan(nl, fp, lib);
+    place(nl, fp, pp);
+    build_clock_tree(nl, fp);
+  }
+  CongestedDesign(const CongestedDesign&) = delete;
+  CongestedDesign& operator=(const CongestedDesign&) = delete;
+
+  static RouteOptions options() {
+    RouteOptions ro;
+    ro.capacity_factor = 2.4;
+    return ro;
+  }
+
+ private:
+  static stdcell::Library dual_sided_library(const tech::Technology& t) {
+    stdcell::PinConfig dual;
+    dual.backside_input_fraction = 0.5;
+    stdcell::Library l = stdcell::build_library(t, dual);
+    liberty::characterize_library(l);
+    return l;
+  }
+  static riscv::Rv32Options eight_registers() {
+    riscv::Rv32Options opt;
+    opt.num_registers = 8;
+    return opt;
+  }
+};
+
 TEST_F(PnrTest, Algorithm1DecomposesNetsBySinkSide) {
   const RoutedDesign rd = route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6);
   const auto& nl = rd.nl;
@@ -597,8 +688,6 @@ TEST_F(PnrTest, AstarMatchesLegacyQor) {
                         Case{cfet_core_, cfet_tech_, cfet_lib_}}) {
     const RoutedDesign l = route_core(*c.core, *c.tech, *c.lib, 0.6, legacy_ro);
     const RoutedDesign a = route_core(*c.core, *c.tech, *c.lib, 0.6, astar_ro);
-    EXPECT_EQ(l.rr.engine_used, RouteEngine::Legacy);
-    EXPECT_EQ(a.rr.engine_used, RouteEngine::Astar);
     EXPECT_LE(a.rr.drv_wire, l.rr.drv_wire);
     EXPECT_LE(a.rr.total_wirelength_um(), l.rr.total_wirelength_um() + 1e-6);
     ASSERT_EQ(a.rr.routes.size(), l.rr.routes.size());
@@ -611,49 +700,22 @@ TEST_F(PnrTest, AstarMatchesLegacyQor) {
 }
 
 TEST_F(PnrTest, AstarWindowExpandsUnderCongestion) {
-  // A deliberately congested fixture: 2+2 routing layers at 80 %
-  // utilization with the capacity fudge squeezed to 2.4 (the 8-register
-  // core is otherwise too small to congest).  Windowed attempts admit only
-  // hard-overflow-free paths, so saturated edges force window expansions
-  // (x2, then full grid); the full-grid fallback still connects every
-  // sink, and the A* result must remain equal-or-better than legacy on
-  // hard overflow.
-  tech::Technology limited = ffet_tech_->with_routing_limit(2, 2);
-  stdcell::PinConfig dual;
-  dual.backside_input_fraction = 0.5;
-  stdcell::Library lib2 = stdcell::build_library(limited, dual);
-  liberty::characterize_library(lib2);
-  riscv::Rv32Options opt;
-  opt.num_registers = 8;
-  netlist::Netlist nl2 = riscv::build_rv32_core(lib2, opt);
-  FloorplanOptions fo;
-  fo.target_utilization = 0.8;
-  const Floorplan fp2 = make_floorplan(nl2, limited, fo);
-  const PowerPlan pp2 = build_power_plan(nl2, fp2, lib2);
-  place(nl2, fp2, pp2);
-  build_clock_tree(nl2, fp2);
-
-  RouteOptions astar_ro;
-  astar_ro.capacity_factor = 2.4;
+  // Windowed attempts admit only hard-overflow-free paths, so on the
+  // congested fixture saturated edges force window expansions (x2, then
+  // full grid); the full-grid fallback still connects every sink, and the
+  // A* result must remain equal-or-better than legacy on hard overflow.
+  const CongestedDesign cd(*ffet_tech_);
+  RouteOptions astar_ro = cd.options();
   astar_ro.engine = RouteEngine::Astar;
-  const RouteResult a = route_design(nl2, fp2, astar_ro);
+  const RouteResult a = route_design(cd.nl, cd.fp, astar_ro);
   EXPECT_GT(a.window_expansions, 0)
       << "a saturated 2+2 stack must trigger window expansion";
-  expect_all_sinks_connected(nl2, a);
+  expect_all_sinks_connected(cd.nl, a);
+  expect_pass_stats_sum_to_totals(a);
 
-  // Per-pass counters must sum to the totals.
-  long settled = 0, wexp = 0;
-  for (const RoutePassStat& ps : a.pass_stats) {
-    settled += ps.settled_front + ps.settled_back;
-    wexp += ps.window_expansions_front + ps.window_expansions_back;
-  }
-  EXPECT_EQ(settled, a.settled_nodes);
-  EXPECT_EQ(wexp, a.window_expansions);
-
-  RouteOptions legacy_ro;
-  legacy_ro.capacity_factor = 2.4;
+  RouteOptions legacy_ro = cd.options();
   legacy_ro.engine = RouteEngine::Legacy;
-  const RouteResult l = route_design(nl2, fp2, legacy_ro);
+  const RouteResult l = route_design(cd.nl, cd.fp, legacy_ro);
   EXPECT_EQ(l.window_expansions, 0);
   EXPECT_LE(a.drv_wire, l.drv_wire);
 }
@@ -699,8 +761,6 @@ TEST_F(PnrTest, RouteEngineOptionSelectsKernel) {
   const RoutedDesign a =
       route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6, astar_ro);
   const RoutedDesign d = route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6);
-  EXPECT_EQ(a.rr.engine_used, RouteEngine::Astar);
-  EXPECT_EQ(d.rr.engine_used, RouteEngine::Astar2);
   // The stage-1 engines never decompose into 2-pin subnets; stage 2 always
   // does (every multi-gcell net contributes at least one).
   EXPECT_EQ(a.rr.steiner_subnets, 0);
@@ -897,7 +957,6 @@ TEST_F(PnrTest, Astar2MatchesAstarQor) {
     const RoutedDesign a = route_core(*c.core, *c.tech, *c.lib, 0.6, astar_ro);
     const RoutedDesign s =
         route_core(*c.core, *c.tech, *c.lib, 0.6, astar2_ro);
-    EXPECT_EQ(s.rr.engine_used, RouteEngine::Astar2);
     EXPECT_LE(s.rr.drv_wire, a.rr.drv_wire);
     EXPECT_LE(s.rr.total_wirelength_um(), a.rr.total_wirelength_um() + 1e-6);
     ASSERT_EQ(s.rr.routes.size(), a.rr.routes.size());
@@ -916,30 +975,15 @@ TEST_F(PnrTest, Astar2DeterministicUnderCongestion) {
   // the threaded schedule must still be bit-identical to the serial one —
   // frozen-snapshot searches plus the serial commit barrier make the result
   // a pure function of the overflow picture.
-  tech::Technology limited = ffet_tech_->with_routing_limit(2, 2);
-  stdcell::PinConfig dual;
-  dual.backside_input_fraction = 0.5;
-  stdcell::Library lib2 = stdcell::build_library(limited, dual);
-  liberty::characterize_library(lib2);
-  riscv::Rv32Options opt;
-  opt.num_registers = 8;
-  netlist::Netlist nl2 = riscv::build_rv32_core(lib2, opt);
-  FloorplanOptions fo;
-  fo.target_utilization = 0.8;
-  const Floorplan fp2 = make_floorplan(nl2, limited, fo);
-  const PowerPlan pp2 = build_power_plan(nl2, fp2, lib2);
-  place(nl2, fp2, pp2);
-  build_clock_tree(nl2, fp2);
-
-  RouteOptions ro;
+  const CongestedDesign cd(*ffet_tech_);
+  RouteOptions ro = cd.options();
   ro.engine = RouteEngine::Astar2;
-  ro.capacity_factor = 2.4;
   ro.threads = 1;
-  const RouteResult serial = route_design(nl2, fp2, ro);
+  const RouteResult serial = route_design(cd.nl, cd.fp, ro);
   ro.threads = 4;
-  const RouteResult threaded = route_design(nl2, fp2, ro);
+  const RouteResult threaded = route_design(cd.nl, cd.fp, ro);
 
-  expect_all_sinks_connected(nl2, serial);
+  expect_all_sinks_connected(cd.nl, serial);
   EXPECT_GT(serial.steiner_subnets, 0);
   EXPECT_DOUBLE_EQ(serial.total_wirelength_um(),
                    threaded.total_wirelength_um());
@@ -953,6 +997,92 @@ TEST_F(PnrTest, Astar2DeterministicUnderCongestion) {
     EXPECT_EQ(serial.routes[i].edges, threaded.routes[i].edges)
         << "route " << i << " differs between threads=1 and threads=4";
   }
+}
+
+// --- routing: incremental reroute (the ECO primitive) ------------------------
+
+TEST_F(PnrTest, RerouteWithNothingDirtyCarriesEveryRoute) {
+  // With an empty dirty list on the unchanged placed design, every subnet
+  // is carried: edges and layer indices come back exactly as in `prev`,
+  // and nothing is routed.
+  const RoutedDesign rd = route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6);
+  const RouteResult rr = reroute_nets(rd.nl, rd.fp, rd.rr, {});
+  ASSERT_EQ(rr.routes.size(), rd.rr.routes.size());
+  for (std::size_t i = 0; i < rr.routes.size(); ++i) {
+    const NetRoute& carried = rr.routes[i];
+    const NetRoute& prev = rd.rr.routes[i];
+    EXPECT_EQ(carried.net, prev.net);
+    EXPECT_EQ(carried.side, prev.side);
+    EXPECT_EQ(carried.edges, prev.edges) << "route " << i << " differs";
+    EXPECT_EQ(carried.h_layer_index, prev.h_layer_index) << "route " << i;
+    EXPECT_EQ(carried.v_layer_index, prev.v_layer_index) << "route " << i;
+  }
+  EXPECT_DOUBLE_EQ(rr.total_wirelength_um(), rd.rr.total_wirelength_um());
+  EXPECT_EQ(rr.settled_nodes, 0);
+  EXPECT_EQ(rr.rrr_passes, 0);
+  ASSERT_EQ(rr.pass_stats.size(), 1u);
+  EXPECT_EQ(rr.pass_stats[0].ripped_front + rr.pass_stats[0].ripped_back, 0);
+}
+
+TEST_F(PnrTest, FullStage1RouteIsARerouteWithNothingCarried) {
+  // route_design's stage-1 path and reroute_nets share one negotiation
+  // loop: with no previous routes every subnet is routed, so on the
+  // congested design (where negotiation runs several passes) the two
+  // agree route for route and counter for counter.
+  const CongestedDesign cd(*ffet_tech_);
+  RouteOptions ro = cd.options();
+  ro.engine = RouteEngine::Astar;
+  const RouteResult full = route_design(cd.nl, cd.fp, ro);
+  const RouteResult reroute = reroute_nets(cd.nl, cd.fp, {}, {}, ro);
+  EXPECT_GT(full.rrr_passes, 0) << "the fixture must exercise rip-up";
+  expect_same_routing(full, reroute);
+}
+
+TEST_F(PnrTest, RerouteKeepsCarriedRoutesUnderCongestion) {
+  // Reroute a few nets of the congested design: every other subnet keeps
+  // its route and layers, the dirty ones negotiate with per-pass records
+  // that sum to the totals, and threads 1 and 4 are bit-identical.
+  const CongestedDesign cd(*ffet_tech_);
+  const RouteOptions base = cd.options();
+  const RouteResult prev = route_design(cd.nl, cd.fp, base);
+  std::vector<NetId> dirty;
+  std::set<NetId> dirty_set;
+  for (const NetRoute& r : prev.routes) {
+    if (r.edges.size() < 8 || dirty_set.count(r.net)) continue;
+    dirty.push_back(r.net);
+    dirty_set.insert(r.net);
+    if (dirty.size() == 12) break;
+  }
+  ASSERT_EQ(dirty.size(), 12u);
+
+  RouteOptions ro = base;
+  ro.threads = 1;
+  const RouteResult serial = reroute_nets(cd.nl, cd.fp, prev, dirty, ro);
+  ro.threads = 4;
+  const RouteResult threaded = reroute_nets(cd.nl, cd.fp, prev, dirty, ro);
+
+  ASSERT_EQ(serial.routes.size(), prev.routes.size());
+  int rerouted = 0;
+  for (std::size_t i = 0; i < serial.routes.size(); ++i) {
+    const NetRoute& r = serial.routes[i];
+    EXPECT_EQ(r.net, prev.routes[i].net);
+    if (dirty_set.count(r.net)) {
+      ++rerouted;
+      continue;
+    }
+    EXPECT_EQ(r.edges, prev.routes[i].edges) << "carried route " << i;
+    EXPECT_EQ(r.h_layer_index, prev.routes[i].h_layer_index);
+    EXPECT_EQ(r.v_layer_index, prev.routes[i].v_layer_index);
+  }
+  ASSERT_FALSE(serial.pass_stats.empty());
+  EXPECT_EQ(serial.pass_stats[0].ripped_front +
+                serial.pass_stats[0].ripped_back,
+            rerouted);
+  EXPECT_GT(serial.settled_nodes, 0);
+  EXPECT_GT(serial.rrr_passes, 0) << "the dirty nets must negotiate";
+  expect_pass_stats_sum_to_totals(serial);
+  expect_all_sinks_connected(cd.nl, serial);
+  expect_same_routing(serial, threaded);
 }
 
 }  // namespace
