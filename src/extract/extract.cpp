@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "geom/grid.h"
 #include "obs/obs.h"
 #include "runtime/thread_pool.h"
 
@@ -37,29 +38,20 @@ constexpr double kDensityBinUm = 1.0;
 /// understate how empty the routing fabric would really be.
 constexpr double kDensityCapacityFactor = 2.0;
 
-/// Per-side coarse wire-density grid derived from the merged DEF.
+/// Per-side coarse wire-density grid: wire length per bin, sampled along
+/// each wire.
 class DensityGrid {
  public:
-  DensityGrid(const io::Def& def, const Technology& tech) {
-    cols_ = std::max(1, static_cast<int>(geom::to_um(def.die.width()) /
-                                         kDensityBinUm) +
-                            1);
-    rows_ = std::max(1, static_cast<int>(geom::to_um(def.die.height()) /
-                                         kDensityBinUm) +
-                            1);
-    load_[0].assign(static_cast<std::size_t>(cols_) *
-                        static_cast<std::size_t>(rows_),
-                    0.0);
-    load_[1].assign(static_cast<std::size_t>(cols_) *
-                        static_cast<std::size_t>(rows_),
-                    0.0);
-
-    // Wire length per bin, per side.
-    for (const io::DefNet& n : def.nets) {
-      for (const io::DefWire& w : n.wires) {
-        const int side = w.layer.empty() || w.layer[0] != 'B' ? 0 : 1;
-        add_segment(side, w.from, w.to);
-      }
+  /// An empty field over `die`.
+  DensityGrid(const geom::Rect& die, const Technology& tech) {
+    cols_ = std::max(
+        1, static_cast<int>(geom::to_um(die.width()) / kDensityBinUm) + 1);
+    rows_ = std::max(
+        1, static_cast<int>(geom::to_um(die.height()) / kDensityBinUm) + 1);
+    for (auto& load : load_) {
+      load.assign(static_cast<std::size_t>(cols_) *
+                      static_cast<std::size_t>(rows_),
+                  0.0);
     }
 
     // Wiring capacity per bin (µm of routable wire per µm² of die, per
@@ -76,40 +68,59 @@ class DensityGrid {
     }
   }
 
-  /// Local density ratio (0 = empty, 1 = every track occupied) around a
-  /// point, for one side.
-  double ratio(Side s, geom::Point p) const {
-    const int side = s == Side::Front ? 0 : 1;
-    if (capacity_um_per_um2_[side] <= 0.0) return 0.0;
-    const int c = std::clamp(static_cast<int>(geom::to_um(p.x) / kDensityBinUm),
-                             0, cols_ - 1);
-    const int r = std::clamp(static_cast<int>(geom::to_um(p.y) / kDensityBinUm),
-                             0, rows_ - 1);
-    const double um_in_bin =
-        load_[side][static_cast<std::size_t>(r * cols_ + c)];
-    const double cap_um = capacity_um_per_um2_[side] * kDensityBinUm *
-                          kDensityBinUm;
-    return std::min(1.0, um_in_bin / cap_um);
+  /// The field of every wire of a merged DEF.
+  static DensityGrid of_def(const io::Def& def, const Technology& tech) {
+    DensityGrid g(def.die, tech);
+    for (const io::DefNet& n : def.nets) {
+      for (const io::DefWire& w : n.wires) {
+        const int side = w.layer.empty() || w.layer[0] != 'B' ? 0 : 1;
+        g.for_each_sample(w.from, w.to, [&](std::size_t bin, double um) {
+          g.load_[side][bin] += um;
+        });
+      }
+    }
+    return g;
   }
 
- private:
-  void add_segment(int side, geom::Point a, geom::Point b) {
-    // Distribute the segment's length along the bins it crosses (coarse:
-    // sample every half bin).
+  /// Distribute a segment's length along the bins it crosses (coarse:
+  /// sample every half bin): `f(bin, um)` per sample.
+  template <class F>
+  void for_each_sample(geom::Point a, geom::Point b, F&& f) const {
     const double len_um = geom::to_um(geom::manhattan(a, b));
-    const int samples = std::max(1, static_cast<int>(len_um / (kDensityBinUm / 2)));
+    const int samples =
+        std::max(1, static_cast<int>(len_um / (kDensityBinUm / 2)));
     for (int i = 0; i < samples; ++i) {
       const double t = (i + 0.5) / samples;
       const geom::Point p{
           a.x + static_cast<geom::Nm>(t * static_cast<double>(b.x - a.x)),
           a.y + static_cast<geom::Nm>(t * static_cast<double>(b.y - a.y))};
-      const int c = std::clamp(
-          static_cast<int>(geom::to_um(p.x) / kDensityBinUm), 0, cols_ - 1);
-      const int r = std::clamp(
-          static_cast<int>(geom::to_um(p.y) / kDensityBinUm), 0, rows_ - 1);
-      load_[side][static_cast<std::size_t>(r * cols_ + c)] +=
-          len_um / samples;
+      f(bin_of(p), len_um / samples);
     }
+  }
+
+  /// Local density ratio (0 = empty, 1 = every track occupied) around a
+  /// point, for one side.
+  double ratio(Side s, geom::Point p) const {
+    const int side = s == Side::Front ? 0 : 1;
+    if (capacity_um_per_um2_[side] <= 0.0) return 0.0;
+    const double um_in_bin = load_[side][bin_of(p)];
+    const double cap_um = capacity_um_per_um2_[side] * kDensityBinUm *
+                          kDensityBinUm;
+    return std::min(1.0, um_in_bin / cap_um);
+  }
+
+  void set_load(int side, std::size_t bin, double um) {
+    load_[side][bin] = um;
+  }
+  const std::vector<double>& loads(int side) const { return load_[side]; }
+
+ private:
+  std::size_t bin_of(geom::Point p) const {
+    const int c = std::clamp(static_cast<int>(geom::to_um(p.x) / kDensityBinUm),
+                             0, cols_ - 1);
+    const int r = std::clamp(static_cast<int>(geom::to_um(p.y) / kDensityBinUm),
+                             0, rows_ - 1);
+    return static_cast<std::size_t>(r * cols_ + c);
   }
 
   int cols_ = 1, rows_ = 1;
@@ -143,10 +154,14 @@ struct Adj {
 };
 
 /// Build (or rebuild, resetting any prior contents) one net's RC tree from
-/// its merged-DEF wires, the side density grids, and the current pin
-/// landscape — the shared kernel of extract_rc and reextract_nets.
+/// its wires, the side density grids, and the current pin landscape — the
+/// shared kernel of extract_rc (wires from the merged DEF) and
+/// RouteExtractor (wires straight from the routes).  `for_each_wire(f)`
+/// calls f(side, layer, from, to) for each of the net's `num_wires` wires,
+/// in merged-DEF order: the frontside route's, then the backside's.
+template <class ForEachWire>
 void build_net_tree(RcTree& tree, netlist::NetId net_id, const Netlist& nl,
-                    const Technology& tech, const io::DefNet* dn,
+                    std::size_t num_wires, ForEachWire&& for_each_wire,
                     const DensityGrid& density, double drain_merge_r) {
   FFET_TRACE_SCOPE("extract.net");
   tree.clear();
@@ -177,34 +192,25 @@ void build_net_tree(RcTree& tree, netlist::NetId net_id, const Netlist& nl,
     return idx;
   };
 
-  if (dn) {
-    node_of.reserve(dn->wires.size() * 2);
-    for (const io::DefWire& w : dn->wires) {
-      const Side s = side_of_layer(w.layer);
-      const tech::MetalLayer* layer = tech.find_layer(w.layer);
-      if (!layer) {
-        throw std::runtime_error("merged DEF references unknown layer " +
-                                 w.layer);
-      }
-      const double len_um = geom::to_um(geom::manhattan(w.from, w.to));
-      const double r = std::max(1e-3, len_um * layer->r_ohm_per_um);
-      // Coupling: neighbors at the segment midpoint raise the effective
-      // capacitance (Miller factor on switching aggressors).
-      const geom::Point mid{(w.from.x + w.to.x) / 2,
-                            (w.from.y + w.to.y) / 2};
-      const double coupling =
-          1.0 + kMillerCoupling * density.ratio(s, mid);
-      const double c = len_um * layer->c_ff_per_um * coupling;
-      const int a = get_node(s, w.from);
-      const int b = get_node(s, w.to);
-      tree.nodes[static_cast<std::size_t>(a)].cap_ff += c / 2.0;
-      tree.nodes[static_cast<std::size_t>(b)].cap_ff += c / 2.0;
-      // Via stacks are charged at the pin hookups (kPinHookupOhm), not
-      // per gcell segment — a route stays on its track between bends.
-      adj[static_cast<std::size_t>(a)].push_back({b, r});
-      adj[static_cast<std::size_t>(b)].push_back({a, r});
-    }
-  }
+  node_of.reserve(num_wires * 2);
+  for_each_wire([&](Side s, const tech::MetalLayer& layer, geom::Point from,
+                    geom::Point to) {
+    const double len_um = geom::to_um(geom::manhattan(from, to));
+    const double r = std::max(1e-3, len_um * layer.r_ohm_per_um);
+    // Coupling: neighbors at the segment midpoint raise the effective
+    // capacitance (Miller factor on switching aggressors).
+    const geom::Point mid{(from.x + to.x) / 2, (from.y + to.y) / 2};
+    const double coupling = 1.0 + kMillerCoupling * density.ratio(s, mid);
+    const double c = len_um * layer.c_ff_per_um * coupling;
+    const int a = get_node(s, from);
+    const int b = get_node(s, to);
+    tree.nodes[static_cast<std::size_t>(a)].cap_ff += c / 2.0;
+    tree.nodes[static_cast<std::size_t>(b)].cap_ff += c / 2.0;
+    // Via stacks are charged at the pin hookups (kPinHookupOhm), not
+    // per gcell segment — a route stays on its track between bends.
+    adj[static_cast<std::size_t>(a)].push_back({b, r});
+    adj[static_cast<std::size_t>(b)].push_back({a, r});
+  });
 
   // Join each side's nearest node to the driver root: the frontside via a
   // pin hookup stack; the backside through the Drain Merge (the net's
@@ -292,45 +298,44 @@ std::vector<const io::DefNet*> index_def_nets(const io::Def& merged,
   return by_id;
 }
 
-/// Recompute the aggregate totals from scratch in net order (shared tail
-/// of the full and incremental extractions; keeps them bit-identical).
-void sum_totals(RcNetlist& out) {
-  out.total_wire_cap_ff = 0.0;
-  out.total_wire_res_kohm = 0.0;
-  for (netlist::NetId n = 0; n < static_cast<netlist::NetId>(out.num_trees());
-       ++n) {
-    const RcTreeView t = out.tree(n);
-    out.total_wire_cap_ff += t.wire_cap_ff;
-    for (std::size_t i = 1; i < t.nodes.size(); ++i) {
-      out.total_wire_res_kohm += t.nodes[i].r_ohm / 1000.0;
-    }
-  }
-}
-
 }  // namespace
 
-void RcNetlist::assign_tree(netlist::NetId id, const RcTree& t) {
+RcSpan RcNetlist::assign_tree(netlist::NetId id, const RcTree& t) {
   RcSpan& s = spans_[static_cast<std::size_t>(id)];
-  const auto n_nodes = static_cast<std::uint32_t>(t.nodes.size());
-  const auto n_sinks = static_cast<std::uint32_t>(t.sink_nodes.size());
-  if (n_nodes > s.num_nodes) {
-    s.first_node = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.resize(nodes_.size() + n_nodes);
-    elmore_.resize(elmore_.size() + n_nodes);
-  }
-  if (n_sinks > s.num_sinks) {
-    s.first_sink = static_cast<std::uint32_t>(sinks_.size());
-    sinks_.resize(sinks_.size() + n_sinks);
-  }
-  std::copy(t.nodes.begin(), t.nodes.end(), nodes_.begin() + s.first_node);
-  std::copy(t.elmore_ps.begin(), t.elmore_ps.end(),
-            elmore_.begin() + s.first_node);
-  std::copy(t.sink_nodes.begin(), t.sink_nodes.end(),
-            sinks_.begin() + s.first_sink);
-  s.num_nodes = n_nodes;
-  s.num_sinks = n_sinks;
+  const RcSpan replaced = s;
+  s.first_node = static_cast<std::uint32_t>(nodes_.size());
+  s.first_sink = static_cast<std::uint32_t>(sinks_.size());
+  s.num_nodes = static_cast<std::uint32_t>(t.nodes.size());
+  s.num_sinks = static_cast<std::uint32_t>(t.sink_nodes.size());
   s.total_cap_ff = t.total_cap_ff;
   s.wire_cap_ff = t.wire_cap_ff;
+  nodes_.insert(nodes_.end(), t.nodes.begin(), t.nodes.end());
+  elmore_.insert(elmore_.end(), t.elmore_ps.begin(), t.elmore_ps.end());
+  sinks_.insert(sinks_.end(), t.sink_nodes.begin(), t.sink_nodes.end());
+  return replaced;
+}
+
+void RcNetlist::restore_tree(netlist::NetId id, const RcSpan& span) {
+  spans_[static_cast<std::size_t>(id)] = span;
+}
+
+void RcNetlist::truncate_arena(std::size_t nodes, std::size_t sinks) {
+  nodes_.resize(nodes);
+  elmore_.resize(nodes);
+  sinks_.resize(sinks);
+}
+
+void RcNetlist::recompute_totals() {
+  total_wire_cap_ff = 0.0;
+  total_wire_res_kohm = 0.0;
+  for (netlist::NetId n = 0; n < static_cast<netlist::NetId>(num_trees());
+       ++n) {
+    const RcTreeView t = tree(n);
+    total_wire_cap_ff += t.wire_cap_ff;
+    for (std::size_t i = 1; i < t.nodes.size(); ++i) {
+      total_wire_res_kohm += t.nodes[i].r_ohm / 1000.0;
+    }
+  }
 }
 
 RcNetlist extract_rc(const io::Def& merged, const Netlist& nl,
@@ -354,7 +359,7 @@ RcNetlist extract_rc(const io::Def& merged, const Netlist& nl,
   }
 
   // Neighborhood wire density per side (coupling model).
-  const DensityGrid density(merged, tech);
+  const DensityGrid density = DensityGrid::of_def(merged, tech);
 
   const double drain_merge_r = tech.device().np_link_r_ohm;
 
@@ -371,9 +376,22 @@ RcNetlist extract_rc(const io::Def& merged, const Netlist& nl,
     runtime::parallel_for(
         count,
         [&](std::size_t i) {
-          build_net_tree(scratch[i],
-                         static_cast<netlist::NetId>(base + i), nl, tech,
-                         def_nets[base + i], density, drain_merge_r);
+          const io::DefNet* dn = def_nets[base + i];
+          build_net_tree(
+              scratch[i], static_cast<netlist::NetId>(base + i), nl,
+              dn ? dn->wires.size() : 0,
+              [&](auto&& f) {
+                if (!dn) return;
+                for (const io::DefWire& w : dn->wires) {
+                  const tech::MetalLayer* layer = tech.find_layer(w.layer);
+                  if (!layer) {
+                    throw std::runtime_error(
+                        "merged DEF references unknown layer " + w.layer);
+                  }
+                  f(side_of_layer(w.layer), *layer, w.from, w.to);
+                }
+              },
+              density, drain_merge_r);
         },
         threads, 0);
     for (std::size_t i = 0; i < count; ++i) {
@@ -382,38 +400,187 @@ RcNetlist extract_rc(const io::Def& merged, const Netlist& nl,
   }
   FFET_METRIC_ADD("extract.nets", nl.num_nets());
 
-  sum_totals(out);
+  out.recompute_totals();
   return out;
 }
 
-void reextract_nets(RcNetlist& rc, const io::Def& merged,
-                    const Netlist& nl, const Technology& tech,
-                    const std::vector<netlist::NetId>& dirty_nets) {
-  FFET_TRACE_SCOPE("extract.reextract");
-  rc.resize_trees(static_cast<std::size_t>(nl.num_nets()));
+std::vector<double> density_loads(const io::Def& merged,
+                                  const Technology& tech, Side side) {
+  return DensityGrid::of_def(merged, tech).loads(side == Side::Front ? 0 : 1);
+}
 
-  const std::vector<const io::DefNet*> def_nets = index_def_nets(merged, nl);
+// --- RouteExtractor ----------------------------------------------------------
 
-  // The density grid is global state: any rerouted wire shifts the coupling
-  // neighborhoods, so it is rebuilt from the *current* merged DEF.  Only
-  // the listed trees are rebuilt against it — the clean nets' DEF wires are
-  // unchanged by reroute_nets, so their trees (built from the same wires
-  // and density field) stay valid.
-  const DensityGrid density(merged, tech);
-  const double drain_merge_r = tech.device().np_link_r_ohm;
-
-  long rebuilt = 0;
+struct RouteExtractor::Impl {
+  pnr::RouteResult grid;  ///< gcell geometry (routes empty)
+  DensityGrid density;
+  /// Density samples per bin and side; a bin's load is sample_sum(count).
+  std::array<std::vector<int>, 2> samples;
+  geom::RepeatedSum sample_sum;
+  /// Routing layer per side and metal index (the layers "FM<i>"/"BM<i>"
+  /// build_def names).
+  std::array<std::vector<const tech::MetalLayer*>, 2> layer_of;
+  double drain_merge_r;
   RcTree scratch;
-  for (const netlist::NetId n : dirty_nets) {
-    if (n < 0 || n >= nl.num_nets()) continue;
-    build_net_tree(scratch, n, nl, tech, def_nets[static_cast<std::size_t>(n)],
-                   density, drain_merge_r);
-    rc.assign_tree(n, scratch);
+
+  // The last reextract(), for undo().
+  std::vector<std::pair<netlist::NetId, RcSpan>> span_log;
+  std::size_t log_trees = 0;
+  std::size_t log_nodes = 0;
+  std::size_t log_sinks = 0;
+
+  Impl(const pnr::RouteResult& summary, const Technology& tech)
+      : density(geom::make_rect({0, 0}, summary.gcols * summary.gcell_w,
+                                summary.grows * summary.gcell_h),
+                tech),
+        drain_merge_r(tech.device().np_link_r_ohm) {
+    grid.gcols = summary.gcols;
+    grid.grows = summary.grows;
+    grid.gcell_w = summary.gcell_w;
+    grid.gcell_h = summary.gcell_h;
+    if (grid.gcell_w != grid.gcell_h) {
+      throw std::invalid_argument(
+          "route-driven extraction needs square gcells (equal wire lengths)");
+    }
+    // Every route wire is one gcell long, so every sample adds what the
+    // first wire's sample adds.
+    double step = 0.0;
+    density.for_each_sample(
+        {0, 0}, {grid.gcell_w, 0},
+        [&](std::size_t, double um) { step = um; });
+    sample_sum = geom::RepeatedSum(step);
+    for (int side = 0; side < 2; ++side) {
+      samples[static_cast<std::size_t>(side)].assign(
+          density.loads(side).size(), 0);
+    }
+    for (const tech::MetalLayer& l : tech.layers()) {
+      const std::size_t side = l.side == Side::Front ? 0 : 1;
+      if (l.index < 0 ||
+          l.name != std::string(side == 0 ? "FM" : "BM") +
+                        std::to_string(l.index)) {
+        continue;
+      }
+      auto& table = layer_of[side];
+      if (table.size() <= static_cast<std::size_t>(l.index)) {
+        table.resize(static_cast<std::size_t>(l.index) + 1, nullptr);
+      }
+      if (!table[static_cast<std::size_t>(l.index)]) {
+        table[static_cast<std::size_t>(l.index)] = &l;
+      }
+    }
+  }
+
+  const tech::MetalLayer& layer(Side s, int index) const {
+    const auto& table = layer_of[s == Side::Front ? 0 : 1];
+    if (index < 0 || static_cast<std::size_t>(index) >= table.size() ||
+        !table[static_cast<std::size_t>(index)]) {
+      throw std::runtime_error("route references unknown layer " +
+                               std::string(s == Side::Front ? "FM" : "BM") +
+                               std::to_string(index));
+    }
+    return *table[static_cast<std::size_t>(index)];
+  }
+
+  /// Add (+1) or remove (-1) one side's route wires in the density field.
+  void move_wires(Side s, std::span<const pnr::GEdge> edges, int sign) {
+    const int side = s == Side::Front ? 0 : 1;
+    auto& count = samples[static_cast<std::size_t>(side)];
+    for (const pnr::GEdge& e : edges) {
+      const io::RouteWire w = io::route_wire(grid, e, 0, 0);
+      density.for_each_sample(w.from, w.to, [&](std::size_t bin, double um) {
+        if (um != sample_sum.step()) {
+          throw std::logic_error("route wire of unexpected length");
+        }
+        density.set_load(side, bin, sample_sum(count[bin] += sign));
+      });
+    }
+  }
+
+  void build(netlist::NetId n, const Netlist& nl,
+             const pnr::RouteState& routes) {
+    const auto front = routes.route(n, Side::Front);
+    const auto back = routes.route(n, Side::Back);
+    const std::size_t num_wires = (front ? front->edges.size() : 0) +
+                                  (back ? back->edges.size() : 0);
+    build_net_tree(
+        scratch, n, nl, num_wires,
+        [&](auto&& f) {
+          for (const auto& [s, r] : {std::pair{Side::Front, front},
+                                     std::pair{Side::Back, back}}) {
+            if (!r) continue;
+            for (const pnr::GEdge& e : r->edges) {
+              const io::RouteWire w =
+                  io::route_wire(grid, e, r->h_layer_index, r->v_layer_index);
+              f(s, layer(s, w.layer_index), w.from, w.to);
+            }
+          }
+        },
+        density, drain_merge_r);
+  }
+};
+
+RouteExtractor::RouteExtractor(const pnr::RouteState& routes,
+                               const Netlist& nl, const Technology& tech)
+    : impl_(std::make_unique<Impl>(routes.summary(), tech)) {
+  for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
+    for (Side s : {Side::Front, Side::Back}) {
+      if (const auto r = routes.route(n, s)) impl_->move_wires(s, r->edges, +1);
+    }
+  }
+}
+
+RouteExtractor::~RouteExtractor() = default;
+
+void RouteExtractor::reextract(RcNetlist& rc, const Netlist& nl,
+                               const pnr::RouteState& routes,
+                               const std::vector<netlist::NetId>& nets) {
+  FFET_TRACE_SCOPE("extract.reextract");
+  Impl& x = *impl_;
+  // The coupling field is global: every rerouted wire moves first, so the
+  // rebuilt trees see exactly the field a full extraction would.
+  for (std::size_t i = 0; i < routes.num_changes(); ++i) {
+    const pnr::RouteState::Change c = routes.change(i);
+    x.move_wires(c.side, c.before, -1);
+    x.move_wires(c.side, c.after, +1);
+  }
+  x.span_log.clear();
+  x.log_trees = rc.num_trees();
+  x.log_nodes = rc.arena_nodes();
+  x.log_sinks = rc.arena_sinks();
+  const auto num_nets = static_cast<std::size_t>(nl.num_nets());
+  for (std::size_t n = num_nets; n < rc.num_trees(); ++n) {
+    x.span_log.push_back({static_cast<netlist::NetId>(n),
+                          rc.span_of(static_cast<netlist::NetId>(n))});
+  }
+  rc.resize_trees(num_nets);
+  long rebuilt = 0;
+  for (const netlist::NetId n : nets) {
+    if (n < 0 || static_cast<std::size_t>(n) >= num_nets) continue;
+    x.build(n, nl, routes);
+    x.span_log.push_back({n, rc.assign_tree(n, x.scratch)});
     ++rebuilt;
   }
   FFET_METRIC_ADD("extract.reextracted_nets", rebuilt);
+}
 
-  sum_totals(rc);
+void RouteExtractor::undo(RcNetlist& rc, const pnr::RouteState& routes) {
+  Impl& x = *impl_;
+  for (std::size_t i = routes.num_changes(); i-- > 0;) {
+    const pnr::RouteState::Change c = routes.change(i);
+    x.move_wires(c.side, c.after, -1);
+    x.move_wires(c.side, c.before, +1);
+  }
+  rc.resize_trees(std::max(rc.num_trees(), x.log_trees));
+  for (auto it = x.span_log.rbegin(); it != x.span_log.rend(); ++it) {
+    rc.restore_tree(it->first, it->second);
+  }
+  x.span_log.clear();
+  rc.resize_trees(x.log_trees);
+  rc.truncate_arena(x.log_nodes, x.log_sinks);
+}
+
+std::vector<double> RouteExtractor::density_loads(Side side) const {
+  return impl_->density.loads(side == Side::Front ? 0 : 1);
 }
 
 void finalize_rc_tree(RcTree& tree) {

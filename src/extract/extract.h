@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -102,8 +103,10 @@ class RcTreeView {
 };
 
 /// All nets' parasitics in one flat arena (nodes, Elmore delays and sink
-/// hookups), indexed by NetId through the span table.  Copyable — the ECO
-/// engine snapshots it for revert.
+/// hookups), indexed by NetId through the span table.  The arena only
+/// grows at its end: a rebuilt tree is appended and its span repointed, so
+/// putting the old span back and truncating the arena undoes a rebuild
+/// exactly (the ECO loop's revert).
 class RcNetlist {
  public:
   double total_wire_cap_ff = 0.0;
@@ -131,11 +134,17 @@ class RcNetlist {
   /// Grow (or shrink) the span table; new nets get empty trees.
   void resize_trees(std::size_t n) { spans_.resize(n); }
 
-  /// Pack one net's scratch tree into the arena.  Rebuilt trees that fit
-  /// their existing span are overwritten in place; larger ones are appended
-  /// (the abandoned range becomes a hole — acceptable across ECO loops,
-  /// which rebuild a handful of nets).
-  void assign_tree(netlist::NetId id, const RcTree& t);
+  /// Append one net's scratch tree to the arena and point its span there;
+  /// returns the span it replaced (whose range becomes a hole —
+  /// acceptable across ECO loops, which rebuild a handful of nets).
+  RcSpan assign_tree(netlist::NetId id, const RcTree& t);
+  /// Point a net back at a span assign_tree() replaced.
+  void restore_tree(netlist::NetId id, const RcSpan& span);
+  /// Drop everything appended beyond the given arena sizes.
+  void truncate_arena(std::size_t nodes, std::size_t sinks);
+
+  /// Recompute the aggregate totals from scratch, in net order.
+  void recompute_totals();
 
   /// Sum of per-net node counts (holes excluded) — the structure-size
   /// counter reports track.
@@ -146,6 +155,7 @@ class RcNetlist {
   }
   /// Arena occupancy including holes left by incremental re-extraction.
   std::size_t arena_nodes() const { return nodes_.size(); }
+  std::size_t arena_sinks() const { return sinks_.size(); }
 
   /// Pre-size the arenas (optional; the full extractor estimates totals).
   void reserve_arena(std::size_t nodes, std::size_t sinks) {
@@ -171,17 +181,51 @@ class RcNetlist {
 RcNetlist extract_rc(const io::Def& merged, const netlist::Netlist& nl,
                      const tech::Technology& tech, int threads = 1);
 
-/// Incremental re-extraction: rebuild only the trees of `dirty_nets` from
-/// the (re-merged) DEF and the current pin landscape, leaving every other
-/// tree untouched, then recompute the aggregate totals.  The density grid
-/// driving the coupling model is rebuilt from the current DEF (it is global
-/// state); the dirty trees therefore see exactly the field a full
-/// extraction would.  The span table is resized to the current netlist, so
-/// nets added since the last extraction must be listed dirty.  The ECO
-/// engine's extraction primitive.
-void reextract_nets(RcNetlist& rc, const io::Def& merged,
-                    const netlist::Netlist& nl, const tech::Technology& tech,
-                    const std::vector<netlist::NetId>& dirty_nets);
+/// The per-bin wire load of `side`'s coupling-density field that
+/// extract_rc() builds from `merged` (row-major bins).
+std::vector<double> density_loads(const io::Def& merged,
+                                  const tech::Technology& tech,
+                                  tech::Side side);
+
+/// Route-driven incremental re-extraction, the ECO loop's extractor: it
+/// rebuilds dirty nets' trees straight from their routes in a
+/// pnr::RouteState, wire for wire what extract_rc() reads from the merged
+/// DEF (both go through io::route_wire), so no DEF is built inside the
+/// loop.  The coupling-density field is maintained by delta: every wire a
+/// reroute replaces moves out of the field and its successor in.  Every
+/// route wire is one gcell long and gcells are square, so every density
+/// sample adds the same length; the field is kept as per-bin sample counts
+/// read through a geom::RepeatedSum, and equals a full extraction's field
+/// bit for bit.
+class RouteExtractor {
+ public:
+  /// The density field of every committed route of `routes` (the routes
+  /// `nl`'s current parasitics were extracted from).
+  RouteExtractor(const pnr::RouteState& routes, const netlist::Netlist& nl,
+                 const tech::Technology& tech);
+  ~RouteExtractor();
+  RouteExtractor(const RouteExtractor&) = delete;
+  RouteExtractor& operator=(const RouteExtractor&) = delete;
+
+  /// Follow the last routes.reroute(): move its changed routes' wires in
+  /// the density field, grow (or shrink) the span table to `nl`, and
+  /// rebuild the trees of `nets` from their routes, appended to the arena.
+  /// Other trees are untouched.  Logged for undo().
+  void reextract(RcNetlist& rc, const netlist::Netlist& nl,
+                 const pnr::RouteState& routes,
+                 const std::vector<netlist::NetId>& nets);
+  /// Undo the last reextract() exactly: the density field, the spans and
+  /// the arena.  Call before routes.undo_reroute() — it reads the
+  /// reroute's changes.
+  void undo(RcNetlist& rc, const pnr::RouteState& routes);
+
+  /// The maintained field, laid out like density_loads().
+  std::vector<double> density_loads(tech::Side side) const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 /// Recompute a tree's total capacitance and per-node Elmore delays from its
 /// node caps / parents / resistances (used by the extractor and by the

@@ -4,6 +4,12 @@
 // A `Grid2D<T>` is a rectangular array of cells addressed by (col, row) with
 // row-major storage.  It deliberately does not know about nanometer
 // coordinates; `GcellGrid` (router.h) maps chip space onto grid indices.
+//
+// A `RepeatedSum` is the table of k-fold sums of one fixed addend.  A grid
+// whose cells only ever accumulate that one addend (the router's pin-access
+// demand, the extractor's wire-density samples) can then be kept as integer
+// counts: a count maintained by +/- deltas reads back, through the table,
+// the bit-exact value a fresh accumulation in any order computes.
 
 #pragma once
 
@@ -62,6 +68,26 @@ class Grid2D {
   int cols_ = 0;
   int rows_ = 0;
   std::vector<T> data_;
+};
+
+class RepeatedSum {
+ public:
+  explicit RepeatedSum(double step = 0.0) : step_(step), sums_{0.0} {}
+
+  double step() const { return step_; }
+
+  /// 0.0 plus `step` added k times, one floating-point addition at a time.
+  double operator()(int k) {
+    assert(k >= 0);
+    while (sums_.size() <= static_cast<std::size_t>(k)) {
+      sums_.push_back(sums_.back() + step_);
+    }
+    return sums_[static_cast<std::size_t>(k)];
+  }
+
+ private:
+  double step_;
+  std::vector<double> sums_;
 };
 
 }  // namespace ffet::geom

@@ -15,6 +15,22 @@ using pnr::NetRoute;
 using pnr::RouteResult;
 using tech::Side;
 
+RouteWire route_wire(const RouteResult& grid, const pnr::GEdge& e,
+                     int h_layer_index, int v_layer_index) {
+  const int a = std::min(e.a, e.b);
+  const int b = std::max(e.a, e.b);
+  const int ca = a % grid.gcols, ra = a / grid.gcols;
+  const int cb = b % grid.gcols, rb = b / grid.gcols;
+  RouteWire w;
+  w.horizontal = ra == rb;
+  w.layer_index = w.horizontal ? h_layer_index : v_layer_index;
+  w.from = {ca * grid.gcell_w + grid.gcell_w / 2,
+            ra * grid.gcell_h + grid.gcell_h / 2};
+  w.to = {cb * grid.gcell_w + grid.gcell_w / 2,
+          rb * grid.gcell_h + grid.gcell_h / 2};
+  return w;
+}
+
 Def build_def(const Netlist& nl, const RouteResult& routes, Side side,
               const pnr::TrackAssignment* tracks, int tracks_per_edge) {
   Def def;
@@ -69,33 +85,24 @@ Def build_def(const Netlist& nl, const RouteResult& routes, Side side,
     }
     DefNet& dn = by_net[static_cast<std::size_t>(r.net)];
     for (std::size_t ei = 0; ei < r.edges.size(); ++ei) {
-      const pnr::GEdge& e = r.edges[ei];
-      const int a = std::min(e.a, e.b);
-      const int b = std::max(e.a, e.b);
-      const int ca = a % routes.gcols, ra = a / routes.gcols;
-      const int cb = b % routes.gcols, rb = b / routes.gcols;
-      geom::Point pa{ca * routes.gcell_w + routes.gcell_w / 2,
-                     ra * routes.gcell_h + routes.gcell_h / 2};
-      geom::Point pb{cb * routes.gcell_w + routes.gcell_w / 2,
-                     rb * routes.gcell_h + routes.gcell_h / 2};
-      const bool horizontal = ra == rb;
+      RouteWire w =
+          route_wire(routes, r.edges[ei], r.h_layer_index, r.v_layer_index);
       if (tracks && tracks_per_edge > 0) {
         // Offset perpendicular to the run direction by the assigned track.
         const geom::Nm off = pnr::track_offset_nm(
             tracks->track_of[ri][ei], tracks_per_edge,
-            horizontal ? routes.gcell_h : routes.gcell_w);
-        if (horizontal) {
-          pa.y += off;
-          pb.y += off;
+            w.horizontal ? routes.gcell_h : routes.gcell_w);
+        if (w.horizontal) {
+          w.from.y += off;
+          w.to.y += off;
         } else {
-          pa.x += off;
-          pb.x += off;
+          w.from.x += off;
+          w.to.x += off;
         }
       }
-      const int layer_index = horizontal ? r.h_layer_index : r.v_layer_index;
       dn.wires.push_back(
-          {std::string(1, prefix) + "M" + std::to_string(layer_index), pa,
-           pb});
+          {std::string(1, prefix) + "M" + std::to_string(w.layer_index),
+           w.from, w.to});
     }
   }
 

@@ -69,6 +69,21 @@ struct Def {
   std::vector<DefNet> nets;
 };
 
+/// One routed gcell edge as a DEF wire: the segment between the two gcell
+/// centres (lower node first) on the route's layer for its direction.  The
+/// one emitter of route geometry: build_def writes these (shifted off the
+/// centreline when tracks are assigned), and the ECO loop's route-driven
+/// extraction reads them, so the two cannot drift apart.  `grid` supplies
+/// the gcell geometry (gcols, gcell_w, gcell_h).
+struct RouteWire {
+  int layer_index = 0;
+  bool horizontal = false;
+  geom::Point from;
+  geom::Point to;
+};
+RouteWire route_wire(const pnr::RouteResult& grid, const pnr::GEdge& e,
+                     int h_layer_index, int v_layer_index);
+
 /// Build the DEF of one wafer side from a placed netlist and the routing
 /// result: all components and all net pins appear (they are shared), but
 /// only the wires of `side`'s layers.  With a TrackAssignment, wires are

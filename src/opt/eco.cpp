@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "io/def.h"
 #include "obs/obs.h"
 #include "pnr/placement.h"
 
@@ -131,7 +130,7 @@ struct Mutation {
   InstId buf = netlist::kNoInst;
   std::vector<PinRef> moved_sinks;
   /// Sink order of `net` before the edit.  Reverting must restore it
-  /// exactly: the restored RC snapshot's sink_nodes are parallel to the
+  /// exactly: the restored RC tree's sink_nodes are parallel to the
   /// net's sink list, so a permuted order would silently misassign
   /// per-sink wire delays.
   std::vector<PinRef> orig_sinks;
@@ -175,6 +174,12 @@ EcoReport run_eco(Netlist& nl, const pnr::Floorplan& fp,
 
   pnr::IncrementalLegalizer legal(nl, fp, pp);
   int buf_serial = 0;
+
+  // One routing state and one extractor for the whole loop: a trial
+  // reroutes and re-extracts only its dirty nets, and a revert undoes both
+  // by log.
+  pnr::RouteState routing(nl, fp, routes, ro);
+  extract::RouteExtractor extractor(routing, nl, tech);
 
   // Reverted trials, keyed by their full edit description.  Worst-endpoint
   // lists overlap heavily between passes; without the memo the loop burns
@@ -301,7 +306,7 @@ EcoReport run_eco(Netlist& nl, const pnr::Floorplan& fp,
         legal.release(m.new_pos, lib.at("BUFD4").width());
         // The reconnects above appended the moved sinks, permuting the
         // net's sink list; rebuild the exact pre-trial order so the
-        // restored RC snapshot's per-sink mapping stays aligned.
+        // restored RC tree's per-sink mapping stays aligned.
         for (const PinRef& s : m.orig_sinks) {
           const auto& pin_name =
               nl.instance(s.inst)
@@ -325,54 +330,44 @@ EcoReport run_eco(Netlist& nl, const pnr::Floorplan& fp,
     }
   };
 
-  // Nets whose routes/parasitics a mutation invalidates, and the STA dirty
-  // set for the matching timing update.
+  // What a mutation invalidates: the nets whose routes and parasitics must
+  // be rebuilt, the instances whose pins moved, changed size or side (the
+  // router's pin-access deltas), and the STA dirty set.
+  struct Dirty {
+    std::vector<NetId> nets;
+    std::vector<InstId> insts;
+    sta::DirtySet sta;
+  };
   auto dirty_of = [&](const Mutation& m, bool after_undo) {
-    std::pair<std::vector<NetId>, sta::DirtySet> d;
+    Dirty d;
     switch (m.kind) {
       case Kind::Upsize:
       case Kind::Downsize:
-        d.first = incident_nets(nl, m.inst);
-        d.second.insts.push_back(m.inst);
+        d.nets = incident_nets(nl, m.inst);
+        d.insts.push_back(m.inst);
+        d.sta.insts.push_back(m.inst);
         break;
       case Kind::Buffer:
-        d.first.push_back(m.net);
+        d.nets.push_back(m.net);
         if (!after_undo) {
-          d.first.push_back(m.leaf_net);
-          d.second.insts.push_back(m.buf);
+          d.nets.push_back(m.leaf_net);
+          d.insts.push_back(m.buf);
+          d.sta.insts.push_back(m.buf);
         }
-        d.second.structure_changed = true;
+        d.sta.structure_changed = true;
         break;
       case Kind::PinFlip:
-        d.first.push_back(m.net);
+        d.nets.push_back(m.net);
+        d.insts.push_back(m.flip_pin.inst);
         break;
     }
-    std::sort(d.first.begin(), d.first.end());
-    d.first.erase(std::unique(d.first.begin(), d.first.end()),
-                  d.first.end());
-    d.second.nets = d.first;
+    std::sort(d.nets.begin(), d.nets.end());
+    d.nets.erase(std::unique(d.nets.begin(), d.nets.end()), d.nets.end());
+    d.sta.nets = d.nets;
     return d;
   };
 
-  // Incremental pipeline: reroute the dirty nets, re-merge the DEFs,
-  // re-extract the dirty trees, update timing through the dirty cone.
-  auto refresh = [&](const std::vector<NetId>& nets,
-                     const sta::DirtySet& dirty) {
-    routes = pnr::reroute_nets(nl, fp, routes, nets, ro);
-    const io::Def front = io::build_def(nl, routes, tech::Side::Front);
-    const io::Def back = io::build_def(nl, routes, tech::Side::Back);
-    const io::Def merged = io::merge_defs(front, back);
-    extract::reextract_nets(rc, merged, nl, tech, nets);
-    const auto t0 = std::chrono::steady_clock::now();
-    const sta::TimingReport r = sta.update_timing(dirty, &clock_latency_ps);
-    rep.incr_sta_ms += ms_since(t0);
-    ++rep.sta_updates;
-    rep.sta_recomputed += sta.last_update_recomputed();
-    return r;
-  };
-
-  // Timing update alone (revert path: routes/rc restored from snapshots).
-  auto update_only = [&](const sta::DirtySet& dirty) {
+  auto update_timing = [&](const sta::DirtySet& dirty) {
     const auto t0 = std::chrono::steady_clock::now();
     const sta::TimingReport r = sta.update_timing(dirty, &clock_latency_ps);
     rep.incr_sta_ms += ms_since(t0);
@@ -384,21 +379,24 @@ EcoReport run_eco(Netlist& nl, const pnr::Floorplan& fp,
   // One full trial.  Returns true when accepted (state kept), false when
   // reverted (state restored bit-exactly).
   auto try_mutation = [&](Mutation& m, const sta::PathEnd* target) -> bool {
-    const pnr::RouteResult routes_snap = routes;
-    const extract::RcNetlist rc_snap = rc;
     const double ep_before =
         target ? sta.endpoint_path_ps(target->endpoint, target->is_port,
                                       &clock_latency_ps)
                : 0.0;
     if (!apply(m)) return false;
     ++rep.attempted;
-    const auto [nets, dirty] = dirty_of(m, /*after_undo=*/false);
-    const sta::TimingReport after = refresh(nets, dirty);
+    const int drv_before = routing.summary().drv_estimate;
+    // Incremental pipeline: reroute the dirty nets, re-extract them from
+    // their routes, update timing through the dirty cone.
+    const Dirty d = dirty_of(m, /*after_undo=*/false);
+    routing.reroute(nl, d.nets, d.insts);
+    extractor.reextract(rc, nl, routing, d.nets);
+    const sta::TimingReport after = update_timing(d.sta);
     const double trial_power = sta.analyze_power(pre_freq).total_uw();
 
     // Routability is a hard gate for every kind: a transform may not push
     // the design over the DRV estimate it had before the trial.
-    bool ok = routes.drv_estimate <= routes_snap.drv_estimate;
+    bool ok = routing.summary().drv_estimate <= drv_before;
     if (m.kind == Kind::Downsize) {
       // Power recovery: never worse on WNS, strictly better on power.
       ok = ok && after.critical_path_ps <= cur.critical_path_ps &&
@@ -424,9 +422,9 @@ EcoReport run_eco(Netlist& nl, const pnr::Floorplan& fp,
       return true;
     }
     undo(m);
-    routes = routes_snap;
-    rc = rc_snap;
-    cur = update_only(dirty_of(m, /*after_undo=*/true).second);
+    extractor.undo(rc, routing);
+    routing.undo_reroute();
+    cur = update_timing(dirty_of(m, /*after_undo=*/true).sta);
     ++rep.reverted;
     return false;
   };
@@ -686,6 +684,9 @@ EcoReport run_eco(Netlist& nl, const pnr::Floorplan& fp,
 
     if (accepted_this_pass == 0) break;  // converged
   }
+
+  routes = routing.result();
+  rc.recompute_totals();
 
   // Post numbers from a fresh full analysis (also the timing baseline the
   // incremental speedup is measured against).

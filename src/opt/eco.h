@@ -13,16 +13,23 @@
 //     Merge on FM0/BM0) yields a shorter route estimate — the transform
 //     only FFET's dual-sided output pins make possible.
 //
-// Every trial runs the full incremental pipeline: legalize the touched
-// cells (pnr::IncrementalLegalizer), rip-up-and-reroute only the modified
-// nets per side (pnr::reroute_nets), re-extract only those nets against the
-// re-merged DEF (extract::reextract_nets), and re-propagate only the dirty
-// timing cone (sta::Sta::update_timing).  A trial is accepted when the
-// worst slack does not degrade, the targeted endpoint improves by at least
-// `min_gain_ps`, and the cumulative power estimate stays within
-// `max_power_increase`; otherwise the routes/parasitics snapshots are
-// restored and the netlist edit undone exactly (LIFO structural revert),
-// leaving every data structure bit-identical to before the trial.
+// Every trial runs the incremental pipeline on state kept alive across the
+// whole loop: legalize the touched cells (pnr::IncrementalLegalizer),
+// reroute only the modified nets against the committed routes of all
+// others (pnr::RouteState, which also applies the touched cells'
+// pin-access deltas), re-extract only those nets straight from their
+// routes against a wire-density field maintained by delta
+// (extract::RouteExtractor — no DEF is built inside the loop), and
+// re-propagate only the dirty timing cone (sta::Sta::update_timing).  A
+// trial is accepted when the worst slack does not degrade, the targeted
+// endpoint improves by at least `min_gain_ps`, the cumulative power
+// estimate stays within `max_power_increase`, and the routed DRV estimate
+// does not rise; otherwise the netlist edit is undone exactly (LIFO
+// structural revert) and the router and extractor roll back their undo
+// logs, leaving every data structure bit-identical to before the trial.
+// Every maintained quantity equals a rebuild bit for bit (DESIGN.md §11),
+// so `routes` and `rc` come out exactly as rebuilding the design on every
+// trial would leave them.
 //
 // The transform loop is serial and all primitives are deterministic at any
 // thread count, so the ECO result is a pure function of its inputs.

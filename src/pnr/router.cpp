@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <queue>
@@ -11,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "geom/grid.h"
 #include "obs/obs.h"
 #include "pnr/region.h"
 #include "pnr/steiner.h"
@@ -189,6 +191,31 @@ struct SideGrid {
     std::fill(v_use.begin(), v_use.end(), 0.0);
     rescan_overflow();
   }
+
+  /// Is any edge loaded beyond its soft or hard capacity?
+  bool over_capacity() const {
+    for (std::size_t i = 0; i < h_use.size(); ++i) {
+      const double load = h_base[i] + h_use[i];
+      if (load > h_cap || load > h_cap_hard) return true;
+    }
+    for (std::size_t i = 0; i < v_use.size(); ++i) {
+      const double load = v_base[i] + v_use[i];
+      if (load > v_cap || load > v_cap_hard) return true;
+    }
+    return false;
+  }
+
+  /// Zero the history (between reroutes the grid holds none, exactly like
+  /// a fresh one) and refresh the cost cache and heuristic floors.
+  void clear_history() {
+    std::fill(h_hist.begin(), h_hist.end(), 0.0);
+    std::fill(v_hist.begin(), v_hist.end(), 0.0);
+    rebuild_costs();
+  }
+
+  /// Does this side have any routing layer?  Pins on a side without one
+  /// still count toward its pin total but add no wiring demand.
+  bool wired() const { return h_cap > 0.0 || v_cap > 0.0; }
 };
 
 /// A private usage overlay for the stage-2 region-batched reroute: during
@@ -552,6 +579,25 @@ void commit(SideGrid& g, const std::vector<GEdge>& edges, double sign) {
   }
 }
 
+/// Re-fold a grid's running totals exactly as a freshly built grid reaches
+/// them for its current usage: clear the usage, then commit every route in
+/// the order `for_each_route` visits them (the order a fresh build commits
+/// them in).  The totals are order-sensitive sums, so a grid whose usage
+/// was reached through another sequence of rips and commits re-folds them
+/// rather than keep its own.  With no edge beyond either capacity every
+/// term of the fold is 0, and so is the fold.
+template <class ForEachRoute>
+void refold_totals(SideGrid& g, ForEachRoute&& for_each_route) {
+  if (!g.over_capacity()) {
+    g.soft_total = 0.0;
+    g.hard_total = 0.0;
+    return;
+  }
+  g.clear_use();
+  for_each_route(
+      [&](const std::vector<GEdge>& edges) { commit(g, edges, +1.0); });
+}
+
 /// A subnet to route: source + sinks on one side.
 struct SubNet {
   NetId net = netlist::kNoNet;
@@ -562,6 +608,38 @@ struct SubNet {
 };
 
 int sidx(Side s) { return s == Side::Front ? 0 : 1; }
+
+/// Every pin-access landing of instance `i`: each connected pin, once per
+/// side its landing metal lives on (per-instance side: pin_side consults
+/// the ECO overrides, identical to the master's side when none are set).
+template <class F>
+void for_each_pin_landing(const Netlist& nl, netlist::InstId i, F&& f) {
+  const netlist::Instance& inst = nl.instance(i);
+  if (inst.type->physical_only()) return;
+  const auto pin_nets = nl.pin_nets(i);
+  for (std::size_t p = 0; p < pin_nets.size(); ++p) {
+    if (pin_nets[p] == netlist::kNoNet) continue;
+    const geom::Point pos = inst.pos + inst.type->pins()[p].offset;
+    switch (nl.pin_side({i, static_cast<int>(p)})) {
+      case PinSide::Front: f(Side::Front, pos); break;
+      case PinSide::Back: f(Side::Back, pos); break;
+      case PinSide::Both:
+        f(Side::Front, pos);
+        f(Side::Back, pos);
+        break;
+    }
+  }
+}
+
+/// The grid edges around gcell `node` that a pin landing there loads.
+template <class FH, class FV>
+void for_each_landing_edge(const SideGrid& g, int node, FH&& h, FV&& v) {
+  const int c = g.col_of(node), r = g.row_of(node);
+  if (c > 0) h(static_cast<std::size_t>(g.h_edge(c - 1, r)));
+  if (c + 1 < g.cols) h(static_cast<std::size_t>(g.h_edge(c, r)));
+  if (r > 0) v(static_cast<std::size_t>(g.v_edge(c, r - 1)));
+  if (r + 1 < g.rows) v(static_cast<std::size_t>(g.v_edge(c, r)));
+}
 
 /// Everything derived from the floorplan + pin landscape before any net is
 /// routed: the two per-side grids with pin-access demand folded into the
@@ -621,38 +699,20 @@ GridSetup build_grid_setup(const Netlist& nl, const Floorplan& fp,
   // Every pin consumes a share of the routing resources around its gcell on
   // the side(s) where its landing metal lives.  This is where FFET FM12's
   // "higher pin density ... due to FFET's smaller cell area" (Fig. 8c)
-  // penalty enters, and what dual-sided pin redistribution relieves.
-  auto add_pin_demand = [&](Side s, geom::Point pos) {
-    SideGrid& g = gs.grids[static_cast<std::size_t>(sidx(s))];
-    ++gs.pin_totals[static_cast<std::size_t>(sidx(s))];
-    if (g.h_cap <= 0.0 && g.v_cap <= 0.0) return;  // no layers: no wiring
-    const int n = g.clamp_gcell(pos);
-    const int c = g.col_of(n), r = g.row_of(n);
-    const double d = options.pin_access_demand / 2.0;
-    if (c > 0) g.h_base[static_cast<std::size_t>(g.h_edge(c - 1, r))] += d;
-    if (c + 1 < g.cols) g.h_base[static_cast<std::size_t>(g.h_edge(c, r))] += d;
-    if (r > 0) g.v_base[static_cast<std::size_t>(g.v_edge(c, r - 1))] += d;
-    if (r + 1 < g.rows) g.v_base[static_cast<std::size_t>(g.v_edge(c, r))] += d;
-  };
+  // penalty enters, and what dual-sided pin redistribution relieves.  Every
+  // landing adds the same share, so an edge's base is the RepeatedSum of
+  // its landing count whatever the instance order (RouteState relies on
+  // it).
+  const double d = options.pin_access_demand / 2.0;
   for (int i = 0; i < nl.num_instances(); ++i) {
-    const netlist::Instance& inst = nl.instance(i);
-    if (inst.type->physical_only()) continue;
-    const auto pin_nets = nl.pin_nets(i);
-    for (std::size_t p = 0; p < pin_nets.size(); ++p) {
-      if (pin_nets[p] == netlist::kNoNet) continue;
-      const auto& pin = inst.type->pins()[p];
-      const geom::Point pos = inst.pos + pin.offset;
-      // Per-instance side (pin_side consults the ECO overrides; identical
-      // to the master's side when none are set).
-      switch (nl.pin_side({i, static_cast<int>(p)})) {
-        case PinSide::Front: add_pin_demand(Side::Front, pos); break;
-        case PinSide::Back: add_pin_demand(Side::Back, pos); break;
-        case PinSide::Both:
-          add_pin_demand(Side::Front, pos);
-          add_pin_demand(Side::Back, pos);
-          break;
-      }
-    }
+    for_each_pin_landing(nl, i, [&](Side s, geom::Point pos) {
+      SideGrid& g = gs.grids[static_cast<std::size_t>(sidx(s))];
+      ++gs.pin_totals[static_cast<std::size_t>(sidx(s))];
+      if (!g.wired()) return;  // no layers: no wiring
+      for_each_landing_edge(
+          g, g.clamp_gcell(pos), [&](std::size_t e) { g.h_base[e] += d; },
+          [&](std::size_t e) { g.v_base[e] += d; });
+    });
   }
   // Bases are final: derive hard capacities, the edge-cost cache, and the
   // incremental overflow totals.
@@ -661,69 +721,85 @@ GridSetup build_grid_setup(const Netlist& nl, const Floorplan& fp,
 }
 
 // --- Algorithm 1: decompose nets into per-side subnets ------------------------
+
+/// One net's per-side subnets: `out[sidx(s)]` holds the source and the
+/// sinks on side s; a side without sinks (and a dangling net, which has no
+/// source) is not a subnet and is left with no sinks.
+void decompose_net(const Netlist& nl, NetId n, bool has_back,
+                   const std::array<SideGrid, 2>& grids,
+                   std::array<SubNet, 2>& out) {
+  for (Side s : {Side::Front, Side::Back}) {
+    SubNet& sn = out[static_cast<std::size_t>(sidx(s))];
+    sn = SubNet{};
+    sn.net = n;
+    sn.side = s;
+  }
+  const netlist::Net& net = nl.net(n);
+  // Source gcell: driving cell pin or input port.
+  geom::Point src_pos;
+  PinSide src_side = PinSide::Front;
+  if (net.driver.inst != netlist::kNoInst) {
+    src_pos = nl.pin_position(net.driver);
+    src_side = nl.pin_side(net.driver);
+  } else if (net.port >= 0) {
+    src_pos = nl.port(net.port).pos;
+    // IO pads: FFET pads land on the backside bump stack but expose
+    // access on both sides (the pad via stack crosses the wafer);
+    // CFET pads are frontside-only.
+    src_side = has_back ? PinSide::Both : PinSide::Front;
+  } else {
+    return;  // dangling net
+  }
+
+  std::array<geom::Rect, 2> bbox{geom::Rect{src_pos, src_pos},
+                                 geom::Rect{src_pos, src_pos}};
+  auto add_sink = [&](Side s, geom::Point p) {
+    const auto sz = static_cast<std::size_t>(sidx(s));
+    out[sz].sinks.push_back(grids[sz].clamp_gcell(p));
+    bbox[sz] = bbox[sz].united({p, p});
+  };
+  for (const PinRef& sref : net.sinks) {
+    const PinSide ps = nl.pin_side(sref);
+    add_sink(ps == PinSide::Back ? Side::Back : Side::Front,
+             nl.pin_position(sref));
+  }
+  if (net.port >= 0 && !nl.port(net.port).is_input &&
+      net.driver.inst != netlist::kNoInst) {
+    add_sink(Side::Front, nl.port(net.port).pos);  // PO pad, frontside
+  }
+
+  for (Side s : {Side::Front, Side::Back}) {
+    const auto sz = static_cast<std::size_t>(sidx(s));
+    SubNet& sn = out[sz];
+    if (sn.sinks.empty()) continue;
+    if (s == Side::Back) {
+      if (!has_back) {
+        throw std::runtime_error(
+            "net " + nl.net_name(n) +
+            " has backside sinks but the technology has no backside "
+            "routing layers (no bridging cells in this flow)");
+      }
+      if (src_side != PinSide::Both) {
+        throw std::runtime_error(
+            "net " + nl.net_name(n) +
+            " has backside sinks but its source pin is frontside-only");
+      }
+    }
+    sn.source = grids[sz].clamp_gcell(src_pos);
+    sn.hpwl = bbox[sz].width() + bbox[sz].height();
+  }
+}
+
 std::vector<SubNet> decompose_subnets(const Netlist& nl,
                                       const tech::Technology& tech,
-                                      GridSetup& gs) {
+                                      const GridSetup& gs) {
   const bool has_back = tech.num_routing_layers(Side::Back) > 0;
   std::vector<SubNet> subnets;
+  std::array<SubNet, 2> per_side;
   for (int n = 0; n < nl.num_nets(); ++n) {
-    const netlist::Net& net = nl.net(n);
-    // Source gcell: driving cell pin or input port.
-    geom::Point src_pos;
-    PinSide src_side = PinSide::Front;
-    if (net.driver.inst != netlist::kNoInst) {
-      src_pos = nl.pin_position(net.driver);
-      src_side = nl.pin_side(net.driver);
-    } else if (net.port >= 0) {
-      src_pos = nl.port(net.port).pos;
-      // IO pads: FFET pads land on the backside bump stack but expose
-      // access on both sides (the pad via stack crosses the wafer);
-      // CFET pads are frontside-only.
-      src_side = has_back ? PinSide::Both : PinSide::Front;
-    } else {
-      continue;  // dangling net
-    }
-
-    std::array<std::vector<geom::Point>, 2> side_sinks;
-    for (const PinRef& sref : net.sinks) {
-      const PinSide ps = nl.pin_side(sref);
-      const Side s = ps == PinSide::Back ? Side::Back : Side::Front;
-      side_sinks[static_cast<std::size_t>(sidx(s))].push_back(
-          nl.pin_position(sref));
-    }
-    if (net.port >= 0 && !nl.port(net.port).is_input &&
-        net.driver.inst != netlist::kNoInst) {
-      side_sinks[0].push_back(nl.port(net.port).pos);  // PO pad, frontside
-    }
-
-    for (Side s : {Side::Front, Side::Back}) {
-      const auto& sinks = side_sinks[static_cast<std::size_t>(sidx(s))];
-      if (sinks.empty()) continue;
-      if (s == Side::Back) {
-        if (!has_back) {
-          throw std::runtime_error(
-              "net " + nl.net_name(n) +
-              " has backside sinks but the technology has no backside "
-              "routing layers (no bridging cells in this flow)");
-        }
-        if (src_side != PinSide::Both) {
-          throw std::runtime_error(
-              "net " + nl.net_name(n) +
-              " has backside sinks but its source pin is frontside-only");
-        }
-      }
-      SideGrid& g = gs.grids[static_cast<std::size_t>(sidx(s))];
-      SubNet sn;
-      sn.net = n;
-      sn.side = s;
-      sn.source = g.clamp_gcell(src_pos);
-      geom::Rect bbox{src_pos, src_pos};
-      for (const geom::Point& p : sinks) {
-        sn.sinks.push_back(g.clamp_gcell(p));
-        bbox = bbox.united({p, p});
-      }
-      sn.hpwl = bbox.width() + bbox.height();
-      subnets.push_back(std::move(sn));
+    decompose_net(nl, n, has_back, gs.grids, per_side);
+    for (SubNet& sn : per_side) {
+      if (!sn.sinks.empty()) subnets.push_back(std::move(sn));
     }
   }
   return subnets;
@@ -732,12 +808,12 @@ std::vector<SubNet> decompose_subnets(const Netlist& nl,
 /// Route one subnet on its side's grid and commit the usage (the inner
 /// kernel of the stage-1 negotiation loop).
 void route_one_subnet(const RouteOptions& options,
-                      std::vector<SubNet>& subnets,
+                      const std::vector<SubNet>& subnets,
                       std::array<SideGrid, 2>& grids,
                       std::array<PathRouter, 2>& routers,
                       std::vector<std::vector<GEdge>>& route_edges,
                       std::size_t si) {
-  SubNet& sn = subnets[si];
+  const SubNet& sn = subnets[si];
   SideGrid& g = grids[static_cast<std::size_t>(sidx(sn.side))];
   PathRouter& pr = routers[static_cast<std::size_t>(sidx(sn.side))];
   std::vector<GEdge>& edges = route_edges[si];
@@ -883,31 +959,30 @@ class PassRecorder {
 
 // --- stage 1 (Legacy / Astar): whole-subnet negotiation -----------------------
 
-/// The stage-1 negotiation loop.  Routes every subnet marked in
-/// `needs_route` monolithically, short nets first (they have the least
-/// flexibility), then negotiates: each pass decays history, rips every
-/// marked subnet crossing an overflowed edge and reroutes it.  The best
-/// solution seen (by hard overflow, then total overflow) is restored at
-/// the end — negotiation is not monotone — and six passes without
-/// improvement stop the loop.  Unmarked subnets keep the edges
-/// `route_edges` already holds, which must be committed to the grids (the
-/// ECO reroute's carried nets); a full route marks every subnet.
+/// The stage-1 negotiation loop.  Routes the subnets listed in `order`
+/// monolithically, short nets first (they have the least flexibility),
+/// then negotiates: each pass decays history, rips every listed subnet
+/// crossing an overflowed edge and reroutes it.  The best solution seen
+/// (by hard overflow, then total overflow) is restored at the end —
+/// negotiation is not monotone — and six passes without improvement stop
+/// the loop.  Unlisted subnets keep the edges `route_edges` holds, which
+/// must be committed to the grids (RouteState's carried routes).  After a
+/// restore, `refold` re-folds the grids' running totals in the order a
+/// fresh build commits every route (refold_totals).
 ///
 /// A subnet touches only its own side's grid and router, so each side
 /// works through its in-order subsequence of the global order, and with
 /// threads >= 2 the two sides run concurrently, bit-identical to the
 /// serial run.  The pass barrier (overflow totals, best tracking, the
-/// convergence record) is serial.
-void negotiate_subnets(RouteResult& res, const RouteOptions& options,
-                       std::vector<SubNet>& subnets,
+/// convergence record) is serial.  Returns whether any pass updated the
+/// history.
+bool negotiate_subnets(RouteResult& res, const RouteOptions& options,
+                       const std::vector<SubNet>& subnets,
                        std::array<SideGrid, 2>& grids,
                        std::array<PathRouter, 2>& routers,
                        std::vector<std::vector<GEdge>>& route_edges,
-                       const std::vector<char>& needs_route) {
-  std::vector<std::size_t> order;
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    if (needs_route[si]) order.push_back(si);
-  }
+                       std::vector<std::size_t> order,
+                       const std::function<void()>& refold) {
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (subnets[a].hpwl != subnets[b].hpwl) {
       return subnets[a].hpwl < subnets[b].hpwl;
@@ -935,13 +1010,22 @@ void negotiate_subnets(RouteResult& res, const RouteOptions& options,
   auto total_hard = [&] {
     return grids[0].hard_overflow() + grids[1].hard_overflow();
   };
-  std::vector<std::vector<GEdge>> best_routes = route_edges;
+  // Only the listed subnets move, so only they are snapshotted.
+  auto snapshot = [&] {
+    std::vector<std::vector<GEdge>> snap;
+    snap.reserve(order.size());
+    for (std::size_t si : order) snap.push_back(route_edges[si]);
+    return snap;
+  };
+  std::vector<std::vector<GEdge>> best_routes = snapshot();
   double best_hard = total_hard();
   double best_soft = grids[0].overflow() + grids[1].overflow();
   int stale_passes = 0;
+  bool history_updated = false;
   for (int pass = 1;
        pass < options.rrr_passes && best_hard > 0.0 && stale_passes < 6;
        ++pass) {
+    history_updated = true;
     std::array<std::size_t, 2> ripped_counts{0, 0};
     auto pass_side = [&](int s) {
       const auto sz = static_cast<std::size_t>(s);
@@ -967,21 +1051,28 @@ void negotiate_subnets(RouteResult& res, const RouteOptions& options,
     if (hard < best_hard || (hard == best_hard && soft < best_soft)) {
       best_hard = hard;
       best_soft = soft;
-      best_routes = route_edges;
+      best_routes = snapshot();
       stale_passes = 0;
     } else {
       ++stale_passes;
     }
   }
   // Restore the best solution (usage arrays included, for diagnostics).
-  if (best_routes != route_edges) {
-    for (SideGrid& g : grids) g.clear_use();
-    route_edges = std::move(best_routes);
-    for (std::size_t si = 0; si < subnets.size(); ++si) {
-      commit(grids[static_cast<std::size_t>(sidx(subnets[si].side))],
-             route_edges[si], +1.0);
-    }
+  bool restore = false;
+  for (std::size_t k = 0; k < order.size() && !restore; ++k) {
+    restore = best_routes[k] != route_edges[order[k]];
   }
+  if (restore) {
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const std::size_t si = order[k];
+      SideGrid& g = grids[static_cast<std::size_t>(sidx(subnets[si].side))];
+      commit(g, route_edges[si], -1.0);
+      route_edges[si] = std::move(best_routes[k]);
+      commit(g, route_edges[si], +1.0);
+    }
+    refold();
+  }
+  return history_updated;
 }
 
 // --- stage 2 (Astar2): Steiner 2-pin decomposition + region negotiation -------
@@ -1648,73 +1739,56 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
 }
 
 // --- results: wirelength, layer assignment, overflow + DRV accounting ---------
-void finalize_route_result(RouteResult& res, const Floorplan& fp,
-                           const tech::Technology& tech,
-                           const RouteOptions& options,
-                           const std::vector<SubNet>& subnets,
-                           const std::vector<std::vector<GEdge>>& route_edges,
-                           const GridSetup& gs,
-                           const std::array<PathRouter, 2>& routers) {
-  res.gcell_w = gs.gsize;
-  res.gcell_h = gs.gsize;
-  res.gcols = gs.gcols;
-  res.grows = gs.grows;
-  const double gsize_um = geom::to_um(gs.gsize);
-  // Layer assignment by wirelength quantile: longer nets ride higher layers.
-  std::vector<std::size_t> by_len(subnets.size());
-  for (std::size_t i = 0; i < by_len.size(); ++i) by_len[i] = i;
-  std::sort(by_len.begin(), by_len.end(), [&](std::size_t a, std::size_t b) {
-    if (route_edges[a].size() != route_edges[b].size()) {
-      return route_edges[a].size() < route_edges[b].size();
+
+/// Each side's routing-layer indices per preferred direction, ascending:
+/// the ladders the wirelength-quantile layer assignment climbs.
+struct LayerLadders {
+  std::array<std::vector<int>, 2> h;
+  std::array<std::vector<int>, 2> v;
+
+  explicit LayerLadders(const tech::Technology& tech) {
+    for (Side s : {Side::Front, Side::Back}) {
+      const auto sz = static_cast<std::size_t>(sidx(s));
+      for (const tech::MetalLayer* l : tech.routing_layers(s)) {
+        (l->preferred_dir == geom::Dir::Horizontal ? h[sz] : v[sz])
+            .push_back(l->index);
+      }
     }
-    return subnets[a].net < subnets[b].net;
-  });
-  std::vector<double> quantile(subnets.size(), 0.0);
-  for (std::size_t rank = 0; rank < by_len.size(); ++rank) {
-    quantile[by_len[rank]] =
-        by_len.size() > 1
-            ? static_cast<double>(rank) / static_cast<double>(by_len.size() - 1)
-            : 0.0;
   }
+};
 
-  res.routes.reserve(subnets.size());
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    const SubNet& sn = subnets[si];
-    NetRoute nr;
-    nr.net = sn.net;
-    nr.side = sn.side;
-    nr.edges = route_edges[si];
-    nr.sink_gcells = sn.sinks;
-    nr.source_gcell = sn.source;
-    nr.wirelength_um =
-        static_cast<double>(nr.edges.size()) * gsize_um +
-        0.2;  // local pin hookup
-    // Pick the layer pair by quantile over this side's available layers.
-    const auto layers = tech.routing_layers(sn.side);
-    std::vector<int> h_layers, v_layers;
-    for (const tech::MetalLayer* l : layers) {
-      (l->preferred_dir == geom::Dir::Horizontal ? h_layers : v_layers)
-          .push_back(l->index);
-    }
-    auto pick = [&](const std::vector<int>& ls) {
-      if (ls.empty()) return 0;
-      const auto k = static_cast<std::size_t>(
-          quantile[si] * 0.999 * static_cast<double>(ls.size()));
-      return ls[k];
-    };
-    nr.h_layer_index = pick(h_layers);
-    nr.v_layer_index = pick(v_layers);
+/// The layer of a subnet whose length rank among all `n` subnets (both
+/// sides) is `rank`: longer nets ride higher layers.
+int pick_layer(const std::vector<int>& ladder, std::size_t rank,
+               std::size_t n) {
+  if (ladder.empty()) return 0;
+  const double quantile =
+      n > 1 ? static_cast<double>(rank) / static_cast<double>(n - 1) : 0.0;
+  const auto k = static_cast<std::size_t>(
+      quantile * 0.999 * static_cast<double>(ladder.size()));
+  return ladder[k];
+}
 
-    if (sn.side == Side::Front) {
-      res.wirelength_front_um += nr.wirelength_um;
-      ++res.nets_front;
-    } else {
-      res.wirelength_back_um += nr.wirelength_um;
-      ++res.nets_back;
-    }
-    res.routes.push_back(std::move(nr));
-  }
+/// The length-rank order of subnets: edge count, then net, then side — a
+/// strict total order, so a subnet's rank is well defined (and countable
+/// without a sort, as RouteState does).
+bool shorter(std::size_t len_a, NetId net_a, Side side_a, std::size_t len_b,
+             NetId net_b, Side side_b) {
+  if (len_a != len_b) return len_a < len_b;
+  if (net_a != net_b) return net_a < net_b;
+  return sidx(side_a) < sidx(side_b);
+}
 
+/// A routed subnet's wirelength: its gcell edges plus the local pin hookup.
+double route_wirelength_um(std::size_t num_edges, double gsize_um) {
+  return static_cast<double>(num_edges) * gsize_um + 0.2;
+}
+
+/// The result's overflow, DRV verdict and diagnostics, shared by both
+/// loops (the routes and wirelength totals are already in `res`).
+void account_route_result(RouteResult& res, const GridSetup& gs,
+                          double pin_budget,
+                          const std::array<PathRouter, 2>& routers) {
   double overflow = 0.0;
   double hard_overflow = 0.0;
   for (const SideGrid& g : gs.grids) {
@@ -1737,15 +1811,11 @@ void finalize_route_result(RouteResult& res, const Floorplan& fp,
   // router can hook up, every pin beyond the budget becomes an access
   // violation.  Density is evaluated block-wide per side — the sharp,
   // deterministic version of the paper's pin-density routability limit.
-  const double core_area_um2 = fp.core.area_um2();
-  const double pin_budget =
-      options.pin_access_limit_per_um2 * core_area_um2;
   double pin_drv = 0.0;
   for (int side = 0; side < 2; ++side) {
     // A side without routing layers carries no signal hookup (its pin
     // landings are unused metal), so it cannot produce access violations.
-    const SideGrid& g = gs.grids[static_cast<std::size_t>(side)];
-    if (g.h_cap <= 0.0 && g.v_cap <= 0.0) continue;
+    if (!gs.grids[static_cast<std::size_t>(side)].wired()) continue;
     pin_drv += std::max(
         0.0,
         static_cast<double>(gs.pin_totals[static_cast<std::size_t>(side)]) -
@@ -1768,11 +1838,75 @@ void finalize_route_result(RouteResult& res, const Floorplan& fp,
   FFET_METRIC_OBSERVE("route.overflow", overflow);
 }
 
+void set_geometry(RouteResult& res, const GridSetup& gs) {
+  res.gcell_w = gs.gsize;
+  res.gcell_h = gs.gsize;
+  res.gcols = gs.gcols;
+  res.grows = gs.grows;
+}
+
+double pin_budget_of(const Floorplan& fp, const RouteOptions& options) {
+  return options.pin_access_limit_per_um2 * fp.core.area_um2();
+}
+
+/// Emit the stage-2 routes with their quantile layers, then account.
+void finalize_route_result(RouteResult& res, const Floorplan& fp,
+                           const tech::Technology& tech,
+                           const RouteOptions& options,
+                           const std::vector<SubNet>& subnets,
+                           const std::vector<std::vector<GEdge>>& route_edges,
+                           const GridSetup& gs,
+                           const std::array<PathRouter, 2>& routers) {
+  set_geometry(res, gs);
+  const double gsize_um = geom::to_um(gs.gsize);
+  // Layer assignment by wirelength quantile: longer nets ride higher layers.
+  std::vector<std::size_t> by_len(subnets.size());
+  for (std::size_t i = 0; i < by_len.size(); ++i) by_len[i] = i;
+  std::sort(by_len.begin(), by_len.end(), [&](std::size_t a, std::size_t b) {
+    return shorter(route_edges[a].size(), subnets[a].net, subnets[a].side,
+                   route_edges[b].size(), subnets[b].net, subnets[b].side);
+  });
+  std::vector<std::size_t> rank_of(subnets.size(), 0);
+  for (std::size_t rank = 0; rank < by_len.size(); ++rank) {
+    rank_of[by_len[rank]] = rank;
+  }
+
+  const LayerLadders ladders(tech);
+  res.routes.reserve(subnets.size());
+  for (std::size_t si = 0; si < subnets.size(); ++si) {
+    const SubNet& sn = subnets[si];
+    const auto sz = static_cast<std::size_t>(sidx(sn.side));
+    NetRoute nr;
+    nr.net = sn.net;
+    nr.side = sn.side;
+    nr.edges = route_edges[si];
+    nr.sink_gcells = sn.sinks;
+    nr.source_gcell = sn.source;
+    nr.wirelength_um = route_wirelength_um(nr.edges.size(), gsize_um);
+    nr.h_layer_index = pick_layer(ladders.h[sz], rank_of[si], subnets.size());
+    nr.v_layer_index = pick_layer(ladders.v[sz], rank_of[si], subnets.size());
+
+    if (sn.side == Side::Front) {
+      res.wirelength_front_um += nr.wirelength_um;
+      ++res.nets_front;
+    } else {
+      res.wirelength_back_um += nr.wirelength_um;
+      ++res.nets_back;
+    }
+    res.routes.push_back(std::move(nr));
+  }
+  account_route_result(res, gs, pin_budget_of(fp, options), routers);
+}
+
 }  // namespace
 
 RouteResult route_design(const Netlist& nl, const Floorplan& fp,
                          const RouteOptions& options) {
   FFET_TRACE_SCOPE("route.design");
+  if (options.engine != RouteEngine::Astar2) {
+    // A full stage-1 route is a reroute with nothing carried.
+    return reroute_nets(nl, fp, {}, {}, options);
+  }
   const tech::Technology& tech = nl.library().tech();
   RouteResult res;
   GridSetup gs = build_grid_setup(nl, fp, tech, options);
@@ -1780,95 +1914,498 @@ RouteResult route_design(const Netlist& nl, const Floorplan& fp,
   std::array<PathRouter, 2> routers{PathRouter(gs.grids[0]),
                                     PathRouter(gs.grids[1])};
   std::vector<std::vector<GEdge>> route_edges(subnets.size());
-  if (options.engine == RouteEngine::Astar2) {
-    route_astar2(res, options, subnets, gs.grids, routers, route_edges);
-  } else {
-    // A full stage-1 route is a reroute with nothing carried.
-    negotiate_subnets(res, options, subnets, gs.grids, routers, route_edges,
-                      std::vector<char>(subnets.size(), 1));
-  }
+  route_astar2(res, options, subnets, gs.grids, routers, route_edges);
   finalize_route_result(res, fp, tech, options, subnets, route_edges, gs,
                         routers);
   return res;
+}
+
+// --- RouteState: the routing state kept across incremental reroutes ----------
+
+struct RouteState::Impl {
+  /// A connected pin's landing gcell on one side (see for_each_pin_landing).
+  struct Landing {
+    int node = 0;
+    Side side = Side::Front;
+  };
+  /// A slot as it stood before the last reroute first touched it.
+  struct SlotLog {
+    std::size_t slot = 0;
+    SubNet subnet;
+    std::vector<GEdge> edges;
+    std::array<int, 2> layers{0, 0};
+    char present = 0;
+  };
+  /// An instance's landing span before the last reroute replaced it.
+  struct InstLog {
+    netlist::InstId inst = 0;
+    std::pair<std::uint32_t, std::uint32_t> span;
+  };
+
+  RouteOptions options;
+  bool has_back;
+  double pin_budget;
+  double gsize_um;
+  GridSetup gs;
+  std::array<PathRouter, 2> routers;
+  LayerLadders ladders;
+  /// Landings per edge: the base is pin_sum(count), bit-identical to the
+  /// sequential sum build_grid_setup forms.
+  geom::RepeatedSum pin_sum;
+  std::array<std::vector<int>, 2> h_pins, v_pins;
+
+  // Subnet slots, indexed 2 * net + side.
+  std::vector<SubNet> subnets;
+  std::vector<std::vector<GEdge>> edges;  ///< committed route per slot
+  std::vector<std::array<int, 2>> layers;  ///< (h, v) layer index per slot
+  std::vector<char> present;  ///< the slot is a subnet of the current design
+  std::vector<std::size_t> pending;  ///< present slots with no route yet
+
+  // Pin landings, one span of the flat array per instance.
+  std::vector<Landing> landings;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> inst_landings;
+
+  RouteResult res;  ///< the current result without its routes
+
+  // The last reroute: what it changed, and how to put it back.
+  int epoch = 0;
+  std::vector<int> slot_epoch;   ///< the reroute that last logged a slot
+  std::vector<int> queued_epoch;  ///< the reroute that queued a slot
+  std::vector<int> dirty_epoch;  ///< per net: listed dirty this reroute
+  std::vector<SlotLog> slot_log;
+  std::vector<InstLog> inst_log;
+  bool can_undo = false;
+  std::size_t undo_slots = 0;
+  std::size_t undo_insts = 0;
+  std::size_t undo_landings = 0;
+  std::vector<std::size_t> undo_pending;
+  RouteResult undo_res;
+  std::array<double, 2> undo_soft{0.0, 0.0};
+  std::array<double, 2> undo_hard{0.0, 0.0};
+
+  Impl(const Netlist& nl, const Floorplan& fp, const RouteOptions& opts)
+      : options(opts),
+        has_back(nl.library().tech().num_routing_layers(Side::Back) > 0),
+        pin_budget(pin_budget_of(fp, opts)),
+        gs(build_grid_setup(nl, fp, nl.library().tech(), opts)),
+        routers{PathRouter(gs.grids[0]), PathRouter(gs.grids[1])},
+        ladders(nl.library().tech()),
+        pin_sum(opts.pin_access_demand / 2.0) {
+    gsize_um = geom::to_um(gs.gsize);
+    for (std::size_t s = 0; s < 2; ++s) {
+      h_pins[s].assign(gs.grids[s].h_base.size(), 0);
+      v_pins[s].assign(gs.grids[s].v_base.size(), 0);
+    }
+  }
+
+  SideGrid& grid_of(std::size_t slot) { return gs.grids[slot % 2]; }
+
+  void resize_slots(std::size_t n) {
+    subnets.resize(n);
+    edges.resize(n);
+    layers.resize(n, {0, 0});
+    present.resize(n, 0);
+    slot_epoch.resize(n, -1);
+    queued_epoch.resize(n, -1);
+  }
+
+  /// Add (+1) or remove (-1) one landing: the side's pin total and, on a
+  /// wired side, the landing count, base and cached cost of each edge
+  /// around it.
+  void land(const Landing& l, int sign) {
+    const auto sz = static_cast<std::size_t>(sidx(l.side));
+    gs.pin_totals[sz] += sign;
+    SideGrid& g = gs.grids[sz];
+    if (!g.wired()) return;
+    for_each_landing_edge(
+        g, l.node,
+        [&](std::size_t e) {
+          g.h_base[e] = pin_sum(h_pins[sz][e] += sign);
+          g.h_cost[e] =
+              edge_cost(g.h_base[e], g.h_use[e], g.h_cap, g.h_hist[e]);
+        },
+        [&](std::size_t e) {
+          g.v_base[e] = pin_sum(v_pins[sz][e] += sign);
+          g.v_cost[e] =
+              edge_cost(g.v_base[e], g.v_use[e], g.v_cap, g.v_hist[e]);
+        });
+  }
+
+  /// Append instance `i`'s current landings as its span.
+  void collect_landings(const Netlist& nl, netlist::InstId i) {
+    const auto first = static_cast<std::uint32_t>(landings.size());
+    for_each_pin_landing(nl, i, [&](Side s, geom::Point pos) {
+      landings.push_back(
+          {gs.grids[static_cast<std::size_t>(sidx(s))].clamp_gcell(pos), s});
+    });
+    inst_landings[static_cast<std::size_t>(i)] = {
+        first, static_cast<std::uint32_t>(landings.size()) - first};
+  }
+  void land_span(std::pair<std::uint32_t, std::uint32_t> span, int sign) {
+    for (std::uint32_t k = 0; k < span.second; ++k) {
+      land(landings[span.first + k], sign);
+    }
+  }
+
+  /// Log `slot` (once per reroute) and rip its committed route.
+  void take(std::size_t slot) {
+    if (slot_epoch[slot] == epoch) return;
+    slot_epoch[slot] = epoch;
+    SlotLog l{slot, subnets[slot], std::move(edges[slot]), layers[slot],
+              present[slot]};
+    edges[slot].clear();
+    commit(grid_of(slot), l.edges, -1.0);
+    slot_log.push_back(std::move(l));
+  }
+
+  /// Re-fold both grids' running totals over the committed routes in slot
+  /// order — a fresh build's commit order.
+  void refold() {
+    for (std::size_t s = 0; s < 2; ++s) {
+      refold_totals(gs.grids[s], [&](auto&& commit_route) {
+        for (std::size_t slot = s; slot < edges.size(); slot += 2) {
+          if (present[slot]) commit_route(edges[slot]);
+        }
+      });
+    }
+  }
+
+  /// Layer pairs for the freshly routed slots: the rank of each among all
+  /// present subnets in the `shorter` order, counted in one pass instead of
+  /// a re-sort.
+  void assign_layers(const std::vector<std::size_t>& routed) {
+    auto key_less = [&](std::size_t a, std::size_t b) {
+      return shorter(edges[a].size(), subnets[a].net, subnets[a].side,
+                     edges[b].size(), subnets[b].net, subnets[b].side);
+    };
+    std::vector<std::size_t> sorted = routed;
+    std::sort(sorted.begin(), sorted.end(), key_less);
+    // below[k]: present slots ordered before sorted[k], as a difference
+    // array over positions (a slot precedes every key above it).
+    std::vector<std::size_t> below(sorted.size() + 1, 0);
+    std::size_t n = 0;
+    for (std::size_t q = 0; q < present.size(); ++q) {
+      if (!present[q]) continue;
+      ++n;
+      const auto pos = static_cast<std::size_t>(
+          std::upper_bound(sorted.begin(), sorted.end(), q, key_less) -
+          sorted.begin());
+      ++below[pos];
+    }
+    std::size_t rank = 0;
+    for (std::size_t k = 0; k < sorted.size(); ++k) {
+      rank += below[k];
+      const std::size_t slot = sorted[k];
+      const std::size_t sz = slot % 2;
+      layers[slot] = {pick_layer(ladders.h[sz], rank, n),
+                      pick_layer(ladders.v[sz], rank, n)};
+    }
+  }
+
+  /// The wirelength totals, folded over the routes in slot order exactly
+  /// as finalize_route_result folds them, then the shared accounting.
+  void account(RouteResult& out) {
+    set_geometry(out, gs);
+    for (std::size_t slot = 0; slot < present.size(); ++slot) {
+      if (!present[slot]) continue;
+      const double wl = route_wirelength_um(edges[slot].size(), gsize_um);
+      if (slot % 2 == 0) {
+        out.wirelength_front_um += wl;
+        ++out.nets_front;
+      } else {
+        out.wirelength_back_um += wl;
+        ++out.nets_back;
+      }
+    }
+    account_route_result(out, gs, pin_budget, routers);
+  }
+};
+
+RouteState::RouteState(const Netlist& nl, const Floorplan& fp,
+                       const RouteResult& prev, const RouteOptions& options)
+    : impl_(std::make_unique<Impl>(nl, fp, options)) {
+  Impl& s = *impl_;
+  s.inst_landings.resize(static_cast<std::size_t>(nl.num_instances()));
+  for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
+    s.collect_landings(nl, i);
+  }
+  for (const Impl::Landing& l : s.landings) {
+    const auto sz = static_cast<std::size_t>(sidx(l.side));
+    if (!s.gs.grids[sz].wired()) continue;
+    for_each_landing_edge(
+        s.gs.grids[sz], l.node, [&](std::size_t e) { ++s.h_pins[sz][e]; },
+        [&](std::size_t e) { ++s.v_pins[sz][e]; });
+  }
+
+  // Decompose every net; carry (and commit, in slot order) each subnet
+  // whose route in `prev` still matches its terminals.
+  const auto num_nets = static_cast<std::size_t>(nl.num_nets());
+  s.resize_slots(2 * num_nets);
+  std::vector<std::array<const NetRoute*, 2>> prev_of(num_nets,
+                                                      {nullptr, nullptr});
+  for (const NetRoute& r : prev.routes) {
+    if (r.net >= 0 && static_cast<std::size_t>(r.net) < num_nets) {
+      prev_of[static_cast<std::size_t>(r.net)]
+             [static_cast<std::size_t>(sidx(r.side))] = &r;
+    }
+  }
+  std::array<SubNet, 2> fresh;
+  for (std::size_t n = 0; n < num_nets; ++n) {
+    decompose_net(nl, static_cast<NetId>(n), s.has_back, s.gs.grids, fresh);
+    for (std::size_t side = 0; side < 2; ++side) {
+      if (fresh[side].sinks.empty()) continue;
+      const std::size_t slot = 2 * n + side;
+      s.subnets[slot] = std::move(fresh[side]);
+      s.present[slot] = 1;
+      const NetRoute* p = prev_of[n][side];
+      if (p && p->source_gcell == s.subnets[slot].source &&
+          p->sink_gcells == s.subnets[slot].sinks) {
+        s.edges[slot] = p->edges;
+        s.layers[slot] = {p->h_layer_index, p->v_layer_index};
+        commit(s.grid_of(slot), s.edges[slot], +1.0);
+      } else {
+        s.pending.push_back(slot);
+      }
+    }
+  }
+  s.res = prev;
+  s.res.routes = {};
+  set_geometry(s.res, s.gs);
+}
+
+RouteState::~RouteState() = default;
+
+void RouteState::reroute(const Netlist& nl,
+                         const std::vector<NetId>& dirty_nets,
+                         const std::vector<netlist::InstId>& touched_insts) {
+  FFET_TRACE_SCOPE("route.reroute");
+  Impl& s = *impl_;
+  if (static_cast<std::size_t>(nl.num_instances()) < s.inst_landings.size() ||
+      2 * static_cast<std::size_t>(nl.num_nets()) < s.subnets.size()) {
+    throw std::invalid_argument(
+        "RouteState::reroute: instances or nets were removed (only "
+        "undo_reroute() takes back what a reroute saw added)");
+  }
+  ++s.epoch;
+  s.slot_log.clear();
+  s.inst_log.clear();
+  s.can_undo = true;
+  s.undo_slots = s.subnets.size();
+  s.undo_insts = s.inst_landings.size();
+  s.undo_landings = s.landings.size();
+  s.undo_pending = s.pending;
+  s.undo_res = s.res;
+  for (std::size_t g = 0; g < 2; ++g) {
+    s.undo_soft[g] = s.gs.grids[g].soft_total;
+    s.undo_hard[g] = s.gs.grids[g].hard_total;
+  }
+
+  // Pin-access deltas: the touched instances, plus every instance added
+  // since the last reroute.
+  const auto n_inst = static_cast<std::size_t>(nl.num_instances());
+  std::vector<netlist::InstId> insts = touched_insts;
+  for (std::size_t i = s.inst_landings.size(); i < n_inst; ++i) {
+    insts.push_back(static_cast<netlist::InstId>(i));
+  }
+  std::sort(insts.begin(), insts.end());
+  insts.erase(std::unique(insts.begin(), insts.end()), insts.end());
+  s.inst_landings.resize(n_inst, {0, 0});
+  for (const netlist::InstId i : insts) {
+    if (i < 0 || static_cast<std::size_t>(i) >= n_inst) continue;
+    auto& span = s.inst_landings[static_cast<std::size_t>(i)];
+    s.inst_log.push_back({i, span});
+    s.land_span(span, -1);
+    s.collect_landings(nl, i);
+    s.land_span(s.inst_landings[static_cast<std::size_t>(i)], +1);
+  }
+
+  // New nets get empty slots.
+  const auto num_nets = static_cast<std::size_t>(nl.num_nets());
+  s.resize_slots(2 * num_nets);
+  std::vector<std::size_t> routed;
+  auto queue = [&](std::size_t slot) {
+    if (s.queued_epoch[slot] == s.epoch) return;
+    s.queued_epoch[slot] = s.epoch;
+    routed.push_back(slot);
+  };
+  for (const std::size_t slot : s.pending) {
+    s.take(slot);
+    queue(slot);
+  }
+  s.pending.clear();
+
+  // Re-decompose the dirty nets and every net on a touched instance; a
+  // subnet is carried when it is clean and its terminals are unchanged.
+  if (s.dirty_epoch.size() < num_nets) s.dirty_epoch.resize(num_nets, -1);
+  std::vector<NetId> nets;
+  for (const NetId n : dirty_nets) {
+    if (n < 0 || static_cast<std::size_t>(n) >= num_nets) continue;
+    s.dirty_epoch[static_cast<std::size_t>(n)] = s.epoch;
+    nets.push_back(n);
+  }
+  for (const netlist::InstId i : insts) {
+    if (i < 0 || static_cast<std::size_t>(i) >= n_inst) continue;
+    for (const NetId n : nl.pin_nets(i)) {
+      if (n != netlist::kNoNet) nets.push_back(n);
+    }
+  }
+  std::sort(nets.begin(), nets.end());
+  nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
+  std::array<SubNet, 2> fresh;
+  for (const NetId n : nets) {
+    const auto ni = static_cast<std::size_t>(n);
+    const bool dirty = s.dirty_epoch[ni] == s.epoch;
+    decompose_net(nl, n, s.has_back, s.gs.grids, fresh);
+    for (std::size_t side = 0; side < 2; ++side) {
+      const std::size_t slot = 2 * ni + side;
+      const bool want = !fresh[side].sinks.empty();
+      const bool queued = s.queued_epoch[slot] == s.epoch;
+      if (!s.present[slot] && !want) continue;
+      if (!dirty && !queued && s.present[slot] && want &&
+          s.subnets[slot].source == fresh[side].source &&
+          s.subnets[slot].sinks == fresh[side].sinks) {
+        continue;  // carried
+      }
+      s.take(slot);
+      s.present[slot] = want ? 1 : 0;
+      s.subnets[slot] = want ? std::move(fresh[side]) : SubNet{};
+      if (want) queue(slot);
+    }
+  }
+  std::erase_if(routed, [&](std::size_t slot) { return !s.present[slot]; });
+  std::sort(routed.begin(), routed.end());
+
+  // Negotiate the queued subnets against the carried ones, from the totals
+  // and the history-free costs a fresh build would start from.
+  s.refold();
+  for (PathRouter& pr : s.routers) {
+    pr.settled = 0;
+    pr.expansions = 0;
+  }
+  RouteResult out;
+  if (negotiate_subnets(out, s.options, s.subnets, s.gs.grids, s.routers,
+                        s.edges, routed, [&] { s.refold(); })) {
+    for (SideGrid& g : s.gs.grids) g.clear_history();
+  }
+  s.assign_layers(routed);
+  s.account(out);
+  s.res = std::move(out);
+  FFET_METRIC_ADD("route.reroutes", 1);
+  FFET_METRIC_OBSERVE("route.reroute_dirty_subnets", routed.size());
+}
+
+void RouteState::undo_reroute() {
+  Impl& s = *impl_;
+  if (!s.can_undo) return;
+  s.can_undo = false;
+  for (auto it = s.slot_log.rbegin(); it != s.slot_log.rend(); ++it) {
+    SideGrid& g = s.grid_of(it->slot);
+    commit(g, s.edges[it->slot], -1.0);
+    s.subnets[it->slot] = std::move(it->subnet);
+    s.edges[it->slot] = std::move(it->edges);
+    s.layers[it->slot] = it->layers;
+    s.present[it->slot] = it->present;
+    commit(g, s.edges[it->slot], +1.0);
+  }
+  s.slot_log.clear();
+  s.resize_slots(s.undo_slots);
+
+  for (auto it = s.inst_log.rbegin(); it != s.inst_log.rend(); ++it) {
+    auto& span = s.inst_landings[static_cast<std::size_t>(it->inst)];
+    s.land_span(span, -1);
+    span = it->span;
+    s.land_span(span, +1);
+  }
+  s.inst_log.clear();
+  s.inst_landings.resize(s.undo_insts);
+  s.landings.resize(s.undo_landings);
+
+  s.pending = std::move(s.undo_pending);
+  s.res = std::move(s.undo_res);
+  for (std::size_t g = 0; g < 2; ++g) {
+    s.gs.grids[g].soft_total = s.undo_soft[g];
+    s.gs.grids[g].hard_total = s.undo_hard[g];
+  }
+}
+
+std::optional<RouteState::RouteView> RouteState::route(NetId net,
+                                                       Side side) const {
+  const Impl& s = *impl_;
+  const std::size_t slot =
+      2 * static_cast<std::size_t>(net) + static_cast<std::size_t>(sidx(side));
+  if (net < 0 || slot >= s.present.size() || !s.present[slot]) {
+    return std::nullopt;
+  }
+  return RouteView{s.edges[slot], s.layers[slot][0], s.layers[slot][1]};
+}
+
+std::size_t RouteState::num_changes() const {
+  return impl_->can_undo ? impl_->slot_log.size() : 0;
+}
+
+RouteState::Change RouteState::change(std::size_t i) const {
+  const Impl& s = *impl_;
+  const Impl::SlotLog& l = s.slot_log[i];
+  Change c;
+  c.side = l.slot % 2 == 0 ? Side::Front : Side::Back;
+  c.before = l.edges;
+  if (l.slot < s.edges.size()) c.after = s.edges[l.slot];
+  return c;
+}
+
+const RouteResult& RouteState::summary() const { return impl_->res; }
+
+RouteResult RouteState::result() const {
+  const Impl& s = *impl_;
+  RouteResult out = s.res;
+  out.routes.reserve(static_cast<std::size_t>(out.nets_front + out.nets_back));
+  for (std::size_t slot = 0; slot < s.present.size(); ++slot) {
+    if (!s.present[slot]) continue;
+    const SubNet& sn = s.subnets[slot];
+    NetRoute nr;
+    nr.net = sn.net;
+    nr.side = sn.side;
+    nr.edges = s.edges[slot];
+    nr.sink_gcells = sn.sinks;
+    nr.source_gcell = sn.source;
+    nr.wirelength_um = route_wirelength_um(s.edges[slot].size(), s.gsize_um);
+    nr.h_layer_index = s.layers[slot][0];
+    nr.v_layer_index = s.layers[slot][1];
+    out.routes.push_back(std::move(nr));
+  }
+  return out;
+}
+
+std::vector<double> RouteState::pin_demand(Side side) const {
+  const SideGrid& g = impl_->gs.grids[static_cast<std::size_t>(sidx(side))];
+  std::vector<double> out = g.h_base;
+  out.insert(out.end(), g.v_base.begin(), g.v_base.end());
+  return out;
+}
+
+std::pair<double, double> RouteState::overflow_totals() const {
+  const auto& g = impl_->gs.grids;
+  return {g[0].overflow() + g[1].overflow(),
+          g[0].hard_overflow() + g[1].hard_overflow()};
+}
+
+std::vector<double> pin_demand_bases(const Netlist& nl, const Floorplan& fp,
+                                     const RouteOptions& options, Side side) {
+  const GridSetup gs =
+      build_grid_setup(nl, fp, nl.library().tech(), options);
+  const SideGrid& g = gs.grids[static_cast<std::size_t>(sidx(side))];
+  std::vector<double> out = g.h_base;
+  out.insert(out.end(), g.v_base.begin(), g.v_base.end());
+  return out;
 }
 
 RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
                          const RouteResult& prev,
                          const std::vector<netlist::NetId>& dirty_nets,
                          const RouteOptions& options) {
-  FFET_TRACE_SCOPE("route.reroute");
-  const tech::Technology& tech = nl.library().tech();
-  RouteResult res;
-  // The ECO primitive negotiates its (few) dirty subnets with the stage-1
-  // loop even under Astar2: region negotiation needs the color map of
-  // *every* route, which carried nets don't have, and the ECO contract
-  // pins them anyway.  route_one_subnet maps any non-Legacy engine to the
-  // windowed A* kernel.
-
-  // Rebuild grids and pin demand from the *current* netlist (moved/resized
-  // cells and flipped pin sides shift the demand landscape), then decompose
-  // every net; untouched subnets take their committed edges from `prev`.
-  GridSetup gs = build_grid_setup(nl, fp, tech, options);
-  std::vector<SubNet> subnets = decompose_subnets(nl, tech, gs);
-
-  std::vector<char> is_dirty(static_cast<std::size_t>(nl.num_nets()), 0);
-  for (const netlist::NetId n : dirty_nets) {
-    if (n >= 0 && n < nl.num_nets()) is_dirty[static_cast<std::size_t>(n)] = 1;
-  }
-  std::vector<std::array<const NetRoute*, 2>> prev_of(
-      static_cast<std::size_t>(nl.num_nets()), {nullptr, nullptr});
-  for (const NetRoute& r : prev.routes) {
-    if (r.net >= 0 && r.net < nl.num_nets()) {
-      prev_of[static_cast<std::size_t>(r.net)]
-             [static_cast<std::size_t>(sidx(r.side))] = &r;
-    }
-  }
-
-  // Carry and commit every clean subnet whose decomposition is unchanged;
-  // any mismatch (a terminal moved without the net being listed dirty)
-  // falls back to a fresh route of that subnet.  commit() keeps the grids'
-  // edge-cost caches current, so the dirty subnets route against the
-  // carried usage.
-  std::vector<std::vector<GEdge>> route_edges(subnets.size());
-  std::vector<char> needs_route(subnets.size(), 1);
-  std::vector<const NetRoute*> carried(subnets.size(), nullptr);
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    const SubNet& sn = subnets[si];
-    if (is_dirty[static_cast<std::size_t>(sn.net)]) continue;
-    const NetRoute* p = prev_of[static_cast<std::size_t>(sn.net)]
-                               [static_cast<std::size_t>(sidx(sn.side))];
-    if (p && p->source_gcell == sn.source && p->sink_gcells == sn.sinks) {
-      route_edges[si] = p->edges;
-      needs_route[si] = 0;
-      carried[si] = p;
-      commit(gs.grids[static_cast<std::size_t>(sidx(sn.side))],
-             route_edges[si], +1.0);
-    }
-  }
-
-  // Bounded negotiation over the dirty subnets only — the untouched nets'
-  // routes are pinned, exactly the "rip-up-and-reroute of only the
-  // modified nets" contract the ECO loop needs.
-  std::array<PathRouter, 2> routers{PathRouter(gs.grids[0]),
-                                    PathRouter(gs.grids[1])};
-  negotiate_subnets(res, options, subnets, gs.grids, routers, route_edges,
-                    needs_route);
-  finalize_route_result(res, fp, tech, options, subnets, route_edges, gs,
-                        routers);
-  // Untouched subnets keep their previous layer assignment — their DEF
-  // wires (and hence their extracted parasitics) must not drift when some
-  // other net was modified.  Dirty subnets take the fresh quantile rank.
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    if (carried[si]) {
-      res.routes[si].h_layer_index = carried[si]->h_layer_index;
-      res.routes[si].v_layer_index = carried[si]->v_layer_index;
-    }
-  }
-  FFET_METRIC_ADD("route.reroutes", 1);
-  FFET_METRIC_OBSERVE(
-      "route.reroute_dirty_subnets",
-      std::count(needs_route.begin(), needs_route.end(), char{1}));
-  return res;
+  RouteState state(nl, fp, prev, options);
+  state.reroute(nl, dirty_nets, {});
+  return state.result();
 }
 
 }  // namespace ffet::pnr

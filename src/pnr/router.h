@@ -30,6 +30,10 @@
 #pragma once
 
 #include <array>
+#include <memory>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "pnr/floorplan.h"
@@ -47,7 +51,7 @@ using tech::Side;
 ///     negotiation rips up by congestion *region* (src/pnr/region.h) with
 ///     region reroutes batched across the thread pool (snapshot search +
 ///     serial commit barrier, bit-identical at any thread count);
-///   * stage 1, shared by `Astar` and `Legacy` and by reroute_nets(): each
+///   * stage 1, shared by `Astar` and `Legacy` and by RouteState: each
 ///     per-side subnet is routed monolithically source-to-sinks and
 ///     negotiation rips up whole subnets.  The two engines differ only in
 ///     the maze kernel.  `Astar` is windowed A*: admissible Manhattan lower
@@ -221,20 +225,106 @@ struct RouteResult {
 RouteResult route_design(const netlist::Netlist& nl, const Floorplan& fp,
                          const RouteOptions& options = {});
 
-/// Incremental rip-up-and-reroute: re-route only the nets in `dirty_nets`
-/// against the committed (pinned) routes of every other net from `prev`,
-/// rebuilding grids and pin demand from the current netlist state.  A
-/// clean net whose terminals nevertheless moved gcells (e.g. its driver
-/// was displaced by legalization without the caller listing it dirty) is
-/// conservatively re-routed too.  Untouched nets keep their previous layer
-/// assignment, so their DEF wires — and extracted parasitics — are
-/// bit-identical to `prev`.  The ECO engine's routing primitive.
+/// The routing state of one design kept alive across incremental reroutes
+/// (the ECO loop's router): both per-side grids with their committed usage
+/// and pin-access demand, the per-side subnet decomposition of every net,
+/// the committed routes with their layer pairs, and the two maze routers.
+/// Subnets live in one slot per (net, side), slot 2 * net + side, so the
+/// slot order is the order route_design emits routes in.
+///
+/// reroute() applies the pin-access deltas of the instances that were
+/// resized, moved, added or had a pin flipped, re-decomposes the nets those
+/// touch plus the dirty ones, rips out every subnet whose decomposition
+/// changed (and every dirty one) and re-commits only those through the
+/// stage-1 negotiation loop.  Every quantity a rebuild would derive is
+/// reproduced bit for bit (see DESIGN.md §11): pin-access bases are integer
+/// pin counts read through a RepeatedSum, the grids' running overflow
+/// totals are re-folded in a fresh build's commit order, and history is
+/// zero between reroutes.  The last reroute is logged, and undo_reroute()
+/// restores the state before it exactly.
+class RouteState {
+ public:
+  /// Adopt `prev` as the committed routes of `nl`.  Grids and pin demand
+  /// come from the current netlist; a subnet whose decomposition no longer
+  /// matches its route in `prev` (or that `prev` lacks) is left for the
+  /// first reroute() to route.
+  RouteState(const netlist::Netlist& nl, const Floorplan& fp,
+             const RouteResult& prev, const RouteOptions& options = {});
+  ~RouteState();
+  RouteState(const RouteState&) = delete;
+  RouteState& operator=(const RouteState&) = delete;
+
+  /// Reroute `dirty_nets` (and every subnet whose decomposition changed)
+  /// against the committed routes of all other nets.  `touched_insts` are
+  /// the instances whose pins moved, changed size or side since the last
+  /// reroute; instances added since then are picked up from the netlist's
+  /// instance count.  A net whose connectivity changed must be listed
+  /// dirty.  Instances and nets may be added between reroutes but not
+  /// removed (throws std::invalid_argument); undo_reroute() takes back a
+  /// trial's additions.  Discards the previous undo log.
+  void reroute(const netlist::Netlist& nl,
+               const std::vector<netlist::NetId>& dirty_nets,
+               const std::vector<netlist::InstId>& touched_insts);
+  /// Restore the state from before the last reroute() exactly.
+  void undo_reroute();
+
+  /// One committed per-side route, as the state holds it.
+  struct RouteView {
+    std::span<const GEdge> edges;
+    int h_layer_index = 0;
+    int v_layer_index = 0;
+  };
+  /// The committed route of `net` on `side` (nullopt: no subnet there).
+  std::optional<RouteView> route(netlist::NetId net, Side side) const;
+
+  /// A per-side route the last reroute() replaced (either span may be
+  /// empty: the subnet appeared or vanished).
+  struct Change {
+    Side side = Side::Front;
+    std::span<const GEdge> before;
+    std::span<const GEdge> after;
+  };
+  std::size_t num_changes() const;
+  Change change(std::size_t i) const;
+
+  /// Everything of the current RouteResult except `routes`: the grid
+  /// geometry, the DRV verdict and the last reroute's counters.
+  const RouteResult& summary() const;
+  /// The full RouteResult (summary plus the routes in slot order) —
+  /// exactly what reroute_nets() would return for the same sequence.
+  RouteResult result() const;
+
+  /// The pin-access demand base of every edge on `side` (horizontal edges,
+  /// then vertical) — for checking the maintained grid against
+  /// pin_demand_bases().
+  std::vector<double> pin_demand(Side side) const;
+  /// Both grids' running overflow totals (soft, hard), as the next
+  /// negotiation reads them.
+  std::pair<double, double> overflow_totals() const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// The pin-access demand bases of a grid built from scratch for `nl` (same
+/// layout as RouteState::pin_demand).
+std::vector<double> pin_demand_bases(const netlist::Netlist& nl,
+                                     const Floorplan& fp,
+                                     const RouteOptions& options, Side side);
+
+/// Incremental rip-up-and-reroute, one shot: build a RouteState from
+/// `prev` and reroute `dirty_nets` once.  Only the dirty nets, and clean
+/// nets whose terminals moved gcells (e.g. a driver displaced without the
+/// net being listed), are routed; every other subnet keeps its edges and
+/// its layer assignment from `prev`, so its DEF wires — and extracted
+/// parasitics — are bit-identical to `prev`.
 ///
 /// The dirty subnets negotiate in the stage-1 loop (see RouteEngine; under
 /// `Astar2` with the windowed A* kernel), which also fills `pass_stats`.  A
-/// full stage-1 route is this loop with nothing carried: for `Legacy` and
-/// `Astar`, `reroute_nets(nl, fp, {}, {}, options)` returns exactly what
-/// route_design(nl, fp, options) does.
+/// full stage-1 route is this with nothing carried: for `Legacy` and
+/// `Astar`, route_design(nl, fp, options) returns
+/// `reroute_nets(nl, fp, {}, {}, options)`.
 RouteResult reroute_nets(const netlist::Netlist& nl, const Floorplan& fp,
                          const RouteResult& prev,
                          const std::vector<netlist::NetId>& dirty_nets,

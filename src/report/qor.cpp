@@ -478,6 +478,24 @@ int eco_gate(const json::Value& base, const json::Value& now,
   if (!gates_ok || !gates_ok->bool_or(false)) {
     failures.push_back("gates_ok=false: the bench's in-process gates failed");
   }
+  // Exact checks: the ECO loop is deterministic (bit-identical at any
+  // thread count), so with the same number of passes any change in the
+  // trial counts is a behaviour change.  Runs of different pass counts
+  // legitimately differ and are not compared.
+  if (b_passes == n_passes) {
+    for (const char* field : {"attempted", "accepted", "reverted", "upsized",
+                              "downsized", "buffers", "pin_flips"}) {
+      const json::Value* bf = base.find(field);
+      const json::Value* nf = now.find(field);
+      if (!bf || !bf->is_number()) continue;  // an older baseline schema
+      if (!nf || !nf->is_number()) {
+        failures.push_back(std::string(field) + " missing from new run");
+      } else if (nf->number != bf->number) {
+        failures.push_back(std::string(field) + " changed " +
+                           fmt(bf->number) + " -> " + fmt(nf->number));
+      }
+    }
+  }
 
   if (!failures.empty()) {
     out += "\nFAIL: bench_eco gate\n";

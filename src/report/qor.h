@@ -125,8 +125,11 @@ DiffReport diff_flow_reports(const std::vector<FlowRecord>& base,
 
 std::string format_diff(const DiffReport& report);
 
-/// The bench_eco gate (absolute properties of the new run; baseline printed
-/// for context) — the C++ port of scripts/check_bench_eco.py.  Appends the
+/// The bench_eco gate: absolute properties of the new run (frequency gain,
+/// iso-frequency power, STA speedup, the bench's own gates) — the C++ port
+/// of scripts/check_bench_eco.py — and, when both runs made the same number
+/// of ECO passes, the trial counts (attempted, accepted, reverted and the
+/// per-kind tallies) compared exactly against the baseline.  Appends the
 /// human-readable report to `out`; returns the process exit code
 /// (0 pass, 1 fail, 2 malformed input).
 int eco_gate(const json::Value& base, const json::Value& now,

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "extract/extract.h"
@@ -92,6 +94,270 @@ struct Fixture {
     rc = extract::extract_rc(merged, nl, tech);
   }
 };
+
+/// Every field of two RC trees, bitwise: node positions, caps, resistances,
+/// parents and sides, the Elmore delays, the sink hookups and the totals.
+void expect_same_tree(const extract::RcTreeView& a,
+                      const extract::RcTreeView& b, NetId n) {
+  ASSERT_EQ(a.nodes.size(), b.nodes.size()) << "net " << n;
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    const extract::RcNode& x = a.nodes[i];
+    const extract::RcNode& y = b.nodes[i];
+    EXPECT_EQ(x.pos.x, y.pos.x) << "net " << n << " node " << i;
+    EXPECT_EQ(x.pos.y, y.pos.y) << "net " << n << " node " << i;
+    EXPECT_EQ(x.cap_ff, y.cap_ff) << "net " << n << " node " << i;
+    EXPECT_EQ(x.r_ohm, y.r_ohm) << "net " << n << " node " << i;
+    EXPECT_EQ(x.parent, y.parent) << "net " << n << " node " << i;
+    EXPECT_EQ(x.side, y.side) << "net " << n << " node " << i;
+  }
+  ASSERT_EQ(a.elmore_ps.size(), b.elmore_ps.size()) << "net " << n;
+  for (std::size_t i = 0; i < a.elmore_ps.size(); ++i) {
+    EXPECT_EQ(a.elmore_ps[i], b.elmore_ps[i]) << "net " << n << " node " << i;
+  }
+  ASSERT_EQ(a.sink_nodes.size(), b.sink_nodes.size()) << "net " << n;
+  for (std::size_t i = 0; i < a.sink_nodes.size(); ++i) {
+    EXPECT_EQ(a.sink_nodes[i], b.sink_nodes[i]) << "net " << n;
+  }
+  EXPECT_EQ(a.total_cap_ff, b.total_cap_ff) << "net " << n;
+  EXPECT_EQ(a.wire_cap_ff, b.wire_cap_ff) << "net " << n;
+}
+
+/// Two route results are the same routes (net, side, edges, terminals,
+/// layers, wirelength) with the same totals and DRV verdict, bitwise.
+void expect_same_routes(const pnr::RouteResult& a, const pnr::RouteResult& b) {
+  ASSERT_EQ(a.routes.size(), b.routes.size());
+  for (std::size_t i = 0; i < a.routes.size(); ++i) {
+    const pnr::NetRoute& x = a.routes[i];
+    const pnr::NetRoute& y = b.routes[i];
+    EXPECT_EQ(x.net, y.net) << "route " << i;
+    EXPECT_EQ(x.side, y.side) << "route " << i;
+    EXPECT_EQ(x.edges, y.edges) << "route " << i;
+    EXPECT_EQ(x.sink_gcells, y.sink_gcells) << "route " << i;
+    EXPECT_EQ(x.source_gcell, y.source_gcell) << "route " << i;
+    EXPECT_EQ(x.h_layer_index, y.h_layer_index) << "route " << i;
+    EXPECT_EQ(x.v_layer_index, y.v_layer_index) << "route " << i;
+    EXPECT_EQ(x.wirelength_um, y.wirelength_um) << "route " << i;
+  }
+  EXPECT_EQ(a.wirelength_front_um, b.wirelength_front_um);
+  EXPECT_EQ(a.wirelength_back_um, b.wirelength_back_um);
+  EXPECT_EQ(a.nets_front, b.nets_front);
+  EXPECT_EQ(a.nets_back, b.nets_back);
+  EXPECT_EQ(a.overflow_total, b.overflow_total);
+  EXPECT_EQ(a.drv_wire, b.drv_wire);
+  EXPECT_EQ(a.drv_pin_access, b.drv_pin_access);
+  EXPECT_EQ(a.drv_estimate, b.drv_estimate);
+  EXPECT_EQ(a.valid, b.valid);
+  EXPECT_EQ(a.rrr_passes, b.rrr_passes);
+  EXPECT_EQ(a.ripups_total, b.ripups_total);
+  EXPECT_EQ(a.settled_nodes, b.settled_nodes);
+  EXPECT_EQ(a.pass_stats.size(), b.pass_stats.size());
+  EXPECT_EQ(a.pin_demand_units, b.pin_demand_units);
+  EXPECT_EQ(a.wire_demand_units, b.wire_demand_units);
+}
+
+/// The accepted-or-reverted trial sequence of the equivalence test: the
+/// ECO loop's three edits, applied to the fixture and undone exactly the
+/// way run_eco undoes them.
+struct TrialEdits {
+  netlist::Netlist& nl;
+  const stdcell::Library& lib;
+
+  /// A combinational, movable cell with a larger drive in the library.
+  std::pair<InstId, const stdcell::CellType*> upsizable(int skip) const {
+    for (InstId i = 0; i < nl.num_instances(); ++i) {
+      const netlist::Instance& inst = nl.instance(i);
+      if (inst.fixed || inst.type->physical_only() ||
+          inst.type->sequential()) {
+        continue;
+      }
+      const std::string up =
+          std::string(stdcell::to_string(inst.type->function())) + "D" +
+          std::to_string(2 * inst.type->structure().drive);
+      if (const stdcell::CellType* t = lib.find(up); t && skip-- == 0) {
+        return {i, t};
+      }
+    }
+    return {netlist::kNoInst, nullptr};
+  }
+
+  NetId output_net(InstId id) const {
+    const auto& pins = nl.instance(id).type->pins();
+    for (std::size_t p = 0; p < pins.size(); ++p) {
+      if (pins[p].dir == stdcell::PinDir::Output) return nl.pin_net(id, p);
+    }
+    return netlist::kNoNet;
+  }
+
+  /// A sink pin on a net driven by a dual-sided output (flippable).
+  std::pair<NetId, netlist::PinRef> flippable(int skip) const {
+    for (NetId n = 0; n < nl.num_nets(); ++n) {
+      const netlist::Net& net = nl.net(n);
+      if (net.is_clock || net.driver.inst == netlist::kNoInst ||
+          net.sinks.size() < 2 ||
+          nl.pin_side(net.driver) != stdcell::PinSide::Both) {
+        continue;
+      }
+      if (skip-- == 0) return {n, net.sinks.front()};
+    }
+    return {netlist::kNoNet, {}};
+  }
+
+  void flip(const netlist::PinRef& p) {
+    nl.set_pin_side(p, nl.pin_side(p) == stdcell::PinSide::Back
+                           ? stdcell::PinSide::Front
+                           : stdcell::PinSide::Back);
+  }
+
+  const std::string& pin_name(const netlist::PinRef& p) const {
+    return nl.instance(p.inst).type->pins()[static_cast<std::size_t>(p.pin)]
+        .name;
+  }
+
+  /// Repeater on `net` driving all but its first sink; returns the buffer.
+  InstId insert_buffer(NetId net, NetId& leaf) {
+    const std::vector<netlist::PinRef> moved(nl.net(net).sinks.begin() + 1,
+                                             nl.net(net).sinks.end());
+    leaf = nl.add_net("test_rep_net");
+    const InstId buf = nl.add_instance("test_rep_buf", &lib.at("BUFD4"));
+    nl.instance(buf).pos = nl.instance(moved.front().inst).pos;
+    nl.connect(buf, "Z", leaf);
+    for (const netlist::PinRef& s : moved) {
+      nl.reconnect_sink(s.inst, pin_name(s), leaf);
+    }
+    nl.connect(buf, "I", net);
+    return buf;
+  }
+
+  /// run_eco's exact structural revert of insert_buffer.
+  void remove_buffer(NetId net, InstId buf,
+                     const std::vector<netlist::PinRef>& orig_sinks) {
+    for (const netlist::PinRef& s : orig_sinks) {
+      if (s == orig_sinks.front()) continue;
+      nl.reconnect_sink(s.inst, pin_name(s), net);
+    }
+    nl.disconnect_pin(buf, "I");
+    nl.disconnect_pin(buf, "Z");
+    nl.pop_instance();
+    nl.pop_net();
+    for (const netlist::PinRef& s : orig_sinks) {
+      nl.disconnect_pin(s.inst, pin_name(s));
+    }
+    for (const netlist::PinRef& s : orig_sinks) {
+      nl.connect(s.inst, pin_name(s), net);
+    }
+  }
+};
+
+TEST(EcoStateTest, IncrementalStateMatchesRebuildTrialByTrial) {
+  // run_eco keeps one routing state and one extractor across its trials.
+  // Drive the ECO loop's three edits through them — resizes (one moving
+  // the cell), a repeater and pin flips, some accepted and some reverted —
+  // and after every trial compare the maintained state bitwise with one
+  // rebuilt from scratch: the routes against reroute_nets() from the
+  // pre-trial routes (or, after a revert, the pre-trial routes
+  // themselves), the dirty nets' RC trees against a full extraction of the
+  // merged DEF (or, after a revert, every tree against the pre-trial
+  // ones), and the density and pin-demand grids against rebuilt grids.
+  Fixture f;
+  const pnr::RouteOptions ro;
+  pnr::RouteState routing(f.nl, f.fp, f.routes, ro);
+  extract::RouteExtractor extractor(routing, f.nl, f.tech);
+  TrialEdits edit{f.nl, f.lib};
+
+  int accepted = 0;
+  int reverted = 0;
+  auto trial = [&](const std::vector<NetId>& dirty,
+                   const std::vector<InstId>& touched, bool accept,
+                   auto&& undo_edit) {
+    SCOPED_TRACE(testing::Message() << "trial " << accepted + reverted);
+    const pnr::RouteResult before = routing.result();
+    const extract::RcNetlist rc_before = f.rc;
+    routing.reroute(f.nl, dirty, touched);
+    extractor.reextract(f.rc, f.nl, routing, dirty);
+    if (accept) {
+      ++accepted;
+      expect_same_routes(routing.result(),
+                         pnr::reroute_nets(f.nl, f.fp, before, dirty, ro));
+    } else {
+      ++reverted;
+      undo_edit();
+      extractor.undo(f.rc, routing);
+      routing.undo_reroute();
+      expect_same_routes(routing.result(), before);
+    }
+    const pnr::RouteResult now = routing.result();
+    const io::Def merged =
+        io::merge_defs(io::build_def(f.nl, now, tech::Side::Front),
+                       io::build_def(f.nl, now, tech::Side::Back));
+    ASSERT_EQ(f.rc.num_trees(), static_cast<std::size_t>(f.nl.num_nets()));
+    if (accept) {
+      const extract::RcNetlist full = extract::extract_rc(merged, f.nl, f.tech);
+      for (const NetId n : dirty) {
+        expect_same_tree(f.rc.tree(n), full.tree(n), n);
+      }
+    } else {
+      for (NetId n = 0; n < f.nl.num_nets(); ++n) {
+        expect_same_tree(f.rc.tree(n), rc_before.tree(n), n);
+      }
+    }
+    for (const tech::Side s : {tech::Side::Front, tech::Side::Back}) {
+      EXPECT_EQ(extractor.density_loads(s),
+                extract::density_loads(merged, f.tech, s));
+      EXPECT_EQ(routing.pin_demand(s),
+                pnr::pin_demand_bases(f.nl, f.fp, ro, s));
+    }
+  };
+
+  // Upsize in place, every incident net dirty: accepted.
+  {
+    const auto [id, up] = edit.upsizable(0);
+    ASSERT_NE(id, netlist::kNoInst);
+    f.nl.resize_instance(id, up);
+    std::vector<NetId> nets;
+    for (const NetId n : f.nl.pin_nets(id)) {
+      if (n != netlist::kNoNet) nets.push_back(n);
+    }
+    std::sort(nets.begin(), nets.end());
+    nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
+    trial(nets, {id}, true, [] {});
+  }
+  // Upsize and move two gcells, only the output net dirty (the input nets
+  // must be re-routed because their terminals moved): reverted, then the
+  // same edit accepted.
+  for (const bool accept : {false, true}) {
+    const auto [id, up] = edit.upsizable(1);
+    ASSERT_NE(id, netlist::kNoInst);
+    const stdcell::CellType* old_type = f.nl.instance(id).type;
+    const geom::Point old_pos = f.nl.instance(id).pos;
+    f.nl.resize_instance(id, up);
+    f.nl.instance(id).pos.x += 2 * f.routes.gcell_w;
+    trial({edit.output_net(id)}, {id}, accept, [&] {
+      f.nl.instance(id).pos = old_pos;
+      f.nl.resize_instance(id, old_type);
+    });
+  }
+  // Pin flips: one reverted, two accepted.
+  for (int k = 0; k < 3; ++k) {
+    const auto [net, pin] = edit.flippable(k);
+    ASSERT_NE(net, netlist::kNoNet);
+    const stdcell::PinSide old_side = f.nl.pin_side(pin);
+    edit.flip(pin);
+    trial({net}, {pin.inst}, k != 0,
+          [&, pin = pin] { f.nl.set_pin_side(pin, old_side); });
+  }
+  // Repeaters: one reverted, one accepted.
+  for (int k = 0; k < 2; ++k) {
+    const auto [net, unused] = edit.flippable(3 + k);
+    ASSERT_NE(net, netlist::kNoNet);
+    const std::vector<netlist::PinRef> orig = f.nl.net(net).sinks;
+    NetId leaf = netlist::kNoNet;
+    const InstId buf = edit.insert_buffer(net, leaf);
+    trial({net, leaf}, {buf}, k == 1,
+          [&, net = net] { edit.remove_buffer(net, buf, orig); });
+  }
+  EXPECT_EQ(accepted, 5);
+  EXPECT_EQ(reverted, 3);
+}
 
 TEST(IncrementalLegalizerTest, ReleaseClaimOccupyRoundTrip) {
   Fixture f;
@@ -222,20 +488,15 @@ TEST(EcoTest, AllRevertedTrialsRestoreStateBitExactly) {
   for (NetId n = 0; n < f.nl.num_nets(); ++n) {
     EXPECT_EQ(f.nl.net(n).sinks, pristine.nl.net(n).sinks) << n;
   }
-  EXPECT_EQ(f.routes.wirelength_front_um, pristine.routes.wirelength_front_um);
-  EXPECT_EQ(f.routes.wirelength_back_um, pristine.routes.wirelength_back_um);
-  EXPECT_EQ(f.routes.drv_estimate, pristine.routes.drv_estimate);
+  // Every route (edges, terminals, layers) and every RC node field and
+  // Elmore delay: a partial undo cannot hide behind unchanged totals.
+  expect_same_routes(f.routes, pristine.routes);
   ASSERT_EQ(f.rc.num_trees(), pristine.rc.num_trees());
-  for (std::size_t n = 0; n < f.rc.num_trees(); ++n) {
-    const netlist::NetId id = static_cast<netlist::NetId>(n);
-    const extract::RcTreeView fa = f.rc.tree(id);
-    const extract::RcTreeView pa = pristine.rc.tree(id);
-    EXPECT_EQ(fa.total_cap_ff, pa.total_cap_ff) << n;
-    ASSERT_EQ(fa.sink_nodes.size(), pa.sink_nodes.size()) << n;
-    for (std::size_t s = 0; s < fa.sink_nodes.size(); ++s) {
-      EXPECT_EQ(fa.sink_nodes[s], pa.sink_nodes[s]) << n;
-    }
+  for (NetId n = 0; n < static_cast<NetId>(f.rc.num_trees()); ++n) {
+    expect_same_tree(f.rc.tree(n), pristine.rc.tree(n), n);
   }
+  EXPECT_EQ(f.rc.total_wire_cap_ff, pristine.rc.total_wire_cap_ff);
+  EXPECT_EQ(f.rc.total_wire_res_kohm, pristine.rc.total_wire_res_kohm);
 }
 
 TEST(EcoTest, ZeroBudgetDoesNothing) {

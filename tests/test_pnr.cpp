@@ -1085,5 +1085,108 @@ TEST_F(PnrTest, RerouteKeepsCarriedRoutesUnderCongestion) {
   expect_same_routing(serial, threaded);
 }
 
+TEST_F(PnrTest, RouteStateMatchesFreshRerouteUnderCongestion) {
+  // The persistent routing state against reroute_nets() from scratch, on
+  // the congested design: pin-access bases sit at the capacity, so the
+  // grids' running overflow totals are non-zero and order-sensitive, and
+  // the dirty nets negotiate through rip-up passes that write history.
+  // Moves, pin flips and plain dirty lists, each accepted or undone; after
+  // every trial the state is bitwise what a fresh reroute (or, after an
+  // undo, the pre-trial state) is, and so are its pin-access bases.
+  CongestedDesign cd(*ffet_tech_);
+  const RouteOptions ro = cd.options();
+  RouteState state(cd.nl, cd.fp, route_design(cd.nl, cd.fp, ro), ro);
+
+  auto expect_same = [](const RouteResult& a, const RouteResult& b) {
+    expect_same_routing(a, b);
+    for (std::size_t i = 0; i < a.routes.size() && i < b.routes.size(); ++i) {
+      EXPECT_EQ(a.routes[i].sink_gcells, b.routes[i].sink_gcells) << i;
+      EXPECT_EQ(a.routes[i].source_gcell, b.routes[i].source_gcell) << i;
+    }
+    EXPECT_EQ(a.wirelength_front_um, b.wirelength_front_um);
+    EXPECT_EQ(a.wirelength_back_um, b.wirelength_back_um);
+    EXPECT_EQ(a.drv_pin_access, b.drv_pin_access);
+    EXPECT_EQ(a.valid, b.valid);
+  };
+  int negotiated = 0;
+  auto trial = [&](const std::vector<NetId>& dirty,
+                   const std::vector<netlist::InstId>& touched, bool accept,
+                   const std::function<void()>& undo_edit) {
+    const RouteResult before = state.result();
+    state.reroute(cd.nl, dirty, touched);
+    const RouteResult fresh = reroute_nets(cd.nl, cd.fp, before, dirty, ro);
+    expect_same(state.result(), fresh);
+    if (fresh.rrr_passes > 0) ++negotiated;
+    if (!accept) {
+      undo_edit();
+      state.undo_reroute();
+      expect_same(state.result(), before);
+    }
+    for (const Side s : {Side::Front, Side::Back}) {
+      EXPECT_EQ(state.pin_demand(s), pin_demand_bases(cd.nl, cd.fp, ro, s));
+    }
+    // The running totals against a state that only commits the current
+    // routes one after another (same sum, another order: near, not equal).
+    const RouteState committed(cd.nl, cd.fp, state.result(), ro);
+    const auto [soft, hard] = state.overflow_totals();
+    EXPECT_NEAR(soft, committed.overflow_totals().first, 1e-9 * (1.0 + soft));
+    EXPECT_NEAR(hard, committed.overflow_totals().second, 1e-9 * (1.0 + hard));
+  };
+
+  // Long nets, dirty: accepted.
+  const RouteResult start = state.result();
+  EXPECT_GT(start.drv_wire, 0) << "the fixture must carry hard overflow";
+  std::vector<NetId> long_nets;
+  for (const NetRoute& r : start.routes) {
+    if (r.edges.size() >= 8 &&
+        (long_nets.empty() || long_nets.back() != r.net)) {
+      long_nets.push_back(r.net);
+    }
+    if (long_nets.size() == 12) break;
+  }
+  trial(long_nets, {}, true, [] {});
+  // The same nets again: they negotiate over the edges the last reroute's
+  // history marked, which a fresh reroute starts without.
+  trial(long_nets, {}, true, [] {});
+
+  // A cell moved three gcells with none of its nets listed dirty (they are
+  // re-routed because their terminals moved), undone then accepted.
+  netlist::InstId mover = netlist::kNoInst;
+  for (netlist::InstId i = 0; i < cd.nl.num_instances(); ++i) {
+    const netlist::Instance& inst = cd.nl.instance(i);
+    if (!inst.fixed && !inst.type->physical_only() &&
+        inst.pos.x + 3 * start.gcell_w < cd.fp.core.hi.x) {
+      mover = i;
+      break;
+    }
+  }
+  ASSERT_NE(mover, netlist::kNoInst);
+  const geom::Point home = cd.nl.instance(mover).pos;
+  for (const bool accept : {false, true}) {
+    cd.nl.instance(mover).pos.x = home.x + 3 * start.gcell_w;
+    trial({}, {mover}, accept, [&] { cd.nl.instance(mover).pos = home; });
+  }
+
+  // Sink pins flipped to the other side (subnets appear and vanish).
+  int flips = 0;
+  for (NetId n = 0; n < cd.nl.num_nets() && flips < 4; ++n) {
+    const netlist::Net& net = cd.nl.net(n);
+    if (net.driver.inst == netlist::kNoInst || net.sinks.empty() ||
+        cd.nl.pin_side(net.driver) != stdcell::PinSide::Both) {
+      continue;
+    }
+    const netlist::PinRef pin = net.sinks.front();
+    const stdcell::PinSide old_side = cd.nl.pin_side(pin);
+    cd.nl.set_pin_side(pin, old_side == stdcell::PinSide::Back
+                                ? stdcell::PinSide::Front
+                                : stdcell::PinSide::Back);
+    trial({n}, {pin.inst}, flips % 2 == 1,
+          [&] { cd.nl.set_pin_side(pin, old_side); });
+    ++flips;
+  }
+  EXPECT_EQ(flips, 4);
+  EXPECT_GT(negotiated, 0) << "some trial must run rip-up passes";
+}
+
 }  // namespace
 }  // namespace ffet::pnr

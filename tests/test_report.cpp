@@ -1082,6 +1082,45 @@ TEST(RouterGate, WorkCountersCompareExactlyForEveryEngine) {
   }
 }
 
+// ---------------------------------------------------------- bench_eco gate
+
+TEST(EcoGate, TrialCountsCompareExactlyAtEqualPasses) {
+  // The ECO loop is deterministic, so at the same eco_passes every trial
+  // count must match the baseline exactly; a run with a different pass
+  // count is compared on its absolute gates only.
+  const std::string doc = R"({"bench":"bench_eco","eco_passes":2,
+    "pre":{"freq_ghz":1.1457,"power_uw":4245.5,"critical_path_ps":872.8,
+      "drv":0},
+    "post":{"freq_ghz":1.1828,"power_uw":4373.1,"iso_power_uw":4247.4,
+      "critical_path_ps":845.4,"drv":0},
+    "freq_gain_pct":3.2,"iso_power_increase_pct":0.04,"sta_speedup":7.6,
+    "attempted":53,"accepted":13,"reverted":40,"upsized":4,"downsized":2,
+    "buffers":6,"pin_flips":1,"gates_ok":true})";
+  const std::optional<json::Value> base = json::parse(doc);
+  ASSERT_TRUE(base.has_value());
+  std::string out;
+  EXPECT_EQ(eco_gate(*base, *base, out), 0) << out;
+
+  for (const char* field : {"attempted", "accepted", "reverted", "upsized",
+                            "downsized", "buffers", "pin_flips"}) {
+    json::Value now = *base;
+    for (auto& [name, v] : now.members) {
+      if (name == field) v.number += 1.0;
+    }
+    std::string report;
+    EXPECT_EQ(eco_gate(*base, now, report), 1) << field << "\n" << report;
+    EXPECT_NE(report.find(std::string(field) + " changed"), std::string::npos)
+        << report;
+
+    // The same drift at another pass count is not compared.
+    for (auto& [name, v] : now.members) {
+      if (name == "eco_passes") v.number = 1.0;
+    }
+    std::string other;
+    EXPECT_EQ(eco_gate(*base, now, other), 0) << field << "\n" << other;
+  }
+}
+
 // ------------------------------------------- multi-process ledger appends
 
 TEST(Ledger, ForkedWritersInterleaveWithoutTearing) {
