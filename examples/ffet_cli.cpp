@@ -155,11 +155,12 @@ int main(int argc, char** argv) {
       std::ofstream(p + ".lib")
           << liberty::to_liberty_string(*ctx->library);
       std::ofstream(p + ".v") << io::to_verilog_string(ctx->netlist);
-      std::ofstream(p + ".front.def")
-          << io::to_def_string(io::build_def(st.nl, rr, tech::Side::Front));
-      std::ofstream(p + ".back.def")
-          << io::to_def_string(io::build_def(st.nl, rr, tech::Side::Back));
-      std::ofstream(p + ".merged.def") << io::to_def_string(st.merged);
+      const io::Def front = io::build_def(st.nl, rr, tech::Side::Front);
+      const io::Def back = io::build_def(st.nl, rr, tech::Side::Back);
+      std::ofstream(p + ".front.def") << io::to_def_string(front);
+      std::ofstream(p + ".back.def") << io::to_def_string(back);
+      std::ofstream(p + ".merged.def")
+          << io::to_def_string(io::merge_defs(front, back));
       std::ofstream(p + ".spef") << extract::to_spef_string(st.rc, st.nl);
       std::printf("\nwrote %s.{lef,lib,v,front.def,back.def,merged.def,"
                   "spef}\n",

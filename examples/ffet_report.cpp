@@ -53,6 +53,7 @@
 
 #include "flow/flow.h"
 #include "flow/version.h"
+#include "io/def.h"
 #include "report/ledger.h"
 #include "report/net_report.h"
 #include "report/qor.h"
@@ -198,8 +199,10 @@ int cmd_nets(ArgReader& args) {
   const auto ctx = flow::prepare_design(cfg);
   flow::PhysicalState st;
   flow::run_physical(*ctx, cfg, &st);
-  const report::NetReport rep =
-      report::build_net_report(st.nl, st.merged, st.rc);
+  const io::Def merged =
+      io::merge_defs(io::build_def(st.nl, st.routes, tech::Side::Front),
+                     io::build_def(st.nl, st.routes, tech::Side::Back));
+  const report::NetReport rep = report::build_net_report(st.nl, merged, st.rc);
   if (!net_name.empty()) {
     std::fputs(report::format_net_detail(rep, net_name).c_str(), stdout);
   } else {

@@ -43,7 +43,6 @@ FULL="bench_table1 bench_fig4 bench_table2 bench_fig8 bench_fig9 \
       bench_scale"
 QUICK="bench_table1 bench_fig4 bench_table2 bench_eco bench_scale"
 
-run_stages=1
 trace=0
 quick=0
 serve=0
@@ -62,10 +61,10 @@ done
 # in the output — and, worse, a name list that matched *nothing* ran zero
 # benches and exited 0.  Skipped-by-filter must never read as passed.
 for b in $named; do
-  case " $FULL bench_stages " in
+  case " $FULL " in
     *" $b "*) ;;
     *) echo "run_benches.sh: unknown bench '$b'" >&2
-       echo "known benches:$(echo '' $FULL bench_stages)" >&2
+       echo "known benches:$(echo '' $FULL)" >&2
        exit 2 ;;
   esac
 done
@@ -76,13 +75,10 @@ done
 # soon as a bench list was named.
 if [ -n "$named" ]; then
   benches=$named
-  run_stages=0
 elif [ "$serve" = 1 ] && [ "$quick" = 0 ]; then
   benches=""     # bare --serve runs just the service smoke
-  run_stages=0
 elif [ "$quick" = 1 ]; then
   benches=$QUICK
-  run_stages=0
 else
   benches=$FULL
 fi
@@ -256,11 +252,6 @@ run_serve_smoke() {
 
 if [ "$serve" = 1 ]; then
   run_serve_smoke || failures="$failures serve_smoke"
-fi
-
-# google-benchmark microbenchmarks last (shorter repetitions).
-if [ "$run_stages" = 1 ]; then
-  ./build/bench/bench_stages --benchmark_min_time=0.2 || true
 fi
 
 # Wrap the collected JSON lines into one machine-readable array.

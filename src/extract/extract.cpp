@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
 #include <unordered_map>
@@ -28,7 +29,8 @@ constexpr double kPinHookupOhm = 40.0;
 /// density of its side.  A wire surrounded by neighbors at minimum pitch
 /// sees roughly +kMillerCoupling of its base capacitance in switching
 /// coupling (Miller effect); an isolated wire sees none.  Density is
-/// measured from the merged DEF itself, per side, on a coarse grid.
+/// measured from the extracted wires themselves, per side, on a coarse
+/// grid.
 constexpr double kMillerCoupling = 1.2;
 /// Bin edge for the density grid (µm).
 constexpr double kDensityBinUm = 1.0;
@@ -155,10 +157,10 @@ struct Adj {
 
 /// Build (or rebuild, resetting any prior contents) one net's RC tree from
 /// its wires, the side density grids, and the current pin landscape — the
-/// shared kernel of extract_rc (wires from the merged DEF) and
-/// RouteExtractor (wires straight from the routes).  `for_each_wire(f)`
-/// calls f(side, layer, from, to) for each of the net's `num_wires` wires,
-/// in merged-DEF order: the frontside route's, then the backside's.
+/// one tree kernel of both wire sources (the merged DEF and the routes).
+/// `for_each_wire(f)` calls f(side, layer, from, to) for each of the net's
+/// `num_wires` wires, in merged-DEF order: the frontside route's, then the
+/// backside's.
 template <class ForEachWire>
 void build_net_tree(RcTree& tree, netlist::NetId net_id, const Netlist& nl,
                     std::size_t num_wires, ForEachWire&& for_each_wire,
@@ -298,6 +300,148 @@ std::vector<const io::DefNet*> index_def_nets(const io::Def& merged,
   return by_id;
 }
 
+/// The route wire source: a route's gcell edges as the wires build_def
+/// writes for them (io::route_wire, on the layers "FM<i>"/"BM<i>" it
+/// names), and their coupling-density field.  Every route wire is one
+/// gcell long and gcells are square, so every density sample adds the same
+/// length; the field is kept as per-bin sample counts read through a
+/// geom::RepeatedSum, and equals the merged DEF's accumulated field bit for
+/// bit whatever order wires were added and removed in.
+class RouteWires {
+ public:
+  RouteWires(const pnr::RouteResult& summary, const Technology& tech)
+      : density_(geom::make_rect({0, 0}, summary.gcols * summary.gcell_w,
+                                 summary.grows * summary.gcell_h),
+                 tech) {
+    grid_.gcols = summary.gcols;
+    grid_.grows = summary.grows;
+    grid_.gcell_w = summary.gcell_w;
+    grid_.gcell_h = summary.gcell_h;
+    if (grid_.gcell_w != grid_.gcell_h) {
+      throw std::invalid_argument(
+          "route-driven extraction needs square gcells (equal wire lengths)");
+    }
+    // Every route wire is one gcell long, so every sample adds what the
+    // first wire's sample adds.
+    double step = 0.0;
+    density_.for_each_sample(
+        {0, 0}, {grid_.gcell_w, 0},
+        [&](std::size_t, double um) { step = um; });
+    sample_sum_ = geom::RepeatedSum(step);
+    for (int side = 0; side < 2; ++side) {
+      samples_[static_cast<std::size_t>(side)].assign(
+          density_.loads(side).size(), 0);
+    }
+    for (const tech::MetalLayer& l : tech.layers()) {
+      const std::size_t side = l.side == Side::Front ? 0 : 1;
+      if (l.index < 0 ||
+          l.name != std::string(side == 0 ? "FM" : "BM") +
+                        std::to_string(l.index)) {
+        continue;
+      }
+      auto& table = layer_of_[side];
+      if (table.size() <= static_cast<std::size_t>(l.index)) {
+        table.resize(static_cast<std::size_t>(l.index) + 1, nullptr);
+      }
+      if (!table[static_cast<std::size_t>(l.index)]) {
+        table[static_cast<std::size_t>(l.index)] = &l;
+      }
+    }
+  }
+
+  const DensityGrid& density() const { return density_; }
+
+  /// Add (+1) or remove (-1) one side's route wires in the density field.
+  void move(Side s, std::span<const pnr::GEdge> edges, int sign) {
+    const int side = s == Side::Front ? 0 : 1;
+    auto& count = samples_[static_cast<std::size_t>(side)];
+    for (const pnr::GEdge& e : edges) {
+      const io::RouteWire w = io::route_wire(grid_, e, 0, 0);
+      density_.for_each_sample(w.from, w.to, [&](std::size_t bin, double um) {
+        if (um != sample_sum_.step()) {
+          throw std::logic_error("route wire of unexpected length");
+        }
+        density_.set_load(side, bin, sample_sum_(count[bin] += sign));
+      });
+    }
+  }
+
+  /// f(side, layer, from, to) for each wire of one side's route, in edge
+  /// order — what build_def writes for it.
+  template <class F>
+  void for_each(Side s, std::span<const pnr::GEdge> edges, int h_layer_index,
+                int v_layer_index, F&& f) const {
+    for (const pnr::GEdge& e : edges) {
+      const io::RouteWire w =
+          io::route_wire(grid_, e, h_layer_index, v_layer_index);
+      f(s, layer(s, w.layer_index), w.from, w.to);
+    }
+  }
+
+ private:
+  const tech::MetalLayer& layer(Side s, int index) const {
+    const auto& table = layer_of_[s == Side::Front ? 0 : 1];
+    if (index < 0 || static_cast<std::size_t>(index) >= table.size() ||
+        !table[static_cast<std::size_t>(index)]) {
+      throw std::runtime_error("route references unknown layer " +
+                               std::string(s == Side::Front ? "FM" : "BM") +
+                               std::to_string(index));
+    }
+    return *table[static_cast<std::size_t>(index)];
+  }
+
+  pnr::RouteResult grid_;  ///< gcell geometry (routes empty)
+  DensityGrid density_;
+  /// Density samples per bin and side; a bin's load is sample_sum_(count).
+  std::array<std::vector<int>, 2> samples_;
+  geom::RepeatedSum sample_sum_;
+  /// Routing layer per side and metal index.
+  std::array<std::vector<const tech::MetalLayer*>, 2> layer_of_;
+};
+
+/// The one full-extraction driver behind both extract_rc overloads:
+/// `build(tree, net)` builds one net's tree from its wire source.  Each
+/// tree is a pure function of read-only shared state (wire index, density
+/// grid, netlist), so a chunk of nets is built into per-net scratch slots
+/// in parallel without synchronization, then packed into the arena
+/// serially in net order — bit-identical to the serial loop while bounding
+/// scratch memory to one chunk.  `num_wires` pre-sizes the arena.
+template <class BuildTree>
+RcNetlist extract_nets(const Netlist& nl, std::size_t num_wires,
+                       BuildTree&& build, int threads) {
+  const auto num_nets = static_cast<std::size_t>(nl.num_nets());
+  RcNetlist out;
+  out.resize_trees(num_nets);
+
+  // Arena pre-sizing: root + per-sink pin node per net, plus at most two
+  // endpoint nodes per wire segment.
+  std::size_t sinks = 0;
+  for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
+    sinks += nl.net(n).sinks.size();
+  }
+  out.reserve_arena(num_nets + sinks + 2 * num_wires, sinks);
+
+  constexpr std::size_t kChunk = 1024;
+  std::vector<RcTree> scratch(std::min(kChunk, std::max<std::size_t>(
+                                                   num_nets, 1)));
+  for (std::size_t base = 0; base < num_nets; base += kChunk) {
+    const std::size_t count = std::min(kChunk, num_nets - base);
+    runtime::parallel_for(
+        count,
+        [&](std::size_t i) {
+          build(scratch[i], static_cast<netlist::NetId>(base + i));
+        },
+        threads, 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      out.assign_tree(static_cast<netlist::NetId>(base + i), scratch[i]);
+    }
+  }
+  FFET_METRIC_ADD("extract.nets", nl.num_nets());
+
+  out.recompute_totals();
+  return out;
+}
+
 }  // namespace
 
 RcSpan RcNetlist::assign_tree(netlist::NetId id, const RcTree& t) {
@@ -341,67 +485,79 @@ void RcNetlist::recompute_totals() {
 RcNetlist extract_rc(const io::Def& merged, const Netlist& nl,
                      const Technology& tech, int threads) {
   FFET_TRACE_SCOPE("extract.rc");
-  const auto num_nets = static_cast<std::size_t>(nl.num_nets());
-  RcNetlist out;
-  out.resize_trees(num_nets);
-
   const std::vector<const io::DefNet*> def_nets = index_def_nets(merged, nl);
-
-  // Arena pre-sizing: root + per-sink pin node per net, plus at most two
-  // endpoint nodes per DEF wire segment.
-  {
-    std::size_t sinks = 0, wires = 0;
-    for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
-      sinks += nl.net(n).sinks.size();
-    }
-    for (const io::DefNet& n : merged.nets) wires += n.wires.size();
-    out.reserve_arena(num_nets + sinks + 2 * wires, sinks);
-  }
-
+  std::size_t num_wires = 0;
+  for (const io::DefNet& n : merged.nets) num_wires += n.wires.size();
   // Neighborhood wire density per side (coupling model).
   const DensityGrid density = DensityGrid::of_def(merged, tech);
-
-  const double drain_merge_r = tech.device().np_link_r_ohm;
-
-  // Each net's tree is a pure function of read-only shared state (DEF
-  // index, density grid, netlist), so a chunk of nets is built into
-  // per-net scratch slots in parallel without synchronization, then packed
-  // into the arena serially in net order — bit-identical to the serial
-  // loop while bounding scratch memory to one chunk.
-  constexpr std::size_t kChunk = 1024;
-  std::vector<RcTree> scratch(std::min(kChunk, std::max<std::size_t>(
-                                                   num_nets, 1)));
-  for (std::size_t base = 0; base < num_nets; base += kChunk) {
-    const std::size_t count = std::min(kChunk, num_nets - base);
-    runtime::parallel_for(
-        count,
-        [&](std::size_t i) {
-          const io::DefNet* dn = def_nets[base + i];
-          build_net_tree(
-              scratch[i], static_cast<netlist::NetId>(base + i), nl,
-              dn ? dn->wires.size() : 0,
-              [&](auto&& f) {
-                if (!dn) return;
-                for (const io::DefWire& w : dn->wires) {
-                  const tech::MetalLayer* layer = tech.find_layer(w.layer);
-                  if (!layer) {
-                    throw std::runtime_error(
-                        "merged DEF references unknown layer " + w.layer);
-                  }
-                  f(side_of_layer(w.layer), *layer, w.from, w.to);
+  return extract_nets(
+      nl, num_wires,
+      [&](RcTree& tree, netlist::NetId n) {
+        const io::DefNet* dn = def_nets[static_cast<std::size_t>(n)];
+        build_net_tree(
+            tree, n, nl, dn ? dn->wires.size() : 0,
+            [&](auto&& f) {
+              if (!dn) return;
+              for (const io::DefWire& w : dn->wires) {
+                const tech::MetalLayer* layer = tech.find_layer(w.layer);
+                if (!layer) {
+                  throw std::runtime_error(
+                      "merged DEF references unknown layer " + w.layer);
                 }
-              },
-              density, drain_merge_r);
-        },
-        threads, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-      out.assign_tree(static_cast<netlist::NetId>(base + i), scratch[i]);
+                f(side_of_layer(w.layer), *layer, w.from, w.to);
+              }
+            },
+            density, tech.device().np_link_r_ohm);
+      },
+      threads);
+}
+
+RcNetlist extract_rc(const pnr::RouteResult& routes, const Netlist& nl,
+                     const Technology& tech, int threads) {
+  FFET_TRACE_SCOPE("extract.rc");
+  // Each net's routes in its merged-DEF wire order: the frontside routes,
+  // then the backside ones, each side in route order.  Only nets with a
+  // driver or a sink are routed, and build_def writes exactly those.
+  const auto num_nets = static_cast<std::size_t>(nl.num_nets());
+  auto in_nl = [&](const pnr::NetRoute& r) {
+    return r.net >= 0 && r.net < nl.num_nets();
+  };
+  std::vector<std::size_t> first(num_nets + 1, 0);
+  for (const pnr::NetRoute& r : routes.routes) {
+    if (in_nl(r)) ++first[static_cast<std::size_t>(r.net) + 1];
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<const pnr::NetRoute*> by_net(first.back());
+  std::vector<std::size_t> next(first.begin(), first.end() - 1);
+  RouteWires wires(routes, tech);
+  std::size_t num_wires = 0;
+  for (Side s : {Side::Front, Side::Back}) {
+    for (const pnr::NetRoute& r : routes.routes) {
+      if (r.side != s || !in_nl(r)) continue;
+      by_net[next[static_cast<std::size_t>(r.net)]++] = &r;
+      wires.move(s, r.edges, +1);
+      num_wires += r.edges.size();
     }
   }
-  FFET_METRIC_ADD("extract.nets", nl.num_nets());
-
-  out.recompute_totals();
-  return out;
+  return extract_nets(
+      nl, num_wires,
+      [&](RcTree& tree, netlist::NetId n) {
+        const std::span<const pnr::NetRoute* const> net_routes(
+            by_net.data() + first[static_cast<std::size_t>(n)],
+            by_net.data() + first[static_cast<std::size_t>(n) + 1]);
+        std::size_t count = 0;
+        for (const pnr::NetRoute* r : net_routes) count += r->edges.size();
+        build_net_tree(
+            tree, n, nl, count,
+            [&](auto&& f) {
+              for (const pnr::NetRoute* r : net_routes) {
+                wires.for_each(r->side, r->edges, r->h_layer_index,
+                               r->v_layer_index, f);
+              }
+            },
+            wires.density(), tech.device().np_link_r_ohm);
+      },
+      threads);
 }
 
 std::vector<double> density_loads(const io::Def& merged,
@@ -412,14 +568,7 @@ std::vector<double> density_loads(const io::Def& merged,
 // --- RouteExtractor ----------------------------------------------------------
 
 struct RouteExtractor::Impl {
-  pnr::RouteResult grid;  ///< gcell geometry (routes empty)
-  DensityGrid density;
-  /// Density samples per bin and side; a bin's load is sample_sum(count).
-  std::array<std::vector<int>, 2> samples;
-  geom::RepeatedSum sample_sum;
-  /// Routing layer per side and metal index (the layers "FM<i>"/"BM<i>"
-  /// build_def names).
-  std::array<std::vector<const tech::MetalLayer*>, 2> layer_of;
+  RouteWires wires;
   double drain_merge_r;
   RcTree scratch;
 
@@ -430,71 +579,7 @@ struct RouteExtractor::Impl {
   std::size_t log_sinks = 0;
 
   Impl(const pnr::RouteResult& summary, const Technology& tech)
-      : density(geom::make_rect({0, 0}, summary.gcols * summary.gcell_w,
-                                summary.grows * summary.gcell_h),
-                tech),
-        drain_merge_r(tech.device().np_link_r_ohm) {
-    grid.gcols = summary.gcols;
-    grid.grows = summary.grows;
-    grid.gcell_w = summary.gcell_w;
-    grid.gcell_h = summary.gcell_h;
-    if (grid.gcell_w != grid.gcell_h) {
-      throw std::invalid_argument(
-          "route-driven extraction needs square gcells (equal wire lengths)");
-    }
-    // Every route wire is one gcell long, so every sample adds what the
-    // first wire's sample adds.
-    double step = 0.0;
-    density.for_each_sample(
-        {0, 0}, {grid.gcell_w, 0},
-        [&](std::size_t, double um) { step = um; });
-    sample_sum = geom::RepeatedSum(step);
-    for (int side = 0; side < 2; ++side) {
-      samples[static_cast<std::size_t>(side)].assign(
-          density.loads(side).size(), 0);
-    }
-    for (const tech::MetalLayer& l : tech.layers()) {
-      const std::size_t side = l.side == Side::Front ? 0 : 1;
-      if (l.index < 0 ||
-          l.name != std::string(side == 0 ? "FM" : "BM") +
-                        std::to_string(l.index)) {
-        continue;
-      }
-      auto& table = layer_of[side];
-      if (table.size() <= static_cast<std::size_t>(l.index)) {
-        table.resize(static_cast<std::size_t>(l.index) + 1, nullptr);
-      }
-      if (!table[static_cast<std::size_t>(l.index)]) {
-        table[static_cast<std::size_t>(l.index)] = &l;
-      }
-    }
-  }
-
-  const tech::MetalLayer& layer(Side s, int index) const {
-    const auto& table = layer_of[s == Side::Front ? 0 : 1];
-    if (index < 0 || static_cast<std::size_t>(index) >= table.size() ||
-        !table[static_cast<std::size_t>(index)]) {
-      throw std::runtime_error("route references unknown layer " +
-                               std::string(s == Side::Front ? "FM" : "BM") +
-                               std::to_string(index));
-    }
-    return *table[static_cast<std::size_t>(index)];
-  }
-
-  /// Add (+1) or remove (-1) one side's route wires in the density field.
-  void move_wires(Side s, std::span<const pnr::GEdge> edges, int sign) {
-    const int side = s == Side::Front ? 0 : 1;
-    auto& count = samples[static_cast<std::size_t>(side)];
-    for (const pnr::GEdge& e : edges) {
-      const io::RouteWire w = io::route_wire(grid, e, 0, 0);
-      density.for_each_sample(w.from, w.to, [&](std::size_t bin, double um) {
-        if (um != sample_sum.step()) {
-          throw std::logic_error("route wire of unexpected length");
-        }
-        density.set_load(side, bin, sample_sum(count[bin] += sign));
-      });
-    }
-  }
+      : wires(summary, tech), drain_merge_r(tech.device().np_link_r_ohm) {}
 
   void build(netlist::NetId n, const Netlist& nl,
              const pnr::RouteState& routes) {
@@ -507,15 +592,13 @@ struct RouteExtractor::Impl {
         [&](auto&& f) {
           for (const auto& [s, r] : {std::pair{Side::Front, front},
                                      std::pair{Side::Back, back}}) {
-            if (!r) continue;
-            for (const pnr::GEdge& e : r->edges) {
-              const io::RouteWire w =
-                  io::route_wire(grid, e, r->h_layer_index, r->v_layer_index);
-              f(s, layer(s, w.layer_index), w.from, w.to);
+            if (r) {
+              wires.for_each(s, r->edges, r->h_layer_index, r->v_layer_index,
+                             f);
             }
           }
         },
-        density, drain_merge_r);
+        wires.density(), drain_merge_r);
   }
 };
 
@@ -524,7 +607,7 @@ RouteExtractor::RouteExtractor(const pnr::RouteState& routes,
     : impl_(std::make_unique<Impl>(routes.summary(), tech)) {
   for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
     for (Side s : {Side::Front, Side::Back}) {
-      if (const auto r = routes.route(n, s)) impl_->move_wires(s, r->edges, +1);
+      if (const auto r = routes.route(n, s)) impl_->wires.move(s, r->edges, +1);
     }
   }
 }
@@ -540,8 +623,8 @@ void RouteExtractor::reextract(RcNetlist& rc, const Netlist& nl,
   // rebuilt trees see exactly the field a full extraction would.
   for (std::size_t i = 0; i < routes.num_changes(); ++i) {
     const pnr::RouteState::Change c = routes.change(i);
-    x.move_wires(c.side, c.before, -1);
-    x.move_wires(c.side, c.after, +1);
+    x.wires.move(c.side, c.before, -1);
+    x.wires.move(c.side, c.after, +1);
   }
   x.span_log.clear();
   x.log_trees = rc.num_trees();
@@ -567,8 +650,8 @@ void RouteExtractor::undo(RcNetlist& rc, const pnr::RouteState& routes) {
   Impl& x = *impl_;
   for (std::size_t i = routes.num_changes(); i-- > 0;) {
     const pnr::RouteState::Change c = routes.change(i);
-    x.move_wires(c.side, c.after, -1);
-    x.move_wires(c.side, c.before, +1);
+    x.wires.move(c.side, c.after, -1);
+    x.wires.move(c.side, c.before, +1);
   }
   rc.resize_trees(std::max(rc.num_trees(), x.log_trees));
   for (auto it = x.span_log.rbegin(); it != x.span_log.rend(); ++it) {
@@ -580,7 +663,7 @@ void RouteExtractor::undo(RcNetlist& rc, const pnr::RouteState& routes) {
 }
 
 std::vector<double> RouteExtractor::density_loads(Side side) const {
-  return impl_->density.loads(side == Side::Front ? 0 : 1);
+  return impl_->wires.density().loads(side == Side::Front ? 0 : 1);
 }
 
 void finalize_rc_tree(RcTree& tree) {

@@ -1,7 +1,9 @@
 // extract.h — dual-sided RC extraction (Sec. III.C).
 //
-// Consumes the **merged** DEF (front + back wires in one model, the paper's
-// StarRC input) and produces per-net RC trees:
+// Reads every net's front + back wires from one of two sources — the
+// merged DEF (the paper's StarRC input, kept as the reference) or, in the
+// flow, the routes themselves (the same wires, bit-identical trees) — and
+// produces per-net RC trees:
 //
 //   * wire segments contribute distributed RC from their layer's derived
 //     electrical constants (pi-model: half the capacitance at each
@@ -13,7 +15,7 @@
 //   * sink input-pin capacitances are attached at their hookup nodes;
 //   * **coupling**: wire capacitance grows with the local routed-wire
 //     density of its wafer side (neighboring tracks contribute Miller
-//     coupling), computed from the merged DEF's own geometry the way a
+//     coupling), computed from the extracted wires' own geometry the way a
 //     field-solver-calibrated extractor derives coupling from neighborhood
 //     occupancy.  This is the mechanism that makes congested single-sided
 //     routing slower and hungrier than dual-sided routing at the same
@@ -180,6 +182,15 @@ class RcNetlist {
 /// serially in net order; the totals are summed in net order too).
 RcNetlist extract_rc(const io::Def& merged, const netlist::Netlist& nl,
                      const tech::Technology& tech, int threads = 1);
+
+/// Extract RC for every net of `nl` straight from its routes — the flow's
+/// signoff extractor.  Bit-identical to extract_rc() of
+/// io::merge_defs(io::build_def(nl, routes, Front), build_def(.., Back))
+/// at any thread count, without building either DEF.  Needs square gcells
+/// (as the router makes them); throws std::invalid_argument otherwise.
+RcNetlist extract_rc(const pnr::RouteResult& routes,
+                     const netlist::Netlist& nl, const tech::Technology& tech,
+                     int threads = 1);
 
 /// The per-bin wire load of `side`'s coupling-density field that
 /// extract_rc() builds from `merged` (row-major bins).

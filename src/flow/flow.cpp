@@ -20,7 +20,6 @@
 #include "flow/report_json.h"
 #include "obs/obs.h"
 
-#include "io/def.h"
 #include "liberty/characterize.h"
 #include "netlist/sim.h"
 #include "opt/eco.h"
@@ -445,16 +444,17 @@ void place_and_route(const DesignContext& ctx, PhysicalState& st,
 void record_structure_sizes(const PhysicalState& st, FlowResult& res) {
   if (!res.resource.sampled) return;
   long long wires = 0;
-  for (const io::DefNet& n : st.merged.nets) {
-    wires += static_cast<long long>(n.wires.size());
+  for (const pnr::NetRoute& r : st.routes.routes) {
+    wires += static_cast<long long>(r.edges.size());
   }
   res.resource.netlist_cells = st.nl.num_instances();
   res.resource.netlist_nets = st.nl.num_nets();
   res.resource.rc_nodes = st.rc.tree_node_count();
   res.resource.route_grid_nodes =
       static_cast<long long>(st.routes.gcols) * st.routes.grows;
-  res.resource.def_components =
-      static_cast<long long>(st.merged.components.size());
+  // What the merged DEF of the routes would hold: one component per
+  // instance and one wire per routed gcell edge.
+  res.resource.def_components = st.nl.num_instances();
   res.resource.def_wires = wires;
 }
 
@@ -470,21 +470,16 @@ struct SignoffTimer {
   }
 };
 
-/// Signoff of the routed design: two DEFs → merge → dual-sided RC
-/// extraction → STA → hold → [activity sim] → power → IR drop → structure
-/// sizes.  The first signoff times each step as its own stage; after the
-/// ECO (st.eco_ran) the caller times the whole re-signoff as one stage.
+/// Signoff of the routed design: dual-sided RC extraction from the routes
+/// → STA → hold → [activity sim] → power → IR drop → structure sizes.  The
+/// first signoff times each step as its own stage; after the ECO
+/// (st.eco_ran) the caller times the whole re-signoff as one stage.
 SignoffTimer signoff(const DesignContext& ctx, PhysicalState& st,
                      FlowResult& res) {
   const FlowConfig& config = res.config;
   const bool timed = !st.eco_ran;
-  st.merged = in_stage(res, timed, "def_merge", [&] {
-    const io::Def front = io::build_def(st.nl, st.routes, tech::Side::Front);
-    const io::Def back = io::build_def(st.nl, st.routes, tech::Side::Back);
-    return io::merge_defs(front, back);
-  });
   st.rc = in_stage(res, timed, "extract", [&] {
-    return extract::extract_rc(st.merged, st.nl, ctx.tech(),
+    return extract::extract_rc(st.routes, st.nl, ctx.tech(),
                                st.sta_options.threads);
   });
   record_structure_sizes(st, res);
@@ -565,10 +560,9 @@ void eco_and_resignoff(const DesignContext& ctx, PhysicalState& st,
   }
   st.eco_ran = true;
 
-  // Full re-signoff on the optimized design: fresh merge + extraction +
-  // STA (the incremental state is bit-identical by construction, but the
-  // reported PPA must come from the same full pipeline as every other
-  // flow result).
+  // Full re-signoff on the optimized design: fresh extraction + STA (the
+  // incremental state is bit-identical by construction, but the reported
+  // PPA must come from the same full pipeline as every other flow result).
   {
     StageClock clk(res, "eco_signoff");
     const SignoffTimer timer = signoff(ctx, st, res);

@@ -12,15 +12,15 @@
 //     -> placement + IO planning               src/pnr
 //     -> clock-tree synthesis                  src/pnr
 //     -> dual-sided routing (Algorithm 1)      src/pnr
-//     -> two DEFs -> merged DEF                src/io
-//     -> dual-sided RC extraction              src/extract
+//     -> dual-sided RC extraction (routes)     src/extract
 //     -> STA + power                           src/sta
 //
 // A `DesignContext` caches everything upstream of the physical stages so
 // utilization/layer sweeps re-run only floorplan→STA.  The physical stages
 // are written once, in run_physical, over one `PhysicalState`; a caller
 // that needs the artifacts (the reporting CLI, DEF/SPEF dumps) passes a
-// state to keep instead of replaying the stages itself.
+// state to keep instead of replaying the stages itself; the per-side and
+// merged DEFs are built from the kept routes on demand (src/io).
 //
 // Validity follows the paper: legal placement (no cell/tap violations) and
 // routing DRV < 10.
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "extract/extract.h"
-#include "io/def.h"
 #include "netlist/netlist.h"
 #include "pnr/cts.h"
 #include "pnr/floorplan.h"
@@ -168,8 +167,8 @@ struct ResourceUsage {
   long long netlist_nets = 0;
   long long rc_nodes = 0;           ///< RC tree nodes across all nets
   long long route_grid_nodes = 0;   ///< gcells (gcols * grows)
-  long long def_components = 0;     ///< merged-DEF components
-  long long def_wires = 0;          ///< merged-DEF wire segments (both sides)
+  long long def_components = 0;     ///< merged-DEF components (instances)
+  long long def_wires = 0;          ///< merged-DEF wire segments (route edges)
 };
 
 struct FlowResult {
@@ -279,7 +278,6 @@ struct PhysicalState {
   pnr::PlacementResult placement;
   pnr::CtsResult cts;
   pnr::RouteResult routes;
-  io::Def merged;  ///< front+back merge the signoff extracted from
   extract::RcNetlist rc;
   sta::StaOptions sta_options;  ///< what the signoff Sta used
   bool eco_ran = false;

@@ -14,8 +14,10 @@
 //     the pin's LAYER: FM0 for frontside pins, BM0 for backside pins, both
 //     rects for dual-sided output pins).
 //
-// The RC extractor (src/extract) consumes the *merged* DEF, exactly like
-// the paper's StarRC run.
+// The RC extractor (src/extract) reads the *merged* DEF the way the paper's
+// StarRC run does; that path stays as the reference.  The flow itself
+// extracts straight from the routes (the same wires, via route_wire), so
+// it builds DEFs only on demand, for the CLI's dumps and the net report.
 
 #pragma once
 

@@ -1,15 +1,24 @@
 // Tests for dual-sided RC extraction: tree structure, Elmore properties,
-// the Drain-Merge front/back junction, and consistency with the merged DEF.
+// the Drain-Merge front/back junction, consistency with the merged DEF, and
+// the route-driven extractor's bit identity with the paper's
+// merge-then-extract path on real flow points.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <ostream>
+#include <string>
+
 #include "extract/extract.h"
+#include "flow/flow.h"
 #include "liberty/characterize.h"
 #include "netlist/builder.h"
 #include "pnr/cts.h"
 #include "pnr/floorplan.h"
 #include "pnr/placement.h"
 #include "pnr/powerplan.h"
+#include "rc_compare.h"
 #include "riscv/rv32.h"
 
 namespace ffet::extract {
@@ -221,6 +230,90 @@ TEST(ExtractMicro, SingleWireElmoreMatchesHandComputation) {
   ASSERT_EQ(t.sink_nodes.size(), 1u);
   EXPECT_GT(t.elmore_to_sink(0), 0.0);
 }
+
+// --- route-driven extraction == the paper's merge-then-extract path -------
+
+/// One flow configuration of the reduced RV32 core, extracted at one thread
+/// count.
+struct RouteSourceCase {
+  const char* name;
+  tech::TechKind kind;
+  int back_layers;
+  double backside_input_fraction;
+  int eco_passes;
+  int threads;
+};
+
+void PrintTo(const RouteSourceCase& c, std::ostream* os) {
+  *os << c.name << "_t" << c.threads;
+}
+
+class RouteSourceTest : public ::testing::TestWithParam<RouteSourceCase> {
+ protected:
+  /// A finished flow point and the design it kept.
+  struct Point {
+    std::unique_ptr<flow::DesignContext> ctx;
+    flow::PhysicalState st;  ///< destroyed first: its netlist uses ctx
+  };
+
+  /// The reduced-core flow of a case's configuration, run once and shared
+  /// by its thread counts.
+  static const Point& point(const RouteSourceCase& c) {
+    static std::map<std::string, std::unique_ptr<Point>> points;
+    std::unique_ptr<Point>& p = points[c.name];
+    if (!p) {
+      flow::FlowConfig cfg;
+      cfg.tech_kind = c.kind;
+      cfg.front_layers = 12;
+      cfg.back_layers = c.back_layers;
+      cfg.backside_input_fraction = c.backside_input_fraction;
+      cfg.eco_passes = c.eco_passes;
+      cfg.rv32_registers = 8;
+      cfg.utilization = 0.65;
+      cfg.threads = 1;
+      p = std::make_unique<Point>();
+      p->ctx = flow::prepare_design(cfg);
+      flow::run_physical(*p->ctx, cfg, &p->st);
+    }
+    return *p;
+  }
+};
+
+// Every RC node field, Elmore delay, sink hookup and per-tree and global
+// total of extract_rc(routes) equals extract_rc of the merged front/back
+// DEFs, the paper's StarRC input — on the signed-off design (post-ECO
+// where the ECO ran), at every thread count.
+TEST_P(RouteSourceTest, RoutesExtractLikeTheirMergedDef) {
+  const RouteSourceCase& c = GetParam();
+  const Point& p = point(c);
+  const netlist::Netlist& nl = p.st.nl;
+  const pnr::RouteResult& routes = p.st.routes;
+  ASSERT_FALSE(routes.routes.empty());
+  const io::Def merged =
+      io::merge_defs(io::build_def(nl, routes, tech::Side::Front),
+                     io::build_def(nl, routes, tech::Side::Back));
+  const RcNetlist from_def = extract_rc(merged, nl, p.ctx->tech(), c.threads);
+  const RcNetlist from_routes =
+      extract_rc(routes, nl, p.ctx->tech(), c.threads);
+  expect_same_rc(from_routes, from_def);
+  EXPECT_GT(from_routes.total_wire_cap_ff, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ReducedRv32, RouteSourceTest,
+    ::testing::Values(
+        RouteSourceCase{"ffet_fp05bp05_eco2", tech::TechKind::Ffet3p5T, 12,
+                        0.5, 2, 1},
+        RouteSourceCase{"ffet_fp05bp05_eco2", tech::TechKind::Ffet3p5T, 12,
+                        0.5, 2, 4},
+        RouteSourceCase{"ffet_fm12", tech::TechKind::Ffet3p5T, 0, 0.0, 0, 1},
+        RouteSourceCase{"ffet_fm12", tech::TechKind::Ffet3p5T, 0, 0.0, 0, 4},
+        RouteSourceCase{"cfet_fm12", tech::TechKind::Cfet4T, 0, 0.0, 0, 1},
+        RouteSourceCase{"cfet_fm12", tech::TechKind::Cfet4T, 0, 0.0, 0, 4}),
+    [](const ::testing::TestParamInfo<RouteSourceCase>& info) {
+      return std::string(info.param.name) + "_t" +
+             std::to_string(info.param.threads);
+    });
 
 }  // namespace
 }  // namespace ffet::extract

@@ -164,9 +164,9 @@ TEST_P(StageSequenceTest, StageTimesNameTheExactSequence) {
 }
 
 const std::vector<std::string> kPhysicalStages = {
-    "floorplan", "powerplan",  "placement", "placement_drc",
-    "cts",       "hold_fix",   "route",     "def_merge",
-    "extract",   "sta_timing", "sta_hold"};
+    "floorplan", "powerplan", "placement",  "placement_drc",
+    "cts",       "hold_fix",  "route",      "extract",
+    "sta_timing", "sta_hold"};
 
 std::vector<std::string> with(std::vector<std::string> names,
                               const std::vector<std::string>& tail) {

@@ -21,6 +21,7 @@
 #include "pnr/placement.h"
 #include "pnr/powerplan.h"
 #include "pnr/router.h"
+#include "rc_compare.h"
 #include "sta/sta.h"
 
 namespace ffet::opt {
@@ -94,33 +95,6 @@ struct Fixture {
     rc = extract::extract_rc(merged, nl, tech);
   }
 };
-
-/// Every field of two RC trees, bitwise: node positions, caps, resistances,
-/// parents and sides, the Elmore delays, the sink hookups and the totals.
-void expect_same_tree(const extract::RcTreeView& a,
-                      const extract::RcTreeView& b, NetId n) {
-  ASSERT_EQ(a.nodes.size(), b.nodes.size()) << "net " << n;
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    const extract::RcNode& x = a.nodes[i];
-    const extract::RcNode& y = b.nodes[i];
-    EXPECT_EQ(x.pos.x, y.pos.x) << "net " << n << " node " << i;
-    EXPECT_EQ(x.pos.y, y.pos.y) << "net " << n << " node " << i;
-    EXPECT_EQ(x.cap_ff, y.cap_ff) << "net " << n << " node " << i;
-    EXPECT_EQ(x.r_ohm, y.r_ohm) << "net " << n << " node " << i;
-    EXPECT_EQ(x.parent, y.parent) << "net " << n << " node " << i;
-    EXPECT_EQ(x.side, y.side) << "net " << n << " node " << i;
-  }
-  ASSERT_EQ(a.elmore_ps.size(), b.elmore_ps.size()) << "net " << n;
-  for (std::size_t i = 0; i < a.elmore_ps.size(); ++i) {
-    EXPECT_EQ(a.elmore_ps[i], b.elmore_ps[i]) << "net " << n << " node " << i;
-  }
-  ASSERT_EQ(a.sink_nodes.size(), b.sink_nodes.size()) << "net " << n;
-  for (std::size_t i = 0; i < a.sink_nodes.size(); ++i) {
-    EXPECT_EQ(a.sink_nodes[i], b.sink_nodes[i]) << "net " << n;
-  }
-  EXPECT_EQ(a.total_cap_ff, b.total_cap_ff) << "net " << n;
-  EXPECT_EQ(a.wire_cap_ff, b.wire_cap_ff) << "net " << n;
-}
 
 /// Two route results are the same routes (net, side, edges, terminals,
 /// layers, wirelength) with the same totals and DRV verdict, bitwise.
@@ -293,11 +267,11 @@ TEST(EcoStateTest, IncrementalStateMatchesRebuildTrialByTrial) {
     if (accept) {
       const extract::RcNetlist full = extract::extract_rc(merged, f.nl, f.tech);
       for (const NetId n : dirty) {
-        expect_same_tree(f.rc.tree(n), full.tree(n), n);
+        extract::expect_same_tree(f.rc.tree(n), full.tree(n), n);
       }
     } else {
       for (NetId n = 0; n < f.nl.num_nets(); ++n) {
-        expect_same_tree(f.rc.tree(n), rc_before.tree(n), n);
+        extract::expect_same_tree(f.rc.tree(n), rc_before.tree(n), n);
       }
     }
     for (const tech::Side s : {tech::Side::Front, tech::Side::Back}) {
@@ -491,12 +465,7 @@ TEST(EcoTest, AllRevertedTrialsRestoreStateBitExactly) {
   // Every route (edges, terminals, layers) and every RC node field and
   // Elmore delay: a partial undo cannot hide behind unchanged totals.
   expect_same_routes(f.routes, pristine.routes);
-  ASSERT_EQ(f.rc.num_trees(), pristine.rc.num_trees());
-  for (NetId n = 0; n < static_cast<NetId>(f.rc.num_trees()); ++n) {
-    expect_same_tree(f.rc.tree(n), pristine.rc.tree(n), n);
-  }
-  EXPECT_EQ(f.rc.total_wire_cap_ff, pristine.rc.total_wire_cap_ff);
-  EXPECT_EQ(f.rc.total_wire_res_kohm, pristine.rc.total_wire_res_kohm);
+  extract::expect_same_rc(f.rc, pristine.rc);
 }
 
 TEST(EcoTest, ZeroBudgetDoesNothing) {

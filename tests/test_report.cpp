@@ -816,10 +816,18 @@ flow::DesignContext* ReportFlowTest::ctx_ = nullptr;
 ReportFlowTest::KeptRun* ReportFlowTest::run_ = nullptr;
 ReportFlowTest::KeptRun* ReportFlowTest::eco_run_ = nullptr;
 
+/// The merged DEF of a kept run, built on demand from its routes (the flow
+/// extracts from the routes and keeps no DEF).
+io::Def merged_def(const flow::PhysicalState& st) {
+  return io::merge_defs(io::build_def(st.nl, st.routes, tech::Side::Front),
+                        io::build_def(st.nl, st.routes, tech::Side::Back));
+}
+
 TEST_F(ReportFlowTest, KeptStateIsTheSignedOffDesign) {
   // The artifacts a caller keeps must be the design whose PPA the run
   // reported: a fresh timer on them reproduces signoff bit for bit, and
-  // the netlist and merged DEF carry every hold and ECO buffer.
+  // the netlist and the merged DEF of the kept routes carry every hold and
+  // ECO buffer.
   for (const KeptRun* run : {run_, eco_run_}) {
     const flow::FlowResult& r = run->result;
     const flow::PhysicalState& st = run->state;
@@ -837,11 +845,17 @@ TEST_F(ReportFlowTest, KeptStateIsTheSignedOffDesign) {
     EXPECT_EQ(hold.violations, r.hold_violations);
 
     EXPECT_EQ(st.nl.num_instances(), r.num_instances);
-    EXPECT_EQ(st.merged.components.size(),
+    const io::Def merged = merged_def(st);
+    EXPECT_EQ(merged.components.size(),
               static_cast<std::size_t>(r.num_instances));
     if (r.resource.sampled) {
-      EXPECT_EQ(static_cast<long long>(st.merged.components.size()),
+      long long wires = 0;
+      for (const io::DefNet& n : merged.nets) {
+        wires += static_cast<long long>(n.wires.size());
+      }
+      EXPECT_EQ(static_cast<long long>(merged.components.size()),
                 r.resource.def_components);
+      EXPECT_EQ(wires, r.resource.def_wires);
     }
   }
 }
@@ -904,9 +918,10 @@ TEST_F(ReportFlowTest, TimingReportIsDeterministic) {
 
 TEST_F(ReportFlowTest, NetAttributionCoversRoutedDesign) {
   const flow::PhysicalState& st = run_->state;
-  const std::string def_before = io::to_def_string(st.merged);
-  const NetReport rep = build_net_report(st.nl, st.merged, st.rc);
-  EXPECT_EQ(io::to_def_string(st.merged), def_before)
+  const io::Def merged = merged_def(st);
+  const std::string def_before = io::to_def_string(merged);
+  const NetReport rep = build_net_report(st.nl, merged, st.rc);
+  EXPECT_EQ(io::to_def_string(merged), def_before)
       << "building a report must not mutate the design";
 
   ASSERT_EQ(rep.nets.size(),

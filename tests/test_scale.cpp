@@ -14,6 +14,7 @@
 #include "pnr/placement.h"
 #include "pnr/powerplan.h"
 #include "pnr/router.h"
+#include "rc_compare.h"
 #include "riscv/rv32.h"
 #include "stdcell/stdcell.h"
 #include "tech/tech.h"
@@ -165,17 +166,19 @@ class ScaleIoTest : public ::testing::Test {
     const pnr::PowerPlan pp = pnr::build_power_plan(*nl_, fp, *lib_);
     pnr::place(*nl_, fp, pp);
     pnr::build_clock_tree(*nl_, fp);
-    const pnr::RouteResult rr = pnr::route_design(*nl_, fp);
+    routes_ = new pnr::RouteResult(pnr::route_design(*nl_, fp));
     merged_ = new io::Def(
-        io::merge_defs(io::build_def(*nl_, rr, tech::Side::Front),
-                       io::build_def(*nl_, rr, tech::Side::Back)));
+        io::merge_defs(io::build_def(*nl_, *routes_, tech::Side::Front),
+                       io::build_def(*nl_, *routes_, tech::Side::Back)));
   }
   static void TearDownTestSuite() {
     delete merged_;
+    delete routes_;
     delete nl_;
     delete lib_;
     delete tech_;
     merged_ = nullptr;
+    routes_ = nullptr;
     nl_ = nullptr;
     lib_ = nullptr;
     tech_ = nullptr;
@@ -184,12 +187,14 @@ class ScaleIoTest : public ::testing::Test {
   static tech::Technology* tech_;
   static stdcell::Library* lib_;
   static netlist::Netlist* nl_;
+  static pnr::RouteResult* routes_;
   static io::Def* merged_;
 };
 
 tech::Technology* ScaleIoTest::tech_ = nullptr;
 stdcell::Library* ScaleIoTest::lib_ = nullptr;
 netlist::Netlist* ScaleIoTest::nl_ = nullptr;
+pnr::RouteResult* ScaleIoTest::routes_ = nullptr;
 io::Def* ScaleIoTest::merged_ = nullptr;
 
 // The buffered/to_chars DEF writer must round-trip through its own reader
@@ -219,6 +224,13 @@ TEST_F(ScaleIoTest, SpefStreamingRoundTripIsBitIdentical) {
   const std::string second = extract::to_spef_string(again, *nl_);
   ASSERT_EQ(second.size(), first.size());
   EXPECT_TRUE(second == first);
+}
+
+// The flow's route-driven extraction reads the same wires as the merged
+// DEF on the mesh too: every tree and both totals are bit-identical.
+TEST_F(ScaleIoTest, RouteExtractionMatchesMergedDef) {
+  extract::expect_same_rc(extract::extract_rc(*routes_, *nl_, *tech_),
+                          extract::extract_rc(*merged_, *nl_, *tech_));
 }
 
 }  // namespace
