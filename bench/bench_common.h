@@ -111,20 +111,13 @@ inline double pct(double ours, double base) {
 /// Wall-clock instrumentation for the sweep benches.  Construction turns
 /// the obs metrics registry on (cheap — pure atomics) and clears the
 /// per-point window; destruction prints the elapsed time plus per-point
-/// min/mean/max, and, when the FFET_BENCH_JSON environment variable names
-/// a file, appends one machine-readable line:
-///   {"bench":"...","seconds":...,"threads":...,"points":...,
-///    "point_ms_min":...,"point_ms_mean":...,"point_ms_max":...,
-///    "peak_rss_kb":...,"stage_ms":{"floorplan":...,...}}
-/// run_benches.sh collects these lines into BENCH_sweeps.json.  Per-point
-/// and per-stage numbers come from the "flow.point.ms" /
-/// "flow.stage.<name>.ms" histograms run_physical records; stage sums are
-/// deltas against the construction-time snapshot so sequential timers in
-/// one binary don't double-count.
+/// min/mean/max from the "flow.point.ms" histogram run_physical records.
+/// run_benches.sh records each bench's wall time and peak RSS in the run
+/// ledger.
 class SweepTimer {
  public:
-  /// `threads` follows the flow convention: 0 = auto (FFET_THREADS env or
-  /// hardware concurrency) — record what the sweep actually used.
+  /// `threads` follows the flow convention: 0 = auto (see
+  /// runtime::resolve_threads) — record what the sweep actually used.
   SweepTimer(std::string bench, int points, int threads = 0)
       : bench_(std::move(bench)),
         points_(points),
@@ -133,12 +126,8 @@ class SweepTimer {
     obs::set_thread_name("main");
     // Benches default to metrics-on (per-point stats below are worth the
     // few atomics); FFET_METRICS=0 is the explicit opt-out.
-    const char* menv = std::getenv("FFET_METRICS");
-    if (menv == nullptr || std::strcmp(menv, "0") != 0) {
-      obs::set_metrics(true);
-    }
+    if (obs::env().metrics.mode != obs::EnvSink::kOff) obs::set_metrics(true);
     obs::histogram("flow.point.ms").reset();  // own the per-point window
-    baseline_ = obs::metrics_snapshot();
     start_ = std::chrono::steady_clock::now();
   }
 
@@ -159,71 +148,12 @@ class SweepTimer {
                   point.min(), point.mean(), point.max(),
                   static_cast<unsigned long long>(point.count()));
     }
-
-    if (const char* path = std::getenv("FFET_BENCH_JSON")) {
-      std::string line;
-      line.reserve(512);
-      flow::JsonBuilder j(line);
-      j.open_obj();
-      j.field("bench", bench_);
-      // Keep the historical 3-decimal resolution for total runtime.
-      j.field("seconds", std::round(seconds * 1000.0) / 1000.0);
-      j.field("threads", threads_);
-      j.field("points", points_);
-      if (point.count() > 0) {
-        j.field("point_ms_min", point.min());
-        j.field("point_ms_mean", point.mean());
-        j.field("point_ms_max", point.max());
-      }
-      // Peak RSS of the whole bench process (absent with FFET_RESOURCE=0,
-      // keeping those lines byte-identical to pre-probe builds).
-      if (obs::resource_enabled()) {
-        j.field("peak_rss_kb", obs::sample_resources().peak_rss_kb);
-      }
-      append_stage_ms(j);
-      j.close_obj();
-      line += '\n';
-      if (std::FILE* f = std::fopen(path, "a")) {
-        std::fwrite(line.data(), 1, line.size(), f);
-        std::fclose(f);
-      }
-    }
   }
 
  private:
-  /// Total wall ms spent per flow stage inside this timer's window, as a
-  /// compact "stage_ms" object (delta of the stage histograms' sums).
-  void append_stage_ms(flow::JsonBuilder& j) const {
-    constexpr const char* kPrefix = "flow.stage.";
-    constexpr std::size_t kPrefixLen = 11;
-    constexpr const char* kSuffix = ".ms";
-    std::vector<std::pair<std::string, double>> stages;
-    for (const obs::MetricsSnapshot::Hist& h : obs::metrics_snapshot().histograms) {
-      if (h.name.rfind(kPrefix, 0) != 0) continue;
-      double sum = h.sum;
-      for (const obs::MetricsSnapshot::Hist& b : baseline_.histograms) {
-        if (b.name == h.name) {
-          sum -= b.sum;
-          break;
-        }
-      }
-      if (sum <= 0.0) continue;
-      std::string stage = h.name.substr(kPrefixLen);
-      if (stage.size() > 3 && stage.rfind(kSuffix) == stage.size() - 3) {
-        stage.resize(stage.size() - 3);
-      }
-      stages.emplace_back(std::move(stage), sum);
-    }
-    if (stages.empty()) return;
-    j.open_nested("stage_ms");
-    for (const auto& [stage, sum] : stages) j.field(stage.c_str(), sum);
-    j.close_obj();
-  }
-
   std::string bench_;
   int points_;
   int threads_;
-  obs::MetricsSnapshot baseline_;
   std::chrono::steady_clock::time_point start_;
 };
 

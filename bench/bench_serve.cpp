@@ -14,9 +14,6 @@
 // in-process baseline (report::diff_flow_reports in qor_only mode): a
 // sharded fleet that returned even one bit-different PPA number would make
 // the speedup meaningless.
-//
-// FFET_BENCH_JSON output (one line per mode) feeds run_benches.sh's
-// BENCH_sweeps.json like the other sweep benches.
 
 #include <cstdio>
 #include <cstdlib>
@@ -183,24 +180,6 @@ int main(int argc, char** argv) {
         workers, cold_s, cold_s > 0 ? baseline_s / cold_s : 0.0, warm_s,
         warm.cache_hits, warm.points,
         cold_ok && warm_ok ? "" : "  QOR MISMATCH");
-
-    if (const char* path = std::getenv("FFET_BENCH_JSON")) {
-      std::string line;
-      flow::JsonBuilder j(line);
-      j.open_obj();
-      j.field("bench", ("bench_serve_" + tag).c_str());
-      j.field("seconds", cold_s);
-      j.field("threads", workers);
-      j.field("points", static_cast<long long>(sweep.size()));
-      j.field("warm_seconds", warm_s);
-      j.field("speedup_vs_inproc", cold_s > 0 ? baseline_s / cold_s : 0.0);
-      j.close_obj();
-      line += '\n';
-      if (std::FILE* f = std::fopen(path, "a")) {
-        std::fwrite(line.data(), 1, line.size(), f);
-        std::fclose(f);
-      }
-    }
   }
 
   if (!all_identical) {

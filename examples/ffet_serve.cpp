@@ -23,7 +23,6 @@
 //   --attrib       annotate every served flow_report line with a "serve"
 //                  latency object (queue/cache/run ms, retries, worker pid,
 //                  cache_hit) and append kind="serve" ledger lines.
-//                  FFET_SERVE_ATTRIB=1 is the env spelling.
 //   --ledger PATH  where those serve ledger lines go (defaults to the flow
 //                  ledger resolution: FFET_LEDGER or .ffet_ledger.jsonl).
 // SIGINT/SIGTERM (and a client's `ffet_submit --shutdown`) stop the daemon
@@ -37,6 +36,7 @@
 #include <string>
 
 #include "flow/version.h"
+#include "obs/env.h"
 #include "serve/server.h"
 
 using namespace ffet;
@@ -59,8 +59,7 @@ void on_signal(int) {
                "PATH] [--version]\n"
                "defaults: --socket .ffet_serve.sock --workers $FFET_WORKERS"
                "|2 --cache .ffet_serve_cache\n"
-               "env: FFET_TRACE=<path> == --trace   FFET_SERVE_ATTRIB=1 == "
-               "--attrib\n",
+               "env: FFET_TRACE=<path> == --trace\n",
                argv0);
   std::exit(2);
 }
@@ -71,13 +70,11 @@ int main(int argc, char** argv) {
   serve::ServeOptions opts;
   std::string log_path;
   // The daemon owns FFET_TRACE: consume it into the merged-trace path and
-  // unset it, so neither the in-process atexit dump (which would overwrite
+  // clear it, so neither the in-process atexit dump (which would overwrite
   // the merge) nor a forked worker inherits it.  --trace beats the env.
-  if (const char* env_trace = std::getenv("FFET_TRACE");
-      env_trace != nullptr && *env_trace != '\0') {
-    opts.trace_path = env_trace;
-    ::unsetenv("FFET_TRACE");
-  }
+  obs::EnvSink& env_trace = obs::env().trace;
+  if (env_trace.mode == obs::EnvSink::kPath) opts.trace_path = env_trace.path;
+  env_trace = {};
   for (int i = 1; i < argc; ++i) {
     const auto need = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {

@@ -12,10 +12,7 @@
 #   ./run_benches.sh bench_fig10 ...  # only the named benches (unknown
 #                                     # names are an error, not a skip)
 #
-# Wall-clock timing of every sweep bench is collected (via the
-# FFET_BENCH_JSON hook in bench_common.h) into BENCH_sweeps.json; the lines
-# include per-point min/mean/max and per-stage wall-time breakdowns.
-# Every bench additionally appends one "ffet.ledger.v1" line (kind=bench,
+# Every bench appends one "ffet.ledger.v1" line (kind=bench,
 # wall time + peak RSS, recorded even when the bench fails) to the run
 # ledger, and the flows inside the benches append their own kind=flow
 # lines; `ffet_report history` / `ffet_report trend` read that history.
@@ -82,10 +79,6 @@ elif [ "$quick" = 1 ]; then
 else
   benches=$FULL
 fi
-
-JSONL=$(mktemp)
-trap 'rm -f "$JSONL"' EXIT
-export FFET_BENCH_JSON="$JSONL"
 
 # Resolve the run-ledger path with the same semantics as the flow
 # (flow::resolve_ledger_path): unset/empty here defaults the ledger ON.
@@ -252,18 +245,6 @@ run_serve_smoke() {
 
 if [ "$serve" = 1 ]; then
   run_serve_smoke || failures="$failures serve_smoke"
-fi
-
-# Wrap the collected JSON lines into one machine-readable array.
-if [ -s "$JSONL" ]; then
-  {
-    echo '['
-    sed '$!s/$/,/' "$JSONL"
-    echo ']'
-  } > BENCH_sweeps.json
-  echo ""
-  echo "sweep timings written to BENCH_sweeps.json:"
-  cat BENCH_sweeps.json
 fi
 
 if [ "$trace" = 1 ]; then

@@ -6,16 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <map>
 #include <mutex>
 #include <sstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/stat.h>
-#include <unistd.h>
-#define FFET_FLOW_HAVE_UNISTD 1
-#endif
 
 #include "flow/report_json.h"
 #include "obs/obs.h"
@@ -57,12 +50,11 @@ std::string FlowConfig::label() const {
   return os.str();
 }
 
-std::string resolve_ledger_path(const std::string& explicit_path) {
+std::string resolve_ledger_path(const std::string& explicit_path,
+                                const obs::Env& env) {
   if (!explicit_path.empty()) return explicit_path;
-  const char* env = std::getenv("FFET_LEDGER");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0) return {};
-  if (std::strcmp(env, "1") == 0) return kDefaultLedgerPath;
-  return env;
+  if (env.ledger.mode == obs::EnvSink::kOn) return kDefaultLedgerPath;
+  return env.ledger.path;  // empty unless FFET_LEDGER names a path
 }
 
 namespace {
@@ -261,68 +253,25 @@ class StageClock {
 };
 
 /// Append one flow-report line (see flow_report_json) to the sink named by
-/// FlowConfig::flow_report_path, or the FFET_FLOW_REPORT environment
-/// variable when the config leaves it empty.  obs::append_jsonl_line keeps
-/// lines whole across threads *and* processes (O_APPEND + one write) — the
-/// serve worker fleet appends to a shared sink from forked workers.
+/// FlowConfig::flow_report_path, or FFET_FLOW_REPORT when the config leaves
+/// it empty.  obs::append_jsonl_line keeps lines whole across threads *and*
+/// processes (O_APPEND + one write) — the serve worker fleet appends to a
+/// shared sink from forked workers.
 void emit_flow_report(const FlowResult& res) {
   std::string path = res.config.flow_report_path;
-  if (path.empty()) {
-    if (const char* env = std::getenv("FFET_FLOW_REPORT")) path = env;
-  }
+  if (path.empty()) path = obs::env().flow_report.path;
   if (path.empty()) return;
   obs::append_jsonl_line(path, flow_report_json(res));
 }
 
-std::string host_name() {
-#if defined(FFET_FLOW_HAVE_UNISTD)
-  char buf[256] = {};
-  if (gethostname(buf, sizeof(buf) - 1) == 0 && buf[0] != '\0') return buf;
-#endif
-  if (const char* h = std::getenv("HOSTNAME")) return h;
-  return "unknown";
-}
-
-/// Append one "ffet.ledger.v1" line for this flow point to the run ledger
+/// Append this flow point's ledger line (see ledger_line) to the run ledger
 /// (FlowConfig::ledger_path / FFET_LEDGER, see resolve_ledger_path).  Runs
 /// strictly after the result is complete — the ledger can record but never
-/// influence a flow.  Creates the ledger's parent directory on first use
-/// (the default path lives under .ffet_ledger/).  The append is
-/// multi-process-safe (O_APPEND, one write): serve workers from a forked
-/// fleet share one ledger file.
+/// influence a flow.  The append is multi-process-safe: serve workers from
+/// a forked fleet share one ledger file.
 void emit_ledger(const FlowResult& res, int threads) {
   const std::string path = resolve_ledger_path(res.config.ledger_path);
-  if (path.empty()) return;
-
-  std::string line;
-  line.reserve(512);
-  JsonBuilder j(line);
-  j.open_obj();
-  j.field("schema", "ffet.ledger.v1");
-  j.field("kind", "flow");
-  j.field("label", res.config.label());
-  j.field("timestamp_s", static_cast<long long>(std::time(nullptr)));
-  j.field("host", host_name());
-  j.field("threads", threads);
-  j.field("valid", res.valid());
-  j.open_nested("metrics");
-  j.field("achieved_freq_ghz", res.achieved_freq_ghz);
-  j.field("power_uw", res.power_uw);
-  j.field("wirelength_um",
-          res.wirelength_front_um + res.wirelength_back_um);
-  j.field("drv", static_cast<long long>(res.drv));
-  double wall_ms = 0.0;
-  for (const StageTiming& st : res.stage_times) wall_ms += st.wall_ms;
-  j.field("runtime_ms", wall_ms);
-  if (res.resource.sampled) {
-    j.field("peak_rss_kb", res.resource.peak_rss_kb);
-    j.field("rc_nodes", res.resource.rc_nodes);
-    j.field("netlist_cells", res.resource.netlist_cells);
-  }
-  j.close_obj();
-  j.close_obj();
-
-  obs::append_jsonl_line(path, line);
+  if (!path.empty()) append_ledger(path, ledger_line(res, threads));
 }
 
 /// Per-net toggle rates from `cycles` of the activity workload on `nl`

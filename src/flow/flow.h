@@ -34,6 +34,7 @@
 
 #include "extract/extract.h"
 #include "netlist/netlist.h"
+#include "obs/env.h"
 #include "pnr/cts.h"
 #include "pnr/floorplan.h"
 #include "pnr/placement.h"
@@ -76,42 +77,41 @@ struct FlowConfig {
   int eco_passes = 0;
 
   /// Worker threads for the intra-flow parallel stages (per-side routing,
-  /// per-net extraction, STA precompute).  0 = auto: the FFET_THREADS
-  /// environment variable if set, else std::thread::hardware_concurrency().
-  /// All stages are bit-identical to threads == 1.
+  /// per-net extraction, STA precompute).  0 = auto (see
+  /// runtime::resolve_threads).  All stages are bit-identical to
+  /// threads == 1.
   int threads = 0;
 
   /// Telemetry sinks (src/obs).  `trace_path` enables span tracing and
-  /// dumps a Chrome trace-event JSON there when the process exits (same
-  /// effect as the FFET_TRACE environment variable).  `flow_report_path`
-  /// appends one structured-JSON line per run_physical call (stage
-  /// timings + metrics + validity verdict); the FFET_FLOW_REPORT
-  /// environment variable is the out-of-band equivalent.  Both empty by
-  /// default: the flow then records nothing and pays only a relaxed
-  /// atomic load per instrumentation site.
+  /// dumps a Chrome trace-event JSON there when the process exits.
+  /// `flow_report_path` appends one structured-JSON line per run_physical
+  /// call (stage timings + metrics + validity verdict).  Both empty by
+  /// default, deferring to FFET_TRACE / FFET_FLOW_REPORT (obs/env.h): the
+  /// flow then records nothing and pays only a relaxed atomic load per
+  /// instrumentation site.
   std::string trace_path;
   std::string flow_report_path;
 
   /// Run-ledger sink (src/report reads it back): when non-empty,
   /// run_physical appends one "ffet.ledger.v1" JSON line per point
   /// (label + timestamp + host/threads + PPA/runtime/peak-RSS metrics)
-  /// to this file.  Empty (default) defers to the FFET_LEDGER environment
-  /// variable: unset/"0" = off, "1" = the default .ffet_ledger/ledger.jsonl,
-  /// anything else = that path.  Ledger writes happen after the result is
+  /// to this file.  Empty (default) defers to FFET_LEDGER (see
+  /// resolve_ledger_path).  Ledger writes happen after the result is
   /// fully computed, so they can never perturb flow output.
   std::string ledger_path;
 
   std::string label() const;
 };
 
-/// Resolve the ledger sink path shared by the flow emitter, the bench
-/// wrapper and the ffet_report CLI: `explicit_path` if non-empty, else the
-/// FFET_LEDGER environment variable ("0"/unset -> "" = off, "1" -> the
-/// default ".ffet_ledger/ledger.jsonl", anything else -> that value).
-std::string resolve_ledger_path(const std::string& explicit_path = {});
+/// Resolve the ledger sink path shared by the flow emitter, the serve
+/// ledger and the ffet_report CLI: `explicit_path` if non-empty, else
+/// `env.ledger` (FFET_LEDGER): off or unset -> "" (no ledger), on ->
+/// kDefaultLedgerPath, a path -> that path.
+std::string resolve_ledger_path(const std::string& explicit_path = {},
+                                const obs::Env& env = obs::env());
 
-/// The default on-disk ledger location (used when FFET_LEDGER=1 and as the
-/// CLI's read-side default).
+/// The default on-disk ledger location (FFET_LEDGER=1, and the CLI's
+/// read-side default).
 inline constexpr const char kDefaultLedgerPath[] = ".ffet_ledger/ledger.jsonl";
 
 /// Everything upstream of the physical stages; reusable across

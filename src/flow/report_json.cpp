@@ -1,6 +1,8 @@
 #include "flow/report_json.h"
 
+#include <ctime>
 #include <iterator>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -184,6 +186,14 @@ void write_section(JsonBuilder& j, const FlowResult& r,
   }
 }
 
+/// The value of the field-table row keyed `key`.
+FieldValue field_value(const FlowResult& r, std::string_view key) {
+  for (const ResultField& f : kResultFields) {
+    if (key == f.key) return f.get(r);
+  }
+  return {};  // unreachable for the keys ledger_line asks for
+}
+
 }  // namespace
 
 std::span<const ResultField> result_fields() { return kResultFields; }
@@ -248,6 +258,56 @@ std::string flow_report_json(const FlowResult& r) {
   }
   j.close_obj();
   return out;
+}
+
+LedgerLine ledger_line(const FlowResult& r, int threads) {
+  double wall_ms = 0.0;
+  for (const StageTiming& st : r.stage_times) wall_ms += st.wall_ms;
+  LedgerLine line{
+      .kind = "flow",
+      .label = r.config.label(),
+      .threads = threads,
+      .valid = r.valid(),
+      .metrics = {
+          {"achieved_freq_ghz", field_value(r, "achieved_freq_ghz")},
+          {"power_uw", field_value(r, "power_uw")},
+          {"wirelength_um", r.wirelength_front_um + r.wirelength_back_um},
+          {"drv", field_value(r, "drv")},
+          {"runtime_ms", wall_ms},
+      }};
+  if (r.resource.sampled) {
+    for (const char* key : {"peak_rss_kb", "rc_nodes", "netlist_cells"}) {
+      line.metrics.emplace_back(key, field_value(r, key));
+    }
+  }
+  return line;
+}
+
+std::string ledger_json(const LedgerLine& line, long long timestamp_s,
+                        const std::string& host) {
+  std::string out;
+  out.reserve(512);
+  JsonBuilder j(out);
+  j.open_obj();
+  j.field("schema", "ffet.ledger.v1");
+  j.field("kind", line.kind);
+  j.field("label", line.label);
+  j.field("timestamp_s", timestamp_s);
+  j.field("host", host);
+  j.field("threads", line.threads);
+  j.field("valid", line.valid);
+  j.open_nested("metrics");
+  for (const auto& [key, v] : line.metrics) write_field(j, key.c_str(), v);
+  j.close_obj();
+  j.close_obj();
+  return out;
+}
+
+bool append_ledger(const std::string& path, const LedgerLine& line,
+                   std::string* error) {
+  const auto now = static_cast<long long>(std::time(nullptr));
+  return obs::append_jsonl_line(path, ledger_json(line, now, obs::host_name()),
+                                error);
 }
 
 bool append_serve_report(std::string& line, const ServeAttribution& serve) {

@@ -11,7 +11,9 @@
 
 #include <span>
 #include <string>
+#include <utility>
 #include <variant>
+#include <vector>
 
 #include "flow/flow.h"
 #include "obs/numfmt.h"
@@ -127,6 +129,35 @@ std::string to_json(const FlowResult& result);
 /// is the per-point record run_physical appends to FFET_FLOW_REPORT /
 /// FlowConfig::flow_report_path.
 std::string flow_report_json(const FlowResult& result);
+
+/// One "ffet.ledger.v1" run-ledger line: a flow point (kind "flow"), a
+/// served point ("serve"); run_benches.sh writes kind "bench" lines in the
+/// same layout.  report::read_ledger is the reader.
+struct LedgerLine {
+  std::string kind;
+  std::string label;
+  int threads = 0;
+  bool valid = false;
+  /// In write order.  Integers stay long long: std::to_chars prints the
+  /// double 100000.0 as "1e+05".
+  std::vector<std::pair<std::string, FieldValue>> metrics;
+};
+
+/// The flow's ledger line for `result` (run at `threads`): PPA, DRVs and
+/// runtime, plus peak RSS and data-structure sizes when the resource probe
+/// sampled.
+LedgerLine ledger_line(const FlowResult& result, int threads);
+
+/// The one ledger serializer: `line` stamped with `timestamp_s` and
+/// `host`, as a compact single-line JSON object without trailing newline.
+std::string ledger_json(const LedgerLine& line, long long timestamp_s,
+                        const std::string& host);
+
+/// Append `line` stamped with the current time and obs::host_name() to
+/// `path` (multi-process-safe, see obs::append_jsonl_line).  Returns false
+/// and sets `error` on failure; never throws.
+bool append_ledger(const std::string& path, const LedgerLine& line,
+                   std::string* error = nullptr);
 
 /// Where a served point spent its time inside the sweep service: queued
 /// behind other points, probing the result cache, and running in a worker.

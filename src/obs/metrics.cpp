@@ -65,11 +65,10 @@ void set_metrics(bool on) {
 namespace detail {
 
 void init_metrics_from_env() {
-  const char* p = std::getenv("FFET_METRICS");
-  if (p != nullptr && *p != '\0' && std::string_view(p) != "0") {
+  const EnvSink& sink = env().metrics;
+  if (sink.on()) {
     set_metrics(true);
-    // Any value that isn't just an on/off switch names a dump file.
-    if (std::string_view(p) != "1") dump_metrics_at_exit(p);
+    if (sink.mode == EnvSink::kPath) dump_metrics_at_exit(sink.path);
   } else {
     int expected = 0;
     g_metrics_state.compare_exchange_strong(expected, 1,

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -25,13 +24,7 @@ void init_from_env() {
   });
 }
 
-bool verbose() {
-  static const bool v = [] {
-    const char* e = std::getenv("FFET_VERBOSE");
-    return e != nullptr && *e != '\0' && std::string_view(e) != "0";
-  }();
-  return v;
-}
+bool verbose() { return env().verbose; }
 
 bool append_jsonl_line(const std::string& path, std::string_view line,
                        std::string* error) {

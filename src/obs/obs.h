@@ -6,20 +6,13 @@
 //   * metrics.h  — counters / gauges / log-bucket histograms
 //   * resource.h — process resource probe (RSS / page-fault sampling)
 //   * numfmt.h   — deterministic (to_chars) number formatting for sinks
+//   * env.h      — the one reader of the FFET_* environment variables
 //
 // Tracing and metrics are compiled in but disabled by default; call sites
 // branch on one relaxed atomic flag, so the disabled cost is a few
 // nanoseconds per site.  The resource probe is the one *enabled-by-default*
-// instrument (reports are expected to carry peak RSS); FFET_RESOURCE=0
-// turns it into a zero-syscall no-op.  Environment control:
-//
-//   FFET_TRACE=<path>  enable tracing; dump the trace to <path> at exit
-//   FFET_METRICS=1     enable metrics (a value naming a file additionally
-//                      dumps the registry as JSON there at exit)
-//   FFET_RESOURCE=0    disable the resource probe (no syscalls, no
-//                      resource fields in any report)
-//   FFET_VERBOSE=1     per-pass router convergence / per-stage timing+RSS
-//                      one-liners
+// instrument (reports are expected to carry peak RSS).  The FFET_*
+// variables that switch them are decoded by env.h (table in README.md).
 //
 // The environment is read lazily on the first tracing_enabled() /
 // metrics_enabled() query; explicit set_tracing()/set_metrics() calls made
@@ -27,18 +20,19 @@
 
 #pragma once
 
+#include "obs/env.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
 
 namespace ffet::obs {
 
-/// Read FFET_TRACE / FFET_METRICS once and settle both enable flags.
+/// Settle both enable flags from env().trace / env().metrics, once.
 /// Idempotent and thread-safe; called automatically on the first
 /// tracing_enabled()/metrics_enabled() query.
 void init_from_env();
 
-/// FFET_VERBOSE: human-oriented per-stage convergence logging (cached).
+/// env().verbose: human-oriented per-stage convergence logging.
 bool verbose();
 
 /// CPU time consumed by the calling thread, in milliseconds (0 where

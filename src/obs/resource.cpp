@@ -11,18 +11,19 @@
 #define FFET_HAVE_RUSAGE 1
 #endif
 
+#include "obs/env.h"
+
 namespace ffet::obs {
 
 namespace {
 
-// -1 = undecided (read FFET_RESOURCE on first query), 0 = off, 1 = on.
+// -1 = undecided (read env().resource on first query), 0 = off, 1 = on.
 std::atomic<int> g_resource_state{-1};
 
 int resource_state() {
   int s = g_resource_state.load(std::memory_order_relaxed);
   if (s >= 0) return s;
-  const char* e = std::getenv("FFET_RESOURCE");
-  s = (e != nullptr && std::strcmp(e, "0") == 0) ? 0 : 1;
+  s = env().resource ? 1 : 0;
   // A racing set_resource() wins: only replace the undecided marker.
   int expected = -1;
   g_resource_state.compare_exchange_strong(expected, s,

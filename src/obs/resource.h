@@ -35,8 +35,7 @@ struct ResourceSample {
 };
 
 /// Is the resource probe on?  One relaxed atomic load; the first call
-/// reads FFET_RESOURCE ("0" disables; anything else, including unset,
-/// leaves the probe on).
+/// reads env().resource (on unless FFET_RESOURCE=0).
 bool resource_enabled();
 void set_resource(bool on);
 

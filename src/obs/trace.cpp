@@ -115,10 +115,10 @@ void set_tracing(bool on) {
 namespace detail {
 
 void init_tracing_from_env() {
-  const char* p = std::getenv("FFET_TRACE");
-  if (p != nullptr && *p != '\0') {
+  const EnvSink& sink = env().trace;
+  if (sink.on()) {
     set_tracing(true);
-    dump_trace_at_exit(p);
+    if (sink.mode == EnvSink::kPath) dump_trace_at_exit(sink.path);
   } else {
     // Only settle to "off" if nobody called set_tracing() first.
     int expected = 0;

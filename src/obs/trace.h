@@ -28,8 +28,8 @@
 
 namespace ffet::obs {
 
-/// Is span recording on?  One relaxed atomic load; the first call reads the
-/// FFET_TRACE / FFET_METRICS environment (see obs.h) to pick the default.
+/// Is span recording on?  One relaxed atomic load; the first call reads
+/// env().trace / env().metrics (see env.h) to pick the default.
 bool tracing_enabled();
 void set_tracing(bool on);
 

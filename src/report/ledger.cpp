@@ -7,9 +7,7 @@
 #include <sstream>
 #include <string_view>
 
-#include "flow/report_json.h"  // flow::JsonBuilder
 #include "obs/numfmt.h"
-#include "obs/obs.h"  // append_jsonl_line (multi-process-safe append)
 #include "report/json.h"
 
 namespace ffet::report {
@@ -99,39 +97,6 @@ Gate gate_for(const std::string& metric, const TrendOptions& o) {
 }
 
 }  // namespace
-
-std::string ledger_entry_json(const LedgerEntry& entry) {
-  std::string out;
-  out.reserve(256);
-  flow::JsonBuilder j(out);
-  j.open_obj();
-  j.field("schema",
-          entry.schema.empty() ? std::string("ffet.ledger.v1") : entry.schema);
-  j.field("kind", entry.kind);
-  j.field("label", entry.label);
-  j.field("timestamp_s", entry.timestamp_s);
-  j.field("host", entry.host);
-  j.field("threads", entry.threads);
-  j.field("valid", entry.valid);
-  j.open_nested("metrics");
-  for (const auto& [name, v] : entry.metrics) j.field(name.c_str(), v);
-  j.close_obj();
-  for (const auto& [name, v] : entry.extra) j.field(name.c_str(), v);
-  j.close_obj();
-  return out;
-}
-
-bool append_ledger_line(const std::string& path, const std::string& line,
-                        std::string* error) {
-  if (path.empty()) {
-    if (error) *error = "empty ledger path";
-    return false;
-  }
-  // O_APPEND + a single write(2) of the whole record: concurrent appenders
-  // — including forked serve workers in other processes — cannot tear or
-  // interleave lines (see obs::append_jsonl_line).
-  return obs::append_jsonl_line(path, line, error);
-}
 
 std::vector<LedgerEntry> read_ledger(std::istream& is, ReadStats* stats) {
   std::vector<LedgerEntry> entries;

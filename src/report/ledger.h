@@ -1,9 +1,10 @@
-// ledger.h — persistent run ledger: reader, writer, and trend analytics.
+// ledger.h — persistent run ledger: reader and trend analytics.
 //
 // The flow appends one "ffet.ledger.v1" line per run to the ledger file
 // (FFET_LEDGER / FlowConfig::ledger_path, default .ffet_ledger/ledger.jsonl
-// — see flow::resolve_ledger_path), and run_benches.sh appends one line per
-// bench point.  This header is the read side: a tolerant JSONL reader with
+// — see flow::resolve_ledger_path), the serve daemon one per served point
+// with attribution on, and run_benches.sh one per bench; flow::ledger_json
+// is the writer.  This header is the read side: a tolerant JSONL reader with
 // the same skip-and-count policy as the flow-report reader (qor.h), plus a
 // trend engine that groups entries by (kind, label) and gates the latest
 // run against the median of the previous N runs with the same thresholds
@@ -11,7 +12,7 @@
 //
 // Schema of one line:
 //
-//   {"schema":"ffet.ledger.v1","kind":"flow"|"bench","label":...,
+//   {"schema":"ffet.ledger.v1","kind":"flow"|"serve"|"bench","label":...,
 //    "timestamp_s":...,"host":...,"threads":...,"valid":true|false,
 //    "metrics":{"achieved_freq_ghz":...,"power_uw":...,"wirelength_um":...,
 //               "drv":...,"runtime_ms":...[,"peak_rss_kb":...,...]}}
@@ -34,7 +35,7 @@ namespace ffet::report {
 /// One parsed ledger line.
 struct LedgerEntry {
   std::string schema;
-  std::string kind;   ///< "flow" or "bench"
+  std::string kind;   ///< "flow", "serve" or "bench"
   std::string label;  ///< FlowConfig::label() or bench name
   std::string host;
   long long timestamp_s = 0;
@@ -43,16 +44,6 @@ struct LedgerEntry {
   std::map<std::string, double> metrics;
   std::map<std::string, double> extra;  ///< unknown numeric top-level fields
 };
-
-/// Serialize one entry as a compact single-line JSON object (no trailing
-/// newline) — byte-deterministic, mirrors what the flow emitter writes.
-std::string ledger_entry_json(const LedgerEntry& entry);
-
-/// Append `line` + '\n' to `path` (O_APPEND semantics; creates the file and
-/// one parent directory level if needed).  Returns false and sets `error`
-/// on failure.  Never throws — ledger writes must not perturb the run.
-bool append_ledger_line(const std::string& path, const std::string& line,
-                        std::string* error = nullptr);
 
 /// Read every well-formed ledger line from `is`; malformed lines are
 /// skipped and counted in `stats` (same tolerance policy as

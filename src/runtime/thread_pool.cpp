@@ -1,17 +1,12 @@
 #include "runtime/thread_pool.h"
 
-#include <cstdlib>
-
 #include "obs/obs.h"
 
 namespace ffet::runtime {
 
-int resolve_threads(int requested) {
+int resolve_threads(int requested, const obs::Env& env) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("FFET_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
+  if (env.threads > 0) return env.threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

@@ -23,9 +23,7 @@
 //     on the calling thread once all helpers have stopped.
 //
 // Thread-count resolution (used by `flow::FlowConfig::threads` and the
-// benches): an explicit positive request wins; otherwise the
-// `FFET_THREADS` environment variable; otherwise
-// `std::thread::hardware_concurrency()`.
+// benches): see resolve_threads; FFET_THREADS is decoded by obs/env.h.
 //
 // Telemetry (src/obs): each worker registers a named trace lane
 // ("pool.worker.N") and every executed task is wrapped in a "pool.task"
@@ -49,11 +47,13 @@
 #include <utility>
 #include <vector>
 
+#include "obs/env.h"
+
 namespace ffet::runtime {
 
-/// Effective thread count: `requested` if positive, else the FFET_THREADS
-/// environment variable, else hardware_concurrency() (min 1).
-int resolve_threads(int requested = 0);
+/// Effective thread count: `requested` if positive, else `env.threads`
+/// (FFET_THREADS) if set, else hardware_concurrency() (min 1).
+int resolve_threads(int requested = 0, const obs::Env& env = obs::env());
 
 /// Work-stealing pool: each worker owns a deque; submissions round-robin
 /// across workers; an idle worker steals from the back of a peer's deque.

@@ -26,9 +26,9 @@
 #include "flow/config_json.h"
 #include "flow/flow.h"
 #include "flow/report_json.h"
+#include "obs/env.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "report/ledger.h"
 #include "serve/cache.h"
 #include "serve/config_codec.h"
 #include "serve/protocol.h"
@@ -177,8 +177,8 @@ struct Server::Impl {
   std::string span_dir;       ///< <trace_path>.spans/, worker span files
   std::atomic<std::uint64_t> span_seq{0};
   TraceMerger merger;
-  /// Latency attribution on served flow-report lines (opts.attribution or
-  /// FFET_SERVE_ATTRIB=1), resolved at start().
+  /// Latency attribution on served flow-report lines (opts.attribution),
+  /// resolved at start().
   bool attribution = false;
   std::string serve_ledger_path;  ///< "" = no serve ledger lines
   /// Phase latency histograms (milliseconds).  Pure atomics, recorded
@@ -528,24 +528,18 @@ struct Server::Impl {
   void append_serve_ledger(const std::string& label,
                            const flow::ServeAttribution& attr,
                            bool line_valid) {
-    report::LedgerEntry e;
-    e.schema = "ffet.ledger.v1";
-    e.kind = "serve";
-    e.label = label;
-    char host[256] = {0};
-    if (::gethostname(host, sizeof(host) - 1) != 0) host[0] = '\0';
-    e.host = host;
-    e.timestamp_s = static_cast<long long>(std::time(nullptr));
-    e.threads = n_workers;
-    e.valid = line_valid;
-    e.metrics["queue_ms"] = attr.queue_ms;
-    e.metrics["cache_ms"] = attr.cache_ms;
-    e.metrics["run_ms"] = attr.run_ms;
-    e.metrics["retries"] = attr.retries;
-    e.metrics["cache_hit"] = attr.cache_hit ? 1.0 : 0.0;
+    const flow::LedgerLine line{
+        .kind = "serve",
+        .label = label,
+        .threads = n_workers,
+        .valid = line_valid,
+        .metrics = {{"cache_hit", attr.cache_hit ? 1LL : 0LL},
+                    {"cache_ms", attr.cache_ms},
+                    {"queue_ms", attr.queue_ms},
+                    {"retries", static_cast<long long>(attr.retries)},
+                    {"run_ms", attr.run_ms}}};
     std::string error;
-    if (!report::append_ledger_line(serve_ledger_path, ledger_entry_json(e),
-                                    &error)) {
+    if (!flow::append_ledger(serve_ledger_path, line, &error)) {
       logf(LogLevel::kWarn, "serve ledger append failed: %s", error.c_str());
     }
   }
@@ -783,11 +777,8 @@ Server::Server(ServeOptions options)
 Server::~Server() { stop(); }
 
 int Server::resolve_workers(int requested) {
-  if (requested > 0) return std::min(requested, 64);
-  if (const char* env = std::getenv("FFET_WORKERS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return std::min(n, 64);
-  }
+  if (requested > 0) return std::min(requested, obs::kMaxEnvWorkers);
+  if (obs::env().workers > 0) return obs::env().workers;
   return 2;
 }
 
@@ -804,8 +795,7 @@ bool Server::start(std::string* error) {
   im.n_workers = resolve_workers(im.opts.workers);
   im.start_ns = obs::trace_now_ns();
 
-  if (const char* attrib = std::getenv("FFET_SERVE_ATTRIB");
-      im.opts.attribution || (attrib && *attrib && std::strcmp(attrib, "0"))) {
+  if (im.opts.attribution) {
     im.attribution = true;
     im.serve_ledger_path = flow::resolve_ledger_path(im.opts.ledger_path);
     im.logf(LogLevel::kInfo, "latency attribution on%s",

@@ -35,8 +35,8 @@ namespace ffet::serve {
 
 struct ServeOptions {
   std::string socket_path = ".ffet_serve.sock";
-  /// Worker processes.  0 = the FFET_WORKERS environment variable, or 2
-  /// when that is unset/invalid.
+  /// Worker processes.  0 = FFET_WORKERS (obs/env.h), or 2 when that is
+  /// unset/invalid.
   int workers = 0;
   /// Result-cache directory; empty disables persistence (single-flight
   /// dedup still applies within the daemon's lifetime).
@@ -53,8 +53,8 @@ struct ServeOptions {
   std::string trace_path;
   /// Attach the "serve" latency-attribution object to every streamed
   /// flow-report line (queue_ms / cache_ms / run_ms / retries / worker_pid
-  /// / cache_hit).  Also enabled by FFET_SERVE_ATTRIB=1.  Off by default:
-  /// served lines stay byte-identical to an in-process run.
+  /// / cache_hit).  Off by default: served lines stay byte-identical to an
+  /// in-process run.
   bool attribution = false;
   /// When attribution is on and this is non-empty, the daemon also appends
   /// one kind="serve" ffet.ledger.v1 line per served point here, so

@@ -1,14 +1,13 @@
 #include "serve/worker.h"
 
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include <unistd.h>
 
 #include "flow/flow.h"
 #include "flow/report_json.h"
+#include "obs/env.h"
 #include "obs/trace.h"
 #include "serve/config_codec.h"
 #include "serve/protocol.h"
@@ -17,21 +16,18 @@ namespace ffet::serve {
 
 namespace {
 
-/// Deterministic crash hooks for the crash-isolation tests:
-///   FFET_SERVE_TEST_CRASH=<substr>         SIGKILL ourselves mid-point on
-///                                          the *first* attempt of any
-///                                          label containing <substr> (the
-///                                          retry then succeeds);
-///   FFET_SERVE_TEST_CRASH_ALWAYS=<substr>  die on every attempt (the
-///                                          daemon must report the point
-///                                          as worker_died and survive).
+/// Deterministic crash hooks for the crash-isolation tests: SIGKILL
+/// ourselves mid-point on the *first* attempt of a label containing
+/// env().serve_test_crash (the retry then succeeds), or on every attempt
+/// of one containing env().serve_test_crash_always (the daemon must
+/// report the point as worker_died and survive).
 void maybe_crash(const std::string& label, std::uint32_t attempt) {
-  const char* once = std::getenv("FFET_SERVE_TEST_CRASH");
-  const char* always = std::getenv("FFET_SERVE_TEST_CRASH_ALWAYS");
-  const bool hit_once =
-      once && *once && attempt == 0 && label.find(once) != std::string::npos;
+  const std::string& once = obs::env().serve_test_crash;
+  const std::string& always = obs::env().serve_test_crash_always;
+  const bool hit_once = !once.empty() && attempt == 0 &&
+                        label.find(once) != std::string::npos;
   const bool hit_always =
-      always && *always && label.find(always) != std::string::npos;
+      !always.empty() && label.find(always) != std::string::npos;
   if (hit_once || hit_always) {
     ::raise(SIGKILL);  // indistinguishable from a real segfault/OOM kill
   }
@@ -44,8 +40,8 @@ void worker_loop(int fd) {
   // appending to the process-wide report/trace sinks would duplicate every
   // line.  The ledger stays on (per env) — its appends are multi-process-
   // safe and "one ledger line per flow run" is exactly what a worker does.
-  ::unsetenv("FFET_FLOW_REPORT");
-  ::unsetenv("FFET_TRACE");
+  obs::env().flow_report = {};
+  obs::env().trace = {};
 
   while (true) {
     const auto frame = read_frame(fd);

@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -407,6 +409,79 @@ TEST(Resource, ToggleIsRaceFreeUnderConcurrentSampling) {
   while (!stop.load()) sink += obs::sample_current_rss_kb();
   toggler.join();
   EXPECT_GE(sink, 0);
+}
+
+// --- environment ------------------------------------------------------------
+
+/// Decode a table of FFET_* variables (absent = unset).
+obs::Env parse(const std::map<std::string, const char*>& vars) {
+  return obs::parse_env([&vars](const char* name) -> const char* {
+    const auto it = vars.find(name);
+    return it == vars.end() ? nullptr : it->second;
+  });
+}
+
+TEST(Env, SinksAreUnsetOffOnOrAPath) {
+  using S = obs::EnvSink;
+  struct Case {
+    const char* value;
+    S::Mode mode;
+    std::string path;
+  };
+  for (const Case& c : {Case{nullptr, S::kUnset, ""}, Case{"", S::kUnset, ""},
+                        Case{"0", S::kOff, ""}, Case{"1", S::kOn, ""},
+                        Case{"m.json", S::kPath, "m.json"}}) {
+    const std::string shown = c.value ? c.value : "(unset)";
+    for (const char* name :
+         {"FFET_TRACE", "FFET_METRICS", "FFET_LEDGER", "FFET_FLOW_REPORT"}) {
+      std::map<std::string, const char*> vars;
+      if (c.value) vars[name] = c.value;
+      const obs::Env env = parse(vars);
+      const S& sink = std::string_view(name) == "FFET_TRACE"     ? env.trace
+                      : std::string_view(name) == "FFET_METRICS" ? env.metrics
+                      : std::string_view(name) == "FFET_LEDGER"  ? env.ledger
+                                                                 : env.flow_report;
+      EXPECT_EQ(sink.mode, c.mode) << name << "=" << shown;
+      EXPECT_EQ(sink.path, c.path) << name << "=" << shown;
+      EXPECT_EQ(sink.on(), c.mode == S::kOn || c.mode == S::kPath);
+    }
+  }
+}
+
+TEST(Env, BoolsKeepTheirDefaultsUnlessSet) {
+  const obs::Env defaults = parse({});
+  EXPECT_TRUE(defaults.resource) << "the resource probe is on by default";
+  EXPECT_FALSE(defaults.verbose);
+  EXPECT_TRUE(parse({{"FFET_RESOURCE", ""}}).resource);
+  EXPECT_TRUE(parse({{"FFET_RESOURCE", "1"}}).resource);
+  EXPECT_FALSE(parse({{"FFET_RESOURCE", "0"}}).resource);
+  EXPECT_FALSE(parse({{"FFET_VERBOSE", ""}}).verbose);
+  EXPECT_FALSE(parse({{"FFET_VERBOSE", "0"}}).verbose);
+  EXPECT_TRUE(parse({{"FFET_VERBOSE", "1"}}).verbose);
+  EXPECT_TRUE(parse({{"FFET_VERBOSE", "yes"}}).verbose);
+}
+
+TEST(Env, WorkerCountIsParsedAndBounded) {
+  struct Case {
+    const char* value;
+    int workers;
+  };
+  for (const Case& c :
+       {Case{"3", 3}, Case{"64", 64}, Case{"65", obs::kMaxEnvWorkers},
+        Case{"99999999999999999999999", obs::kMaxEnvWorkers}, Case{"0", 0},
+        Case{"-1", 0}, Case{"two", 0}, Case{"4x", 0}, Case{"", 0}}) {
+    EXPECT_EQ(parse({{"FFET_WORKERS", c.value}}).workers, c.workers)
+        << "'" << c.value << "'";
+  }
+  EXPECT_EQ(parse({}).workers, 0);
+}
+
+TEST(Env, CrashHooksAreStrings) {
+  const obs::Env env = parse({{"FFET_SERVE_TEST_CRASH", "util=0.58"},
+                              {"FFET_SERVE_TEST_CRASH_ALWAYS", "regs=8"}});
+  EXPECT_EQ(env.serve_test_crash, "util=0.58");
+  EXPECT_EQ(env.serve_test_crash_always, "regs=8");
+  EXPECT_TRUE(parse({}).serve_test_crash.empty());
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -493,6 +495,13 @@ LedgerEntry make_entry(double freq, double power, double wl, double drv,
   return e;
 }
 
+/// `e` through the one ledger writer, metrics in the map's key order.
+std::string ledger_entry_json(const LedgerEntry& e) {
+  flow::LedgerLine line{e.kind, e.label, e.threads, e.valid, {}};
+  for (const auto& [key, v] : e.metrics) line.metrics.emplace_back(key, v);
+  return flow::ledger_json(line, e.timestamp_s, e.host);
+}
+
 std::vector<LedgerEntry> reparse(const std::vector<LedgerEntry>& in,
                                  ReadStats* stats = nullptr) {
   std::string text;
@@ -560,16 +569,19 @@ TEST(Ledger, AppendCreatesParentDirectoryAndAppends) {
   const std::string path = dir + "/ledger.jsonl";
   std::remove(path.c_str());
   std::string err;
-  ASSERT_TRUE(append_ledger_line(path, "{\"schema\":\"ffet.ledger.v1\"}", &err))
+  ASSERT_TRUE(
+      obs::append_jsonl_line(path, "{\"schema\":\"ffet.ledger.v1\"}", &err))
       << err;
-  ASSERT_TRUE(append_ledger_line(
-      path, ledger_entry_json(make_entry(1.0, 1.0, 1.0, 0, 1)), &err))
-      << err;
+  const flow::LedgerLine line{
+      .kind = "flow", .label = "unit", .metrics = {{"drv", 0LL}}};
+  ASSERT_TRUE(flow::append_ledger(path, line, &err)) << err;
   ReadStats stats;
   const std::vector<LedgerEntry> entries = read_ledger_file(path, &stats, &err);
   EXPECT_TRUE(err.empty());
   EXPECT_EQ(stats.lines, 2);
   ASSERT_EQ(entries.size(), 2u);  // bare-schema line still parses
+  EXPECT_GT(entries[1].timestamp_s, 0) << "append_ledger stamps the time";
+  EXPECT_EQ(entries[1].host, obs::host_name());
   std::remove(path.c_str());
 }
 
@@ -702,9 +714,8 @@ TEST(LedgerFlow, EmissionNeverPerturbsFlowResults) {
   // With the resource probe pinned off, the flow report is a pure function
   // of the config — running with the ledger enabled must produce the very
   // same bytes as running without it, plus exactly one ledger line.
-#if defined(__unix__) || defined(__APPLE__)
-  ::unsetenv("FFET_LEDGER");  // the "plain" run must really be ledger-free
-#endif
+  // The "plain" run must really be ledger-free.
+  const obs::EnvSink env_ledger = std::exchange(obs::env().ledger, {});
   obs::set_resource(false);
   flow::FlowConfig cfg;
   cfg.tech_kind = tech::TechKind::Ffet3p5T;
@@ -725,6 +736,7 @@ TEST(LedgerFlow, EmissionNeverPerturbsFlowResults) {
   const auto ctx2 = flow::prepare_design(with_ledger);
   const flow::FlowResult recorded = flow::run_physical(*ctx2, with_ledger);
   obs::set_resource(true);
+  obs::env().ledger = env_ledger;
 
   // Wall-clock stage timings are noisy run to run regardless of the
   // ledger; everything else in the report must be byte-identical.
@@ -758,20 +770,57 @@ TEST(LedgerFlow, EmissionNeverPerturbsFlowResults) {
 }
 
 TEST(LedgerFlow, ResolveLedgerPathSemantics) {
-  // Explicit path wins; FFET_LEDGER=0/empty disables; =1 -> default path.
-  EXPECT_EQ(flow::resolve_ledger_path("x/y.jsonl"), "x/y.jsonl");
-#if defined(__unix__) || defined(__APPLE__)
-  ::setenv("FFET_LEDGER", "0", 1);
-  EXPECT_EQ(flow::resolve_ledger_path(), "");
-  ::setenv("FFET_LEDGER", "", 1);
-  EXPECT_EQ(flow::resolve_ledger_path(), "");
-  ::setenv("FFET_LEDGER", "1", 1);
-  EXPECT_EQ(flow::resolve_ledger_path(), flow::kDefaultLedgerPath);
-  ::setenv("FFET_LEDGER", "custom/path.jsonl", 1);
-  EXPECT_EQ(flow::resolve_ledger_path(), "custom/path.jsonl");
-  ::unsetenv("FFET_LEDGER");
-  EXPECT_EQ(flow::resolve_ledger_path(), "");
-#endif
+  // Explicit path wins; FFET_LEDGER unset, empty or "0" disables; "1" is
+  // the default path; anything else is the path.
+  struct Case {
+    const char* value;
+    std::string want;
+  };
+  for (const Case& c : {Case{nullptr, ""}, Case{"0", ""}, Case{"", ""},
+                        Case{"1", flow::kDefaultLedgerPath},
+                        Case{"custom/path.jsonl", "custom/path.jsonl"}}) {
+    const obs::Env env = obs::parse_env([&](const char* name) {
+      return std::string_view(name) == "FFET_LEDGER" ? c.value : nullptr;
+    });
+    const std::string shown = c.value ? c.value : "(unset)";
+    EXPECT_EQ(flow::resolve_ledger_path({}, env), c.want) << shown;
+    EXPECT_EQ(flow::resolve_ledger_path("x/y.jsonl", env), "x/y.jsonl")
+        << shown;
+  }
+}
+
+TEST(LedgerFlow, LineBytesKeepIntegersAndMetricOrder) {
+  // The flow's ledger line, byte for byte as earlier builds wrote it:
+  // metrics in their fixed order, integer metrics as integers (a double
+  // 100000 would print "1e+05"), and the wirelength sum as a double.
+  flow::FlowResult r;
+  r.achieved_freq_ghz = 1.25;
+  r.power_uw = 4000.5;
+  r.wirelength_front_um = 60000.0;
+  r.wirelength_back_um = 40000.0;
+  r.drv = 0;
+  r.stage_times = {{"place", 2.5, 2.0, 0}, {"route", 10.0, 9.0, 0}};
+  r.resource.sampled = true;
+  r.resource.peak_rss_kb = 20000;
+  r.resource.rc_nodes = 1000000;
+  r.resource.netlist_cells = 100000;
+  const std::string valid = r.valid() ? "true" : "false";
+  EXPECT_EQ(flow::ledger_json(flow::ledger_line(r, 4), 1700000000, "testhost"),
+            "{\"schema\":\"ffet.ledger.v1\",\"kind\":\"flow\",\"label\":\"" +
+                r.config.label() +
+                "\",\"timestamp_s\":1700000000,\"host\":\"testhost\","
+                "\"threads\":4,\"valid\":" +
+                valid +
+                ",\"metrics\":{\"achieved_freq_ghz\":1.25,\"power_uw\":4000.5,"
+                "\"wirelength_um\":1e+05,\"drv\":0,\"runtime_ms\":12.5,"
+                "\"peak_rss_kb\":20000,\"rc_nodes\":1000000,"
+                "\"netlist_cells\":100000}}");
+
+  // Probe off: the resource metrics are absent.
+  r.resource.sampled = false;
+  const flow::LedgerLine bare = flow::ledger_line(r, 4);
+  ASSERT_EQ(bare.metrics.size(), 5u);
+  EXPECT_EQ(bare.metrics.back().first, "runtime_ms");
 }
 
 // ------------------------------------------- reports over a real flow
@@ -1163,7 +1212,7 @@ TEST(Ledger, ForkedWritersInterleaveWithoutTearing) {
         for (int m = 0; m < 8; ++m) {
           e.metrics["padding_metric_" + std::to_string(m)] = m * 1.25;
         }
-        if (!append_ledger_line(path, ledger_entry_json(e))) _exit(2);
+        if (!obs::append_jsonl_line(path, ledger_entry_json(e))) _exit(2);
       }
       _exit(0);
     }

@@ -5,13 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "flow/flow.h"
 #include "liberty/characterize.h"
 #include "netlist/builder.h"
+#include "obs/env.h"
 #include "pnr/cts.h"
 #include "pnr/floorplan.h"
 #include "pnr/placement.h"
@@ -28,12 +29,40 @@ TEST(ResolveThreads, ExplicitRequestWins) {
   EXPECT_EQ(runtime::resolve_threads(1), 1);
 }
 
+/// The environment with FFET_THREADS = `value` (nullptr = unset).
+obs::Env threads_env(const char* value) {
+  return obs::parse_env([value](const char* name) {
+    return std::string_view(name) == "FFET_THREADS" ? value : nullptr;
+  });
+}
+
 TEST(ResolveThreads, EnvFallbackAndDefault) {
-  ::setenv("FFET_THREADS", "5", 1);
-  EXPECT_EQ(runtime::resolve_threads(0), 5);
-  EXPECT_EQ(runtime::resolve_threads(2), 2);  // explicit still wins
-  ::unsetenv("FFET_THREADS");
-  EXPECT_GE(runtime::resolve_threads(0), 1);  // hardware concurrency
+  const obs::Env five = threads_env("5");
+  EXPECT_EQ(runtime::resolve_threads(0, five), 5);
+  EXPECT_EQ(runtime::resolve_threads(2, five), 2);  // explicit still wins
+  EXPECT_GE(runtime::resolve_threads(0, threads_env(nullptr)), 1);  // hw
+}
+
+TEST(ResolveThreads, EnvCountIsParsedAndBounded) {
+  // Decoded by the parser alone: no pool is built, no thread started.
+  const int hw = runtime::resolve_threads(0, threads_env(nullptr));
+  struct Case {
+    const char* value;
+    int parsed;  ///< Env::threads; 0 = unset
+  };
+  for (const Case& c : {Case{"7", 7}, Case{"256", obs::kMaxEnvThreads},
+                        Case{"257", obs::kMaxEnvThreads},
+                        Case{"1000000", obs::kMaxEnvThreads},
+                        Case{"99999999999999999999999", obs::kMaxEnvThreads},
+                        Case{"0", 0}, Case{"-3", 0},
+                        Case{"-99999999999999999999999", 0}, Case{"", 0},
+                        Case{"garbage", 0}, Case{"5abc", 0}, Case{" 5", 0},
+                        Case{"2.5", 0}}) {
+    const obs::Env env = threads_env(c.value);
+    EXPECT_EQ(env.threads, c.parsed) << "'" << c.value << "'";
+    EXPECT_EQ(runtime::resolve_threads(0, env), c.parsed > 0 ? c.parsed : hw)
+        << "'" << c.value << "'";
+  }
 }
 
 TEST(ThreadPool, DrainsAllTasksOnDestruction) {

@@ -10,7 +10,8 @@
 //     all-cached resubmission, single-flight dedup of identical points;
 //   * crash isolation: workers SIGKILLed externally and via the
 //     deterministic FFET_SERVE_TEST_CRASH* hooks — retry-once semantics,
-//     worker_died reporting, daemon survival.
+//     worker_died reporting, daemon survival;
+//   * which environment sinks a forked worker keeps.
 //
 // Every flow config here uses rv32_registers = 8: the service mechanics
 // under test are register-count-independent and the small core keeps each
@@ -26,6 +27,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <csignal>
@@ -36,7 +38,9 @@
 #include "flow/config_json.h"
 #include "flow/flow.h"
 #include "flow/report_json.h"
+#include "obs/obs.h"
 #include "report/json.h"
+#include "report/ledger.h"
 #include "report/qor.h"
 #include "report/serve_stats.h"
 #include "serve/cache.h"
@@ -125,12 +129,14 @@ void rm_rf(const std::string& dir) {
   if (std::system(cmd.c_str()) != 0) { /* best effort */ }
 }
 
-struct EnvGuard {
-  std::string name;
-  EnvGuard(const std::string& n, const std::string& value) : name(n) {
-    ::setenv(name.c_str(), value.c_str(), 1);
-  }
-  ~EnvGuard() { ::unsetenv(name.c_str()); }
+/// Sets one obs::env() field for a test's scope; workers forked meanwhile
+/// inherit it.
+template <class T>
+struct EnvFieldGuard {
+  T& field;
+  T saved;
+  EnvFieldGuard(T& f, T value) : field(f), saved(std::exchange(f, value)) {}
+  ~EnvFieldGuard() { field = saved; }
 };
 
 }  // namespace
@@ -576,7 +582,7 @@ TEST(Serve, CrashOncePointIsRetriedOnFreshWorker) {
   std::remove(sock.c_str());
   // Poison the 0.58 point: its first attempt SIGKILLs the worker mid-run
   // (after the job was accepted — a real mid-flow crash, not a dead fd).
-  EnvGuard crash("FFET_SERVE_TEST_CRASH", "util=0.58");
+  EnvFieldGuard crash(obs::env().serve_test_crash, std::string("util=0.58"));
 
   const std::vector<flow::FlowConfig> sweep = {small_config(0.5),
                                                small_config(0.58)};
@@ -610,7 +616,8 @@ TEST(Serve, CrashOncePointIsRetriedOnFreshWorker) {
 TEST(Serve, CrashAlwaysPointIsReportedWorkerDiedOthersUnaffected) {
   const std::string sock = scratch("sock");
   std::remove(sock.c_str());
-  EnvGuard crash("FFET_SERVE_TEST_CRASH_ALWAYS", "util=0.58");
+  EnvFieldGuard crash(obs::env().serve_test_crash_always,
+                      std::string("util=0.58"));
 
   const std::vector<flow::FlowConfig> sweep = {small_config(0.5),
                                                small_config(0.58),
@@ -1013,4 +1020,53 @@ TEST(ServeObs, ServeAttributionInjectedWhenEnabled) {
 
   rm_rf(cache_dir);
   std::remove(ledger.c_str());
+}
+
+TEST(ServeObs, WorkerDropsReportAndTraceSinksButKeepsLedger) {
+  // Workers inherit the daemon's environment, but the daemon streams every
+  // result line itself: a worker appending to FFET_FLOW_REPORT (or tracing
+  // to FFET_TRACE) would duplicate it.  FFET_LEDGER stays on — one ledger
+  // line per flow run is exactly what a worker does.
+  const std::string sock = scratch("sock");
+  const std::string report_path = scratch("report.jsonl");
+  const std::string trace_path = scratch("trace.json");
+  const std::string ledger_path = scratch("ledger.jsonl");
+  for (const std::string& p : {sock, report_path, trace_path, ledger_path}) {
+    std::remove(p.c_str());
+  }
+  obs::init_from_env();  // settle this process's own tracing first
+  EnvFieldGuard report_sink(obs::env().flow_report,
+                            obs::EnvSink{obs::EnvSink::kPath, report_path});
+  EnvFieldGuard trace_sink(obs::env().trace,
+                           obs::EnvSink{obs::EnvSink::kPath, trace_path});
+  EnvFieldGuard ledger_sink(obs::env().ledger,
+                            obs::EnvSink{obs::EnvSink::kPath, ledger_path});
+
+  serve::ServeOptions opts;
+  opts.socket_path = sock;
+  opts.cache_dir.clear();
+  opts.workers = 1;
+  serve::Server server(opts);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  std::vector<serve::ResultLine> results;
+  ASSERT_TRUE(serve::submit_sweep(sock, {small_config(0.5)}, &results,
+                                  nullptr, &error))
+      << error;
+  server.stop();
+  ASSERT_EQ(results.size(), 1u);
+
+  EXPECT_FALSE(std::ifstream(report_path).is_open())
+      << "a worker appended to the flow-report sink";
+  EXPECT_FALSE(std::ifstream(trace_path).is_open())
+      << "a worker wrote the trace sink";
+  report::ReadStats stats;
+  const std::vector<report::LedgerEntry> entries =
+      report::read_ledger_file(ledger_path, &stats, &error);
+  ASSERT_EQ(entries.size(), 1u) << error;
+  EXPECT_EQ(entries[0].kind, "flow");
+  EXPECT_EQ(entries[0].label, small_config(0.5).label());
+  for (const std::string& p : {report_path, trace_path, ledger_path}) {
+    std::remove(p.c_str());
+  }
 }
