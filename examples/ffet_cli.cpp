@@ -24,6 +24,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "extract/spef.h"
 #include "flow/flow.h"
@@ -31,6 +32,7 @@
 #include "io/def.h"
 #include "io/verilog.h"
 #include "liberty/liberty_writer.h"
+#include "obs/env.h"
 #include "pnr/report.h"
 
 using namespace ffet;
@@ -63,6 +65,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's value; garbage, trailing characters or an
+    // out-of-range value is a usage error.
+    const auto need_number = [&](const char* flag, auto& out) {
+      const char* v = need_value(flag);
+      const auto n = obs::parse_number<std::decay_t<decltype(out)>>(v);
+      if (!n) {
+        std::printf("bad value for %s: %s\n", flag, v);
+        usage(argv[0]);
+      }
+      out = *n;
+    };
     if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       usage(argv[0]);
     } else if (!std::strcmp(argv[i], "--version")) {
@@ -78,17 +91,17 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (!std::strcmp(argv[i], "--fm")) {
-      cfg.front_layers = std::atoi(need_value("--fm"));
+      need_number("--fm", cfg.front_layers);
     } else if (!std::strcmp(argv[i], "--bm")) {
-      cfg.back_layers = std::atoi(need_value("--bm"));
+      need_number("--bm", cfg.back_layers);
     } else if (!std::strcmp(argv[i], "--backside-pins")) {
-      cfg.backside_input_fraction = std::atof(need_value("--backside-pins"));
+      need_number("--backside-pins", cfg.backside_input_fraction);
     } else if (!std::strcmp(argv[i], "--util")) {
-      cfg.utilization = std::atof(need_value("--util"));
+      need_number("--util", cfg.utilization);
     } else if (!std::strcmp(argv[i], "--freq")) {
-      cfg.target_freq_ghz = std::atof(need_value("--freq"));
+      need_number("--freq", cfg.target_freq_ghz);
     } else if (!std::strcmp(argv[i], "--registers")) {
-      cfg.rv32_registers = std::atoi(need_value("--registers"));
+      need_number("--registers", cfg.rv32_registers);
     } else if (!std::strcmp(argv[i], "--activity")) {
       cfg.simulate_activity = true;
     } else if (!std::strcmp(argv[i], "--dump")) {

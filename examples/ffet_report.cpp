@@ -48,12 +48,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "flow/flow.h"
 #include "flow/version.h"
 #include "io/def.h"
+#include "obs/env.h"
 #include "report/ledger.h"
 #include "report/net_report.h"
 #include "report/qor.h"
@@ -101,6 +103,19 @@ struct ArgReader {
     return argv[++i];
   }
 
+  /// Read a numeric flag's value into `out`; garbage, trailing characters
+  /// or an out-of-range value is a usage error.
+  template <class T>
+  void need_number(const char* flag, T& out) {
+    const char* v = need_value(flag);
+    const std::optional<T> n = obs::parse_number<T>(v);
+    if (!n) {
+      std::fprintf(stderr, "bad value for %s: %s\n", flag, v);
+      usage(argv[0]);
+    }
+    out = *n;
+  }
+
   /// Consume one flow-config flag; false if argv[i] is not one.
   bool take_flow_flag(flow::FlowConfig& cfg) {
     char** a = argv;
@@ -114,23 +129,23 @@ struct ArgReader {
         usage(a[0]);
       }
     } else if (!std::strcmp(a[i], "--fm")) {
-      cfg.front_layers = std::atoi(need_value("--fm"));
+      need_number("--fm", cfg.front_layers);
     } else if (!std::strcmp(a[i], "--bm")) {
-      cfg.back_layers = std::atoi(need_value("--bm"));
+      need_number("--bm", cfg.back_layers);
     } else if (!std::strcmp(a[i], "--backside-pins")) {
-      cfg.backside_input_fraction = std::atof(need_value("--backside-pins"));
+      need_number("--backside-pins", cfg.backside_input_fraction);
     } else if (!std::strcmp(a[i], "--util")) {
-      cfg.utilization = std::atof(need_value("--util"));
+      need_number("--util", cfg.utilization);
     } else if (!std::strcmp(a[i], "--freq")) {
-      cfg.target_freq_ghz = std::atof(need_value("--freq"));
+      need_number("--freq", cfg.target_freq_ghz);
     } else if (!std::strcmp(a[i], "--registers")) {
-      cfg.rv32_registers = std::atoi(need_value("--registers"));
+      need_number("--registers", cfg.rv32_registers);
     } else if (!std::strcmp(a[i], "--eco")) {
-      cfg.eco_passes = std::atoi(need_value("--eco"));
+      need_number("--eco", cfg.eco_passes);
     } else if (!std::strcmp(a[i], "--seed")) {
-      cfg.seed = static_cast<unsigned>(std::atoi(need_value("--seed")));
+      need_number("--seed", cfg.seed);
     } else if (!std::strcmp(a[i], "--threads")) {
-      cfg.threads = std::atoi(need_value("--threads"));
+      need_number("--threads", cfg.threads);
     } else {
       return false;
     }
@@ -144,9 +159,9 @@ int cmd_timing(ArgReader& args) {
   for (; args.i < args.argc; ++args.i) {
     if (args.take_flow_flag(cfg)) continue;
     if (!std::strcmp(args.argv[args.i], "--top")) {
-      opts.top_k = std::atoi(args.need_value("--top"));
+      args.need_number("--top", opts.top_k);
     } else if (!std::strcmp(args.argv[args.i], "--period")) {
-      opts.target_period_ps = std::atof(args.need_value("--period"));
+      args.need_number("--period", opts.target_period_ps);
     } else {
       usage(args.argv[0]);
     }
@@ -187,7 +202,7 @@ int cmd_nets(ArgReader& args) {
   for (; args.i < args.argc; ++args.i) {
     if (args.take_flow_flag(cfg)) continue;
     if (!std::strcmp(args.argv[args.i], "--top")) {
-      top_n = std::atoi(args.need_value("--top"));
+      args.need_number("--top", top_n);
     } else if (!std::strcmp(args.argv[args.i], "--net")) {
       net_name = args.need_value("--net");
     } else {
@@ -229,13 +244,13 @@ int cmd_diff(ArgReader& args) {
     if (!std::strcmp(args.argv[args.i], "--mode")) {
       mode = args.need_value("--mode");
     } else if (!std::strcmp(args.argv[args.i], "--freq-drop")) {
-      opts.freq_drop_pct = std::atof(args.need_value("--freq-drop"));
+      args.need_number("--freq-drop", opts.freq_drop_pct);
     } else if (!std::strcmp(args.argv[args.i], "--power-rise")) {
-      opts.power_rise_pct = std::atof(args.need_value("--power-rise"));
+      args.need_number("--power-rise", opts.power_rise_pct);
     } else if (!std::strcmp(args.argv[args.i], "--wl-rise")) {
-      opts.wirelength_rise_pct = std::atof(args.need_value("--wl-rise"));
+      args.need_number("--wl-rise", opts.wirelength_rise_pct);
     } else if (!std::strcmp(args.argv[args.i], "--runtime-rise")) {
-      opts.runtime_rise_pct = std::atof(args.need_value("--runtime-rise"));
+      args.need_number("--runtime-rise", opts.runtime_rise_pct);
     } else if (!std::strcmp(args.argv[args.i], "--qor")) {
       // QoR-identity mode for results streamed back from ffet_serve:
       // compare only the QoR sections, and gate on exact equality.
@@ -319,17 +334,17 @@ bool parse_ledger_args(ArgReader& args, LedgerArgs& out, bool trend) {
     } else if (!std::strcmp(arg, "--kind")) {
       out.opts.kind = args.need_value("--kind");
     } else if (trend && !std::strcmp(arg, "--window")) {
-      out.opts.window = std::atoi(args.need_value("--window"));
+      args.need_number("--window", out.opts.window);
     } else if (trend && !std::strcmp(arg, "--freq-drop")) {
-      out.opts.freq_drop_pct = std::atof(args.need_value("--freq-drop"));
+      args.need_number("--freq-drop", out.opts.freq_drop_pct);
     } else if (trend && !std::strcmp(arg, "--power-rise")) {
-      out.opts.power_rise_pct = std::atof(args.need_value("--power-rise"));
+      args.need_number("--power-rise", out.opts.power_rise_pct);
     } else if (trend && !std::strcmp(arg, "--wl-rise")) {
-      out.opts.wirelength_rise_pct = std::atof(args.need_value("--wl-rise"));
+      args.need_number("--wl-rise", out.opts.wirelength_rise_pct);
     } else if (trend && !std::strcmp(arg, "--runtime-rise")) {
-      out.opts.runtime_rise_pct = std::atof(args.need_value("--runtime-rise"));
+      args.need_number("--runtime-rise", out.opts.runtime_rise_pct);
     } else if (trend && !std::strcmp(arg, "--rss-rise")) {
-      out.opts.rss_rise_pct = std::atof(args.need_value("--rss-rise"));
+      args.need_number("--rss-rise", out.opts.rss_rise_pct);
     } else if (arg[0] == '-' && arg[1] == '-') {
       return false;
     } else if (out.opts.label.empty()) {

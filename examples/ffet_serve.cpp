@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "flow/version.h"
@@ -86,8 +87,13 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--socket")) {
       opts.socket_path = need("--socket");
     } else if (!std::strcmp(argv[i], "--workers")) {
-      opts.workers = std::atoi(need("--workers"));
-      if (opts.workers <= 0) usage(argv[0]);
+      const char* v = need("--workers");
+      const std::optional<int> workers = obs::parse_number<int>(v);
+      if (!workers || *workers <= 0) {
+        std::fprintf(stderr, "bad value for --workers: %s\n", v);
+        usage(argv[0]);
+      }
+      opts.workers = *workers;
     } else if (!std::strcmp(argv[i], "--cache")) {
       const std::string v = need("--cache");
       opts.cache_dir = v == "none" ? std::string() : v;

@@ -36,14 +36,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "flow/flow.h"
 #include "flow/report_json.h"
 #include "flow/version.h"
+#include "obs/env.h"
 #include "serve/client.h"
 #include "serve/config_codec.h"
 
@@ -117,11 +120,7 @@ int main(int argc, char** argv) {
   // chosen; `overridden` tracks whether they alone define a single point.
   flow::FlowConfig point;
   bool any_flow_opt = false;
-  struct Override {
-    void (*apply)(flow::FlowConfig&, const char*);
-    const char* value;
-  };
-  std::vector<Override> overrides;
+  std::vector<std::function<void(flow::FlowConfig&)>> overrides;
 
   for (int i = 1; i < argc; ++i) {
     const auto need = [&](const char* flag) -> const char* {
@@ -131,9 +130,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto add = [&](void (*apply)(flow::FlowConfig&, const char*),
-                         const char* flag) {
-      overrides.push_back({apply, need(flag)});
+    // A numeric flag's value; garbage, trailing characters or an
+    // out-of-range value is a usage error.
+    const auto need_number = [&](const char* flag, auto& out) {
+      const char* v = need(flag);
+      const auto n = obs::parse_number<std::decay_t<decltype(out)>>(v);
+      if (!n) {
+        std::fprintf(stderr, "bad value for %s: %s\n", flag, v);
+        usage(argv[0]);
+      }
+      out = *n;
+    };
+    // A numeric flow-opt: parsed now, applied to every point of the sweep.
+    const auto set_number = [&](auto field, const char* flag) {
+      std::decay_t<decltype(point.*field)> value{};
+      need_number(flag, value);
+      overrides.push_back(
+          [field, value](flow::FlowConfig& c) { c.*field = value; });
       any_flow_opt = true;
     };
     if (!std::strcmp(argv[i], "--socket")) {
@@ -151,7 +164,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--ping")) {
       do_ping = true;
     } else if (!std::strcmp(argv[i], "--count")) {
-      ping_count = std::atoi(need("--count"));
+      need_number("--count", ping_count);
       if (ping_count < 1) ping_count = 1;
     } else if (!std::strcmp(argv[i], "--shutdown")) {
       do_shutdown = true;
@@ -165,54 +178,33 @@ int main(int argc, char** argv) {
       std::printf("ffet_submit %s\n", kVersion);
       return 0;
     } else if (!std::strcmp(argv[i], "--tech")) {
-      add(
-          [](flow::FlowConfig& c, const char* v) {
-            if (!std::strcmp(v, "ffet")) {
-              c.tech_kind = tech::TechKind::Ffet3p5T;
-            } else if (!std::strcmp(v, "cfet")) {
-              c.tech_kind = tech::TechKind::Cfet4T;
-            } else {
-              std::fprintf(stderr, "unknown tech \"%s\"\n", v);
-              std::exit(2);
-            }
-          },
-          "--tech");
+      const std::string v = need("--tech");
+      if (v != "ffet" && v != "cfet") {
+        std::fprintf(stderr, "unknown tech \"%s\"\n", v.c_str());
+        std::exit(2);
+      }
+      const tech::TechKind kind =
+          v == "ffet" ? tech::TechKind::Ffet3p5T : tech::TechKind::Cfet4T;
+      overrides.push_back([kind](flow::FlowConfig& c) { c.tech_kind = kind; });
+      any_flow_opt = true;
     } else if (!std::strcmp(argv[i], "--fm")) {
-      add([](flow::FlowConfig& c, const char* v) { c.front_layers = std::atoi(v); },
-          "--fm");
+      set_number(&flow::FlowConfig::front_layers, "--fm");
     } else if (!std::strcmp(argv[i], "--bm")) {
-      add([](flow::FlowConfig& c, const char* v) { c.back_layers = std::atoi(v); },
-          "--bm");
+      set_number(&flow::FlowConfig::back_layers, "--bm");
     } else if (!std::strcmp(argv[i], "--backside-pins")) {
-      add(
-          [](flow::FlowConfig& c, const char* v) {
-            c.backside_input_fraction = std::atof(v);
-          },
-          "--backside-pins");
+      set_number(&flow::FlowConfig::backside_input_fraction, "--backside-pins");
     } else if (!std::strcmp(argv[i], "--util")) {
-      add([](flow::FlowConfig& c, const char* v) { c.utilization = std::atof(v); },
-          "--util");
+      set_number(&flow::FlowConfig::utilization, "--util");
     } else if (!std::strcmp(argv[i], "--freq")) {
-      add(
-          [](flow::FlowConfig& c, const char* v) {
-            c.target_freq_ghz = std::atof(v);
-          },
-          "--freq");
+      set_number(&flow::FlowConfig::target_freq_ghz, "--freq");
     } else if (!std::strcmp(argv[i], "--registers")) {
-      add(
-          [](flow::FlowConfig& c, const char* v) {
-            c.rv32_registers = std::atoi(v);
-          },
-          "--registers");
+      set_number(&flow::FlowConfig::rv32_registers, "--registers");
     } else if (!std::strcmp(argv[i], "--eco")) {
-      add([](flow::FlowConfig& c, const char* v) { c.eco_passes = std::atoi(v); },
-          "--eco");
+      set_number(&flow::FlowConfig::eco_passes, "--eco");
     } else if (!std::strcmp(argv[i], "--seed")) {
-      add([](flow::FlowConfig& c, const char* v) { c.seed = std::atoi(v); },
-          "--seed");
+      set_number(&flow::FlowConfig::seed, "--seed");
     } else if (!std::strcmp(argv[i], "--threads")) {
-      add([](flow::FlowConfig& c, const char* v) { c.threads = std::atoi(v); },
-          "--threads");
+      set_number(&flow::FlowConfig::threads, "--threads");
     } else {
       usage(argv[0]);
     }
@@ -300,7 +292,7 @@ int main(int argc, char** argv) {
     usage(argv[0]);
   }
   for (flow::FlowConfig& cfg : sweep) {
-    for (const Override& o : overrides) o.apply(cfg, o.value);
+    for (const auto& apply : overrides) apply(cfg);
   }
 
   // ---- run it -------------------------------------------------------------

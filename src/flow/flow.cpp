@@ -329,6 +329,7 @@ void place_and_route(const DesignContext& ctx, PhysicalState& st,
   // --- placement ----------------------------------------------------------------
   pnr::PlacementOptions po;
   po.seed = config.seed;
+  po.threads = ro.threads;
   st.placement = [&] {
     StageClock clk(res, "placement");
     return pnr::place(nl, st.fp, st.pp, po);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -57,6 +59,22 @@ Env parse_env(const std::function<const char*(const char*)>& lookup) {
   e.serve_test_crash_always = crash_always ? crash_always : "";
   return e;
 }
+
+template <class T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || p != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
+template std::optional<int> parse_number<int>(std::string_view);
+template std::optional<unsigned> parse_number<unsigned>(std::string_view);
+template std::optional<double> parse_number<double>(std::string_view);
 
 Env& env() {
   static Env e = parse_env([](const char* name) { return std::getenv(name); });

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace ffet::obs {
 
@@ -53,6 +55,13 @@ Env parse_env(const std::function<const char*(const char*)>& lookup);
 /// serve worker drops the trace and flow-report sinks) before any other
 /// thread reads it.
 Env& env();
+
+/// Strict number parsing for command-line flags: all of `text` must be one
+/// decimal T in T's range (std::from_chars rules: no leading whitespace or
+/// '+', nothing trailing), and a double must be finite.  nullopt otherwise
+/// — the caller reports a usage error.  Defined for int, unsigned, double.
+template <class T>
+std::optional<T> parse_number(std::string_view text);
 
 /// This machine's name for ledger lines: gethostname(), else $HOSTNAME,
 /// else "unknown".

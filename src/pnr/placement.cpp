@@ -5,10 +5,13 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "geom/grid.h"
 #include "obs/obs.h"
+#include "pnr/placement_internal.h"
+#include "runtime/thread_pool.h"
 
 namespace ffet::pnr {
 
@@ -25,12 +28,6 @@ struct Segment {
   Nm lo = 0;
   Nm hi = 0;
   std::vector<geom::Interval> free_list;  ///< sorted, non-overlapping
-
-  Nm largest_free() const {
-    Nm best = 0;
-    for (const auto& iv : free_list) best = std::max(best, iv.length());
-    return best;
-  }
 
   /// Best x for a cell of width `w` wanting `desired`; nullopt if no gap
   /// fits.  Returns the x minimizing |x - desired|.
@@ -75,7 +72,6 @@ struct Segment {
       if (x < iv.lo || x + w > iv.hi) continue;
       const geom::Interval right{x + w, iv.hi};
       iv.hi = x;
-      std::vector<geom::Interval> updated;
       if (iv.length() <= 0) {
         free_list.erase(free_list.begin() + static_cast<long>(i));
         if (right.length() > 0) {
@@ -127,6 +123,120 @@ std::vector<RowState> build_row_segments(const Floorplan& fp,
   return rows;
 }
 
+/// Find the legal slot of width `w` nearest `desired` (Manhattan cost,
+/// rows visited near-to-far from the desired row), mark it occupied and
+/// return its origin; nullopt when no gap fits anywhere.  The Tetris
+/// legalizer and the ECO's incremental legalizer share this search.
+std::optional<geom::Point> claim_nearest_slot(std::vector<RowState>& rows,
+                                              const Floorplan& fp, Nm w,
+                                              geom::Point desired) {
+  const int want_row = std::clamp(
+      static_cast<int>(desired.y / fp.row_height), 0, fp.num_rows() - 1);
+  Nm best_cost = std::numeric_limits<Nm>::max();
+  RowState* best_row = nullptr;
+  Segment* best_seg = nullptr;
+  Nm best_x = 0;
+  for (int dr = 0; dr < fp.num_rows(); ++dr) {
+    for (int sgn : {1, -1}) {
+      const int r = want_row + sgn * dr;
+      if (sgn < 0 && dr == 0) continue;
+      if (r < 0 || r >= fp.num_rows()) continue;
+      RowState& row = rows[static_cast<std::size_t>(r)];
+      const Nm dy = std::abs(row.y - desired.y);
+      if (dy >= best_cost) continue;  // rows are visited near-to-far
+      for (Segment& seg : row.segments) {
+        const auto x = seg.best_position(w, desired.x, fp.site_width);
+        if (!x) continue;
+        const Nm cost = std::abs(*x - desired.x) + dy;
+        if (cost < best_cost) {
+          best_cost = cost;
+          best_row = &row;
+          best_seg = &seg;
+          best_x = *x;
+        }
+      }
+    }
+    // Stop expanding once the row distance alone exceeds the best cost.
+    if (best_row && static_cast<Nm>(dr) * fp.row_height > best_cost) break;
+  }
+  if (!best_row) return std::nullopt;
+  best_seg->occupy(best_x, w);
+  return geom::Point{best_x, best_row->y};
+}
+
+/// A cell in the spreading order: its position along the split axis, then
+/// its id — the total order the bisection preserves.  Sorting these pairs
+/// instead of ids keeps the comparator off the instance table.
+struct KeyedCell {
+  Nm key = 0;
+  InstId id = netlist::kNoInst;
+  auto operator<=>(const KeyedCell&) const = default;
+};
+
+/// Bisections with fewer cells than this run both halves on one thread.
+constexpr std::size_t kParallelSpreadCells = 2048;
+
+/// Recursive equal-area bisection spreading: split the cell set at its
+/// area-median along the region's longer axis, give each half one
+/// geometric half of the region, recurse.  Order is preserved along the
+/// split axis at every level, so connectivity structure built by the
+/// averaging passes survives while density becomes uniform.  The halves
+/// are disjoint cell sets, so large ones run concurrently.
+void spread_region(Netlist& nl, const Floorplan& fp, std::span<KeyedCell> cells,
+                   const geom::Rect& region, int threads) {
+  if (cells.empty()) return;
+  const bool split_x = region.width() >= region.height();
+  for (KeyedCell& c : cells) {
+    const geom::Point& p = nl.instance(c.id).pos;
+    c.key = split_x ? p.x : p.y;
+  }
+  std::sort(cells.begin(), cells.end());
+  if (cells.size() <= 8 || region.width() <= 4 * fp.site_width ||
+      region.height() <= fp.row_height) {
+    // Leaf: scatter by rank along the longer axis.
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const double t = (static_cast<double>(i) + 0.5) /
+                       static_cast<double>(cells.size());
+      netlist::Instance& inst = nl.instance(cells[i].id);
+      if (split_x) {
+        inst.pos = {region.lo.x + static_cast<Nm>(t * region.width()),
+                    region.center().y};
+      } else {
+        inst.pos = {region.center().x,
+                    region.lo.y + static_cast<Nm>(t * region.height())};
+      }
+    }
+    return;
+  }
+  double total = 0.0;
+  for (const KeyedCell& c : cells) total += nl.instance(c.id).type->area_um2();
+  double acc = 0.0;
+  std::size_t cut = 0;
+  while (cut < cells.size() && acc < total / 2.0) {
+    acc += nl.instance(cells[cut].id).type->area_um2();
+    ++cut;
+  }
+  geom::Rect lower_region = region;
+  geom::Rect upper_region = region;
+  if (split_x) {
+    lower_region.hi.x = upper_region.lo.x = region.center().x;
+  } else {
+    lower_region.hi.y = upper_region.lo.y = region.center().y;
+  }
+  auto lower = [&] {
+    spread_region(nl, fp, cells.first(cut), lower_region, threads);
+  };
+  auto upper = [&] {
+    spread_region(nl, fp, cells.subspan(cut), upper_region, threads);
+  };
+  if (cells.size() >= kParallelSpreadCells) {
+    runtime::parallel_invoke(threads, lower, upper);
+  } else {
+    lower();
+    upper();
+  }
+}
+
 /// Place IO ports evenly on the core boundary: inputs on the left/top
 /// edges, outputs on the right/bottom — a simple deterministic IO plan.
 void plan_ios(Netlist& nl, const Floorplan& fp) {
@@ -154,6 +264,63 @@ void plan_ios(Netlist& nl, const Floorplan& fp) {
 }
 
 }  // namespace
+
+namespace detail {
+
+void sum_net_pins(const Netlist& nl, NetPinSums& sums, int threads) {
+  const auto nets = static_cast<std::size_t>(nl.num_nets());
+  sums.x.resize(nets);
+  sums.y.resize(nets);
+  sums.count.resize(nets);
+  runtime::parallel_for(
+      nets,
+      [&](std::size_t k) {
+        const netlist::Net& net = nl.nets()[k];
+        std::int64_t x = 0, y = 0;
+        int count = 0;
+        auto absorb = [&](geom::Point q) {
+          x += q.x;
+          y += q.y;
+          ++count;
+        };
+        if (!net.is_clock) {
+          if (net.driver.inst != netlist::kNoInst) {
+            absorb(nl.pin_position(net.driver));
+          }
+          for (const netlist::PinRef& s : net.sinks) {
+            if (s.inst != netlist::kNoInst) absorb(nl.pin_position(s));
+          }
+          if (net.port >= 0) absorb(nl.port(net.port).pos);
+        }
+        sums.x[k] = x;
+        sums.y[k] = y;
+        sums.count[k] = count;
+      },
+      threads, 0);
+}
+
+Pull cell_pull(const Netlist& nl, const NetPinSums& sums, InstId id) {
+  Pull pull;
+  const auto pin_nets = nl.pin_nets(id);
+  for (const netlist::NetId net_id : pin_nets) {
+    if (net_id == netlist::kNoNet || nl.net(net_id).is_clock) continue;
+    const auto k = static_cast<std::size_t>(net_id);
+    pull.x += sums.x[k];
+    pull.y += sums.y[k];
+    pull.count += sums.count[k];
+    // The cell's own pins on the net do not pull it.
+    for (std::size_t q = 0; q < pin_nets.size(); ++q) {
+      if (pin_nets[q] != net_id) continue;
+      const geom::Point own = nl.pin_position({id, static_cast<int>(q)});
+      pull.x -= own.x;
+      pull.y -= own.y;
+      --pull.count;
+    }
+  }
+  return pull;
+}
+
+}  // namespace detail
 
 double compute_hpwl_um(const Netlist& nl) {
   double total = 0.0;
@@ -216,120 +383,39 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
   // order-preserving sort-and-balance spreading that equalizes density
   // without destroying the relative cell order — the property that keeps
   // locality through legalization.
+  detail::NetPinSums sums;
+  std::vector<geom::Point> desired(movable.size());
   auto centroid_pass = [&]() {
-    std::vector<geom::Point> desired(
-        static_cast<std::size_t>(nl.num_instances()));
-    for (InstId id : movable) {
-      const netlist::Instance& inst = nl.instance(id);
-      double sx = 0, sy = 0;
-      int n = 0;
-      const auto pin_nets = nl.pin_nets(id);
-      for (std::size_t p = 0; p < pin_nets.size(); ++p) {
-        const netlist::NetId net_id = pin_nets[p];
-        if (net_id == netlist::kNoNet) continue;
-        const netlist::Net& net = nl.net(net_id);
-        if (net.is_clock) continue;  // the clock net doesn't pull placement
-        auto absorb = [&](const netlist::PinRef& ref) {
-          if (ref.inst == id || ref.inst == netlist::kNoInst) return;
-          const geom::Point q = nl.pin_position(ref);
-          sx += static_cast<double>(q.x);
-          sy += static_cast<double>(q.y);
-          ++n;
-        };
-        absorb(net.driver);
-        for (const netlist::PinRef& s : net.sinks) absorb(s);
-        if (net.port >= 0) {
-          sx += static_cast<double>(nl.port(net.port).pos.x);
-          sy += static_cast<double>(nl.port(net.port).pos.y);
-          ++n;
-        }
-      }
-      geom::Point target = inst.pos;
-      if (n > 0) {
-        target = {static_cast<Nm>(sx / n), static_cast<Nm>(sy / n)};
-      }
-      const double a = options.pull_strength;
-      desired[static_cast<std::size_t>(id)] = {
-          static_cast<Nm>(a * target.x + (1 - a) * inst.pos.x),
-          static_cast<Nm>(a * target.y + (1 - a) * inst.pos.y)};
-    }
-    for (InstId id : movable) {
-      nl.instance(id).pos = desired[static_cast<std::size_t>(id)];
+    detail::sum_net_pins(nl, sums, options.threads);
+    runtime::parallel_for(
+        movable.size(),
+        [&](std::size_t i) {
+          const geom::Point pos = nl.instance(movable[i]).pos;
+          const detail::Pull pull = detail::cell_pull(nl, sums, movable[i]);
+          geom::Point target = pos;
+          if (pull.count > 0) {
+            const double n = pull.count;
+            target = {static_cast<Nm>(static_cast<double>(pull.x) / n),
+                      static_cast<Nm>(static_cast<double>(pull.y) / n)};
+          }
+          const double a = options.pull_strength;
+          desired[i] = {static_cast<Nm>(a * target.x + (1 - a) * pos.x),
+                        static_cast<Nm>(a * target.y + (1 - a) * pos.y)};
+        },
+        options.threads, 0);
+    for (std::size_t i = 0; i < movable.size(); ++i) {
+      nl.instance(movable[i]).pos = desired[i];
     }
   };
 
-  // Recursive equal-area bisection spreading: split the cell set at its
-  // area-median along the region's longer axis, give each half one
-  // geometric half of the region, recurse.  Order is preserved along the
-  // split axis at every level, so connectivity structure built by the
-  // averaging passes survives while density becomes uniform.
+  // Any permutation of the movable cells will do: every bisection sorts
+  // its cells by (position, id).
+  std::vector<KeyedCell> spread_cells(movable.size());
+  for (std::size_t i = 0; i < movable.size(); ++i) {
+    spread_cells[i].id = movable[i];
+  }
   auto spread_pass = [&]() {
-    struct Frame {
-      std::vector<InstId> cells;
-      geom::Rect region;
-    };
-    std::vector<Frame> stack;
-    stack.push_back({movable, fp.core});
-    while (!stack.empty()) {
-      Frame f = std::move(stack.back());
-      stack.pop_back();
-      if (f.cells.empty()) continue;
-      const bool split_x = f.region.width() >= f.region.height();
-      if (static_cast<int>(f.cells.size()) <= 8 ||
-          f.region.width() <= 4 * fp.site_width ||
-          f.region.height() <= fp.row_height) {
-        // Leaf: scatter by rank along the longer axis.
-        std::sort(f.cells.begin(), f.cells.end(), [&](InstId a, InstId b) {
-          const auto& pa = nl.instance(a).pos;
-          const auto& pb = nl.instance(b).pos;
-          if (split_x && pa.x != pb.x) return pa.x < pb.x;
-          if (!split_x && pa.y != pb.y) return pa.y < pb.y;
-          return a < b;
-        });
-        for (std::size_t i = 0; i < f.cells.size(); ++i) {
-          const double t = (static_cast<double>(i) + 0.5) /
-                           static_cast<double>(f.cells.size());
-          netlist::Instance& inst = nl.instance(f.cells[i]);
-          if (split_x) {
-            inst.pos = {f.region.lo.x + static_cast<Nm>(t * f.region.width()),
-                        f.region.center().y};
-          } else {
-            inst.pos = {f.region.center().x,
-                        f.region.lo.y + static_cast<Nm>(t * f.region.height())};
-          }
-        }
-        continue;
-      }
-      std::sort(f.cells.begin(), f.cells.end(), [&](InstId a, InstId b) {
-        const auto& pa = nl.instance(a).pos;
-        const auto& pb = nl.instance(b).pos;
-        if (split_x && pa.x != pb.x) return pa.x < pb.x;
-        if (!split_x && pa.y != pb.y) return pa.y < pb.y;
-        return a < b;
-      });
-      double total = 0.0;
-      for (InstId id : f.cells) total += nl.instance(id).type->area_um2();
-      double acc = 0.0;
-      std::size_t cut = 0;
-      while (cut < f.cells.size() && acc < total / 2.0) {
-        acc += nl.instance(f.cells[cut]).type->area_um2();
-        ++cut;
-      }
-      Frame a, b;
-      a.cells.assign(f.cells.begin(), f.cells.begin() + static_cast<long>(cut));
-      b.cells.assign(f.cells.begin() + static_cast<long>(cut), f.cells.end());
-      if (split_x) {
-        const Nm mid = f.region.center().x;
-        a.region = {f.region.lo, {mid, f.region.hi.y}};
-        b.region = {{mid, f.region.lo.y}, f.region.hi};
-      } else {
-        const Nm mid = f.region.center().y;
-        a.region = {f.region.lo, {f.region.hi.x, mid}};
-        b.region = {{f.region.lo.x, mid}, f.region.hi};
-      }
-      stack.push_back(std::move(a));
-      stack.push_back(std::move(b));
-    }
+    spread_region(nl, fp, spread_cells, fp.core, options.threads);
   };
 
   // Phase 1: long averaging from the random start — the quadratic system
@@ -384,40 +470,9 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
   for (InstId id : order) {
     netlist::Instance& inst = nl.instance(id);
     const Nm w = inst.type->width();
-    const int want_row = std::clamp(
-        static_cast<int>(inst.pos.y / fp.row_height), 0,
-        fp.num_rows() - 1);
-    Nm best_cost = std::numeric_limits<Nm>::max();
-    RowState* best_row = nullptr;
-    Segment* best_seg = nullptr;
-    Nm best_x = 0;
-    for (int dr = 0; dr < fp.num_rows(); ++dr) {
-      for (int sgn : {1, -1}) {
-        const int r = want_row + sgn * dr;
-        if (sgn < 0 && dr == 0) continue;
-        if (r < 0 || r >= fp.num_rows()) continue;
-        const Nm dy = std::abs(rows[static_cast<std::size_t>(r)].y - inst.pos.y);
-        if (dy >= best_cost) continue;  // rows are visited near-to-far
-        for (Segment& seg :
-             rows[static_cast<std::size_t>(r)].segments) {
-          const auto x = seg.best_position(w, inst.pos.x, fp.site_width);
-          if (!x) continue;
-          const Nm cost = std::abs(*x - inst.pos.x) + dy;
-          if (cost < best_cost) {
-            best_cost = cost;
-            best_row = &rows[static_cast<std::size_t>(r)];
-            best_seg = &seg;
-            best_x = *x;
-          }
-        }
-      }
-      // Stop expanding once the row distance alone exceeds the best cost.
-      if (best_row &&
-          static_cast<Nm>(dr) * fp.row_height > best_cost) {
-        break;
-      }
-    }
-    if (!best_row) {
+    const std::optional<geom::Point> slot =
+        claim_nearest_slot(rows, fp, w, inst.pos);
+    if (!slot) {
       ++unplaced;
       // Clamp somewhere sane so downstream stages see finite coordinates.
       inst.pos = {std::clamp<Nm>(inst.pos.x, 0,
@@ -426,14 +481,13 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
                                  0, (fp.num_rows() - 1) * fp.row_height)};
       continue;
     }
-    const double disp_um = geom::to_um(std::abs(best_x - inst.pos.x) +
-                                       std::abs(best_row->y - inst.pos.y));
+    const double disp_um = geom::to_um(std::abs(slot->x - inst.pos.x) +
+                                       std::abs(slot->y - inst.pos.y));
     disp_sum_um += disp_um;
     ++disp_n;
     res.max_displacement_um = std::max(res.max_displacement_um, disp_um);
     if (disp_hist != nullptr) disp_hist->observe(disp_um);
-    inst.pos = {best_x, best_row->y};
-    best_seg->occupy(best_x, w);
+    inst.pos = *slot;
   }
   res.mean_displacement_um =
       disp_n > 0 ? disp_sum_um / static_cast<double>(disp_n) : 0.0;
@@ -517,38 +571,7 @@ void IncrementalLegalizer::occupy(geom::Point pos, geom::Nm width) {
 
 std::optional<geom::Point> IncrementalLegalizer::claim(geom::Nm width,
                                                        geom::Point desired) {
-  const Floorplan& fp = *impl_->fp;
-  std::vector<RowState>& rows = impl_->rows;
-  const int want_row = std::clamp(
-      static_cast<int>(desired.y / fp.row_height), 0, fp.num_rows() - 1);
-  Nm best_cost = std::numeric_limits<Nm>::max();
-  RowState* best_row = nullptr;
-  Segment* best_seg = nullptr;
-  Nm best_x = 0;
-  for (int dr = 0; dr < fp.num_rows(); ++dr) {
-    for (int sgn : {1, -1}) {
-      const int r = want_row + sgn * dr;
-      if (sgn < 0 && dr == 0) continue;
-      if (r < 0 || r >= fp.num_rows()) continue;
-      const Nm dy = std::abs(rows[static_cast<std::size_t>(r)].y - desired.y);
-      if (dy >= best_cost) continue;
-      for (Segment& seg : rows[static_cast<std::size_t>(r)].segments) {
-        const auto x = seg.best_position(width, desired.x, fp.site_width);
-        if (!x) continue;
-        const Nm cost = std::abs(*x - desired.x) + dy;
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_row = &rows[static_cast<std::size_t>(r)];
-          best_seg = &seg;
-          best_x = *x;
-        }
-      }
-    }
-    if (best_row && static_cast<Nm>(dr) * fp.row_height > best_cost) break;
-  }
-  if (!best_row) return std::nullopt;
-  best_seg->occupy(best_x, width);
-  return geom::Point{best_x, best_row->y};
+  return claim_nearest_slot(impl_->rows, *impl_->fp, width, desired);
 }
 
 }  // namespace ffet::pnr

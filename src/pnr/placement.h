@@ -38,6 +38,11 @@ struct PlacementOptions {
   unsigned seed = 1;
   int iterations = 24;        ///< centroid/spreading rounds
   double pull_strength = 0.7; ///< blend factor toward the connectivity centroid
+  /// Worker threads for global placement: the per-net sums and per-cell
+  /// targets of each centroid pass, and the two halves of each large
+  /// spreading bisection.  Every index writes only its own slot and the
+  /// halves are disjoint, so the placement is bit-identical at any count.
+  int threads = 1;
 };
 
 struct PlacementResult {

@@ -9,11 +9,13 @@
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "obs/env.h"
 #include "obs/numfmt.h"
 #include "obs/obs.h"
 #include "runtime/thread_pool.h"
@@ -474,6 +476,46 @@ TEST(Env, WorkerCountIsParsedAndBounded) {
         << "'" << c.value << "'";
   }
   EXPECT_EQ(parse({}).workers, 0);
+}
+
+TEST(FlagNumbers, IntsAreWholeDecimalsInRange) {
+  struct Case {
+    const char* text;
+    std::optional<int> value;
+  };
+  const std::optional<int> bad;
+  for (const Case& c :
+       {Case{"3", 3}, Case{"0", 0}, Case{"-7", -7},
+        Case{"2147483647", 2147483647}, Case{"2147483648", bad},
+        Case{"-2147483649", bad}, Case{"99999999999999999999", bad},
+        Case{"3abc", bad}, Case{"abc", bad}, Case{"", bad}, Case{" 3", bad},
+        Case{"3 ", bad}, Case{"+3", bad}, Case{"3.5", bad},
+        Case{"0x10", bad}}) {
+    EXPECT_EQ(obs::parse_number<int>(c.text), c.value) << "'" << c.text << "'";
+  }
+}
+
+TEST(FlagNumbers, UnsignedRejectsASign) {
+  EXPECT_EQ(obs::parse_number<unsigned>("4294967295"), 4294967295u);
+  EXPECT_EQ(obs::parse_number<unsigned>("4294967296"), std::nullopt);
+  EXPECT_EQ(obs::parse_number<unsigned>("-1"), std::nullopt);
+  EXPECT_EQ(obs::parse_number<unsigned>("7"), 7u);
+}
+
+TEST(FlagNumbers, DoublesAreWholeFiniteNumbers) {
+  struct Case {
+    const char* text;
+    std::optional<double> value;
+  };
+  const std::optional<double> bad;
+  for (const Case& c :
+       {Case{"0.76", 0.76}, Case{"1", 1.0}, Case{"-2.5", -2.5},
+        Case{"1e-3", 1e-3}, Case{".5", 0.5}, Case{"1e999", bad},
+        Case{"inf", bad}, Case{"nan", bad}, Case{"0.7x", bad}, Case{"", bad},
+        Case{" 0.7", bad}, Case{"+0.7", bad}, Case{"0.7.1", bad}}) {
+    EXPECT_EQ(obs::parse_number<double>(c.text), c.value)
+        << "'" << c.text << "'";
+  }
 }
 
 TEST(Env, CrashHooksAreStrings) {

@@ -16,6 +16,7 @@
 #include "pnr/cts.h"
 #include "pnr/floorplan.h"
 #include "pnr/placement.h"
+#include "pnr/placement_internal.h"
 #include "pnr/powerplan.h"
 #include "pnr/region.h"
 #include "pnr/router.h"
@@ -283,6 +284,94 @@ TEST_F(PnrTest, PlacementBeatsRandomOnWirelength) {
   ASSERT_TRUE(res.legal);
   // Global placement must recover substantial locality over random.
   EXPECT_LT(res.hpwl_um, 0.75 * random_hpwl);
+}
+
+/// The centroid pass's pull on one cell, pin by pin (O(Σ fanout²)): every
+/// pin on each of the cell's non-clock nets except the cell's own, plus the
+/// port once per visit.
+detail::Pull pairwise_pull(const netlist::Netlist& nl, netlist::InstId id) {
+  detail::Pull pull;
+  for (const NetId net_id : nl.pin_nets(id)) {
+    if (net_id == netlist::kNoNet) continue;
+    const netlist::Net& net = nl.net(net_id);
+    if (net.is_clock) continue;
+    auto absorb = [&](const netlist::PinRef& ref) {
+      if (ref.inst == id || ref.inst == netlist::kNoInst) return;
+      const geom::Point q = nl.pin_position(ref);
+      pull.x += q.x;
+      pull.y += q.y;
+      ++pull.count;
+    };
+    absorb(net.driver);
+    for (const netlist::PinRef& s : net.sinks) absorb(s);
+    if (net.port >= 0) {
+      pull.x += nl.port(net.port).pos.x;
+      pull.y += nl.port(net.port).pos.y;
+      ++pull.count;
+    }
+  }
+  return pull;
+}
+
+TEST_F(PnrTest, CellPullMatchesPairwiseReference) {
+  Builder b("pull", ffet_lib_);
+  const NetId clk = b.input("clk");
+  const NetId a = b.input("a");  // driverless PI net with a port
+  const NetId fanout = b.inv(a);
+  NetId chain = b.nand2(a, a);  // one cell, two pins on one net
+  for (int i = 0; i < 40; ++i) {
+    chain = b.dff(b.nand2(fanout, chain), clk);
+  }
+  b.output("q", chain);
+  netlist::Netlist nl = b.take();
+  nl.mark_clock_net(clk);
+
+  // The netlist has every case the pull must get right.
+  EXPECT_EQ(nl.net(a).driver.inst, netlist::kNoInst);
+  EXPECT_GE(nl.net(a).port, 0);
+  EXPECT_GE(nl.net(fanout).sinks.size(), 40u);
+  EXPECT_EQ(nl.net(a).sinks.size(), 3u);
+  EXPECT_TRUE(nl.net(clk).is_clock);
+
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<geom::Nm> coord(0, 50'000);
+  for (int i = 0; i < nl.num_instances(); ++i) {
+    nl.instance(i).pos = {coord(rng), coord(rng)};
+  }
+  for (int p = 0; p < nl.num_ports(); ++p) {
+    nl.port(p).pos = {coord(rng), coord(rng)};
+  }
+
+  detail::NetPinSums sums;
+  detail::sum_net_pins(nl, sums, 1);
+  for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
+    const detail::Pull want = pairwise_pull(nl, i);
+    const detail::Pull got = detail::cell_pull(nl, sums, i);
+    EXPECT_EQ(got.x, want.x) << nl.instance_name(i);
+    EXPECT_EQ(got.y, want.y) << nl.instance_name(i);
+    EXPECT_EQ(got.count, want.count) << nl.instance_name(i);
+  }
+}
+
+TEST_F(PnrTest, PlacementIdenticalAcrossThreadCounts) {
+  // Per-net sums, per-cell targets and the bisection halves run in
+  // parallel; every thread count must place every cell on the same spot.
+  auto run = [&](int threads) {
+    netlist::Netlist nl = *ffet_core_;
+    FloorplanOptions fo;
+    fo.target_utilization = 0.7;
+    const Floorplan fp = make_floorplan(nl, *ffet_tech_, fo);
+    const PowerPlan pp = build_power_plan(nl, fp, *ffet_lib_);
+    PlacementOptions po;
+    po.threads = threads;
+    const PlacementResult res = place(nl, fp, pp, po);
+    std::vector<geom::Point> pos;
+    for (const auto& inst : nl.instances()) pos.push_back(inst.pos);
+    return std::make_tuple(pos, res.hpwl_um, res.mean_displacement_um);
+  };
+  const auto serial = run(1);
+  EXPECT_TRUE(serial == run(2));
+  EXPECT_TRUE(serial == run(4));
 }
 
 // --- CTS ------------------------------------------------------------------------
