@@ -1,31 +1,32 @@
 // bench_router — microbenchmark of the dual-sided maze-routing kernel
 // (not a paper experiment; the perf trajectory of src/pnr/router.cpp).
 //
-// Routes the RV32 core front+back at three gcell sizes with all three
-// engines (legacy full-grid Dijkstra, stage-1 windowed A*, stage-2
-// Steiner/region), reporting routes/s, settled nodes per route, and
-// negotiation pass counts, and cross-checking the QoR gate: each newer
-// engine must be equal-or-better on hard overflow and total wirelength at
-// every configuration.
+// Routes the RV32 core front+back at three gcell sizes with both
+// negotiation loops — stage 1 (windowed A* on whole subnets, the full route
+// reroute_nets() makes with nothing carried; JSON key "astar") and stage 2
+// (route_design(), Steiner/region; key "astar2") — reporting routes/s,
+// settled nodes per route, and negotiation pass counts, and cross-checking
+// the QoR gate: stage 2 must be equal-or-better than stage 1 on hard
+// overflow and total wirelength at every configuration.
 //
 // Two gcell_tracks=10 configurations run with a reduced capacity_factor:
-// "congested" sits at the negotiation breakpoint (legacy needs rip-up
-// passes; the A* engines absorb the congestion with windowed detours) and
-// gates the >= 1.8x stage-2 speedup; "stress" sits beyond the breakpoint
-// (every engine negotiates for many passes, none converges to zero) and
-// exercises the stage-2 congestion-region machinery, gated on QoR only —
-// hard overflow and wirelength equal or lower, never speed.
+// "congested" sits at the negotiation breakpoint (both loops absorb the
+// congestion with windowed detours) and gates the >= 1.8x stage-2 speedup;
+// "stress" sits beyond the breakpoint (both loops negotiate for many
+// passes, neither converges to zero) and exercises the stage-2
+// congestion-region machinery, gated on QoR only — hard overflow and
+// wirelength equal or lower, never speed.
 //
 // Always writes BENCH_router.json (cwd).  The committed copy at the repo
 // root is the baseline the CI quick-bench step diffs against
-// (ffet_report diff --mode router): every engine's deterministic work
+// (ffet_report diff --mode router): both loops' deterministic work
 // counters (passes, ripups, region_ripups, window_expansions, drv_wire,
-// steiner_subnets, fastpath) must match exactly; `astar_settled_per_route`
-// and `astar2_settled_per_route` are machine-independent and gated at
-// +20 %; `speedup` (legacy/astar) and `speedup2` (astar/astar2) are
-// normalized against engines measured in the same run, so they are load-
-// and machine-insensitive, and gated at -20 % plus the 1.8x floor on
-// congested configs.
+// steiner_subnets, fastpath) and their wirelength must match exactly;
+// `astar_settled_per_route` and `astar2_settled_per_route` are
+// machine-independent and gated at +20 %; `speedup2` (astar/astar2) is
+// normalized against a loop measured in the same run, so it is load- and
+// machine-insensitive, and gated at -20 % plus the 1.8x floor on congested
+// configs.
 //
 //   --quick   1 timing rep per configuration instead of 3
 
@@ -56,7 +57,7 @@ struct BenchConfig {
 };
 
 struct EngineStat {
-  double seconds = 0.0;  ///< best-of-reps wall time of route_design()
+  double seconds = 0.0;  ///< best-of-reps wall time of one full route
   double routes_per_s = 0.0;
   double settled_per_route = 0.0;
   int passes = 0;
@@ -69,18 +70,27 @@ struct EngineStat {
   long fastpath = 0;
 };
 
+/// Stage 1 from nothing: a reroute with no routes carried.
+pnr::RouteResult route_stage1(const netlist::Netlist& nl,
+                              const pnr::Floorplan& fp,
+                              const pnr::RouteOptions& ro) {
+  return pnr::reroute_nets(nl, fp, {}, {}, ro);
+}
+
+using RouteFn = pnr::RouteResult (*)(const netlist::Netlist&,
+                                     const pnr::Floorplan&,
+                                     const pnr::RouteOptions&);
+
 EngineStat run_engine(const netlist::Netlist& nl, const pnr::Floorplan& fp,
-                      pnr::RouteEngine engine, const BenchConfig& cfg,
-                      int reps) {
+                      RouteFn route, const BenchConfig& cfg, int reps) {
   pnr::RouteOptions ro;
-  ro.engine = engine;
   ro.gcell_tracks = cfg.gcell_tracks;
   ro.capacity_factor = cfg.capacity_factor;
   EngineStat st;
   st.seconds = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    const pnr::RouteResult rr = pnr::route_design(nl, fp, ro);
+    const pnr::RouteResult rr = route(nl, fp, ro);
     const double s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -138,7 +148,7 @@ int main(int argc, char** argv) {
   const int reps = args.quick ? 1 : 3;
 
   bench::print_title("bench_router",
-                     "maze-routing kernel: legacy vs. windowed A* vs. "
+                     "maze-routing kernel: stage-1 windowed A* vs. "
                      "Steiner/region stage 2");
   bench::print_note(
       "RV32 core (8 registers), FFET FP0.5BP0.5, dual-sided routing at "
@@ -176,13 +186,12 @@ int main(int argc, char** argv) {
   j.open_array("configs");
 
   // Four capacity regimes at fixed placement:
-  //   congested   — capacity at the negotiation breakpoint: the legacy
-  //                 engine needs rip-up passes, the A* engines absorb the
-  //                 congestion with windowed detours / fast-path rejections
-  //                 (~2.3x the uncongested search effort).  The >= 1.8x
-  //                 stage-2 floor is gated here.
-  //   stress      — deep infeasibility (Fig. 12 beyond-breakpoint): every
-  //                 engine negotiates for many passes and none reaches
+  //   congested   — capacity at the negotiation breakpoint: both loops
+  //                 absorb the congestion with windowed detours / fast-path
+  //                 rejections (~2.3x the uncongested search effort).  The
+  //                 >= 1.8x stage-2 floor is gated here.
+  //   stress      — deep infeasibility (Fig. 12 beyond-breakpoint): both
+  //                 loops negotiate for many passes and neither reaches
   //                 zero overflow; gated on QoR only (hard overflow equal
   //                 or lower), not speed.
   //   uncongested — the initial route converges; measures raw kernel
@@ -198,24 +207,18 @@ int main(int argc, char** argv) {
   double congested_speedup2 = 0.0;
   for (const BenchConfig& cfg : configs) {
     // The congested config carries an absolute speedup floor, so its
-    // timings stay best-of-3 even in quick mode (engine runtimes there are
+    // timings stay best-of-3 even in quick mode (route runtimes there are
     // ~50-500 ms; one-shot timing noise would gate on luck).
     const int cfg_reps = cfg.congested ? std::max(reps, 3) : reps;
-    const EngineStat legacy =
-        run_engine(nl, fp, pnr::RouteEngine::Legacy, cfg, cfg_reps);
-    const EngineStat astar =
-        run_engine(nl, fp, pnr::RouteEngine::Astar, cfg, cfg_reps);
+    const EngineStat astar = run_engine(nl, fp, route_stage1, cfg, cfg_reps);
     const EngineStat astar2 =
-        run_engine(nl, fp, pnr::RouteEngine::Astar2, cfg, cfg_reps);
-    const double speedup =
-        astar.seconds > 0.0 ? legacy.seconds / astar.seconds : 0.0;
+        run_engine(nl, fp, pnr::route_design, cfg, cfg_reps);
     const double speedup2 =
         astar2.seconds > 0.0 ? astar.seconds / astar2.seconds : 0.0;
     if (cfg.congested) congested_speedup2 = speedup2;
     std::printf("  -- gcell_tracks=%d capacity_factor=%.2f (%s) --\n",
                 cfg.gcell_tracks, cfg.capacity_factor, cfg.label);
-    print_engine(cfg, "legacy", legacy, 0.0);
-    print_engine(cfg, "astar", astar, speedup);
+    print_engine(cfg, "astar", astar, 0.0);
     print_engine(cfg, "astar2", astar2, speedup2);
     std::printf(
         "  %-6s %-7s regions=%ld steiner_subnets=%ld fastpath=%ld "
@@ -223,20 +226,15 @@ int main(int argc, char** argv) {
         "", "", astar2.region_ripups, astar2.steiner_subnets, astar2.fastpath,
         astar2.window_expansions);
 
-    // QoR gates, lexicographic: a newer engine must never add DRVs; when
-    // DRVs tie, its wirelength must be within 0.1 % (under congestion the
-    // engines trade sub-0.1 % wirelength for orders of magnitude of
-    // speed — a strictly lower DRV count wins regardless of wirelength).
+    // QoR gate, lexicographic: stage 2 must never add DRVs; when DRVs
+    // tie, its wirelength must be within 0.1 % (under congestion the loops
+    // trade sub-0.1 % wirelength for orders of magnitude of speed — a
+    // strictly lower DRV count wins regardless of wirelength).
     auto qor_pair_ok = [](const EngineStat& older, const EngineStat& newer) {
       if (newer.drv_wire > older.drv_wire) return false;
       if (newer.drv_wire < older.drv_wire) return true;
       return newer.wirelength_um <= older.wirelength_um * 1.001 + 1e-6;
     };
-    if (!qor_pair_ok(legacy, astar)) {
-      qor_ok = false;
-      std::printf("  ** QoR REGRESSION (astar vs legacy) at gcell_tracks=%d **\n",
-                  cfg.gcell_tracks);
-    }
     if (!qor_pair_ok(astar, astar2)) {
       qor_ok = false;
       std::printf(
@@ -250,10 +248,8 @@ int main(int argc, char** argv) {
     j.field("capacity_factor", cfg.capacity_factor);
     j.field("label", std::string(cfg.label));
     j.field("congested", cfg.congested);
-    append_engine_json(j, "legacy", legacy);
     append_engine_json(j, "astar", astar);
     append_engine_json(j, "astar2", astar2);
-    j.field("speedup", speedup);
     j.field("speedup2", speedup2);
     j.field("astar_settled_per_route", astar.settled_per_route);
     j.field("astar2_settled_per_route", astar2.settled_per_route);

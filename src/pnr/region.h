@@ -1,8 +1,8 @@
 // region.h — congestion-region clustering for the stage-2 router.
 //
-// Stage-1 negotiation ripped up every subnet crossing an overflowed *edge*,
+// Stage-1 negotiation rips up every subnet crossing an overflowed *edge*,
 // in global pass order — whole-net granularity with no spatial structure.
-// Stage 2 (RouteEngine::Astar2) instead clusters the overflowed gcells of a
+// Stage 2 (route_design) instead clusters the overflowed gcells of a
 // pass into rectangular congestion regions (nthu-route's range router is
 // the exemplar): all 2-pin subnets passing through a region are ripped
 // together and rerouted with the region's full congestion picture in their

@@ -7,7 +7,6 @@
 #include <functional>
 #include <limits>
 #include <numeric>
-#include <queue>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -242,17 +241,12 @@ struct UseOverlay {
 
 /// Route one subnet as a Steiner-ish tree: iteratively connect the nearest
 /// unconnected sink to the existing tree with a tree-targeted maze search
-/// (zero-cost sources at all tree nodes).  Two kernels share the search
-/// state:
-///
-///   * connect_legacy(): the original unbounded full-grid Dijkstra
-///     (std::priority_queue, live edge_cost() calls) — the QoR baseline;
-///   * connect_astar(): windowed A* — admissible Manhattan heuristic
-///     scaled by the grid's per-pass cost floors, deterministic
-///     (f, g, node-id) tie-breaking, a search window around the bounding
-///     box of {tree, target} that doubles its margin and finally opens to
-///     the full grid when no hard-overflow-free path exists inside it,
-///     cached edge costs, and a 4-ary open list.
+/// (zero-cost sources at all tree nodes).  The kernel is windowed A*
+/// (connect_astar): admissible Manhattan heuristic scaled by the grid's
+/// per-pass cost floors, deterministic (f, g, node-id) tie-breaking, a
+/// search window around the bounding box of {tree, target} that doubles
+/// its margin and finally opens to the full grid when no hard-overflow-free
+/// path exists inside it, cached edge costs, and a 4-ary open list.
 struct PathRouter {
   SideGrid& g;
   std::vector<double> dist;
@@ -261,7 +255,7 @@ struct PathRouter {
   std::vector<int> tree_stamp_of;  ///< O(1) tree membership (stamped)
   int stamp = 0;
   int tree_stamp = 0;
-  long settled = 0;     ///< nodes settled across all searches (both kernels)
+  long settled = 0;     ///< nodes settled across all searches
   long expansions = 0;  ///< A* window retries (x2 margin or full grid)
   /// Stage-2 snapshot-search usage overlay; when set, the A* kernel prices
   /// and prunes edges as if the overlay deltas were already committed.
@@ -357,70 +351,6 @@ struct PathRouter {
   void tree_add(int n) { tree_stamp_of[static_cast<std::size_t>(n)] = tree_stamp; }
   bool in_tree(int n) const {
     return tree_stamp_of[static_cast<std::size_t>(n)] == tree_stamp;
-  }
-
-  /// Dijkstra from every node in `tree` (cost 0) until `target` is
-  /// settled.  Returns the path target -> tree as node list (both
-  /// endpoints included).
-  std::vector<int> connect_legacy(const std::vector<int>& tree, int target) {
-    ++stamp;
-    using QE = std::pair<double, int>;
-    std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-    for (int t : tree) {
-      dist[static_cast<std::size_t>(t)] = 0.0;
-      prev[static_cast<std::size_t>(t)] = -1;
-      stamp_of[static_cast<std::size_t>(t)] = stamp;
-      pq.push({0.0, t});
-    }
-    while (!pq.empty()) {
-      const auto [d, n] = pq.top();
-      pq.pop();
-      if (d > dist[static_cast<std::size_t>(n)] ||
-          stamp_of[static_cast<std::size_t>(n)] != stamp) {
-        continue;
-      }
-      ++settled;
-      if (n == target) break;
-      const int c = g.col_of(n), r = g.row_of(n);
-      auto relax = [&](int nn, double w) {
-        const auto ni = static_cast<std::size_t>(nn);
-        if (stamp_of[ni] != stamp || d + w < dist[ni]) {
-          stamp_of[ni] = stamp;
-          dist[ni] = d + w;
-          prev[ni] = n;
-          pq.push({d + w, nn});
-        }
-      };
-      if (c + 1 < g.cols) {
-        const int e = g.h_edge(c, r);
-        relax(g.node(c + 1, r),
-              edge_cost(g.h_base[static_cast<std::size_t>(e)],
-                        g.h_use[static_cast<std::size_t>(e)], g.h_cap,
-                        g.h_hist[static_cast<std::size_t>(e)]));
-      }
-      if (c - 1 >= 0) {
-        const int e = g.h_edge(c - 1, r);
-        relax(g.node(c - 1, r),
-              edge_cost(g.h_base[static_cast<std::size_t>(e)],
-                        g.h_use[static_cast<std::size_t>(e)], g.h_cap,
-                        g.h_hist[static_cast<std::size_t>(e)]));
-      }
-      if (r + 1 < g.rows) {
-        const int e = g.v_edge(c, r);
-        relax(g.node(c, r + 1),
-              edge_cost(g.v_base[static_cast<std::size_t>(e)],
-                        g.v_use[static_cast<std::size_t>(e)], g.v_cap,
-                        g.v_hist[static_cast<std::size_t>(e)]));
-      }
-      if (r - 1 >= 0) {
-        const int e = g.v_edge(c, r - 1);
-        relax(g.node(c, r - 1),
-              edge_cost(g.v_base[static_cast<std::size_t>(e)],
-                        g.v_use[static_cast<std::size_t>(e)], g.v_cap,
-                        g.v_hist[static_cast<std::size_t>(e)]));
-      }
-    }
-    return walk_back(target);
   }
 
   /// Inclusive gcell window [c_lo,c_hi]x[r_lo,r_hi].
@@ -834,9 +764,7 @@ void route_one_subnet(const RouteOptions& options,
   for (int sink : todo) {
     if (pr.in_tree(sink)) continue;
     const std::vector<int> path =
-        options.engine == RouteEngine::Legacy
-            ? pr.connect_legacy(tree, sink)
-            : pr.connect_astar(tree, sink, options.window_margin);
+        pr.connect_astar(tree, sink, options.window_margin);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       edges.push_back({path[i], path[i + 1]});
     }
@@ -957,7 +885,7 @@ class PassRecorder {
   std::array<long, 2> expansions_mark_;
 };
 
-// --- stage 1 (Legacy / Astar): whole-subnet negotiation -----------------------
+// --- stage 1: whole-subnet negotiation ----------------------------------------
 
 /// The stage-1 negotiation loop.  Routes the subnets listed in `order`
 /// monolithically, short nets first (they have the least flexibility),
@@ -1075,7 +1003,7 @@ bool negotiate_subnets(RouteResult& res, const RouteOptions& options,
   return history_updated;
 }
 
-// --- stage 2 (Astar2): Steiner 2-pin decomposition + region negotiation -------
+// --- stage 2: Steiner 2-pin decomposition + region negotiation ---------------
 
 /// One 2-pin subnet: a segment of its parent per-side subnet's Steiner
 /// topology, routed independently of its siblings.
@@ -1676,31 +1604,11 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   if (!current_is_best) {
     for (SideGrid& g : grids) g.clear_use();
     edge_refs.assign(subnets.size(), {});
-    for (int s = 0; s < 2; ++s) {
-      const auto sz = static_cast<std::size_t>(s);
-      sides[sz].paths = best_paths[sz];
-      SideGrid& g = grids[sz];
-      auto& cell_tps = sides[sz].cell_tps;
-      for (auto& cell : cell_tps) cell.clear();
+    for (std::size_t sz = 0; sz < 2; ++sz) {
+      for (auto& cell : sides[sz].cell_tps) cell.clear();
       for (std::size_t t = 0; t < sides[sz].tps.size(); ++t) {
-        auto& refs =
-            edge_refs[static_cast<std::size_t>(sides[sz].tps[t].parent)];
-        const std::vector<int>& path = sides[sz].paths[t];
-        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-          const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
-          const int key = (e << 1) | dir;
-          if (++refs[key] == 1) {
-            if (dir == 0) {
-              g.apply_use_h(static_cast<std::size_t>(e), +1.0);
-            } else {
-              g.apply_use_v(static_cast<std::size_t>(e), +1.0);
-            }
-          }
-        }
-        for (int n : path) {
-          cell_tps[static_cast<std::size_t>(n)].push_back(
-              static_cast<int>(t));
-        }
+        commit_tp(grids[sz], sides[sz], edge_refs, t,
+                  std::move(best_paths[sz][t]));
       }
     }
   }
@@ -1903,10 +1811,6 @@ void finalize_route_result(RouteResult& res, const Floorplan& fp,
 RouteResult route_design(const Netlist& nl, const Floorplan& fp,
                          const RouteOptions& options) {
   FFET_TRACE_SCOPE("route.design");
-  if (options.engine != RouteEngine::Astar2) {
-    // A full stage-1 route is a reroute with nothing carried.
-    return reroute_nets(nl, fp, {}, {}, options);
-  }
   const tech::Technology& tech = nl.library().tech();
   RouteResult res;
   GridSetup gs = build_grid_setup(nl, fp, tech, options);

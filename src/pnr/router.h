@@ -42,29 +42,23 @@ namespace ffet::pnr {
 
 using tech::Side;
 
-/// Routing engine selection.  There are two negotiation loops:
+/// The router has two negotiation loops:
 ///
-///   * `Astar2` (stage 2, the default): every multi-sink subnet is
-///     decomposed over a rectilinear Steiner topology (src/pnr/steiner.h)
-///     into independently-routed 2-pin subnets, uncongested subnets take a
+///   * stage 2, route_design(): every multi-sink subnet is decomposed over
+///     a rectilinear Steiner topology (src/pnr/steiner.h) into
+///     independently-routed 2-pin subnets, uncongested subnets take a
 ///     monotonic L/Z fast path that never touches the A* heap, and
 ///     negotiation rips up by congestion *region* (src/pnr/region.h) with
 ///     region reroutes batched across the thread pool (snapshot search +
 ///     serial commit barrier, bit-identical at any thread count);
-///   * stage 1, shared by `Astar` and `Legacy` and by RouteState: each
-///     per-side subnet is routed monolithically source-to-sinks and
-///     negotiation rips up whole subnets.  The two engines differ only in
-///     the maze kernel.  `Astar` is windowed A*: admissible Manhattan lower
-///     bound scaled by the per-pass minimum edge cost, a search window
-///     around {tree, target} that adaptively expands (x2, then full grid)
-///     when no hard-overflow-free path exists inside it, a per-pass
-///     edge-cost cache, and O(1) stamped tree membership.  `Legacy` is the
-///     original unbounded full-grid Dijkstra.
-///
-/// `Legacy` and `Astar` stay as the QoR and speed baselines (bench_router,
-/// the engine-equivalence tests).
-enum class RouteEngine { Legacy, Astar, Astar2 };
-
+///   * stage 1, RouteState / reroute_nets(): each per-side subnet is routed
+///     monolithically source-to-sinks with windowed A* (admissible
+///     Manhattan lower bound scaled by the per-pass minimum edge cost, a
+///     search window around {tree, target} that adaptively expands (x2,
+///     then full grid) when no hard-overflow-free path exists inside it, a
+///     per-pass edge-cost cache, and O(1) stamped tree membership), and
+///     negotiation rips up whole subnets.  The ECO reroutes through it; a
+///     full stage-1 route is a reroute with nothing carried.
 struct RouteOptions {
   int gcell_tracks = 15;       ///< gcell edge length in M2 track pitches
   int rrr_passes = 24;         ///< rip-up-and-reroute iterations
@@ -75,9 +69,9 @@ struct RouteOptions {
   /// lightweight global placer's extra wirelength vs. a commercial tool.
   /// Calibrated against the paper's Fig. 12 low-layer breakpoints
   /// (FP0.5BP0.5 still closing at 2 layers/side near 70% utilization).
-  /// Re-derived (3.2 -> 3.0) when the windowed A* engine became the
-  /// default: its hard-overflow-avoiding search resolves congestion the
-  /// legacy Dijkstra kernel could not, so the fudge compensating router
+  /// Re-derived (3.2 -> 3.0) when windowed A* replaced a full-grid
+  /// Dijkstra kernel: its hard-overflow-avoiding search resolves congestion
+  /// the Dijkstra kernel could not, so the fudge compensating router
   /// weakness shrinks to keep the reproduction breakpoints in place.
   double capacity_factor = 3.0;
   double pin_access_demand = 0.2;  ///< wire-demand share added per pin in a
@@ -98,21 +92,16 @@ struct RouteOptions {
   /// concurrently within each PathFinder pass.  Results are bit-identical
   /// to threads == 1, which routes the frontside, then the backside.
   int threads = 1;
-  /// Maze-search kernel (see RouteEngine).  Results are deterministic for
-  /// either engine and identical across `threads` settings; the engines
-  /// may legitimately differ from each other in tie-breaking.
-  RouteEngine engine = RouteEngine::Astar2;
   /// Initial A* search-window margin, in gcells, around the bounding box
   /// of {current tree, target sink}.  Windowed attempts admit only paths
   /// that create no *hard* overflow; if none exists the margin doubles
   /// once, then the search falls back to the full grid with no pruning
-  /// (so connectivity never depends on the window).  Ignored by Legacy.
+  /// (so connectivity never depends on the window).
   int window_margin = 6;
-  /// Stage-2 (Astar2) region clustering: overflowed gcells within this
-  /// Chebyshev distance join one congestion region, and each region's
-  /// bounding box grows by `region_margin` gcells so the batched reroute
-  /// sees congestion context beyond the hot cells.  Ignored by the other
-  /// engines.
+  /// Stage-2 region clustering: overflowed gcells within this Chebyshev
+  /// distance join one congestion region, and each region's bounding box
+  /// grows by `region_margin` gcells so the batched reroute sees
+  /// congestion context beyond the hot cells.  Ignored by stage 1.
   int region_merge_dist = 2;
   int region_margin = 3;
 };
@@ -148,15 +137,14 @@ struct RoutePassStat {
   double overflow_front = 0.0;  ///< soft overflow on the frontside grid
   double overflow_back = 0.0;
   double hard_overflow = 0.0;   ///< both sides, beyond detail-route slack
-  // Search-effort counters for this pass (all engines count settled
-  // nodes; window expansions are A*-only by construction).
+  // Search-effort counters for this pass.
   long settled_front = 0;       ///< maze-search nodes settled, frontside
   long settled_back = 0;
   int window_expansions_front = 0;  ///< A* window retries (x2 / full grid)
   int window_expansions_back = 0;
-  // Stage-2 (Astar2) congestion-region counters: regions clustered this
-  // pass; the ripped counts above are then 2-pin subnet rip-ups scoped to
-  // those regions.  Zero for the other engines.
+  // Stage-2 congestion-region counters: regions clustered this pass; the
+  // ripped counts above are then 2-pin subnet rip-ups scoped to those
+  // regions.  Zero in stage 1.
   int regions_front = 0;
   int regions_back = 0;
 };
@@ -189,19 +177,18 @@ struct RouteResult {
   // Convergence diagnostics: one entry per executed pass (see
   // RoutePassStat), the number of RRR passes actually run (excluding the
   // initial route), and the total subnet-level rip-ups across all passes
-  // (2-pin subnets for Astar2; whole per-side subnets for the stage-1
-  // engines).  With FFET_VERBOSE set the router also prints a one-line
+  // (2-pin subnets in stage 2; whole per-side subnets in stage 1).  With FFET_VERBOSE set the router also prints a one-line
   // per-pass summary.
   std::vector<RoutePassStat> pass_stats;
   int rrr_passes = 0;
   long ripups_total = 0;
   /// Congestion regions processed across all passes (region-level rip-up
-  /// events; zero for the stage-1 engines, which rip whole subnets in pass
-  /// order with no spatial scoping).
+  /// events; zero in stage 1, which rips whole subnets in pass order with
+  /// no spatial scoping).
   long region_ripups_total = 0;
 
   /// Stage-2 decomposition counters: 2-pin subnets produced by the Steiner
-  /// decomposition (zero for stage-1 engines, which route per-side subnets
+  /// decomposition (zero in stage 1, which routes per-side subnets
   /// monolithically), and how many 2-pin routes (initial + reroutes) were
   /// satisfied by the monotonic L/Z fast path without touching the A* heap.
   long steiner_subnets = 0;
@@ -217,11 +204,11 @@ struct RouteResult {
   }
 };
 
-/// Route all signal nets of a placed netlist.  Sinks on backside pins are
-/// reachable only because FFET output pins are dual-sided; requesting a
-/// route for a netlist with backside sinks on a technology without backside
-/// routing layers throws std::runtime_error (no bridging cells in this
-/// flow).
+/// Route all signal nets of a placed netlist in stage 2.  Sinks on
+/// backside pins are reachable only because FFET output pins are
+/// dual-sided; requesting a route for a netlist with backside sinks on a
+/// technology without backside routing layers throws std::runtime_error (no
+/// bridging cells in this flow).
 RouteResult route_design(const netlist::Netlist& nl, const Floorplan& fp,
                          const RouteOptions& options = {});
 
@@ -320,10 +307,8 @@ std::vector<double> pin_demand_bases(const netlist::Netlist& nl,
 /// its layer assignment from `prev`, so its DEF wires — and extracted
 /// parasitics — are bit-identical to `prev`.
 ///
-/// The dirty subnets negotiate in the stage-1 loop (see RouteEngine; under
-/// `Astar2` with the windowed A* kernel), which also fills `pass_stats`.  A
-/// full stage-1 route is this with nothing carried: for `Legacy` and
-/// `Astar`, route_design(nl, fp, options) returns
+/// The dirty subnets negotiate in the stage-1 loop, which also fills
+/// `pass_stats`.  A full stage-1 route is this with nothing carried:
 /// `reroute_nets(nl, fp, {}, {}, options)`.
 RouteResult reroute_nets(const netlist::Netlist& nl, const Floorplan& fp,
                          const RouteResult& prev,

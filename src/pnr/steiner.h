@@ -1,7 +1,7 @@
 // steiner.h — rectilinear Steiner topology generation for the 2-pin
 // decomposition of multi-sink nets (router stage 2).
 //
-// The stage-2 router (RouteEngine::Astar2) no longer grows each net
+// The stage-2 router (route_design) no longer grows each net
 // source-to-sinks inside the maze search.  Instead every per-side subnet is
 // decomposed *before* routing over a rectilinear Steiner tree of its
 // terminals, and each tree segment becomes an independently-routed 2-pin

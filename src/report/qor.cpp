@@ -257,7 +257,15 @@ void diff_pair(const FlowRecord& b, const FlowRecord& n, const DiffOptions& o,
   diff_maps(label, "config.", b.config, n.config, o, rep);
   diff_maps(label, "diagnostics.", b.diagnostics, n.diagnostics, o, rep);
   diff_maps(label, "ppa.", b.ppa, n.ppa, o, rep);
-  diff_maps(label, "eco.", b.eco, n.eco, o, rep);
+  // eco.sta_speedup is full over incremental STA time, a wall-clock ratio:
+  // like the stage times below, never QoR.
+  std::map<std::string, double> b_eco = b.eco;
+  std::map<std::string, double> n_eco = n.eco;
+  if (o.qor_only) {
+    b_eco.erase("sta_speedup");
+    n_eco.erase("sta_speedup");
+  }
+  diff_maps(label, "eco.", b_eco, n_eco, o, rep);
   if (!o.qor_only) {
     diff_maps(label, "metrics.", b.metrics, n.metrics, o, rep);
     diff_maps(label, "resource.", b.resource, n.resource, o, rep);
@@ -520,7 +528,7 @@ int router_gate(const json::Value& base, const json::Value& now,
   std::vector<std::string> failures;
   const json::Value* qor = now.find("qor_ok");
   if (!qor || !qor->bool_or(false)) {
-    failures.push_back("qor_ok=false: A* worse than legacy on overflow/WL");
+    failures.push_back("qor_ok=false: stage 2 worse than stage 1 on DRVs/WL");
   }
 
   // Configs are keyed by gcell_tracks plus the regime label: two tracks=10
@@ -540,8 +548,8 @@ int router_gate(const json::Value& base, const json::Value& now,
   for (const json::Value& c : b_cfgs->items) base_by_cfg[cfg_key(c)] = &c;
 
   // Ratio-vs-baseline checks: per-route search effort (machine
-  // independent) at most +20 %, normalized engine-vs-engine speedups at
-  // most -20 %.  The stage-2 fields are skipped when a pre-stage-2
+  // independent) at most +20 %, the normalized stage-1-vs-stage-2 speedup
+  // at most -20 %.  The stage-2 fields are skipped when a pre-stage-2
   // baseline lacks them.
   auto check_ratio = [&](const std::string& key, const json::Value& b,
                          const json::Value& n, const char* field,
@@ -564,19 +572,20 @@ int router_gate(const json::Value& base, const json::Value& now,
       failures.push_back(buf);
     }
   };
-  // Exact checks: the engines' work counters are deterministic (same
-  // design, same options, bit-identical at any thread count), so any
-  // difference is a behaviour change even when the speed held.  A counter
-  // the baseline lacks (an older schema) is skipped.
+  // Exact checks: both loops' work counters and wirelength are
+  // deterministic (same design, same options, bit-identical at any thread
+  // count), so any difference is a behaviour change even when the speed
+  // held.  A field the baseline lacks (an older schema) is skipped, and so
+  // is any engine block other than the two loops.
   auto check_counters = [&](const std::string& key, const json::Value& b,
                             const json::Value& n) {
-    for (const char* engine : {"legacy", "astar", "astar2"}) {
+    for (const char* engine : {"astar", "astar2"}) {
       const json::Value* be = b.find(engine);
       if (!be || !be->is_object()) continue;
       const json::Value* ne = n.find(engine);
       for (const char* field :
            {"passes", "ripups", "region_ripups", "window_expansions",
-            "drv_wire", "steiner_subnets", "fastpath"}) {
+            "drv_wire", "steiner_subnets", "fastpath", "wirelength_um"}) {
         const json::Value* bf = be->find(field);
         if (!bf || !bf->is_number()) continue;
         const json::Value* nf =
@@ -585,8 +594,8 @@ int router_gate(const json::Value& base, const json::Value& now,
         if (!nf || !nf->is_number()) {
           failures.push_back(what + " missing from new run");
         } else if (nf->number != bf->number) {
-          char buf[64];
-          std::snprintf(buf, sizeof(buf), " changed %.0f -> %.0f",
+          char buf[80];
+          std::snprintf(buf, sizeof(buf), " changed %.17g -> %.17g",
                         bf->number, nf->number);
           failures.push_back(what + buf);
         }
@@ -602,7 +611,6 @@ int router_gate(const json::Value& base, const json::Value& now,
     const json::Value& n = *it->second;
     check_ratio(key, *b, n, "astar_settled_per_route", true);
     check_ratio(key, *b, n, "astar2_settled_per_route", true);
-    check_ratio(key, *b, n, "speedup", false);
     check_ratio(key, *b, n, "speedup2", false);
     check_counters(key, *b, n);
   }

@@ -89,8 +89,9 @@ struct DiffOptions {
   /// QoR-identity mode (the gate for results streamed back from the sweep
   /// service): only config / validity / diagnostics / ppa / eco sections
   /// are compared — stage timings, metrics, resource and unknown-field
-  /// sections are machine- and run-dependent and are skipped entirely —
-  /// and *any* surviving delta is a regression.  Two runs of the same
+  /// sections and the wall-clock ratio eco.sta_speedup are machine- and
+  /// run-dependent and are skipped entirely — and *any* surviving delta is
+  /// a regression.  Two runs of the same
   /// points pass iff they are bit-identical per point on everything that
   /// is QoR.  `ffet_report diff --qor` sets this.
   bool qor_only = false;
@@ -136,10 +137,11 @@ int eco_gate(const json::Value& base, const json::Value& now,
              std::string& out);
 
 /// The bench_router gate vs the committed baseline: for every config and
-/// engine the deterministic work counters (passes, ripups, region_ripups,
-/// window_expansions, drv_wire, steiner_subnets, fastpath) must match
-/// exactly, per-route search effort may rise at most 20 %, and the
-/// engine-vs-engine speedups may fall at most 20 %.
+/// both negotiation loops ("astar" stage 1, "astar2" stage 2) the
+/// deterministic work counters (passes, ripups, region_ripups,
+/// window_expansions, drv_wire, steiner_subnets, fastpath) and the
+/// wirelength must match exactly, per-route search effort may rise at most
+/// 20 %, and the stage-1-vs-stage-2 speedup may fall at most 20 %.
 int router_gate(const json::Value& base, const json::Value& now,
                 std::string& out);
 

@@ -431,10 +431,21 @@ struct RoutedDesign {
   RouteResult rr;
 };
 
+/// The stage-1 negotiation loop from nothing: a reroute with nothing
+/// carried.
+RouteResult route_stage1(const netlist::Netlist& nl, const Floorplan& fp,
+                         const RouteOptions& ro) {
+  return reroute_nets(nl, fp, {}, {}, ro);
+}
+
+using RouteFn = RouteResult (*)(const netlist::Netlist&, const Floorplan&,
+                                const RouteOptions&);
+
 RoutedDesign route_core(const netlist::Netlist& core,
                         const tech::Technology& tech,
                         const stdcell::Library& lib, double util,
-                        const RouteOptions& ro = {}) {
+                        const RouteOptions& ro = {},
+                        RouteFn route = route_design) {
   RoutedDesign rd{core, {}, {}};
   FloorplanOptions fo;
   fo.target_utilization = util;
@@ -442,12 +453,12 @@ RoutedDesign route_core(const netlist::Netlist& core,
   const PowerPlan pp = build_power_plan(rd.nl, rd.fp, lib);
   place(rd.nl, rd.fp, pp);
   build_clock_tree(rd.nl, rd.fp);
-  rd.rr = route_design(rd.nl, rd.fp, ro);
+  rd.rr = route(rd.nl, rd.fp, ro);
   return rd;
 }
 
 /// Union-find connectivity over every route: source and all sinks in one
-/// component (the invariant both maze engines must preserve).
+/// component (the invariant both negotiation loops must preserve).
 void expect_all_sinks_connected(const netlist::Netlist& nl,
                                 const RouteResult& rr) {
   for (const NetRoute& r : rr.routes) {
@@ -757,72 +768,32 @@ TEST_F(PnrTest, RouterDeterministic) {
   ASSERT_EQ(a.rr.routes.size(), b.rr.routes.size());
 }
 
-// --- routing: maze-search engines -------------------------------------------
-
-TEST_F(PnrTest, AstarMatchesLegacyQor) {
-  // The windowed A* engine must be QoR-equivalent to the legacy full-grid
-  // Dijkstra on the seed designs: equal-or-better hard overflow and total
-  // wirelength, every sink connected, and strictly less search effort.
-  RouteOptions legacy_ro;
-  legacy_ro.engine = RouteEngine::Legacy;
-  RouteOptions astar_ro;
-  astar_ro.engine = RouteEngine::Astar;
-
-  struct Case {
-    const netlist::Netlist* core;
-    const tech::Technology* tech;
-    const stdcell::Library* lib;
-  };
-  for (const Case& c : {Case{ffet_core_, ffet_tech_, ffet_lib_},
-                        Case{cfet_core_, cfet_tech_, cfet_lib_}}) {
-    const RoutedDesign l = route_core(*c.core, *c.tech, *c.lib, 0.6, legacy_ro);
-    const RoutedDesign a = route_core(*c.core, *c.tech, *c.lib, 0.6, astar_ro);
-    EXPECT_LE(a.rr.drv_wire, l.rr.drv_wire);
-    EXPECT_LE(a.rr.total_wirelength_um(), l.rr.total_wirelength_um() + 1e-6);
-    ASSERT_EQ(a.rr.routes.size(), l.rr.routes.size());
-    expect_all_sinks_connected(l.nl, l.rr);
-    expect_all_sinks_connected(a.nl, a.rr);
-    EXPECT_GT(a.rr.settled_nodes, 0);
-    EXPECT_LT(a.rr.settled_nodes, l.rr.settled_nodes)
-        << "windowed A* should settle fewer nodes than full-grid Dijkstra";
-  }
-}
+// --- routing: the two negotiation loops -------------------------------------
 
 TEST_F(PnrTest, AstarWindowExpandsUnderCongestion) {
   // Windowed attempts admit only hard-overflow-free paths, so on the
-  // congested fixture saturated edges force window expansions (x2, then
-  // full grid); the full-grid fallback still connects every sink, and the
-  // A* result must remain equal-or-better than legacy on hard overflow.
+  // congested fixture saturated edges force stage 1's window expansions
+  // (x2, then full grid); the full-grid fallback still connects every sink.
   const CongestedDesign cd(*ffet_tech_);
-  RouteOptions astar_ro = cd.options();
-  astar_ro.engine = RouteEngine::Astar;
-  const RouteResult a = route_design(cd.nl, cd.fp, astar_ro);
+  const RouteResult a = route_stage1(cd.nl, cd.fp, cd.options());
   EXPECT_GT(a.window_expansions, 0)
       << "a saturated 2+2 stack must trigger window expansion";
   expect_all_sinks_connected(cd.nl, a);
   expect_pass_stats_sum_to_totals(a);
-
-  RouteOptions legacy_ro = cd.options();
-  legacy_ro.engine = RouteEngine::Legacy;
-  const RouteResult l = route_design(cd.nl, cd.fp, legacy_ro);
-  EXPECT_EQ(l.window_expansions, 0);
-  EXPECT_LE(a.drv_wire, l.drv_wire);
 }
 
 TEST_F(PnrTest, RouterDeterministicAcrossThreadCounts) {
   // Algorithm 1 routes the two wafer sides independently, so threaded
   // passes (front/back concurrent) must be bit-identical to serial ones —
-  // for both maze engines.
-  for (const RouteEngine engine :
-       {RouteEngine::Legacy, RouteEngine::Astar, RouteEngine::Astar2}) {
+  // for both negotiation loops.
+  for (const RouteFn route : {route_design, route_stage1}) {
     RouteOptions ro;
-    ro.engine = engine;
     ro.threads = 1;
     const RoutedDesign serial =
-        route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6, ro);
+        route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6, ro, route);
     ro.threads = 4;
     const RoutedDesign threaded =
-        route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6, ro);
+        route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6, ro, route);
 
     EXPECT_DOUBLE_EQ(serial.rr.total_wirelength_um(),
                      threaded.rr.total_wirelength_um());
@@ -842,16 +813,12 @@ TEST_F(PnrTest, RouterDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST_F(PnrTest, RouteEngineOptionSelectsKernel) {
-  // RouteOptions::engine selects the kernel that runs; the default is the
-  // stage-2 engine.
-  RouteOptions astar_ro;
-  astar_ro.engine = RouteEngine::Astar;
+TEST_F(PnrTest, RouteDesignIsStage2) {
+  // Stage 1 never decomposes into 2-pin subnets; route_design is stage 2,
+  // which always does (every multi-gcell net contributes at least one).
   const RoutedDesign a =
-      route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6, astar_ro);
+      route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6, {}, route_stage1);
   const RoutedDesign d = route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6);
-  // The stage-1 engines never decompose into 2-pin subnets; stage 2 always
-  // does (every multi-gcell net contributes at least one).
   EXPECT_EQ(a.rr.steiner_subnets, 0);
   EXPECT_GT(d.rr.steiner_subnets, 0);
 }
@@ -905,7 +872,7 @@ TEST(SteinerTest, TreeConnectsTerminalsAndBeatsStar) {
       }
       expect_tree_connects_terminals(tree);
       // The tree must never be longer than the star topology (source to
-      // every sink directly) — the bound Algorithm 1's legacy tree growth
+      // every sink directly) — the bound stage 1's tree growth
       // trivially meets, so stage 2 must meet it too.
       EXPECT_LE(tree.length(), star_length(terms)) << n << " terminals";
     }
@@ -1027,14 +994,10 @@ TEST(RegionTest, DeterministicUnderInputOrderAndDuplicates) {
 }
 
 TEST_F(PnrTest, Astar2MatchesAstarQor) {
-  // The stage-2 Steiner/region engine must be QoR-equivalent to stage-1 A*
+  // The stage-2 Steiner/region loop must be QoR-equivalent to stage-1 A*
   // on the seed designs: equal-or-better DRVs and total wirelength, every
   // sink connected, and the 2-pin fast path must actually fire (monotone
   // subnets skip the heap entirely).
-  RouteOptions astar_ro;
-  astar_ro.engine = RouteEngine::Astar;
-  RouteOptions astar2_ro;
-  astar2_ro.engine = RouteEngine::Astar2;
 
   struct Case {
     const netlist::Netlist* core;
@@ -1043,9 +1006,9 @@ TEST_F(PnrTest, Astar2MatchesAstarQor) {
   };
   for (const Case& c : {Case{ffet_core_, ffet_tech_, ffet_lib_},
                         Case{cfet_core_, cfet_tech_, cfet_lib_}}) {
-    const RoutedDesign a = route_core(*c.core, *c.tech, *c.lib, 0.6, astar_ro);
-    const RoutedDesign s =
-        route_core(*c.core, *c.tech, *c.lib, 0.6, astar2_ro);
+    const RoutedDesign a =
+        route_core(*c.core, *c.tech, *c.lib, 0.6, {}, route_stage1);
+    const RoutedDesign s = route_core(*c.core, *c.tech, *c.lib, 0.6);
     EXPECT_LE(s.rr.drv_wire, a.rr.drv_wire);
     EXPECT_LE(s.rr.total_wirelength_um(), a.rr.total_wirelength_um() + 1e-6);
     ASSERT_EQ(s.rr.routes.size(), a.rr.routes.size());
@@ -1066,7 +1029,6 @@ TEST_F(PnrTest, Astar2DeterministicUnderCongestion) {
   // a pure function of the overflow picture.
   const CongestedDesign cd(*ffet_tech_);
   RouteOptions ro = cd.options();
-  ro.engine = RouteEngine::Astar2;
   ro.threads = 1;
   const RouteResult serial = route_design(cd.nl, cd.fp, ro);
   ro.threads = 4;
@@ -1111,20 +1073,6 @@ TEST_F(PnrTest, RerouteWithNothingDirtyCarriesEveryRoute) {
   EXPECT_EQ(rr.rrr_passes, 0);
   ASSERT_EQ(rr.pass_stats.size(), 1u);
   EXPECT_EQ(rr.pass_stats[0].ripped_front + rr.pass_stats[0].ripped_back, 0);
-}
-
-TEST_F(PnrTest, FullStage1RouteIsARerouteWithNothingCarried) {
-  // route_design's stage-1 path and reroute_nets share one negotiation
-  // loop: with no previous routes every subnet is routed, so on the
-  // congested design (where negotiation runs several passes) the two
-  // agree route for route and counter for counter.
-  const CongestedDesign cd(*ffet_tech_);
-  RouteOptions ro = cd.options();
-  ro.engine = RouteEngine::Astar;
-  const RouteResult full = route_design(cd.nl, cd.fp, ro);
-  const RouteResult reroute = reroute_nets(cd.nl, cd.fp, {}, {}, ro);
-  EXPECT_GT(full.rrr_passes, 0) << "the fixture must exercise rip-up";
-  expect_same_routing(full, reroute);
 }
 
 TEST_F(PnrTest, RerouteKeepsCarriedRoutesUnderCongestion) {

@@ -1100,40 +1100,62 @@ TEST(QorDiff, QorOnlyIgnoresTimingsButGatesQorExactly) {
   EXPECT_FALSE(diff_flow_reports(base, drifted, qor).ok());
 }
 
+TEST(QorDiff, QorOnlySkipsEcoStaSpeedupButGatesEveryOtherEcoField) {
+  // eco.sta_speedup is full over incremental STA wall time, so two runs of
+  // one binary with the ECO on differ in it.  qor_only must diff such a
+  // pair clean, while a change to any other eco.* field still fails.
+  const FlowRecord base = record_of(make_result(1.2, 4000.0, 0, 2));
+  ASSERT_TRUE(base.eco.count("sta_speedup"));
+  FlowRecord rerun = base;
+  rerun.eco["sta_speedup"] += 0.5;
+  DiffOptions qor;
+  qor.qor_only = true;
+  const DiffReport rep = diff_flow_reports({base}, {rerun}, qor);
+  EXPECT_TRUE(rep.deltas.empty()) << format_diff(rep);
+  EXPECT_TRUE(rep.ok());
+  EXPECT_FALSE(diff_flow_reports({base}, {rerun}).deltas.empty())
+      << "the default diff still reports the ratio";
+
+  for (const auto& [field, value] : base.eco) {
+    if (field == "sta_speedup") continue;
+    FlowRecord changed = base;
+    changed.eco[field] = value + 1.0;
+    EXPECT_FALSE(diff_flow_reports({base}, {changed}, qor).ok()) << field;
+  }
+}
+
 // ------------------------------------------------------ bench_router gate
 
 TEST(RouterGate, WorkCountersCompareExactlyForEveryEngine) {
-  // One bench_router config with all three engines.  The gate passes a
-  // self-diff; changing any deterministic work counter of any engine by
-  // one fails it, even with every speed ratio unchanged.
+  // One bench_router config with both negotiation loops.  The gate passes
+  // a self-diff; changing any deterministic work counter or the
+  // wirelength of either loop fails it, even with the speed ratio
+  // unchanged.
   const std::string doc = R"({"qor_ok":true,"configs":[{"gcell_tracks":10,
     "label":"stress","congested":false,
-    "legacy":{"settled_per_route":8952.8,"passes":16,"window_expansions":0,
-      "drv_wire":19,"ripups":46674,"region_ripups":0,"steiner_subnets":0,
-      "fastpath":0},
     "astar":{"settled_per_route":1191.8,"passes":9,"window_expansions":244,
-      "drv_wire":9,"ripups":26315,"region_ripups":0,"steiner_subnets":0,
-      "fastpath":0},
+      "wirelength_um":30437.399999999903,"drv_wire":9,"ripups":26315,
+      "region_ripups":0,"steiner_subnets":0,"fastpath":0},
     "astar2":{"settled_per_route":2255.1,"passes":23,"window_expansions":3015,
-      "drv_wire":8,"ripups":85488,"region_ripups":48,"steiner_subnets":8604,
-      "fastpath":86282},
-    "speedup":6.27,"speedup2":0.28,"astar_settled_per_route":1191.8,
+      "wirelength_um":30179.399999999903,"drv_wire":8,"ripups":85488,
+      "region_ripups":48,"steiner_subnets":8604,"fastpath":86282},
+    "speedup2":0.28,"astar_settled_per_route":1191.8,
     "astar2_settled_per_route":2255.1}]})";
   const std::optional<json::Value> base = json::parse(doc);
   ASSERT_TRUE(base.has_value());
   std::string out;
   EXPECT_EQ(router_gate(*base, *base, out), 0) << out;
 
-  for (const char* engine : {"legacy", "astar", "astar2"}) {
+  for (const char* engine : {"astar", "astar2"}) {
     for (const char* field :
          {"passes", "ripups", "region_ripups", "window_expansions",
-          "drv_wire", "steiner_subnets", "fastpath"}) {
+          "drv_wire", "steiner_subnets", "fastpath", "wirelength_um"}) {
       json::Value now = *base;
       json::Value& cfg = now.members[1].second.items[0];
       for (auto& [name, v] : cfg.members) {
         if (name != engine) continue;
         for (auto& [counter, c] : v.members) {
-          if (counter == field) c.number += 1.0;
+          if (counter == field) c.number += 0.1;
         }
       }
       std::string report;
