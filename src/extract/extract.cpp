@@ -5,9 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <queue>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "geom/grid.h"
 #include "obs/obs.h"
@@ -130,30 +128,106 @@ class DensityGrid {
   std::array<double, 2> capacity_um_per_um2_{0.0, 0.0};
 };
 
-struct NodeKey {
-  Side side;
-  geom::Nm x;
-  geom::Nm y;
-  bool operator==(const NodeKey&) const = default;
-};
-
-struct NodeKeyHash {
-  std::size_t operator()(const NodeKey& k) const noexcept {
-    std::uint64_t h = static_cast<std::uint64_t>(k.side == Side::Back);
-    h = h * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(k.x);
-    h = h * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(k.y);
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
-};
-
 Side side_of_layer(const std::string& layer) {
   return !layer.empty() && layer[0] == 'B' ? Side::Back : Side::Front;
 }
 
-struct Adj {
-  int to;
-  double r_ohm;
+/// One worker's reusable buffers for building and finalizing RC trees.
+/// Each net resets what it uses and frees nothing, so a worker's nets stop
+/// touching the heap once the buffers have grown to its largest net.
+struct TreeScratch {
+  /// Wire-endpoint lookup: open addressing over node indices, keyed by
+  /// (side, position) and compared against the tree's nodes.  A slot is
+  /// live when its stamp equals `stamp`, so bumping the stamp empties it.
+  std::vector<std::int32_t> slot_node;
+  std::vector<std::uint32_t> slot_stamp;
+  std::uint32_t stamp = 0;
+
+  /// One directed wire-graph arc.
+  struct Arc {
+    std::int32_t from;
+    std::int32_t to;
+    double r_ohm;
+  };
+  /// Both directions of every wire, then the root joins, in push order.
+  std::vector<Arc> arcs;
+  /// CSR offsets: node n's arcs (or children) are [first[n], first[n+1]).
+  std::vector<std::int32_t> first;
+  std::vector<Arc> adj;                ///< arcs grouped by `from`
+  std::vector<std::int32_t> children;  ///< child nodes grouped by parent
+  std::vector<std::int32_t> order;     ///< BFS order from the root
+  std::vector<char> seen;
+  std::vector<double> subtree_cap;
 };
+
+TreeScratch& worker_scratch() {
+  thread_local TreeScratch scratch;
+  return scratch;
+}
+
+/// Stable counting sort of `count` items by key into CSR offsets
+/// `first[0..n]`: key(i) in [-1, n) names item i's node, place(slot, i)
+/// stores it.  Items keyed -1 fill the slots before first[0].
+template <class Key, class Place>
+void build_csr(std::vector<std::int32_t>& first, std::size_t n,
+               std::size_t count, Key&& key, Place&& place) {
+  first.assign(n + 2, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    ++first[static_cast<std::size_t>(key(i) + 2)];
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto slot = first[static_cast<std::size_t>(key(i) + 1)]++;
+    place(static_cast<std::size_t>(slot), i);
+  }
+}
+
+/// finalize_rc_tree on a worker's scratch: children in node order (CSR),
+/// subtree caps summed in reverse BFS order (each node's own cap, then its
+/// children's subtree caps in node order), Elmore delays in BFS order.
+/// Nodes the root does not reach keep Elmore 0.
+void finalize_tree(RcTree& tree, TreeScratch& x) {
+  const std::size_t n_nodes = tree.nodes.size();
+  tree.elmore_ps.assign(n_nodes, 0.0);
+  tree.total_cap_ff = 0.0;
+  if (n_nodes == 0) return;
+  x.children.resize(n_nodes);
+  build_csr(
+      x.first, n_nodes, n_nodes - 1,
+      [&](std::size_t i) { return tree.nodes[i + 1].parent; },
+      [&](std::size_t slot, std::size_t i) {
+        x.children[slot] = static_cast<std::int32_t>(i + 1);
+      });
+  x.order.assign(1, 0);
+  for (std::size_t qi = 0; qi < x.order.size(); ++qi) {
+    const auto n = static_cast<std::size_t>(x.order[qi]);
+    for (std::int32_t k = x.first[n]; k < x.first[n + 1]; ++k) {
+      x.order.push_back(x.children[static_cast<std::size_t>(k)]);
+    }
+  }
+  x.subtree_cap.resize(n_nodes);
+  for (std::size_t qi = x.order.size(); qi-- > 0;) {
+    const auto n = static_cast<std::size_t>(x.order[qi]);
+    double c = tree.nodes[n].cap_ff;
+    for (std::int32_t k = x.first[n]; k < x.first[n + 1]; ++k) {
+      c += x.subtree_cap[static_cast<std::size_t>(
+          x.children[static_cast<std::size_t>(k)])];
+    }
+    x.subtree_cap[n] = c;
+  }
+  tree.total_cap_ff = x.subtree_cap[0];
+
+  // Elmore: delay(n) = delay(parent) + R(n) * subtree_cap(n); ohm*fF = fs.
+  for (const std::int32_t m : x.order) {
+    const auto n = static_cast<std::size_t>(m);
+    for (std::int32_t k = x.first[n]; k < x.first[n + 1]; ++k) {
+      const auto c =
+          static_cast<std::size_t>(x.children[static_cast<std::size_t>(k)]);
+      tree.elmore_ps[c] = tree.elmore_ps[n] +
+                          tree.nodes[c].r_ohm * x.subtree_cap[c] / 1000.0;
+    }
+  }
+}
 
 /// Build (or rebuild, resetting any prior contents) one net's RC tree from
 /// its wires, the side density grids, and the current pin landscape — the
@@ -161,10 +235,18 @@ struct Adj {
 /// `for_each_wire(f)` calls f(side, layer, from, to) for each of the net's
 /// `num_wires` wires, in merged-DEF order: the frontside route's, then the
 /// backside's.
+///
+/// Node numbering is first-seen over the wires, `from` before `to`, after
+/// the driver root (node 0, never looked up).  The spanning tree is a BFS
+/// from the root over the wire arcs in push order, with the two root joins
+/// after every wire arc.  Nearest-node queries are linear scans with the
+/// tie-break lowest distance, then lowest index; a sink's candidates
+/// include the pin nodes of the sinks before it.
 template <class ForEachWire>
 void build_net_tree(RcTree& tree, netlist::NetId net_id, const Netlist& nl,
                     std::size_t num_wires, ForEachWire&& for_each_wire,
-                    const DensityGrid& density, double drain_merge_r) {
+                    const DensityGrid& density, double drain_merge_r,
+                    TreeScratch& x) {
   FFET_TRACE_SCOPE("extract.net");
   tree.clear();
   const netlist::Net& net = nl.net(net_id);
@@ -180,21 +262,47 @@ void build_net_tree(RcTree& tree, netlist::NetId net_id, const Netlist& nl,
   // Root node.
   tree.nodes.push_back({drv_pos, 0.0, 0.0, -1, Side::Front});
 
-  // Wire graph.
-  std::unordered_map<NodeKey, int, NodeKeyHash> node_of;
-  std::vector<std::vector<Adj>> adj(1);
+  // Wire graph.  The lookup table holds at least twice the 2 * num_wires
+  // endpoints a net can have, so probes stay short and always end.
+  std::size_t slots = 16;
+  int shift = 60;
+  while (slots < 4 * num_wires) {
+    slots *= 2;
+    --shift;
+  }
+  if (x.slot_node.size() < slots) {
+    x.slot_node.resize(slots);
+    x.slot_stamp.assign(slots, 0);
+    x.stamp = 0;
+  }
+  if (++x.stamp == 0) {
+    std::fill(x.slot_stamp.begin(), x.slot_stamp.end(), 0u);
+    x.stamp = 1;
+  }
+  const std::size_t mask = slots - 1;
   auto get_node = [&](Side s, geom::Point p) {
-    const NodeKey key{s, p.x, p.y};
-    auto it = node_of.find(key);
-    if (it != node_of.end()) return it->second;
-    const int idx = static_cast<int>(tree.nodes.size());
-    tree.nodes.push_back({p, 0.0, 0.0, -1, s});
-    adj.emplace_back();
-    node_of.emplace(key, idx);
-    return idx;
+    std::uint64_t h = static_cast<std::uint64_t>(s == Side::Back);
+    h = h * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(p.x);
+    h = h * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(p.y);
+    for (auto i = static_cast<std::size_t>((h * 0xD6E8FEB86659FD93ull) >>
+                                           shift);
+         ; i = (i + 1) & mask) {
+      if (x.slot_stamp[i] != x.stamp) {
+        if (tree.nodes.size() > 2 * num_wires) {
+          throw std::logic_error("net has more wires than announced");
+        }
+        const auto idx = static_cast<std::int32_t>(tree.nodes.size());
+        tree.nodes.push_back({p, 0.0, 0.0, -1, s});
+        x.slot_stamp[i] = x.stamp;
+        x.slot_node[i] = idx;
+        return idx;
+      }
+      const RcNode& n = tree.nodes[static_cast<std::size_t>(x.slot_node[i])];
+      if (n.pos == p && n.side == s) return x.slot_node[i];
+    }
   };
 
-  node_of.reserve(num_wires * 2);
+  x.arcs.clear();
   for_each_wire([&](Side s, const tech::MetalLayer& layer, geom::Point from,
                     geom::Point to) {
     const double len_um = geom::to_um(geom::manhattan(from, to));
@@ -204,81 +312,88 @@ void build_net_tree(RcTree& tree, netlist::NetId net_id, const Netlist& nl,
     const geom::Point mid{(from.x + to.x) / 2, (from.y + to.y) / 2};
     const double coupling = 1.0 + kMillerCoupling * density.ratio(s, mid);
     const double c = len_um * layer.c_ff_per_um * coupling;
-    const int a = get_node(s, from);
-    const int b = get_node(s, to);
+    const std::int32_t a = get_node(s, from);
+    const std::int32_t b = get_node(s, to);
     tree.nodes[static_cast<std::size_t>(a)].cap_ff += c / 2.0;
     tree.nodes[static_cast<std::size_t>(b)].cap_ff += c / 2.0;
     // Via stacks are charged at the pin hookups (kPinHookupOhm), not
     // per gcell segment — a route stays on its track between bends.
-    adj[static_cast<std::size_t>(a)].push_back({b, r});
-    adj[static_cast<std::size_t>(b)].push_back({a, r});
+    x.arcs.push_back({a, b, r});
+    x.arcs.push_back({b, a, r});
   });
 
   // Join each side's nearest node to the driver root: the frontside via a
   // pin hookup stack; the backside through the Drain Merge (the net's
   // dual-sided output pin) — the only wafer-crossing structure.
   for (Side s : {Side::Front, Side::Back}) {
-    int nearest = -1;
+    std::int32_t nearest = -1;
     geom::Nm best = std::numeric_limits<geom::Nm>::max();
     for (std::size_t i = 1; i < tree.nodes.size(); ++i) {
       if (tree.nodes[i].side != s) continue;
       const geom::Nm d = geom::manhattan(tree.nodes[i].pos, drv_pos);
       if (d < best) {
         best = d;
-        nearest = static_cast<int>(i);
+        nearest = static_cast<std::int32_t>(i);
       }
     }
     if (nearest < 0) continue;
     const double joint_r = kPinHookupOhm +
                            (s == Side::Back ? drain_merge_r : 0.0);
-    adj[0].push_back({nearest, joint_r});
-    adj[static_cast<std::size_t>(nearest)].push_back({0, joint_r});
+    x.arcs.push_back({0, nearest, joint_r});
+    x.arcs.push_back({nearest, 0, joint_r});
   }
 
   // Spanning tree by BFS from the root (drops redundant loop edges).
-  std::vector<bool> seen(tree.nodes.size(), false);
-  std::queue<int> q;
-  q.push(0);
-  seen[0] = true;
-  while (!q.empty()) {
-    const int n = q.front();
-    q.pop();
-    for (const Adj& e : adj[static_cast<std::size_t>(n)]) {
-      if (seen[static_cast<std::size_t>(e.to)]) continue;
-      seen[static_cast<std::size_t>(e.to)] = true;
-      tree.nodes[static_cast<std::size_t>(e.to)].parent = n;
-      tree.nodes[static_cast<std::size_t>(e.to)].r_ohm = e.r_ohm;
-      q.push(e.to);
+  const std::size_t wire_nodes = tree.nodes.size();
+  x.adj.resize(x.arcs.size());
+  build_csr(
+      x.first, wire_nodes, x.arcs.size(),
+      [&](std::size_t i) { return x.arcs[i].from; },
+      [&](std::size_t slot, std::size_t i) { x.adj[slot] = x.arcs[i]; });
+  x.seen.assign(wire_nodes + net.sinks.size(), 0);
+  x.order.assign(1, 0);
+  x.seen[0] = 1;
+  for (std::size_t qi = 0; qi < x.order.size(); ++qi) {
+    const auto n = static_cast<std::size_t>(x.order[qi]);
+    for (std::int32_t k = x.first[n]; k < x.first[n + 1]; ++k) {
+      const TreeScratch::Arc& e = x.adj[static_cast<std::size_t>(k)];
+      const auto to = static_cast<std::size_t>(e.to);
+      if (x.seen[to]) continue;
+      x.seen[to] = 1;
+      tree.nodes[to].parent = static_cast<std::int32_t>(n);
+      tree.nodes[to].r_ohm = e.r_ohm;
+      x.order.push_back(e.to);
     }
   }
 
   // Sinks: nearest reachable node on the sink pin's side (root if none),
-  // plus the hookup stack and the pin capacitance.
+  // plus the hookup stack and the pin capacitance.  Earlier sinks' pin
+  // nodes are reachable candidates too.
   tree.sink_nodes.reserve(net.sinks.size());
   for (const netlist::PinRef& sref : net.sinks) {
     const stdcell::PinSide ps = nl.pin_side(sref);
     const Side s = ps == stdcell::PinSide::Back ? Side::Back : Side::Front;
     const geom::Point pos = nl.pin_position(sref);
-    int nearest = 0;
+    std::int32_t nearest = 0;
     geom::Nm best = std::numeric_limits<geom::Nm>::max();
     for (std::size_t i = 1; i < tree.nodes.size(); ++i) {
-      if (!seen[i] || tree.nodes[i].side != s) continue;
+      if (!x.seen[i] || tree.nodes[i].side != s) continue;
       const geom::Nm d = geom::manhattan(tree.nodes[i].pos, pos);
       if (d < best) {
         best = d;
-        nearest = static_cast<int>(i);
+        nearest = static_cast<std::int32_t>(i);
       }
     }
     // Attach the pin as its own node so per-sink Elmore includes the
     // hookup resistance.
-    const int pin_node = static_cast<int>(tree.nodes.size());
+    const auto pin_node = static_cast<std::int32_t>(tree.nodes.size());
     tree.nodes.push_back(
         {pos, nl.pin_cap_ff(sref), kPinHookupOhm, nearest, s});
-    seen.push_back(true);
+    x.seen[static_cast<std::size_t>(pin_node)] = 1;
     tree.sink_nodes.push_back(pin_node);
   }
 
-  finalize_rc_tree(tree);
+  finalize_tree(tree, x);
   double pin_cap = 0.0;
   for (const netlist::PinRef& sref : net.sinks) {
     pin_cap += nl.pin_cap_ff(sref);
@@ -507,7 +622,7 @@ RcNetlist extract_rc(const io::Def& merged, const Netlist& nl,
                 f(side_of_layer(w.layer), *layer, w.from, w.to);
               }
             },
-            density, tech.device().np_link_r_ohm);
+            density, tech.device().np_link_r_ohm, worker_scratch());
       },
       threads);
 }
@@ -555,7 +670,7 @@ RcNetlist extract_rc(const pnr::RouteResult& routes, const Netlist& nl,
                                r->v_layer_index, f);
               }
             },
-            wires.density(), tech.device().np_link_r_ohm);
+            wires.density(), tech.device().np_link_r_ohm, worker_scratch());
       },
       threads);
 }
@@ -598,7 +713,7 @@ struct RouteExtractor::Impl {
             }
           }
         },
-        wires.density(), drain_merge_r);
+        wires.density(), drain_merge_r, worker_scratch());
   }
 };
 
@@ -666,49 +781,6 @@ std::vector<double> RouteExtractor::density_loads(Side side) const {
   return impl_->wires.density().loads(side == Side::Front ? 0 : 1);
 }
 
-void finalize_rc_tree(RcTree& tree) {
-  const std::size_t n_nodes = tree.nodes.size();
-  std::vector<std::vector<int>> children(n_nodes);
-  for (std::size_t i = 1; i < n_nodes; ++i) {
-    const int p = tree.nodes[i].parent;
-    if (p >= 0) {
-      children[static_cast<std::size_t>(p)].push_back(static_cast<int>(i));
-    }
-  }
-  // Subtree capacitance, post-order via explicit stack.
-  std::vector<double> subtree_cap(n_nodes, 0.0);
-  {
-    std::vector<std::pair<int, std::size_t>> stack{{0, 0}};
-    while (!stack.empty()) {
-      const auto [n, ci] = stack.back();
-      if (ci < children[static_cast<std::size_t>(n)].size()) {
-        ++stack.back().second;  // must mutate before push (reallocation)
-        stack.push_back({children[static_cast<std::size_t>(n)][ci], 0});
-      } else {
-        double c = tree.nodes[static_cast<std::size_t>(n)].cap_ff;
-        for (int ch : children[static_cast<std::size_t>(n)]) {
-          c += subtree_cap[static_cast<std::size_t>(ch)];
-        }
-        subtree_cap[static_cast<std::size_t>(n)] = c;
-        stack.pop_back();
-      }
-    }
-  }
-  tree.total_cap_ff = subtree_cap[0];
-
-  // Elmore: delay(n) = delay(parent) + R(n) * subtree_cap(n); ohm*fF = fs.
-  tree.elmore_ps.assign(n_nodes, 0.0);
-  std::vector<int> bfs{0};
-  for (std::size_t qi = 0; qi < bfs.size(); ++qi) {
-    const int n = bfs[qi];
-    for (int c : children[static_cast<std::size_t>(n)]) {
-      tree.elmore_ps[static_cast<std::size_t>(c)] =
-          tree.elmore_ps[static_cast<std::size_t>(n)] +
-          tree.nodes[static_cast<std::size_t>(c)].r_ohm *
-              subtree_cap[static_cast<std::size_t>(c)] / 1000.0;
-      bfs.push_back(c);
-    }
-  }
-}
+void finalize_rc_tree(RcTree& tree) { finalize_tree(tree, worker_scratch()); }
 
 }  // namespace ffet::extract

@@ -43,6 +43,7 @@ std::string DrcReport::summary() const {
 DrcReport check_placement(const netlist::Netlist& nl, const Floorplan& fp,
                           const PowerPlan& pp) {
   DrcReport rep;
+  const BlockageRows blocked(pp.blockages, fp.core.lo.y, fp.row_height);
 
   // Tap-cell footprints double as blockages; skip self-matches below.
   std::map<geom::Nm, std::vector<std::pair<geom::Rect, netlist::InstId>>>
@@ -64,13 +65,12 @@ DrcReport check_placement(const netlist::Netlist& nl, const Floorplan& fp,
           {DrcViolation::Kind::OffRowGrid, nl.instance_name(id), "", box});
     }
     if (!inst.fixed) {
-      for (const geom::Rect& b : pp.blockages) {
-        if (box.overlaps_interior(b)) {
-          rep.violations.push_back(
-              {DrcViolation::Kind::BlockageOverlap, nl.instance_name(id), "",
-               box.intersected(b)});
-          break;
-        }
+      // The lowest-index blockage under the cell, as a scan in index order
+      // would find it.
+      if (const int b = blocked.first_overlap(box); b >= 0) {
+        rep.violations.push_back(
+            {DrcViolation::Kind::BlockageOverlap, nl.instance_name(id), "",
+             box.intersected(pp.blockages[static_cast<std::size_t>(b)])});
       }
     }
     by_row[box.lo.y].push_back({box, id});

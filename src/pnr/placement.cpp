@@ -94,15 +94,15 @@ std::vector<RowState> build_row_segments(const Floorplan& fp,
                                          const PowerPlan& pp) {
   std::vector<RowState> rows;
   rows.reserve(fp.rows.size());
+  const BlockageRows index(pp.blockages, fp.core.lo.y, fp.row_height);
   for (const Row& r : fp.rows) {
     RowState rs;
     rs.y = r.y;
     // Collect blockage intervals intersecting this row.
     std::vector<geom::Interval> blocked;
-    for (const geom::Rect& b : pp.blockages) {
-      if (b.lo.y < r.y + fp.row_height && b.hi.y > r.y) {
-        blocked.push_back({b.lo.x, b.hi.x});
-      }
+    for (const int i : index.overlapping_y(r.y, r.y + fp.row_height)) {
+      const geom::Rect& b = pp.blockages[static_cast<std::size_t>(i)];
+      blocked.push_back({b.lo.x, b.hi.x});
     }
     std::sort(blocked.begin(), blocked.end());
     Nm cur = r.x.lo;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "obs/obs.h"
 
@@ -14,6 +16,86 @@ namespace {
 constexpr double kWorstCaseShare = 0.5;
 
 }  // namespace
+
+BlockageRows::BlockageRows(std::span<const geom::Rect> blockages,
+                           Nm origin_y, Nm row_height)
+    : blockages_(blockages), origin_y_(origin_y), row_height_(row_height) {
+  if (blockages.empty()) return;
+  // Counting sort of (band, blockage) pairs into per-band lists.
+  first_band_ = std::numeric_limits<std::int64_t>::max();
+  std::int64_t last_band = std::numeric_limits<std::int64_t>::min();
+  for (const geom::Rect& b : blockages) {
+    first_band_ = std::min(first_band_, band_of(b.lo.y));
+    last_band = std::max(last_band, band_of(std::max(b.lo.y, b.hi.y - 1)));
+  }
+  first_.assign(static_cast<std::size_t>(last_band - first_band_) + 2, 0);
+  auto for_each_band = [&](const geom::Rect& b, auto&& f) {
+    const auto [lo, hi] = bands(b.lo.y, b.hi.y);
+    for (std::int64_t k = lo; k <= hi; ++k) {
+      f(static_cast<std::size_t>(k - first_band_));
+    }
+  };
+  for (const geom::Rect& b : blockages) {
+    for_each_band(b, [&](std::size_t k) { ++first_[k + 1]; });
+  }
+  std::partial_sum(first_.begin(), first_.end(), first_.begin());
+  items_.resize(static_cast<std::size_t>(first_.back()));
+  std::vector<std::int32_t> next(first_.begin(), first_.end() - 1);
+  for (std::size_t i = 0; i < blockages.size(); ++i) {
+    for_each_band(blockages[i], [&](std::size_t k) {
+      items_[static_cast<std::size_t>(next[k]++)] =
+          static_cast<std::int32_t>(i);
+    });
+  }
+}
+
+std::int64_t BlockageRows::band_of(Nm y) const {
+  const Nm d = y - origin_y_;
+  return d >= 0 ? d / row_height_ : -((-d + row_height_ - 1) / row_height_);
+}
+
+std::pair<std::int64_t, std::int64_t> BlockageRows::bands(Nm lo, Nm hi) const {
+  if (first_.empty()) return {0, -1};
+  const std::int64_t last_band =
+      first_band_ + static_cast<std::int64_t>(first_.size()) - 2;
+  return {std::max(first_band_, band_of(lo)),
+          std::min(last_band, band_of(std::max(lo, hi - 1)))};
+}
+
+int BlockageRows::first_overlap(const geom::Rect& box) const {
+  int found = -1;
+  const auto [lo, hi] = bands(box.lo.y, box.hi.y);
+  for (std::int64_t k = lo; k <= hi; ++k) {
+    const auto band = static_cast<std::size_t>(k - first_band_);
+    for (std::int32_t j = first_[band]; j < first_[band + 1]; ++j) {
+      const std::int32_t i = items_[static_cast<std::size_t>(j)];
+      if (found >= 0 && i >= found) break;
+      if (box.overlaps_interior(blockages_[static_cast<std::size_t>(i)])) {
+        found = i;
+        break;
+      }
+    }
+  }
+  return found;
+}
+
+std::vector<int> BlockageRows::overlapping_y(Nm lo_y, Nm hi_y) const {
+  std::vector<int> out;
+  const auto [lo, hi] = bands(lo_y, hi_y);
+  for (std::int64_t k = lo; k <= hi; ++k) {
+    const auto band = static_cast<std::size_t>(k - first_band_);
+    for (std::int32_t j = first_[band]; j < first_[band + 1]; ++j) {
+      const std::int32_t i = items_[static_cast<std::size_t>(j)];
+      const geom::Rect& b = blockages_[static_cast<std::size_t>(i)];
+      if (b.lo.y < hi_y && lo_y < b.hi.y) out.push_back(i);
+    }
+  }
+  if (hi > lo) {
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+  }
+  return out;
+}
 
 double PowerPlan::estimate_ir_drop_mv(double block_power_uw) const {
   if (num_rails <= 0) return 0.0;

@@ -20,7 +20,10 @@
 
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pnr/floorplan.h"
@@ -50,6 +53,39 @@ struct PowerPlan {
   int num_rails = 0;
   double vdd_v_ = 0.7;
   double rail_r_ohm_ = 0.0;
+};
+
+/// Placement blockages indexed by row band: band k covers y in
+/// [origin_y + k * row_height, origin_y + (k + 1) * row_height), and every
+/// blockage is listed, in index order, in each band its y-span reaches.  A
+/// query reads only the bands its own y-span reaches — about ten blockages
+/// per row on the mesh, so a short scan per band beats an interval tree.
+/// The placement DRC and the legalizer's row segments both read blockages
+/// through it.  Holds a view of `blockages`, which must outlive it.
+class BlockageRows {
+ public:
+  BlockageRows(std::span<const geom::Rect> blockages, Nm origin_y,
+               Nm row_height);
+
+  /// The lowest index of a blockage whose interior overlaps `box`'s, or -1.
+  int first_overlap(const geom::Rect& box) const;
+  /// The indices, ascending, of the blockages whose y-span interior
+  /// overlaps [lo_y, hi_y] (b.lo.y < hi_y && lo_y < b.hi.y).
+  std::vector<int> overlapping_y(Nm lo_y, Nm hi_y) const;
+
+ private:
+  /// The bands a y-span [lo, hi] reaches, clipped to the indexed ones
+  /// (empty when lo_band > hi_band).  A span with hi <= lo reaches lo's
+  /// band, so interior-overlap tests on degenerate spans lose nothing.
+  std::pair<std::int64_t, std::int64_t> bands(Nm lo, Nm hi) const;
+  std::int64_t band_of(Nm y) const;
+
+  std::span<const geom::Rect> blockages_;
+  Nm origin_y_ = 0;
+  Nm row_height_ = 1;
+  std::int64_t first_band_ = 0;      ///< band of first_[0]
+  std::vector<std::int32_t> first_;  ///< CSR offsets into items_, per band
+  std::vector<std::int32_t> items_;  ///< blockage indices, ascending per band
 };
 
 /// Plan the PDN on a floorplan.  For FFET technologies this ADDS fixed

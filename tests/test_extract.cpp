@@ -9,6 +9,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "extract/extract.h"
 #include "flow/flow.h"
@@ -18,7 +19,9 @@
 #include "pnr/floorplan.h"
 #include "pnr/placement.h"
 #include "pnr/powerplan.h"
+#include "pnr/router.h"
 #include "rc_compare.h"
+#include "rc_reference.h"
 #include "riscv/rv32.h"
 
 namespace ffet::extract {
@@ -231,6 +234,59 @@ TEST(ExtractMicro, SingleWireElmoreMatchesHandComputation) {
   EXPECT_GT(t.elmore_to_sink(0), 0.0);
 }
 
+// --- the tree kernel against its reference (rc_reference.h) ---------------
+
+// A hand-placed net that pins the kernel's observable conventions, each
+// checked directly and then against the reference kernel:
+//   * node numbering is first-seen over the wires, `from` before `to`;
+//   * a wire component the driver join does not reach keeps parent -1 and
+//     Elmore 0;
+//   * a later sink's nearest-node candidates include the pin nodes of the
+//     sinks before it.
+TEST(ExtractMicro, KernelConventionsMatchReference) {
+  tech::Technology tech = tech::make_ffet_3p5t();
+  stdcell::Library lib = stdcell::build_library(tech);
+  liberty::characterize_library(lib);
+  netlist::Builder b("micro", &lib);
+  const netlist::NetId in = b.input("a");
+  const netlist::NetId mid = b.inv(in);
+  b.output("z1", b.inv(mid));
+  b.output("z2", b.inv(mid));
+  netlist::Netlist nl = b.take();
+  // The driver at the origin, both sinks on one spot past the wire's end.
+  nl.instance(0).pos = {0, 0};
+  nl.instance(1).pos = {9000, 0};
+  nl.instance(2).pos = {9000, 0};
+
+  io::Def def;
+  def.design = nl.name();
+  io::DefNet dn;
+  dn.name = nl.net_name(mid);
+  dn.wires.push_back({"FM2", {0, 0}, {4500, 0}});
+  dn.wires.push_back({"FM2", {25000, 5000}, {20000, 5000}});  // stranded
+  dn.wires.push_back({"FM3", {4500, 4500}, {4500, 0}});
+  def.nets.push_back(dn);
+
+  const RcNetlist rc = extract_rc(def, nl, tech);
+  const RcTreeView t = rc.tree(mid);
+  ASSERT_EQ(t.nodes.size(), 8u);  // root, 5 wire endpoints, 2 pins
+  const std::vector<geom::Point> first_seen = {
+      {0, 0}, {4500, 0}, {25000, 5000}, {20000, 5000}, {4500, 4500}};
+  for (std::size_t i = 0; i < first_seen.size(); ++i) {
+    EXPECT_EQ(t.nodes[i + 1].pos, first_seen[i]) << "node " << i + 1;
+  }
+  for (const std::size_t stranded : {3u, 4u}) {
+    EXPECT_EQ(t.nodes[stranded].parent, -1) << "node " << stranded;
+    EXPECT_EQ(t.elmore_ps[stranded], 0.0) << "node " << stranded;
+  }
+  ASSERT_EQ(t.sink_nodes.size(), 2u);
+  EXPECT_EQ(t.nodes[static_cast<std::size_t>(t.sink_nodes[0])].parent, 2);
+  EXPECT_EQ(t.nodes[static_cast<std::size_t>(t.sink_nodes[1])].parent,
+            t.sink_nodes[0]);
+
+  expect_same_rc(rc, reference::extract_rc(def, nl, tech));
+}
+
 // --- route-driven extraction == the paper's merge-then-extract path -------
 
 /// One flow configuration of the reduced RV32 core, extracted at one thread
@@ -297,6 +353,54 @@ TEST_P(RouteSourceTest, RoutesExtractLikeTheirMergedDef) {
       extract_rc(routes, nl, p.ctx->tech(), c.threads);
   expect_same_rc(from_routes, from_def);
   EXPECT_GT(from_routes.total_wire_cap_ff, 0.0);
+}
+
+// The scratch kernel builds every tree of both wire sources, at every
+// thread count, exactly as the reference kernel builds it from the merged
+// DEF.
+TEST_P(RouteSourceTest, KernelMatchesReference) {
+  const RouteSourceCase& c = GetParam();
+  const Point& p = point(c);
+  const netlist::Netlist& nl = p.st.nl;
+  const io::Def merged =
+      io::merge_defs(io::build_def(nl, p.st.routes, tech::Side::Front),
+                     io::build_def(nl, p.st.routes, tech::Side::Back));
+  const RcNetlist ref = reference::extract_rc(merged, nl, p.ctx->tech());
+  expect_same_rc(extract_rc(merged, nl, p.ctx->tech(), c.threads), ref);
+  expect_same_rc(extract_rc(p.st.routes, nl, p.ctx->tech(), c.threads), ref);
+}
+
+// RouteExtractor::reextract rebuilds dirty nets with the same kernel: after
+// a reroute of every fifth net, each rebuilt tree equals the reference
+// kernel's tree from the merged DEF of the new routes, and every other tree
+// is untouched.
+TEST_P(RouteSourceTest, ReextractMatchesReference) {
+  const RouteSourceCase& c = GetParam();
+  const Point& p = point(c);
+  const netlist::Netlist& nl = p.st.nl;
+  const tech::Technology& tech = p.ctx->tech();
+  pnr::RouteState routing(nl, p.st.fp, p.st.routes);
+  RcNetlist rc = extract_rc(routing.result(), nl, tech, c.threads);
+  const RcNetlist before = rc;
+  RouteExtractor extractor(routing, nl, tech);
+  std::vector<netlist::NetId> dirty;
+  for (netlist::NetId n = 0; n < nl.num_nets(); n += 5) dirty.push_back(n);
+  routing.reroute(nl, dirty, {});
+  extractor.reextract(rc, nl, routing, dirty);
+
+  const pnr::RouteResult now = routing.result();
+  const RcNetlist ref = reference::extract_rc(
+      io::merge_defs(io::build_def(nl, now, tech::Side::Front),
+                     io::build_def(nl, now, tech::Side::Back)),
+      nl, tech);
+  ASSERT_EQ(rc.num_trees(), ref.num_trees());
+  for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
+    if (n % 5 == 0) {
+      expect_same_tree(rc.tree(n), ref.tree(n), n);
+    } else {
+      expect_same_tree(rc.tree(n), before.tree(n), n);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

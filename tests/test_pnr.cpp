@@ -1050,6 +1050,45 @@ TEST_F(PnrTest, Astar2DeterministicUnderCongestion) {
   }
 }
 
+TEST_F(PnrTest, Astar2RestoresTheBestPass) {
+  // On the congested fixture the negotiation ends on a pass worse than an
+  // earlier one, so route_design must put the best pass's routes back.
+  // The same route with the pass budget cut right after the best pass ends
+  // there with nothing to restore: both must agree on every route, the
+  // overflow, the DRVs and the wirelength.
+  const CongestedDesign cd(*ffet_tech_);
+  const RouteOptions ro = cd.options();
+  const RouteResult full = route_design(cd.nl, cd.fp, ro);
+  ASSERT_GE(full.pass_stats.size(), 2u);
+  // The loop's criterion: lowest hard overflow, then lowest soft overflow;
+  // a later pass must be strictly better to replace the best.
+  std::size_t best = 0;
+  for (std::size_t p = 1; p < full.pass_stats.size(); ++p) {
+    const RoutePassStat& x = full.pass_stats[p];
+    const RoutePassStat& b = full.pass_stats[best];
+    const double soft = x.overflow_front + x.overflow_back;
+    const double best_soft = b.overflow_front + b.overflow_back;
+    if (x.hard_overflow < b.hard_overflow ||
+        (x.hard_overflow == b.hard_overflow && soft < best_soft)) {
+      best = p;
+    }
+  }
+  ASSERT_LT(best + 1, full.pass_stats.size())
+      << "the fixture's last pass is its best; the restore goes untested";
+
+  RouteOptions cut = ro;
+  cut.rrr_passes = full.pass_stats[best].pass + 1;
+  const RouteResult at_best = route_design(cd.nl, cd.fp, cut);
+  ASSERT_EQ(at_best.pass_stats.back().pass, full.pass_stats[best].pass);
+  EXPECT_EQ(full.overflow_total, at_best.overflow_total);
+  EXPECT_EQ(full.drv_wire, at_best.drv_wire);
+  EXPECT_EQ(full.total_wirelength_um(), at_best.total_wirelength_um());
+  ASSERT_EQ(full.routes.size(), at_best.routes.size());
+  for (std::size_t i = 0; i < full.routes.size(); ++i) {
+    EXPECT_EQ(full.routes[i].edges, at_best.routes[i].edges) << "route " << i;
+  }
+}
+
 // --- routing: incremental reroute (the ECO primitive) ------------------------
 
 TEST_F(PnrTest, RerouteWithNothingDirtyCarriesEveryRoute) {

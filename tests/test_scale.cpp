@@ -15,6 +15,7 @@
 #include "pnr/powerplan.h"
 #include "pnr/router.h"
 #include "rc_compare.h"
+#include "rc_reference.h"
 #include "riscv/rv32.h"
 #include "stdcell/stdcell.h"
 #include "tech/tech.h"
@@ -231,6 +232,15 @@ TEST_F(ScaleIoTest, SpefStreamingRoundTripIsBitIdentical) {
 TEST_F(ScaleIoTest, RouteExtractionMatchesMergedDef) {
   extract::expect_same_rc(extract::extract_rc(*routes_, *nl_, *tech_),
                           extract::extract_rc(*merged_, *nl_, *tech_));
+}
+
+// The scratch kernel equals the reference kernel (rc_reference.h) on the
+// mesh, from both wire sources and at two threads.
+TEST_F(ScaleIoTest, KernelMatchesReference) {
+  const extract::RcNetlist ref =
+      extract::reference::extract_rc(*merged_, *nl_, *tech_);
+  extract::expect_same_rc(extract::extract_rc(*merged_, *nl_, *tech_, 2), ref);
+  extract::expect_same_rc(extract::extract_rc(*routes_, *nl_, *tech_, 2), ref);
 }
 
 }  // namespace
