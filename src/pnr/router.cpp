@@ -1,7 +1,9 @@
 #include "pnr/router.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -1014,12 +1016,98 @@ struct TwoPin {
   int len = 0;     ///< Manhattan endpoint distance (route-order key)
 };
 
-/// Per-side stage-2 state: the 2-pin subnets, their committed paths, and
-/// the gcell -> passing-subnets color map that lets a congestion region
-/// collect the subnets crossing it without scanning every path.
+/// One side's stage-2 edge refcounts: how many committed 2-pin paths of a
+/// parent subnet cross a grid edge, keyed by (parent << 32) | edge key.
+/// Open addressing with linear probing over flat key and count arrays, at
+/// most 3/4 full.  A count that falls to 0 keeps its slot (a later commit
+/// revives it), so the table holds every (parent, edge) ever committed and
+/// never deletes.
+class EdgeRefTable {
+ public:
+  static std::uint64_t key(int parent, int dir, int e) {
+    return (static_cast<std::uint64_t>(parent) << 32) |
+           static_cast<std::uint32_t>((e << 1) | dir);
+  }
+
+  /// Size the table for about `n` keys before its first growth.
+  void reserve(std::size_t n) {
+    if (4 * n > 3 * keys_.size()) {
+      rehash(std::bit_ceil(std::max<std::size_t>(16, n + n / 3 + 1)));
+    }
+  }
+
+  /// One more path crosses `key`; true on its 0 -> 1 transition.
+  bool add(std::uint64_t key) {
+    if (4 * (used_ + 1) > 3 * keys_.size()) {
+      rehash(std::max<std::size_t>(16, 2 * keys_.size()));
+    }
+    std::size_t i = slot(key);
+    while (keys_[i] != key) {
+      if (keys_[i] == kEmpty) {
+        keys_[i] = key;
+        ++used_;
+        break;
+      }
+      i = (i + 1) & mask_;
+    }
+    return ++counts_[i] == 1;
+  }
+
+  /// One path fewer crosses `key`, which add() counted; true on its
+  /// 1 -> 0 transition.
+  bool remove(std::uint64_t key) {
+    std::size_t i = slot(key);
+    while (keys_[i] != key) i = (i + 1) & mask_;
+    return --counts_[i] == 0;
+  }
+
+  void clear() {
+    std::fill(keys_.begin(), keys_.end(), kEmpty);
+    std::fill(counts_.begin(), counts_.end(), 0);
+    used_ = 0;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  std::size_t slot(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  /// Move every key into a table of `cap` slots (a power of two).
+  void rehash(std::size_t cap) {
+    std::vector<std::uint64_t> keys(cap, kEmpty);
+    std::vector<std::int32_t> counts(cap, 0);
+    keys.swap(keys_);
+    counts.swap(counts_);
+    mask_ = cap - 1;
+    shift_ = 64 - std::countr_zero(cap);
+    for (std::size_t j = 0; j < keys.size(); ++j) {
+      if (keys[j] == kEmpty) continue;
+      std::size_t i = slot(keys[j]);
+      while (keys_[i] != kEmpty) i = (i + 1) & mask_;
+      keys_[i] = keys[j];
+      counts_[i] = counts[j];
+    }
+  }
+
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::int32_t> counts_;
+  std::size_t used_ = 0;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+};
+
+/// Per-side stage-2 state: the 2-pin subnets (each parent's contiguous, in
+/// subnet order), their committed paths and edge refcounts, and the
+/// gcell -> passing-subnets color map that lets a congestion region collect
+/// the subnets crossing it without scanning every path.  Only negotiation
+/// passes read the color map, so it is empty until the first pass builds it
+/// (color_paths); from then on every commit and rip keeps it current.
 struct TwoPinSide {
   std::vector<TwoPin> tps;
   std::vector<std::vector<int>> paths;          ///< committed node lists
+  EdgeRefTable refs;
   std::vector<std::vector<int>> cell_tps;       ///< gcell -> tp ids
   std::vector<std::size_t> route_order;         ///< (len, id) ascending
 };
@@ -1036,16 +1124,15 @@ std::pair<int, int> edge_key(const SideGrid& g, int u, int v) {
 
 /// Commit a 2-pin path: bump the parent subnet's per-edge refcounts (the
 /// grid sees +1 only on a 0 -> 1 transition, so overlapping paths of one
-/// net occupy one track, exactly like the stage-1 tree commit), and color
-/// every gcell the path crosses with the subnet id.
-void commit_tp(SideGrid& g, TwoPinSide& ts,
-               std::vector<std::unordered_map<int, int>>& edge_refs,
-               std::size_t tp_id, std::vector<int> path) {
-  auto& refs = edge_refs[static_cast<std::size_t>(ts.tps[tp_id].parent)];
+/// net occupy one track, exactly like the stage-1 tree commit), and, once
+/// the color map exists, color every gcell the path crosses with the
+/// subnet id.
+void commit_tp(SideGrid& g, TwoPinSide& ts, std::size_t tp_id,
+               std::vector<int> path) {
+  const int parent = ts.tps[tp_id].parent;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
-    const int key = (e << 1) | dir;
-    if (++refs[key] == 1) {
+    if (ts.refs.add(EdgeRefTable::key(parent, dir, e))) {
       if (dir == 0) {
         g.apply_use_h(static_cast<std::size_t>(e), +1.0);
       } else {
@@ -1053,26 +1140,23 @@ void commit_tp(SideGrid& g, TwoPinSide& ts,
       }
     }
   }
-  for (int n : path) {
-    ts.cell_tps[static_cast<std::size_t>(n)].push_back(
-        static_cast<int>(tp_id));
+  if (!ts.cell_tps.empty()) {
+    for (int n : path) {
+      ts.cell_tps[static_cast<std::size_t>(n)].push_back(
+          static_cast<int>(tp_id));
+    }
   }
   ts.paths[tp_id] = std::move(path);
 }
 
 /// Undo commit_tp: decrement refcounts (grid sees -1 only on 1 -> 0) and
 /// swap-remove the subnet from the color map of every crossed gcell.
-void rip_tp(SideGrid& g, TwoPinSide& ts,
-            std::vector<std::unordered_map<int, int>>& edge_refs,
-            std::size_t tp_id) {
+void rip_tp(SideGrid& g, TwoPinSide& ts, std::size_t tp_id) {
   std::vector<int>& path = ts.paths[tp_id];
-  auto& refs = edge_refs[static_cast<std::size_t>(ts.tps[tp_id].parent)];
+  const int parent = ts.tps[tp_id].parent;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
-    const int key = (e << 1) | dir;
-    const auto it = refs.find(key);
-    if (--it->second == 0) {
-      refs.erase(it);
+    if (ts.refs.remove(EdgeRefTable::key(parent, dir, e))) {
       if (dir == 0) {
         g.apply_use_h(static_cast<std::size_t>(e), -1.0);
       } else {
@@ -1080,17 +1164,30 @@ void rip_tp(SideGrid& g, TwoPinSide& ts,
       }
     }
   }
-  for (int n : path) {
-    std::vector<int>& cell = ts.cell_tps[static_cast<std::size_t>(n)];
-    for (std::size_t i = 0; i < cell.size(); ++i) {
-      if (cell[i] == static_cast<int>(tp_id)) {
-        cell[i] = cell.back();
-        cell.pop_back();
-        break;
+  if (!ts.cell_tps.empty()) {
+    for (int n : path) {
+      std::vector<int>& cell = ts.cell_tps[static_cast<std::size_t>(n)];
+      for (std::size_t i = 0; i < cell.size(); ++i) {
+        if (cell[i] == static_cast<int>(tp_id)) {
+          cell[i] = cell.back();
+          cell.pop_back();
+          break;
+        }
       }
     }
   }
   path.clear();
+}
+
+/// Build the color map from the committed paths.  Its one reader sorts and
+/// dedups the ids it collects, so the order inside a cell is free.
+void color_paths(const SideGrid& g, TwoPinSide& ts) {
+  ts.cell_tps.assign(static_cast<std::size_t>(g.cols * g.rows), {});
+  for (std::size_t t = 0; t < ts.paths.size(); ++t) {
+    for (int n : ts.paths[t]) {
+      ts.cell_tps[static_cast<std::size_t>(n)].push_back(static_cast<int>(t));
+    }
+  }
 }
 
 /// Record a fresh path in a region's private overlay (every crossing
@@ -1239,6 +1336,22 @@ std::vector<int> route_tp_search(const RouteOptions& options, SideGrid& g,
   return path;
 }
 
+/// Per-side scratch of the negotiation passes, sized to the grid once at
+/// the first pass, not per pass: the gcells at the ends of the pass's
+/// overflowed edges, their flags (cleared again at the end of the pass),
+/// and the region id of every gcell inside a region box.  A pass reads
+/// region ids only at its own hot gcells, each inside a box the pass has
+/// just written, so ids left from earlier passes are never read.
+struct PassScratch {
+  std::vector<int> hot;
+  std::vector<char> is_hot;
+  std::vector<int> region_of;
+};
+
+/// Subnets per task of route_astar2's parallel Steiner decomposition and
+/// edge emit.
+constexpr std::size_t kSubnetBlock = 256;
+
 /// The stage-2 route loop: Steiner-decompose every subnet into 2-pin
 /// subnets, route them short-first (fast path, then A*), then negotiate by
 /// congestion region — cluster the overflowed gcells, rip only the subnets
@@ -1254,43 +1367,71 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
                   std::array<PathRouter, 2>& routers,
                   std::vector<std::vector<GEdge>>& route_edges) {
   // --- decompose over Steiner topologies -----------------------------------
+  // Blocks of subnets build their trees in parallel, each into its own
+  // slot; the serial append keeps subnet order, so each side's tps, and
+  // every parent's contiguous span of them, are those of a serial run.
+  const std::size_t n_blocks =
+      (subnets.size() + kSubnetBlock - 1) / kSubnetBlock;
+  std::vector<std::vector<TwoPin>> block_tps(n_blocks);
+  runtime::parallel_for(
+      n_blocks,
+      [&](std::size_t b) {
+        std::vector<int> term_nodes;
+        std::vector<SteinerPoint> terms;
+        const std::size_t end =
+            std::min(subnets.size(), (b + 1) * kSubnetBlock);
+        for (std::size_t si = b * kSubnetBlock; si < end; ++si) {
+          const SubNet& sn = subnets[si];
+          const SideGrid& g = grids[static_cast<std::size_t>(sidx(sn.side))];
+          term_nodes.clear();
+          terms.clear();
+          auto add_term = [&](int n) {
+            for (int m : term_nodes) {
+              if (m == n) return;
+            }
+            term_nodes.push_back(n);
+            terms.push_back({g.col_of(n), g.row_of(n)});
+          };
+          add_term(sn.source);
+          for (int s : sn.sinks) add_term(s);
+          if (terms.size() < 2) continue;  // all terminals share one gcell
+          const SteinerTree tree = build_steiner_tree(terms);
+          for (const SteinerSeg& seg : tree.segs) {
+            const SteinerPoint& pa =
+                tree.points[static_cast<std::size_t>(seg.a)];
+            const SteinerPoint& pb =
+                tree.points[static_cast<std::size_t>(seg.b)];
+            if (pa == pb) continue;
+            TwoPin tp;
+            tp.parent = static_cast<int>(si);
+            tp.a = g.node(pa.c, pa.r);
+            tp.b = g.node(pb.c, pb.r);
+            tp.len = std::abs(pa.c - pb.c) + std::abs(pa.r - pb.r);
+            block_tps[b].push_back(tp);
+          }
+        }
+      },
+      options.threads);
   std::array<TwoPinSide, 2> sides;
-  std::vector<std::unordered_map<int, int>> edge_refs(subnets.size());
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    const SubNet& sn = subnets[si];
-    const auto sz = static_cast<std::size_t>(sidx(sn.side));
-    SideGrid& g = grids[sz];
-    TwoPinSide& ts = sides[sz];
-    std::vector<int> term_nodes;
-    std::vector<SteinerPoint> terms;
-    auto add_term = [&](int n) {
-      for (int m : term_nodes) {
-        if (m == n) return;
-      }
-      term_nodes.push_back(n);
-      terms.push_back({g.col_of(n), g.row_of(n)});
-    };
-    add_term(sn.source);
-    for (int s : sn.sinks) add_term(s);
-    if (terms.size() < 2) continue;  // all terminals share one gcell
-    const SteinerTree tree = build_steiner_tree(terms);
-    for (const SteinerSeg& seg : tree.segs) {
-      const SteinerPoint& pa = tree.points[static_cast<std::size_t>(seg.a)];
-      const SteinerPoint& pb = tree.points[static_cast<std::size_t>(seg.b)];
-      if (pa == pb) continue;
-      TwoPin tp;
-      tp.parent = static_cast<int>(si);
-      tp.a = g.node(pa.c, pa.r);
-      tp.b = g.node(pb.c, pb.r);
-      tp.len = std::abs(pa.c - pb.c) + std::abs(pa.r - pb.r);
+  // Each subnet's [first, end) span of its side's tps.
+  std::vector<std::pair<std::size_t, std::size_t>> spans(subnets.size());
+  for (const std::vector<TwoPin>& block : block_tps) {
+    for (const TwoPin& tp : block) {
+      const auto p = static_cast<std::size_t>(tp.parent);
+      TwoPinSide& ts = sides[static_cast<std::size_t>(sidx(subnets[p].side))];
+      if (spans[p].second == 0) spans[p].first = ts.tps.size();
       ts.tps.push_back(tp);
+      spans[p].second = ts.tps.size();
     }
   }
-  for (int s = 0; s < 2; ++s) {
-    TwoPinSide& ts = sides[static_cast<std::size_t>(s)];
-    const SideGrid& g = grids[static_cast<std::size_t>(s)];
+  block_tps = {};
+  for (TwoPinSide& ts : sides) {
     ts.paths.assign(ts.tps.size(), {});
-    ts.cell_tps.assign(static_cast<std::size_t>(g.cols * g.rows), {});
+    std::size_t total_len = 0;
+    for (const TwoPin& tp : ts.tps) {
+      total_len += static_cast<std::size_t>(tp.len);
+    }
+    ts.refs.reserve(total_len);
     ts.route_order.resize(ts.tps.size());
     std::iota(ts.route_order.begin(), ts.route_order.end(), std::size_t{0});
     std::sort(ts.route_order.begin(), ts.route_order.end(),
@@ -1315,7 +1456,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       std::vector<int> path =
           route_tp_search(options, grids[sz], routers[sz], nullptr,
                           sides[sz].tps[t], fastpath[sz]);
-      commit_tp(grids[sz], sides[sz], edge_refs, t, std::move(path));
+      commit_tp(grids[sz], sides[sz], t, std::move(path));
     }
   };
   runtime::parallel_invoke(options.threads, [&] { route_side_initial(0); },
@@ -1366,7 +1507,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
         if (g.hard_overflow() >= repair_fail_at[sz][t]) continue;
         std::vector<int> old_path = ts.paths[t];
         const double before = g.hard_overflow();
-        rip_tp(g, ts, edge_refs, t);
+        rip_tp(g, ts, t);
         std::vector<int> repl =
             monotone_fast_path(g, nullptr, ts.tps[t].a, ts.tps[t].b);
         if (repl.empty()) {
@@ -1376,18 +1517,18 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
         }
         bool accepted = false;
         if (!repl.empty()) {
-          commit_tp(g, ts, edge_refs, t, std::move(repl));
+          commit_tp(g, ts, t, std::move(repl));
           if (g.hard_overflow() < before) {
             accepted = true;
           } else {
-            rip_tp(g, ts, edge_refs, t);
+            rip_tp(g, ts, t);
           }
         }
         if (accepted) {
           improved = true;
           ++res.ripups_total;
         } else {
-          commit_tp(g, ts, edge_refs, t, std::move(old_path));
+          commit_tp(g, ts, t, std::move(old_path));
           repair_fail_at[sz][t] = g.hard_overflow();
         }
       }
@@ -1414,8 +1555,9 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       hard_floor += std::max(0.0, g.v_base[e] - g.v_cap_hard);
     }
   }
-  std::array<std::vector<std::vector<int>>, 2> best_paths{sides[0].paths,
-                                                          sides[1].paths};
+  // The best solution's paths, snapshotted when a pass is about to change
+  // the current one (the current solution is the best until then).
+  std::array<std::vector<std::vector<int>>, 2> best_paths;
   bool current_is_best = true;
   double best_hard = total_hard();
   double best_soft = grids[0].overflow() + grids[1].overflow();
@@ -1424,11 +1566,18 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
 
   std::array<std::size_t, 2> ripped_counts{0, 0};
   std::array<int, 2> region_counts{0, 0};
+  std::array<PassScratch, 2> scratch;
   auto pass_side = [&](int s, int pass) {
     FFET_TRACE_SCOPE("route.pass.", pass, s == 0 ? ".front" : ".back");
     const auto sz = static_cast<std::size_t>(s);
     SideGrid& g = grids[sz];
     TwoPinSide& ts = sides[sz];
+    PassScratch& ps = scratch[sz];
+    if (pass == 1) {
+      color_paths(g, ts);
+      ps.is_hot.assign(static_cast<std::size_t>(g.cols * g.rows), 0);
+      ps.region_of.assign(static_cast<std::size_t>(g.cols * g.rows), 0);
+    }
     decay_history(g);
     g.rebuild_costs();
 
@@ -1437,8 +1586,8 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     // demand alone exceeds the capacity is structural — no rip-up can fix
     // it, and seeding regions from it merges the whole die into one giant
     // region that churns every pass for nothing.
-    std::vector<int> hot;
-    std::vector<char> is_hot(static_cast<std::size_t>(g.cols * g.rows), 0);
+    std::vector<int>& hot = ps.hot;
+    hot.clear();
     for (int r = 0; r < g.rows; ++r) {
       for (int c = 0; c + 1 < g.cols; ++c) {
         const auto e = static_cast<std::size_t>(g.h_edge(c, r));
@@ -1457,7 +1606,6 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
         }
       }
     }
-    for (int n : hot) is_hot[static_cast<std::size_t>(n)] = 1;
     const std::vector<CongestionRegion> regions = cluster_congestion_regions(
         hot, g.cols, g.rows, options.region_merge_dist, options.region_margin);
     region_counts[sz] = static_cast<int>(regions.size());
@@ -1465,6 +1613,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       ripped_counts[sz] = 0;
       return;
     }
+    for (int n : hot) ps.is_hot[static_cast<std::size_t>(n)] = 1;
 
     // Claim the rip set.  The color map narrows candidates to subnets
     // touching a hot gcell; the rip criterion is then the exact PathFinder
@@ -1474,20 +1623,18 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     // transits it).  Each ripped subnet joins the region of the first hot
     // gcell along its path; hot gcells seeded the clustering, so that
     // region always exists, and the assignment is deterministic.
-    std::vector<int> region_of(static_cast<std::size_t>(g.cols * g.rows), -1);
     for (std::size_t ri = 0; ri < regions.size(); ++ri) {
       const CongestionRegion& reg = regions[ri];
       for (int r = reg.r_lo; r <= reg.r_hi; ++r) {
         for (int c = reg.c_lo; c <= reg.c_hi; ++c) {
-          region_of[static_cast<std::size_t>(g.node(c, r))] =
+          ps.region_of[static_cast<std::size_t>(g.node(c, r))] =
               static_cast<int>(ri);
         }
       }
     }
     std::vector<int> cand_ids;
-    for (std::size_t n = 0; n < is_hot.size(); ++n) {
-      if (!is_hot[n]) continue;
-      const auto& cell = ts.cell_tps[n];
+    for (int n : hot) {
+      const auto& cell = ts.cell_tps[static_cast<std::size_t>(n)];
       cand_ids.insert(cand_ids.end(), cell.begin(), cell.end());
     }
     std::sort(cand_ids.begin(), cand_ids.end());
@@ -1507,14 +1654,15 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       }
       if (!crosses) continue;
       for (int n : path) {
-        if (is_hot[static_cast<std::size_t>(n)]) {
+        if (ps.is_hot[static_cast<std::size_t>(n)]) {
           region_tps[static_cast<std::size_t>(
-                         region_of[static_cast<std::size_t>(n)])]
+                         ps.region_of[static_cast<std::size_t>(n)])]
               .push_back(static_cast<std::size_t>(t));
           break;
         }
       }
     }
+    for (int n : hot) ps.is_hot[static_cast<std::size_t>(n)] = 0;
     for (auto& rtps : region_tps) {
       std::sort(rtps.begin(), rtps.end(),
                 [&](std::size_t x, std::size_t y) {
@@ -1530,7 +1678,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     std::size_t n_ripped = 0;
     for (const auto& rtps : region_tps) {
       n_ripped += rtps.size();
-      for (std::size_t t : rtps) rip_tp(g, ts, edge_refs, t);
+      for (std::size_t t : rtps) rip_tp(g, ts, t);
     }
 
     // Snapshot search, batched across the pool: each region prices its own
@@ -1562,7 +1710,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     // Commit barrier: serial, in canonical region order.
     for (std::size_t ri = 0; ri < regions.size(); ++ri) {
       for (std::size_t k = 0; k < region_tps[ri].size(); ++k) {
-        commit_tp(g, ts, edge_refs, region_tps[ri][k], std::move(cand[ri][k]));
+        commit_tp(g, ts, region_tps[ri][k], std::move(cand[ri][k]));
       }
       routers[sz].settled += r_settled[ri];
       routers[sz].expansions += r_expansions[ri];
@@ -1574,6 +1722,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   for (int pass = 1; pass < options.rrr_passes &&
                      best_hard > hard_floor + 1e-9 && stale_passes < 6;
        ++pass) {
+    if (pass == 1) best_paths = {sides[0].paths, sides[1].paths};
     runtime::parallel_invoke(options.threads, [&] { pass_side(0, pass); },
                              [&] { pass_side(1, pass); });
     if (ripped_counts[0] + ripped_counts[1] == 0) break;
@@ -1600,49 +1749,59 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
 
   // Restore the best solution (usage arrays included, for diagnostics).
   // The refcount union is order-independent, so recommitting in id order
-  // reproduces the exact grid state of the snapshot.
+  // reproduces the exact grid state of the snapshot.  Nothing reads the
+  // color map after the passes, so the recommit leaves it empty.
   if (!current_is_best) {
-    for (SideGrid& g : grids) g.clear_use();
-    edge_refs.assign(subnets.size(), {});
     for (std::size_t sz = 0; sz < 2; ++sz) {
-      for (auto& cell : sides[sz].cell_tps) cell.clear();
+      grids[sz].clear_use();
+      sides[sz].refs.clear();
+      sides[sz].cell_tps.clear();
       for (std::size_t t = 0; t < sides[sz].tps.size(); ++t) {
-        commit_tp(grids[sz], sides[sz], edge_refs, t,
-                  std::move(best_paths[sz][t]));
+        commit_tp(grids[sz], sides[sz], t, std::move(best_paths[sz][t]));
       }
     }
   }
 
-  // Emit each parent subnet's deduplicated edge set (sorted by key for a
-  // stable order) — the per-parent refcount maps are exactly that set.
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    const SideGrid& g =
-        grids[static_cast<std::size_t>(sidx(subnets[si].side))];
-    std::vector<int> keys;
-    keys.reserve(edge_refs[si].size());
-    for (const auto& [key, cnt] : edge_refs[si]) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    route_edges[si].clear();
-    route_edges[si].reserve(keys.size());
-    for (int key : keys) {
-      const int dir = key & 1;
-      const int e = key >> 1;
-      int a;
-      int b;
-      if (dir == 0) {
-        const int c = e % (g.cols - 1);
-        const int r = e / (g.cols - 1);
-        a = g.node(c, r);
-        b = a + 1;
-      } else {
-        const int c = e % g.cols;
-        const int r = e / g.cols;
-        a = g.node(c, r);
-        b = a + g.cols;
-      }
-      route_edges[si].push_back({a, b});
-    }
-  }
+  // Emit each parent subnet's deduplicated edge set, sorted by edge key for
+  // a stable order.  A parent's refcount is positive exactly on the edges
+  // its committed paths cross, so gathering the keys of its own contiguous
+  // span of paths yields that set without reading the table.
+  runtime::parallel_for(
+      n_blocks,
+      [&](std::size_t b) {
+        std::vector<int> keys;
+        const std::size_t end =
+            std::min(subnets.size(), (b + 1) * kSubnetBlock);
+        for (std::size_t si = b * kSubnetBlock; si < end; ++si) {
+          const auto sz = static_cast<std::size_t>(sidx(subnets[si].side));
+          const SideGrid& g = grids[sz];
+          keys.clear();
+          for (std::size_t t = spans[si].first; t < spans[si].second; ++t) {
+            const std::vector<int>& path = sides[sz].paths[t];
+            for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+              const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
+              keys.push_back((e << 1) | dir);
+            }
+          }
+          std::sort(keys.begin(), keys.end());
+          keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+          std::vector<GEdge>& out = route_edges[si];
+          out.clear();
+          out.reserve(keys.size());
+          for (int key : keys) {
+            const int dir = key & 1;
+            const int e = key >> 1;
+            if (dir == 0) {
+              const int a = g.node(e % (g.cols - 1), e / (g.cols - 1));
+              out.push_back({a, a + 1});
+            } else {
+              const int a = g.node(e % g.cols, e / g.cols);
+              out.push_back({a, a + g.cols});
+            }
+          }
+        }
+      },
+      options.threads);
   res.fastpath_routes = fastpath[0] + fastpath[1];
 }
 
@@ -1757,12 +1916,13 @@ double pin_budget_of(const Floorplan& fp, const RouteOptions& options) {
   return options.pin_access_limit_per_um2 * fp.core.area_um2();
 }
 
-/// Emit the stage-2 routes with their quantile layers, then account.
+/// Emit the stage-2 routes with their quantile layers (moving each edge
+/// list out of `route_edges`), then account.
 void finalize_route_result(RouteResult& res, const Floorplan& fp,
                            const tech::Technology& tech,
                            const RouteOptions& options,
                            const std::vector<SubNet>& subnets,
-                           const std::vector<std::vector<GEdge>>& route_edges,
+                           std::vector<std::vector<GEdge>>& route_edges,
                            const GridSetup& gs,
                            const std::array<PathRouter, 2>& routers) {
   set_geometry(res, gs);
@@ -1787,7 +1947,7 @@ void finalize_route_result(RouteResult& res, const Floorplan& fp,
     NetRoute nr;
     nr.net = sn.net;
     nr.side = sn.side;
-    nr.edges = route_edges[si];
+    nr.edges = std::move(route_edges[si]);
     nr.sink_gcells = sn.sinks;
     nr.source_gcell = sn.source;
     nr.wirelength_um = route_wirelength_um(nr.edges.size(), gsize_um);

@@ -23,6 +23,7 @@
 #include "pnr/steiner.h"
 #include "pnr/track_assign.h"
 #include "riscv/rv32.h"
+#include "route_digest.h"
 
 namespace ffet::pnr {
 namespace {
@@ -1087,6 +1088,17 @@ TEST_F(PnrTest, Astar2RestoresTheBestPass) {
   for (std::size_t i = 0; i < full.routes.size(); ++i) {
     EXPECT_EQ(full.routes[i].edges, at_best.routes[i].edges) << "route " << i;
   }
+}
+
+TEST_F(PnrTest, Astar2GoldenRoutesUnderCongestion) {
+  // The congested fixture runs negotiation passes and ends on the
+  // best-pass restore (Astar2RestoresTheBestPass), so this fingerprint of
+  // every route and the router counters pins the pass machinery, the
+  // restore and the edge emit against the recorded output.
+  const CongestedDesign cd(*ffet_tech_);
+  const RouteResult rr = route_design(cd.nl, cd.fp, cd.options());
+  ASSERT_GE(rr.pass_stats.size(), 2u);
+  EXPECT_EQ(route_digest(rr), 0x72aa3200c319729full);
 }
 
 // --- routing: incremental reroute (the ECO primitive) ------------------------

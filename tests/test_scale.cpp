@@ -17,6 +17,7 @@
 #include "rc_compare.h"
 #include "rc_reference.h"
 #include "riscv/rv32.h"
+#include "route_digest.h"
 #include "stdcell/stdcell.h"
 #include "tech/tech.h"
 
@@ -167,6 +168,7 @@ class ScaleIoTest : public ::testing::Test {
     const pnr::PowerPlan pp = pnr::build_power_plan(*nl_, fp, *lib_);
     pnr::place(*nl_, fp, pp);
     pnr::build_clock_tree(*nl_, fp);
+    fp_ = new pnr::Floorplan(fp);
     routes_ = new pnr::RouteResult(pnr::route_design(*nl_, fp));
     merged_ = new io::Def(
         io::merge_defs(io::build_def(*nl_, *routes_, tech::Side::Front),
@@ -175,11 +177,13 @@ class ScaleIoTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete merged_;
     delete routes_;
+    delete fp_;
     delete nl_;
     delete lib_;
     delete tech_;
     merged_ = nullptr;
     routes_ = nullptr;
+    fp_ = nullptr;
     nl_ = nullptr;
     lib_ = nullptr;
     tech_ = nullptr;
@@ -188,6 +192,7 @@ class ScaleIoTest : public ::testing::Test {
   static tech::Technology* tech_;
   static stdcell::Library* lib_;
   static netlist::Netlist* nl_;
+  static pnr::Floorplan* fp_;
   static pnr::RouteResult* routes_;
   static io::Def* merged_;
 };
@@ -195,6 +200,7 @@ class ScaleIoTest : public ::testing::Test {
 tech::Technology* ScaleIoTest::tech_ = nullptr;
 stdcell::Library* ScaleIoTest::lib_ = nullptr;
 netlist::Netlist* ScaleIoTest::nl_ = nullptr;
+pnr::Floorplan* ScaleIoTest::fp_ = nullptr;
 pnr::RouteResult* ScaleIoTest::routes_ = nullptr;
 io::Def* ScaleIoTest::merged_ = nullptr;
 
@@ -241,6 +247,22 @@ TEST_F(ScaleIoTest, KernelMatchesReference) {
       extract::reference::extract_rc(*merged_, *nl_, *tech_);
   extract::expect_same_rc(extract::extract_rc(*merged_, *nl_, *tech_, 2), ref);
   extract::expect_same_rc(extract::extract_rc(*routes_, *nl_, *tech_, 2), ref);
+}
+
+// The mesh's routes against the recorded fingerprint (route_digest.h), and
+// the same routes at 4 threads: the parallel Steiner decomposition, both
+// sides' concurrent initial routes and the parallel edge emit at scale.
+TEST_F(ScaleIoTest, GoldenRoutesAtAnyThreadCount) {
+  EXPECT_EQ(pnr::route_digest(*routes_), 0x08356d837b5bb914ull);
+  pnr::RouteOptions ro;
+  ro.threads = 4;
+  const pnr::RouteResult threaded = pnr::route_design(*nl_, *fp_, ro);
+  EXPECT_EQ(pnr::route_digest(threaded), pnr::route_digest(*routes_));
+  ASSERT_EQ(threaded.routes.size(), routes_->routes.size());
+  for (std::size_t i = 0; i < threaded.routes.size(); ++i) {
+    EXPECT_EQ(threaded.routes[i].edges, routes_->routes[i].edges)
+        << "route " << i;
+  }
 }
 
 }  // namespace
