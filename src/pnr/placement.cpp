@@ -164,58 +164,70 @@ std::optional<geom::Point> claim_nearest_slot(std::vector<RowState>& rows,
   return geom::Point{best_x, best_row->y};
 }
 
-/// A cell in the spreading order: its position along the split axis, then
-/// its id — the total order the bisection preserves.  Sorting these pairs
-/// instead of ids keeps the comparator off the instance table.
-struct KeyedCell {
-  Nm key = 0;
-  InstId id = netlist::kNoInst;
-  auto operator<=>(const KeyedCell&) const = default;
-};
-
 /// Bisections with fewer cells than this run both halves on one thread.
 constexpr std::size_t kParallelSpreadCells = 2048;
 
-/// Recursive equal-area bisection spreading: split the cell set at its
-/// area-median along the region's longer axis, give each half one
-/// geometric half of the region, recurse.  Order is preserved along the
-/// split axis at every level, so connectivity structure built by the
-/// averaging passes survives while density becomes uniform.  The halves
-/// are disjoint cell sets, so large ones run concurrently.
-void spread_region(Netlist& nl, const Floorplan& fp, std::span<KeyedCell> cells,
-                   const geom::Rect& region, int threads) {
-  if (cells.empty()) return;
+struct SpreadContext {
+  detail::Snapshot& snap;
+  detail::SpreadScratch& scratch;
+  const Floorplan& fp;
+  int threads;
+};
+
+/// One bisection node: the cells at [lo, hi) of both sorted lists (the same
+/// set in each), spread over `region`.  Positions are written only at the
+/// leaves, so the keys sorted at the start of the pass stay current.
+void spread_node(const SpreadContext& ctx, std::size_t lo, std::size_t hi,
+                 const geom::Rect& region) {
+  if (lo == hi) return;
+  const std::size_t n = hi - lo;
   const bool split_x = region.width() >= region.height();
-  for (KeyedCell& c : cells) {
-    const geom::Point& p = nl.instance(c.id).pos;
-    c.key = split_x ? p.x : p.y;
-  }
-  std::sort(cells.begin(), cells.end());
-  if (cells.size() <= 8 || region.width() <= 4 * fp.site_width ||
-      region.height() <= fp.row_height) {
+  detail::SpreadScratch& s = ctx.scratch;
+  const detail::KeyedCell* axis = (split_x ? s.by_x : s.by_y).data() + lo;
+  if (n <= 8 || region.width() <= 4 * ctx.fp.site_width ||
+      region.height() <= ctx.fp.row_height) {
     // Leaf: scatter by rank along the longer axis.
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const double t = (static_cast<double>(i) + 0.5) /
-                       static_cast<double>(cells.size());
-      netlist::Instance& inst = nl.instance(cells[i].id);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double t =
+          (static_cast<double>(i) + 0.5) / static_cast<double>(n);
+      geom::Point& pos = ctx.snap.pos[static_cast<std::size_t>(axis[i].cell)];
       if (split_x) {
-        inst.pos = {region.lo.x + static_cast<Nm>(t * region.width()),
-                    region.center().y};
+        pos = {region.lo.x + static_cast<Nm>(t * region.width()),
+               region.center().y};
       } else {
-        inst.pos = {region.center().x,
-                    region.lo.y + static_cast<Nm>(t * region.height())};
+        pos = {region.center().x,
+               region.lo.y + static_cast<Nm>(t * region.height())};
       }
     }
     return;
   }
+  const std::vector<double>& area = ctx.snap.area;
   double total = 0.0;
-  for (const KeyedCell& c : cells) total += nl.instance(c.id).type->area_um2();
+  for (std::size_t i = 0; i < n; ++i) {
+    total += area[static_cast<std::size_t>(axis[i].cell)];
+  }
   double acc = 0.0;
   std::size_t cut = 0;
-  while (cut < cells.size() && acc < total / 2.0) {
-    acc += nl.instance(cells[cut].id).type->area_um2();
+  while (cut < n && acc < total / 2.0) {
+    acc += area[static_cast<std::size_t>(axis[cut].cell)];
     ++cut;
   }
+  // The split-axis list is sorted in both halves already; the other list is
+  // stable-partitioned by side, so it stays sorted in both halves too.
+  for (std::size_t i = 0; i < n; ++i) {
+    s.upper[static_cast<std::size_t>(axis[i].cell)] = i >= cut;
+  }
+  detail::KeyedCell* other = (split_x ? s.by_y : s.by_x).data() + lo;
+  detail::KeyedCell* tmp = s.tmp.data() + lo;
+  std::size_t lower_end = 0;
+  std::size_t upper_end = cut;
+  for (std::size_t i = 0; i < n; ++i) {
+    const detail::KeyedCell c = other[i];
+    tmp[s.upper[static_cast<std::size_t>(c.cell)] ? upper_end++
+                                                  : lower_end++] = c;
+  }
+  std::copy(tmp, tmp + n, other);
+
   geom::Rect lower_region = region;
   geom::Rect upper_region = region;
   if (split_x) {
@@ -223,14 +235,10 @@ void spread_region(Netlist& nl, const Floorplan& fp, std::span<KeyedCell> cells,
   } else {
     lower_region.hi.y = upper_region.lo.y = region.center().y;
   }
-  auto lower = [&] {
-    spread_region(nl, fp, cells.first(cut), lower_region, threads);
-  };
-  auto upper = [&] {
-    spread_region(nl, fp, cells.subspan(cut), upper_region, threads);
-  };
-  if (cells.size() >= kParallelSpreadCells) {
-    runtime::parallel_invoke(threads, lower, upper);
+  auto lower = [&] { spread_node(ctx, lo, lo + cut, lower_region); };
+  auto upper = [&] { spread_node(ctx, lo + cut, hi, upper_region); };
+  if (n >= kParallelSpreadCells) {
+    runtime::parallel_invoke(ctx.threads, lower, upper);
   } else {
     lower();
     upper();
@@ -267,57 +275,144 @@ void plan_ios(Netlist& nl, const Floorplan& fp) {
 
 namespace detail {
 
-void sum_net_pins(const Netlist& nl, NetPinSums& sums, int threads) {
+Snapshot take_snapshot(const Netlist& nl) {
+  Snapshot snap;
+  const auto instances = static_cast<std::size_t>(nl.num_instances());
+  snap.id.reserve(instances);
+  snap.pos.reserve(instances);
+  snap.area.reserve(instances);
+  for (InstId i = 0; i < nl.num_instances(); ++i) {
+    const netlist::Instance& inst = nl.instance(i);
+    if (inst.fixed) continue;
+    snap.id.push_back(i);
+    snap.pos.push_back(inst.pos);
+    snap.area.push_back(inst.type->area_um2());
+  }
+  return snap;
+}
+
+PullModel build_pull_model(const Netlist& nl, const Snapshot& snap) {
+  PullModel m;
   const auto nets = static_cast<std::size_t>(nl.num_nets());
-  sums.x.resize(nets);
-  sums.y.resize(nets);
-  sums.count.resize(nets);
+  const std::size_t cells = snap.id.size();
+  std::vector<std::int32_t> cell_of(static_cast<std::size_t>(nl.num_instances()),
+                                    -1);
+  std::size_t cell_pins = 0;  // bounds both CSR lists
+  for (std::size_t c = 0; c < cells; ++c) {
+    cell_of[static_cast<std::size_t>(snap.id[c])] = static_cast<std::int32_t>(c);
+    cell_pins += nl.pin_nets(snap.id[c]).size();
+  }
+  m.net_cells.reserve(cell_pins);
+  m.cell_nets.reserve(cell_pins);
+  auto offset = [&](const netlist::PinRef& ref) {
+    return nl.instance(ref.inst)
+        .type->pins()[static_cast<std::size_t>(ref.pin)]
+        .offset;
+  };
+
+  // Nets: movable pins into the CSR, everything else into the constant.
+  std::vector<int> net_pins(nets, 0);
+  m.net_first.reserve(nets + 1);
+  m.net_const.assign(nets, {});
+  for (std::size_t k = 0; k < nets; ++k) {
+    m.net_first.push_back(static_cast<std::uint32_t>(m.net_cells.size()));
+    const netlist::Net& net = nl.nets()[k];
+    if (net.is_clock) continue;
+    geom::Point& constant = m.net_const[k];
+    auto absorb = [&](const netlist::PinRef& ref) {
+      if (ref.inst == netlist::kNoInst) return;
+      ++net_pins[k];
+      const std::int32_t c = cell_of[static_cast<std::size_t>(ref.inst)];
+      if (c < 0) {
+        constant = constant + nl.pin_position(ref);
+        return;
+      }
+      m.net_cells.push_back(c);
+      constant = constant + offset(ref);
+    };
+    absorb(net.driver);
+    for (const netlist::PinRef& sink : net.sinks) absorb(sink);
+    if (net.port >= 0) {
+      constant = constant + nl.port(net.port).pos;
+      ++net_pins[k];
+    }
+  }
+  m.net_first.push_back(static_cast<std::uint32_t>(m.net_cells.size()));
+
+  // Cells: their non-clock nets, one per pin, and their own pins' terms.
+  m.cell_first.reserve(cells + 1);
+  m.cell_own.assign(cells, 0);
+  m.cell_off.assign(cells, {});
+  m.cell_count.assign(cells, 0);
+  for (std::size_t c = 0; c < cells; ++c) {
+    m.cell_first.push_back(static_cast<std::uint32_t>(m.cell_nets.size()));
+    const InstId id = snap.id[c];
+    const auto pin_nets = nl.pin_nets(id);
+    for (const netlist::NetId net_id : pin_nets) {
+      if (net_id == netlist::kNoNet || nl.net(net_id).is_clock) continue;
+      m.cell_nets.push_back(net_id);
+      m.cell_count[c] += net_pins[static_cast<std::size_t>(net_id)];
+      for (std::size_t q = 0; q < pin_nets.size(); ++q) {
+        if (pin_nets[q] != net_id) continue;
+        ++m.cell_own[c];
+        --m.cell_count[c];
+        m.cell_off[c] = m.cell_off[c] + offset({id, static_cast<int>(q)});
+      }
+    }
+  }
+  m.cell_first.push_back(static_cast<std::uint32_t>(m.cell_nets.size()));
+  return m;
+}
+
+void sum_net_pins(const PullModel& model, std::span<const geom::Point> pos,
+                  std::vector<geom::Point>& sums, int threads) {
+  const std::size_t nets = model.net_const.size();
+  sums.resize(nets);
   runtime::parallel_for(
       nets,
       [&](std::size_t k) {
-        const netlist::Net& net = nl.nets()[k];
-        std::int64_t x = 0, y = 0;
-        int count = 0;
-        auto absorb = [&](geom::Point q) {
-          x += q.x;
-          y += q.y;
-          ++count;
-        };
-        if (!net.is_clock) {
-          if (net.driver.inst != netlist::kNoInst) {
-            absorb(nl.pin_position(net.driver));
-          }
-          for (const netlist::PinRef& s : net.sinks) {
-            if (s.inst != netlist::kNoInst) absorb(nl.pin_position(s));
-          }
-          if (net.port >= 0) absorb(nl.port(net.port).pos);
+        geom::Point sum = model.net_const[k];
+        for (std::uint32_t j = model.net_first[k]; j < model.net_first[k + 1];
+             ++j) {
+          sum = sum + pos[static_cast<std::size_t>(model.net_cells[j])];
         }
-        sums.x[k] = x;
-        sums.y[k] = y;
-        sums.count[k] = count;
+        sums[k] = sum;
       },
       threads, 0);
 }
 
-Pull cell_pull(const Netlist& nl, const NetPinSums& sums, InstId id) {
+Pull cell_pull(const PullModel& model, std::span<const geom::Point> sums,
+               std::size_t cell, geom::Point pos) {
   Pull pull;
-  const auto pin_nets = nl.pin_nets(id);
-  for (const netlist::NetId net_id : pin_nets) {
-    if (net_id == netlist::kNoNet || nl.net(net_id).is_clock) continue;
-    const auto k = static_cast<std::size_t>(net_id);
-    pull.x += sums.x[k];
-    pull.y += sums.y[k];
-    pull.count += sums.count[k];
-    // The cell's own pins on the net do not pull it.
-    for (std::size_t q = 0; q < pin_nets.size(); ++q) {
-      if (pin_nets[q] != net_id) continue;
-      const geom::Point own = nl.pin_position({id, static_cast<int>(q)});
-      pull.x -= own.x;
-      pull.y -= own.y;
-      --pull.count;
-    }
+  for (std::uint32_t j = model.cell_first[cell];
+       j < model.cell_first[cell + 1]; ++j) {
+    const geom::Point& s = sums[static_cast<std::size_t>(model.cell_nets[j])];
+    pull.x += s.x;
+    pull.y += s.y;
   }
+  const std::int64_t own = model.cell_own[cell];
+  pull.x -= own * pos.x + model.cell_off[cell].x;
+  pull.y -= own * pos.y + model.cell_off[cell].y;
+  pull.count = model.cell_count[cell];
   return pull;
+}
+
+void spread_pass(Snapshot& snap, SpreadScratch& scratch, const Floorplan& fp,
+                 int threads) {
+  const std::size_t n = snap.id.size();
+  scratch.by_x.resize(n);
+  scratch.by_y.resize(n);
+  scratch.tmp.resize(n);
+  scratch.upper.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto cell = static_cast<std::int32_t>(i);
+    scratch.by_x[i] = {snap.pos[i].x, cell};
+    scratch.by_y[i] = {snap.pos[i].y, cell};
+  }
+  runtime::parallel_invoke(
+      threads, [&] { std::sort(scratch.by_x.begin(), scratch.by_x.end()); },
+      [&] { std::sort(scratch.by_y.begin(), scratch.by_y.end()); });
+  spread_node({snap, scratch, fp, threads}, 0, n, fp.core);
 }
 
 }  // namespace detail
@@ -355,13 +450,12 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
 
   plan_ios(nl, fp);
 
-  std::vector<InstId> movable;
+  // Global placement works on this snapshot; the instance table is written
+  // once, by the legalizer.
+  detail::Snapshot snap = detail::take_snapshot(nl);
+  const std::size_t movable = snap.id.size();
   double movable_area = 0.0;
-  for (int i = 0; i < nl.num_instances(); ++i) {
-    if (nl.instance(i).fixed) continue;
-    movable.push_back(i);
-    movable_area += nl.instance(i).type->area_um2();
-  }
+  for (const double a : snap.area) movable_area += a;
 
   const double free_area =
       fp.core.area_um2() * (1.0 - pp.blocked_site_fraction);
@@ -370,12 +464,11 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
   // --- global placement ---------------------------------------------------
   std::mt19937 rng(options.seed);
   std::uniform_real_distribution<double> ux(0.0, 1.0);
-  for (InstId id : movable) {
-    netlist::Instance& inst = nl.instance(id);
-    inst.pos = {static_cast<Nm>(ux(rng) * (fp.core.width() -
-                                           inst.type->width())),
-                static_cast<Nm>(ux(rng) * (fp.core.height() -
-                                           inst.type->height()))};
+  for (std::size_t i = 0; i < movable; ++i) {
+    const stdcell::CellType& type = *nl.instance(snap.id[i]).type;
+    snap.pos[i] = {
+        static_cast<Nm>(ux(rng) * (fp.core.width() - type.width())),
+        static_cast<Nm>(ux(rng) * (fp.core.height() - type.height()))};
   }
 
   // Global placement: alternate connectivity averaging (Jacobi steps on
@@ -383,47 +476,40 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
   // order-preserving sort-and-balance spreading that equalizes density
   // without destroying the relative cell order — the property that keeps
   // locality through legalization.
-  detail::NetPinSums sums;
-  std::vector<geom::Point> desired(movable.size());
-  auto centroid_pass = [&]() {
-    detail::sum_net_pins(nl, sums, options.threads);
-    runtime::parallel_for(
-        movable.size(),
-        [&](std::size_t i) {
-          const geom::Point pos = nl.instance(movable[i]).pos;
-          const detail::Pull pull = detail::cell_pull(nl, sums, movable[i]);
-          geom::Point target = pos;
-          if (pull.count > 0) {
-            const double n = pull.count;
-            target = {static_cast<Nm>(static_cast<double>(pull.x) / n),
-                      static_cast<Nm>(static_cast<double>(pull.y) / n)};
-          }
-          const double a = options.pull_strength;
-          desired[i] = {static_cast<Nm>(a * target.x + (1 - a) * pos.x),
-                        static_cast<Nm>(a * target.y + (1 - a) * pos.y)};
-        },
-        options.threads, 0);
-    for (std::size_t i = 0; i < movable.size(); ++i) {
-      nl.instance(movable[i]).pos = desired[i];
-    }
-  };
-
-  // Any permutation of the movable cells will do: every bisection sorts
-  // its cells by (position, id).
-  std::vector<KeyedCell> spread_cells(movable.size());
-  for (std::size_t i = 0; i < movable.size(); ++i) {
-    spread_cells[i].id = movable[i];
-  }
-  auto spread_pass = [&]() {
-    spread_region(nl, fp, spread_cells, fp.core, options.threads);
-  };
-
-  // Phase 1: long averaging from the random start — the quadratic system
-  // settles into a (collapsed but correctly *ordered*) solution anchored by
-  // the IO ports.  Phase 2: alternate density spreading with short re-pull
-  // rounds so clusters stay even without losing the global order.
   {
     FFET_TRACE_SCOPE("place.global");
+    const detail::PullModel model = detail::build_pull_model(nl, snap);
+    std::vector<geom::Point> sums;
+    std::vector<geom::Point> desired(movable);
+    auto centroid_pass = [&]() {
+      detail::sum_net_pins(model, snap.pos, sums, options.threads);
+      runtime::parallel_for(
+          movable,
+          [&](std::size_t i) {
+            const geom::Point pos = snap.pos[i];
+            const detail::Pull pull = detail::cell_pull(model, sums, i, pos);
+            geom::Point target = pos;
+            if (pull.count > 0) {
+              const double n = pull.count;
+              target = {static_cast<Nm>(static_cast<double>(pull.x) / n),
+                        static_cast<Nm>(static_cast<double>(pull.y) / n)};
+            }
+            const double a = options.pull_strength;
+            desired[i] = {static_cast<Nm>(a * target.x + (1 - a) * pos.x),
+                          static_cast<Nm>(a * target.y + (1 - a) * pos.y)};
+          },
+          options.threads, 0);
+      snap.pos.swap(desired);
+    };
+    detail::SpreadScratch scratch;
+    auto spread_pass = [&]() {
+      detail::spread_pass(snap, scratch, fp, options.threads);
+    };
+
+    // Phase 1: long averaging from the random start — the quadratic system
+    // settles into a (collapsed but correctly *ordered*) solution anchored
+    // by the IO ports.  Phase 2: alternate density spreading with short
+    // re-pull rounds so clusters stay even without losing the global order.
     for (int i = 0; i < options.iterations; ++i) centroid_pass();
     for (int round = 0; round < 6; ++round) {
       spread_pass();
@@ -440,8 +526,7 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
   // Whitespace feasibility: the industrial density ceiling.
   if (res.density > kMaxPlacementDensity) {
     const double excess = movable_area - kMaxPlacementDensity * free_area;
-    const double avg =
-        movable_area / std::max<std::size_t>(1, movable.size());
+    const double avg = movable_area / std::max<std::size_t>(1, movable);
     res.violations = std::max(1, static_cast<int>(std::ceil(excess / avg)));
     res.legal = false;
     res.message = "placement density " + std::to_string(res.density) +
@@ -449,15 +534,19 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
                   std::to_string(kMaxPlacementDensity);
   }
 
-  // Sort by desired x, then pack greedily into the nearest feasible row.
-  std::vector<InstId> order = movable;
-  std::sort(order.begin(), order.end(), [&](InstId a, InstId bb) {
-    const auto& pa = nl.instance(a).pos;
-    const auto& pb = nl.instance(bb).pos;
-    if (pa.x != pb.x) return pa.x < pb.x;
-    if (pa.y != pb.y) return pa.y < pb.y;
-    return a < bb;
-  });
+  // Sort by global (x, y, id), then pack greedily into the nearest feasible
+  // row.
+  struct OrderKey {
+    Nm x = 0;
+    Nm y = 0;
+    std::size_t cell = 0;
+    auto operator<=>(const OrderKey&) const = default;
+  };
+  std::vector<OrderKey> order(movable);
+  for (std::size_t i = 0; i < movable; ++i) {
+    order[i] = {snap.pos[i].x, snap.pos[i].y, i};
+  }
+  std::sort(order.begin(), order.end());
 
   int unplaced = 0;
   // Legalization displacement (global position -> legal slot): the cheap
@@ -467,22 +556,22 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
   obs::Histogram* disp_hist =
       obs::metrics_enabled() ? &obs::histogram("place.displacement_um")
                              : nullptr;
-  for (InstId id : order) {
-    netlist::Instance& inst = nl.instance(id);
+  for (const OrderKey& key : order) {
+    netlist::Instance& inst = nl.instance(snap.id[key.cell]);
+    const geom::Point global{key.x, key.y};
     const Nm w = inst.type->width();
     const std::optional<geom::Point> slot =
-        claim_nearest_slot(rows, fp, w, inst.pos);
+        claim_nearest_slot(rows, fp, w, global);
     if (!slot) {
       ++unplaced;
       // Clamp somewhere sane so downstream stages see finite coordinates.
-      inst.pos = {std::clamp<Nm>(inst.pos.x, 0,
-                                 fp.core.width() - w),
-                  std::clamp<Nm>(geom::snap_down(inst.pos.y, fp.row_height),
+      inst.pos = {std::clamp<Nm>(global.x, 0, fp.core.width() - w),
+                  std::clamp<Nm>(geom::snap_down(global.y, fp.row_height),
                                  0, (fp.num_rows() - 1) * fp.row_height)};
       continue;
     }
-    const double disp_um = geom::to_um(std::abs(slot->x - inst.pos.x) +
-                                       std::abs(slot->y - inst.pos.y));
+    const double disp_um = geom::to_um(std::abs(slot->x - global.x) +
+                                       std::abs(slot->y - global.y));
     disp_sum_um += disp_um;
     ++disp_n;
     res.max_displacement_um = std::max(res.max_displacement_um, disp_um);

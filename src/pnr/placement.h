@@ -2,8 +2,9 @@
 //
 // Two phases:
 //   1. Global placement: seeded-random start, then iterative centroid pulls
-//      interleaved with bin-based density spreading (a lightweight
-//      force-directed scheme).
+//      (Jacobi steps on the quadratic wirelength system, IO ports as
+//      anchors) interleaved with recursive equal-area bisection spreading,
+//      which evens density while keeping the cells' relative order.
 //   2. Legalization: row-based Tetris packing into the free segments left
 //      between the power plan's FIXED obstacles (Power Tap Cells / nTSV
 //      pads).
@@ -36,11 +37,13 @@ inline constexpr double kMaxPlacementDensity = 0.875;
 
 struct PlacementOptions {
   unsigned seed = 1;
-  int iterations = 24;        ///< centroid/spreading rounds
+  /// Phase-1 centroid passes from the random start; the seven spreading
+  /// passes and the twelve centroid passes between them are fixed.
+  int iterations = 24;
   double pull_strength = 0.7; ///< blend factor toward the connectivity centroid
   /// Worker threads for global placement: the per-net sums and per-cell
-  /// targets of each centroid pass, and the two halves of each large
-  /// spreading bisection.  Every index writes only its own slot and the
+  /// targets of each centroid pass, the two sorts of each spreading pass
+  /// and the two halves of each large spreading bisection.  Every index writes only its own slot and the
   /// halves are disjoint, so the placement is bit-identical at any count.
   int threads = 1;
 };

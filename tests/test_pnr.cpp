@@ -23,6 +23,8 @@
 #include "pnr/steiner.h"
 #include "pnr/track_assign.h"
 #include "riscv/rv32.h"
+#include "place_digest.h"
+#include "place_reference.h"
 #include "route_digest.h"
 
 namespace ffet::pnr {
@@ -334,6 +336,10 @@ TEST_F(PnrTest, CellPullMatchesPairwiseReference) {
   EXPECT_EQ(nl.net(a).sinks.size(), 3u);
   EXPECT_TRUE(nl.net(clk).is_clock);
 
+  // One fixed cell: its pins pull through the nets' constant terms.
+  const netlist::InstId fixed = nl.net(fanout).driver.inst;
+  nl.instance(fixed).fixed = true;
+
   std::mt19937 rng(5);
   std::uniform_int_distribution<geom::Nm> coord(0, 50'000);
   for (int i = 0; i < nl.num_instances(); ++i) {
@@ -343,14 +349,76 @@ TEST_F(PnrTest, CellPullMatchesPairwiseReference) {
     nl.port(p).pos = {coord(rng), coord(rng)};
   }
 
-  detail::NetPinSums sums;
-  detail::sum_net_pins(nl, sums, 1);
-  for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
-    const detail::Pull want = pairwise_pull(nl, i);
-    const detail::Pull got = detail::cell_pull(nl, sums, i);
-    EXPECT_EQ(got.x, want.x) << nl.instance_name(i);
-    EXPECT_EQ(got.y, want.y) << nl.instance_name(i);
-    EXPECT_EQ(got.count, want.count) << nl.instance_name(i);
+  const detail::Snapshot snap = detail::take_snapshot(nl);
+  ASSERT_EQ(snap.id.size(), static_cast<std::size_t>(nl.num_instances() - 1));
+  const detail::PullModel model = detail::build_pull_model(nl, snap);
+  std::vector<geom::Point> sums;
+  detail::sum_net_pins(model, snap.pos, sums, 1);
+  std::vector<geom::Point> threaded;
+  detail::sum_net_pins(model, snap.pos, threaded, 4);
+  EXPECT_EQ(threaded, sums);
+  for (std::size_t c = 0; c < snap.id.size(); ++c) {
+    const netlist::InstId id = snap.id[c];
+    const detail::Pull want = pairwise_pull(nl, id);
+    const detail::Pull got = detail::cell_pull(model, sums, c, snap.pos[c]);
+    EXPECT_EQ(got.x, want.x) << nl.instance_name(id);
+    EXPECT_EQ(got.y, want.y) << nl.instance_name(id);
+    EXPECT_EQ(got.count, want.count) << nl.instance_name(id);
+  }
+}
+
+// Ties are where a presorted bisection could diverge from one that
+// re-sorts every span: thousands of cells of mixed widths on a few
+// identical coordinates, spread for three passes by the snapshot pass and
+// by the old pass kept in place_reference.h, at 1 and 4 threads.  Later
+// passes start from leaf scatters, which tie every cell of a leaf on one
+// axis.
+TEST_F(PnrTest, SpreadPassMatchesReferenceOnTies) {
+  Builder b("ties", ffet_lib_);
+  const NetId clk = b.input("clk");
+  NetId chain = b.input("a");
+  for (int i = 0; i < 1000; ++i) {
+    chain = b.dff(b.xor2(b.nand2(chain, chain), b.inv(chain)), clk);
+  }
+  b.output("q", chain);
+  netlist::Netlist nl = b.take();
+  FloorplanOptions fo;
+  fo.target_utilization = 0.7;
+  const Floorplan fp = make_floorplan(nl, *ffet_tech_, fo);
+
+  std::set<geom::Nm> widths;
+  for (const auto& inst : nl.instances()) widths.insert(inst.type->width());
+  EXPECT_GE(widths.size(), 3u);
+
+  std::mt19937 rng(3);
+  std::uniform_int_distribution<int> pick(0, 2);
+  const geom::Nm w = fp.core.width();
+  const geom::Nm h = fp.core.height();
+  const geom::Nm xs[] = {0, w / 2, w / 2 + 1};
+  const geom::Nm ys[] = {h / 3, h / 3, h - 1};
+  for (int i = 0; i < nl.num_instances(); ++i) {
+    nl.instance(i).pos = {xs[pick(rng)], ys[pick(rng)]};
+  }
+
+  for (const int threads : {1, 4}) {
+    netlist::Netlist ref = nl;
+    std::vector<reference::KeyedCell> cells(
+        static_cast<std::size_t>(ref.num_instances()));
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      cells[i].id = static_cast<netlist::InstId>(i);
+    }
+    detail::Snapshot snap = detail::take_snapshot(nl);
+    ASSERT_EQ(snap.id.size(), cells.size());
+    detail::SpreadScratch scratch;
+    for (int pass = 0; pass < 3; ++pass) {
+      reference::spread_region(ref, fp, cells, fp.core, threads);
+      detail::spread_pass(snap, scratch, fp, threads);
+      for (std::size_t c = 0; c < snap.id.size(); ++c) {
+        ASSERT_EQ(snap.pos[c], ref.instance(snap.id[c]).pos)
+            << "cell " << c << ", pass " << pass << ", " << threads
+            << " threads";
+      }
+    }
   }
 }
 
@@ -373,6 +441,23 @@ TEST_F(PnrTest, PlacementIdenticalAcrossThreadCounts) {
   const auto serial = run(1);
   EXPECT_TRUE(serial == run(2));
   EXPECT_TRUE(serial == run(4));
+}
+
+// The reduced core's placement against the recorded fingerprint
+// (place_digest.h), at 1 and 4 threads: the centroid passes, the spreading
+// bisections and the legalizer's order all enter it.
+TEST_F(PnrTest, GoldenPlacementAtAnyThreadCount) {
+  for (const int threads : {1, 4}) {
+    netlist::Netlist nl = *ffet_core_;
+    FloorplanOptions fo;
+    fo.target_utilization = 0.7;
+    const Floorplan fp = make_floorplan(nl, *ffet_tech_, fo);
+    const PowerPlan pp = build_power_plan(nl, fp, *ffet_lib_);
+    PlacementOptions po;
+    po.threads = threads;
+    const PlacementResult res = place(nl, fp, pp, po);
+    EXPECT_EQ(place_digest(nl, res), 0xa458b19ffb048f5bull) << threads << " threads";
+  }
 }
 
 // --- CTS ------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "pnr/placement.h"
 #include "pnr/powerplan.h"
 #include "pnr/router.h"
+#include "place_digest.h"
 #include "rc_compare.h"
 #include "rc_reference.h"
 #include "riscv/rv32.h"
@@ -166,7 +167,7 @@ class ScaleIoTest : public ::testing::Test {
     fo.target_utilization = 0.6;
     const pnr::Floorplan fp = pnr::make_floorplan(*nl_, *tech_, fo);
     const pnr::PowerPlan pp = pnr::build_power_plan(*nl_, fp, *lib_);
-    pnr::place(*nl_, fp, pp);
+    place_digest_ = pnr::place_digest(*nl_, pnr::place(*nl_, fp, pp));
     pnr::build_clock_tree(*nl_, fp);
     fp_ = new pnr::Floorplan(fp);
     routes_ = new pnr::RouteResult(pnr::route_design(*nl_, fp));
@@ -195,6 +196,7 @@ class ScaleIoTest : public ::testing::Test {
   static pnr::Floorplan* fp_;
   static pnr::RouteResult* routes_;
   static io::Def* merged_;
+  static std::uint64_t place_digest_;  ///< taken before CTS adds buffers
 };
 
 tech::Technology* ScaleIoTest::tech_ = nullptr;
@@ -203,6 +205,12 @@ netlist::Netlist* ScaleIoTest::nl_ = nullptr;
 pnr::Floorplan* ScaleIoTest::fp_ = nullptr;
 pnr::RouteResult* ScaleIoTest::routes_ = nullptr;
 io::Def* ScaleIoTest::merged_ = nullptr;
+std::uint64_t ScaleIoTest::place_digest_ = 0;
+
+// The mesh's placement against the recorded fingerprint (place_digest.h).
+TEST_F(ScaleIoTest, GoldenPlacement) {
+  EXPECT_EQ(place_digest_, 0xf5b26ae542fa2eb9ull);
+}
 
 // The buffered/to_chars DEF writer must round-trip through its own reader
 // bit-identically (write -> read -> re-write) on a ~9k-cell mesh design
