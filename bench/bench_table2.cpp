@@ -42,7 +42,8 @@ int main() {
   print_stack(tech::make_ffet_3p5t());
 
   std::printf("\nlayer-limited variants (Table III / Fig. 12 DoEs):\n");
-  for (const auto [f, b] : {std::pair{10, 2}, {8, 4}, {6, 6}, {5, 5}, {2, 2}}) {
+  for (const auto& [f, b] :
+       {std::pair{10, 2}, {8, 4}, {6, 6}, {5, 5}, {2, 2}}) {
     const tech::Technology t = tech::make_ffet_3p5t().with_routing_limit(f, b);
     std::printf("  %s: %d front + %d back signal routing layers\n",
                 t.routing_pattern().c_str(),

@@ -18,9 +18,8 @@
 # lines; `ffet_report history` / `ffet_report trend` read that history.
 # FFET_LEDGER controls the path (unset here defaults to
 # .ffet_ledger/ledger.jsonl; set FFET_LEDGER=0 to disable).
-# bench_router additionally writes BENCH_router.json (the router's two
-# negotiation loops: stage-1 windowed A* vs. stage-2 Steiner/region); the
-# committed copy is the baseline CI's quick-bench regression gate diffs
+# bench_router additionally writes BENCH_router.json (the router's
+# negotiation loop at four capacity regimes); the committed copy is the baseline CI's quick-bench regression gate diffs
 # against (ffet_report diff --mode router).
 # bench_scale writes BENCH_scale.json (workload-mesh scaling series:
 # per-stage cells/sec + peak RSS from ~10k to 1M+ cells); the committed

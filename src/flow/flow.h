@@ -214,13 +214,11 @@ struct FlowResult {
 
   // Convergence / quality diagnostics (telemetry).
   int route_passes = 0;         ///< RRR passes the router actually ran
-  /// Total subnet-level rip-ups across all passes: 2-pin subnets for the
-  /// stage-2 engine, whole per-side subnets for the stage-1 engines —
-  /// distinct granularities, reported distinctly from the region events
-  /// below.
+  /// Total 2-pin subnet rip-ups across all passes, reported distinctly
+  /// from the region events below.
   long route_ripups = 0;
-  /// Congestion regions processed across all passes (stage-2 engine only;
-  /// each region is one batched rip-up-and-reroute unit).
+  /// Congestion regions processed across all passes (each region is one
+  /// batched rip-up-and-reroute unit).
   long route_region_ripups = 0;
   int route_overflow = 0;       ///< residual hard overflow (track units)
   long route_settled_nodes = 0;  ///< maze-search nodes settled (all passes)

@@ -1,13 +1,12 @@
-// region.h — congestion-region clustering for the stage-2 router.
+// region.h — congestion-region clustering for the router's negotiation.
 //
-// Stage-1 negotiation rips up every subnet crossing an overflowed *edge*,
-// in global pass order — whole-net granularity with no spatial structure.
-// Stage 2 (route_design) instead clusters the overflowed gcells of a
-// pass into rectangular congestion regions (nthu-route's range router is
-// the exemplar): all 2-pin subnets passing through a region are ripped
-// together and rerouted with the region's full congestion picture in their
-// costs, and *disjoint* regions are independent units of work the thread
-// pool can batch.
+// Rather than rip every subnet crossing an overflowed *edge* in one
+// global pass order (no spatial structure), the negotiation loop clusters
+// the overflowed gcells of a pass into rectangular congestion regions
+// (nthu-route's range router is the exemplar): all 2-pin subnets passing
+// through a region are ripped together and rerouted with the region's full
+// congestion picture in their costs, and *disjoint* regions are
+// independent units of work the thread pool can batch.
 //
 // Clustering is deterministic: gcells are unioned by Chebyshev proximity in
 // index order, cluster boxes are expanded by a margin and transitively

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -219,7 +218,7 @@ struct SideGrid {
   bool wired() const { return h_cap > 0.0 || v_cap > 0.0; }
 };
 
-/// A private usage overlay for the stage-2 region-batched reroute: during
+/// A private usage overlay for the region-batched reroute: during
 /// the snapshot-search phase of a pass every congestion region routes its
 /// 2-pin subnets against the *frozen* grid plus this per-region delta of
 /// the paths the region has already picked, so subnets of one region see
@@ -241,28 +240,25 @@ struct UseOverlay {
   }
 };
 
-/// Route one subnet as a Steiner-ish tree: iteratively connect the nearest
-/// unconnected sink to the existing tree with a tree-targeted maze search
-/// (zero-cost sources at all tree nodes).  The kernel is windowed A*
-/// (connect_astar): admissible Manhattan heuristic scaled by the grid's
-/// per-pass cost floors, deterministic (f, g, node-id) tie-breaking, a
-/// search window around the bounding box of {tree, target} that doubles
-/// its margin and finally opens to the full grid when no hard-overflow-free
-/// path exists inside it, cached edge costs, and a 4-ary open list.
+/// The maze kernel of the negotiation loop: connect a 2-pin subnet whose
+/// fast path failed.  The kernel is windowed A* (connect_astar):
+/// admissible Manhattan heuristic scaled by the grid's per-pass cost
+/// floors, deterministic (f, g, node-id) tie-breaking, a search window
+/// around the bounding box of {source, target} that doubles its margin and
+/// finally opens to the full grid when no hard-overflow-free path exists
+/// inside it, cached edge costs, and a 4-ary open list.
 struct PathRouter {
   SideGrid& g;
   std::vector<double> dist;
   std::vector<int> prev;
   std::vector<int> stamp_of;
-  std::vector<int> tree_stamp_of;  ///< O(1) tree membership (stamped)
   int stamp = 0;
-  int tree_stamp = 0;
   long settled = 0;     ///< nodes settled across all searches
   long expansions = 0;  ///< A* window retries (x2 margin or full grid)
-  /// Stage-2 snapshot-search usage overlay; when set, the A* kernel prices
-  /// and prunes edges as if the overlay deltas were already committed.
-  /// The heuristic floors stay admissible: deltas only add load, and
-  /// edge_cost() is monotone in load.
+  /// Snapshot-search usage overlay of a region reroute; when set, the A*
+  /// kernel prices and prunes edges as if the overlay deltas were already
+  /// committed.  The heuristic floors stay admissible: deltas only add
+  /// load, and edge_cost() is monotone in load.
   const UseOverlay* overlay = nullptr;
 
   double h_weight(std::size_t e) const {
@@ -344,15 +340,8 @@ struct PathRouter {
       : g(grid),
         dist(static_cast<std::size_t>(grid.cols * grid.rows)),
         prev(dist.size(), -1),
-        stamp_of(dist.size(), -1),
-        tree_stamp_of(dist.size(), -1) {
+        stamp_of(dist.size(), -1) {
     open.reserve(256);
-  }
-
-  void tree_begin() { ++tree_stamp; }
-  void tree_add(int n) { tree_stamp_of[static_cast<std::size_t>(n)] = tree_stamp; }
-  bool in_tree(int n) const {
-    return tree_stamp_of[static_cast<std::size_t>(n)] == tree_stamp;
   }
 
   /// Inclusive gcell window [c_lo,c_hi]x[r_lo,r_hi].
@@ -362,19 +351,13 @@ struct PathRouter {
   };
   Window full_grid() const { return {0, g.cols - 1, 0, g.rows - 1}; }
 
-  /// The bounding box of {tree, target} grown by `margin` gcells on every
-  /// side and clamped to the grid (the windowed searches' region).
-  Window window_around(const std::vector<int>& tree, int target,
-                       int margin) const {
-    int c_lo = g.col_of(target), c_hi = c_lo;
-    int r_lo = g.row_of(target), r_hi = r_lo;
-    for (int t : tree) {
-      const int c = g.col_of(t), r = g.row_of(t);
-      c_lo = std::min(c_lo, c);
-      c_hi = std::max(c_hi, c);
-      r_lo = std::min(r_lo, r);
-      r_hi = std::max(r_hi, r);
-    }
+  /// The bounding box of {source, target} grown by `margin` gcells on
+  /// every side and clamped to the grid (the windowed searches' region).
+  Window window_around(int source, int target, int margin) const {
+    const int c_lo = std::min(g.col_of(source), g.col_of(target));
+    const int c_hi = std::max(g.col_of(source), g.col_of(target));
+    const int r_lo = std::min(g.row_of(source), g.row_of(target));
+    const int r_hi = std::max(g.row_of(source), g.row_of(target));
     return {std::max(0, c_lo - margin), std::min(g.cols - 1, c_hi + margin),
             std::max(0, r_lo - margin), std::min(g.rows - 1, r_hi + margin)};
   }
@@ -382,8 +365,7 @@ struct PathRouter {
   /// One bounded A* attempt inside `win`.  With `prune` set, edges already
   /// at their hard capacity are not crossed (a clean path is demanded).
   /// Returns true when `target` was settled.
-  bool search_window(const std::vector<int>& tree, int target, Window win,
-                     bool prune) {
+  bool search_window(int source, int target, Window win, bool prune) {
     ++stamp;
     open.clear();
     const double fh = g.floor_h;
@@ -393,13 +375,11 @@ struct PathRouter {
       return fh * static_cast<double>(std::abs(c - tc)) +
              fv * static_cast<double>(std::abs(r - tr));
     };
-    for (int t : tree) {
-      const auto ti = static_cast<std::size_t>(t);
-      dist[ti] = 0.0;
-      prev[ti] = -1;
-      stamp_of[ti] = stamp;
-      open.push({heur(g.col_of(t), g.row_of(t)), 0.0, t});
-    }
+    const auto si = static_cast<std::size_t>(source);
+    dist[si] = 0.0;
+    prev[si] = -1;
+    stamp_of[si] = stamp;
+    open.push({heur(g.col_of(source), g.row_of(source)), 0.0, source});
     while (!open.empty()) {
       const OpenList::Item it = open.pop();
       const int n = it.n;
@@ -440,25 +420,24 @@ struct PathRouter {
     return false;
   }
 
-  /// Windowed A*: bound the search to the bbox of {tree, target} plus a
+  /// Windowed A*: bound the search to the bbox of {source, target} plus a
   /// margin; if no hard-overflow-free path exists inside, double the
   /// margin, then fall back to an unpruned full-grid search (which always
   /// succeeds on a connected grid), so connectivity never depends on the
   /// window policy.
-  std::vector<int> connect_astar(const std::vector<int>& tree, int target,
-                                 int window_margin) {
+  std::vector<int> connect_astar(int source, int target, int window_margin) {
     const int margin = std::max(1, window_margin);
-    const Window first = window_around(tree, target, margin);
-    if (search_window(tree, target, first, true)) return walk_back(target);
+    const Window first = window_around(source, target, margin);
+    if (search_window(source, target, first, true)) return walk_back(target);
     // A re-attempt over the identical (clamped) window would fail
     // identically; skip straight to the next escalation level.
-    const Window wide = window_around(tree, target, 2 * margin);
+    const Window wide = window_around(source, target, 2 * margin);
     if (wide != first) {
       ++expansions;
-      if (search_window(tree, target, wide, true)) return walk_back(target);
+      if (search_window(source, target, wide, true)) return walk_back(target);
     }
     ++expansions;
-    if (search_window(tree, target, full_grid(), false)) {
+    if (search_window(source, target, full_grid(), false)) {
       return walk_back(target);
     }
     return {};  // full grid, unpruned: target unreachable
@@ -469,13 +448,12 @@ struct PathRouter {
   /// Returns an empty path when no hard-clean route exists.  Because it
   /// never crosses a saturated edge it can never *create* hard overflow,
   /// which makes it safe for strict-improvement repair.
-  std::vector<int> connect_pruned(const std::vector<int>& tree, int target,
-                                  int window_margin) {
-    const Window w = window_around(tree, target, std::max(1, window_margin));
-    if (search_window(tree, target, w, true)) return walk_back(target);
+  std::vector<int> connect_pruned(int source, int target, int window_margin) {
+    const Window w = window_around(source, target, std::max(1, window_margin));
+    if (search_window(source, target, w, true)) return walk_back(target);
     if (w != full_grid()) {
       ++expansions;
-      if (search_window(tree, target, full_grid(), true)) {
+      if (search_window(source, target, full_grid(), true)) {
         return walk_back(target);
       }
     }
@@ -536,7 +514,6 @@ struct SubNet {
   Side side = Side::Front;
   int source = 0;
   std::vector<int> sinks;
-  geom::Nm hpwl = 0;
 };
 
 int sidx(Side s) { return s == Side::Front ? 0 : 1; }
@@ -683,12 +660,9 @@ void decompose_net(const Netlist& nl, NetId n, bool has_back,
     return;  // dangling net
   }
 
-  std::array<geom::Rect, 2> bbox{geom::Rect{src_pos, src_pos},
-                                 geom::Rect{src_pos, src_pos}};
   auto add_sink = [&](Side s, geom::Point p) {
     const auto sz = static_cast<std::size_t>(sidx(s));
     out[sz].sinks.push_back(grids[sz].clamp_gcell(p));
-    bbox[sz] = bbox[sz].united({p, p});
   };
   for (const PinRef& sref : net.sinks) {
     const PinSide ps = nl.pin_side(sref);
@@ -718,7 +692,6 @@ void decompose_net(const Netlist& nl, NetId n, bool has_back,
       }
     }
     sn.source = grids[sz].clamp_gcell(src_pos);
-    sn.hpwl = bbox[sz].width() + bbox[sz].height();
   }
 }
 
@@ -737,75 +710,8 @@ std::vector<SubNet> decompose_subnets(const Netlist& nl,
   return subnets;
 }
 
-/// Route one subnet on its side's grid and commit the usage (the inner
-/// kernel of the stage-1 negotiation loop).
-void route_one_subnet(const RouteOptions& options,
-                      const std::vector<SubNet>& subnets,
-                      std::array<SideGrid, 2>& grids,
-                      std::array<PathRouter, 2>& routers,
-                      std::vector<std::vector<GEdge>>& route_edges,
-                      std::size_t si) {
-  const SubNet& sn = subnets[si];
-  SideGrid& g = grids[static_cast<std::size_t>(sidx(sn.side))];
-  PathRouter& pr = routers[static_cast<std::size_t>(sidx(sn.side))];
-  std::vector<GEdge>& edges = route_edges[si];
-  edges.clear();
-  pr.tree_begin();
-  pr.tree_add(sn.source);
-  std::vector<int> tree = {sn.source};
-  // Connect sinks nearest-first.
-  std::vector<int> todo = sn.sinks;
-  std::sort(todo.begin(), todo.end(), [&](int a, int b) {
-    const auto da = std::abs(g.col_of(a) - g.col_of(sn.source)) +
-                    std::abs(g.row_of(a) - g.row_of(sn.source));
-    const auto db = std::abs(g.col_of(b) - g.col_of(sn.source)) +
-                    std::abs(g.row_of(b) - g.row_of(sn.source));
-    if (da != db) return da < db;
-    return a < b;
-  });
-  for (int sink : todo) {
-    if (pr.in_tree(sink)) continue;
-    const std::vector<int> path =
-        pr.connect_astar(tree, sink, options.window_margin);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      edges.push_back({path[i], path[i + 1]});
-    }
-    // Grow the tree by the *new* nodes only: the joint node is already a
-    // member, and a path may revisit gcells the tree owns — appending
-    // those again used to inflate the search seed set quadratically on
-    // high-fanout nets.
-    for (int node : path) {
-      if (!pr.in_tree(node)) {
-        pr.tree_add(node);
-        tree.push_back(node);
-      }
-    }
-  }
-  commit(g, edges, +1.0);
-}
-
-bool subnet_crosses_overflow(const std::vector<SubNet>& subnets,
-                             const std::array<SideGrid, 2>& grids,
-                             const std::vector<std::vector<GEdge>>& route_edges,
-                             std::size_t si) {
-  const SideGrid& g =
-      grids[static_cast<std::size_t>(sidx(subnets[si].side))];
-  for (const GEdge& e : route_edges[si]) {
-    const int a = std::min(e.a, e.b), b = std::max(e.a, e.b);
-    const int c = g.col_of(a), r = g.row_of(a);
-    if (b == a + 1) {
-      const auto i = static_cast<std::size_t>(g.h_edge(c, r));
-      if (g.h_base[i] + g.h_use[i] > g.h_cap) return true;
-    } else {
-      const auto i = static_cast<std::size_t>(g.v_edge(c, r));
-      if (g.v_base[i] + g.v_use[i] > g.v_cap) return true;
-    }
-  }
-  return false;
-}
-
 /// Per-pass PathFinder history update: decay, then bump every overflowed
-/// edge in proportion to its overload (shared by all negotiation loops).
+/// edge in proportion to its overload.
 void decay_history(SideGrid& g) {
   for (std::size_t i = 0; i < g.h_use.size(); ++i) {
     g.h_hist[i] *= kHistoryDecay;
@@ -819,8 +725,8 @@ void decay_history(SideGrid& g) {
   }
 }
 
-/// Convergence record shared by both negotiation loops: one RoutePassStat
-/// per executed pass, search effort read as deltas of the per-side
+/// Convergence record of the negotiation loop: one RoutePassStat per
+/// executed pass, search effort read as deltas of the per-side
 /// routers, the result's pass/rip-up totals, and the FFET_VERBOSE
 /// one-line-per-side summary.  Overflows are read from the grids, which
 /// maintain them incrementally, so the pass barrier never rescans a grid.
@@ -832,11 +738,11 @@ class PassRecorder {
         settled_mark_{routers[0].settled, routers[1].settled},
         expansions_mark_{routers[0].expansions, routers[1].expansions} {}
 
-  /// Pass 0 is the initial route (`ripped` counts the subnets routed);
-  /// every later pass is a rip-up-and-reroute round.  `regions` counts the
-  /// stage-2 congestion regions processed (zero for stage 1).
+  /// Pass 0 is the initial route (`ripped` counts the 2-pin subnets
+  /// routed); every later pass is a rip-up-and-reroute round.  `regions`
+  /// counts the congestion regions processed.
   void record(int pass, std::array<std::size_t, 2> ripped,
-              std::array<int, 2> regions = {0, 0}) {
+              std::array<int, 2> regions) {
     if (pass > 0) {
       res_.rrr_passes = pass;
       res_.ripups_total += static_cast<long>(ripped[0] + ripped[1]);
@@ -887,136 +793,18 @@ class PassRecorder {
   std::array<long, 2> expansions_mark_;
 };
 
-// --- stage 1: whole-subnet negotiation ----------------------------------------
-
-/// The stage-1 negotiation loop.  Routes the subnets listed in `order`
-/// monolithically, short nets first (they have the least flexibility),
-/// then negotiates: each pass decays history, rips every listed subnet
-/// crossing an overflowed edge and reroutes it.  The best solution seen
-/// (by hard overflow, then total overflow) is restored at the end —
-/// negotiation is not monotone — and six passes without improvement stop
-/// the loop.  Unlisted subnets keep the edges `route_edges` holds, which
-/// must be committed to the grids (RouteState's carried routes).  After a
-/// restore, `refold` re-folds the grids' running totals in the order a
-/// fresh build commits every route (refold_totals).
-///
-/// A subnet touches only its own side's grid and router, so each side
-/// works through its in-order subsequence of the global order, and with
-/// threads >= 2 the two sides run concurrently, bit-identical to the
-/// serial run.  The pass barrier (overflow totals, best tracking, the
-/// convergence record) is serial.  Returns whether any pass updated the
-/// history.
-bool negotiate_subnets(RouteResult& res, const RouteOptions& options,
-                       const std::vector<SubNet>& subnets,
-                       std::array<SideGrid, 2>& grids,
-                       std::array<PathRouter, 2>& routers,
-                       std::vector<std::vector<GEdge>>& route_edges,
-                       std::vector<std::size_t> order,
-                       const std::function<void()>& refold) {
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (subnets[a].hpwl != subnets[b].hpwl) {
-      return subnets[a].hpwl < subnets[b].hpwl;
-    }
-    return subnets[a].net < subnets[b].net;
-  });
-  std::array<std::vector<std::size_t>, 2> side_order;
-  for (std::size_t si : order) {
-    side_order[static_cast<std::size_t>(sidx(subnets[si].side))].push_back(si);
-  }
-  auto route_one = [&](std::size_t si) {
-    route_one_subnet(options, subnets, grids, routers, route_edges, si);
-  };
-
-  PassRecorder recorder(res, routers);
-  auto route_side_initial = [&](int s) {
-    for (std::size_t si : side_order[static_cast<std::size_t>(s)]) {
-      route_one(si);
-    }
-  };
-  runtime::parallel_invoke(options.threads, [&] { route_side_initial(0); },
-                           [&] { route_side_initial(1); });
-  recorder.record(0, {side_order[0].size(), side_order[1].size()});
-
-  auto total_hard = [&] {
-    return grids[0].hard_overflow() + grids[1].hard_overflow();
-  };
-  // Only the listed subnets move, so only they are snapshotted.
-  auto snapshot = [&] {
-    std::vector<std::vector<GEdge>> snap;
-    snap.reserve(order.size());
-    for (std::size_t si : order) snap.push_back(route_edges[si]);
-    return snap;
-  };
-  std::vector<std::vector<GEdge>> best_routes = snapshot();
-  double best_hard = total_hard();
-  double best_soft = grids[0].overflow() + grids[1].overflow();
-  int stale_passes = 0;
-  bool history_updated = false;
-  for (int pass = 1;
-       pass < options.rrr_passes && best_hard > 0.0 && stale_passes < 6;
-       ++pass) {
-    history_updated = true;
-    std::array<std::size_t, 2> ripped_counts{0, 0};
-    auto pass_side = [&](int s) {
-      const auto sz = static_cast<std::size_t>(s);
-      decay_history(grids[sz]);
-      grids[sz].rebuild_costs();
-      std::vector<std::size_t> ripped;
-      for (std::size_t si : side_order[sz]) {
-        if (subnet_crosses_overflow(subnets, grids, route_edges, si)) {
-          ripped.push_back(si);
-        }
-      }
-      for (std::size_t si : ripped) commit(grids[sz], route_edges[si], -1.0);
-      for (std::size_t si : ripped) route_one(si);
-      ripped_counts[sz] = ripped.size();
-    };
-    runtime::parallel_invoke(options.threads, [&] { pass_side(0); },
-                             [&] { pass_side(1); });
-    if (ripped_counts[0] + ripped_counts[1] == 0) break;
-    recorder.record(pass, ripped_counts);
-
-    const double hard = total_hard();
-    const double soft = grids[0].overflow() + grids[1].overflow();
-    if (hard < best_hard || (hard == best_hard && soft < best_soft)) {
-      best_hard = hard;
-      best_soft = soft;
-      best_routes = snapshot();
-      stale_passes = 0;
-    } else {
-      ++stale_passes;
-    }
-  }
-  // Restore the best solution (usage arrays included, for diagnostics).
-  bool restore = false;
-  for (std::size_t k = 0; k < order.size() && !restore; ++k) {
-    restore = best_routes[k] != route_edges[order[k]];
-  }
-  if (restore) {
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      const std::size_t si = order[k];
-      SideGrid& g = grids[static_cast<std::size_t>(sidx(subnets[si].side))];
-      commit(g, route_edges[si], -1.0);
-      route_edges[si] = std::move(best_routes[k]);
-      commit(g, route_edges[si], +1.0);
-    }
-    refold();
-  }
-  return history_updated;
-}
-
-// --- stage 2: Steiner 2-pin decomposition + region negotiation ---------------
+// --- the negotiation loop: Steiner 2-pin subnets + congestion regions --------
 
 /// One 2-pin subnet: a segment of its parent per-side subnet's Steiner
 /// topology, routed independently of its siblings.
 struct TwoPin {
-  int parent = 0;  ///< index into the SubNet list
+  int parent = 0;  ///< position of its subnet in the routed list
   int a = 0;       ///< endpoint gcell nodes
   int b = 0;
   int len = 0;     ///< Manhattan endpoint distance (route-order key)
 };
 
-/// One side's stage-2 edge refcounts: how many committed 2-pin paths of a
+/// One side's edge refcounts: how many committed 2-pin paths of a
 /// parent subnet cross a grid edge, keyed by (parent << 32) | edge key.
 /// Open addressing with linear probing over flat key and count arrays, at
 /// most 3/4 full.  A count that falls to 0 keeps its slot (a later commit
@@ -1061,12 +849,6 @@ class EdgeRefTable {
     return --counts_[i] == 0;
   }
 
-  void clear() {
-    std::fill(keys_.begin(), keys_.end(), kEmpty);
-    std::fill(counts_.begin(), counts_.end(), 0);
-    used_ = 0;
-  }
-
  private:
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
@@ -1098,7 +880,7 @@ class EdgeRefTable {
   int shift_ = 64;
 };
 
-/// Per-side stage-2 state: the 2-pin subnets (each parent's contiguous, in
+/// Per-side negotiation state: the 2-pin subnets (each parent's contiguous, in
 /// subnet order), their committed paths and edge refcounts, and the
 /// gcell -> passing-subnets color map that lets a congestion region collect
 /// the subnets crossing it without scanning every path.  Only negotiation
@@ -1124,7 +906,7 @@ std::pair<int, int> edge_key(const SideGrid& g, int u, int v) {
 
 /// Commit a 2-pin path: bump the parent subnet's per-edge refcounts (the
 /// grid sees +1 only on a 0 -> 1 transition, so overlapping paths of one
-/// net occupy one track, exactly like the stage-1 tree commit), and, once
+/// net occupy one track, as in a committed route's edge set), and, once
 /// the color map exists, color every gcell the path crosses with the
 /// subnet id.
 void commit_tp(SideGrid& g, TwoPinSide& ts, std::size_t tp_id,
@@ -1325,13 +1107,12 @@ std::vector<int> route_tp_search(const RouteOptions& options, SideGrid& g,
     return path;
   }
   // The fallback window scales with the segment: a 2-pin bbox is much
-  // smaller than a stage-1 whole-tree bbox, and a margin-6 window around a
+  // smaller than a whole subnet's bbox, and a margin-6 window around a
   // segment pinned inside a saturated band escalates straight to the
   // unpruned full grid — creating hard overflow a wider pruned window
   // would have detoured around.
   pr.overlay = ov;
-  path = pr.connect_astar({tp.a}, tp.b,
-                          std::max(options.window_margin, tp.len));
+  path = pr.connect_astar(tp.a, tp.b, std::max(options.window_margin, tp.len));
   pr.overlay = nullptr;
   return path;
 }
@@ -1352,26 +1133,36 @@ struct PassScratch {
 /// edge emit.
 constexpr std::size_t kSubnetBlock = 256;
 
-/// The stage-2 route loop: Steiner-decompose every subnet into 2-pin
-/// subnets, route them short-first (fast path, then A*), then negotiate by
-/// congestion region — cluster the overflowed gcells, rip only the subnets
-/// crossing each region, search region reroutes in parallel against a
-/// frozen snapshot (private overlays), and commit serially in region order.
-/// Serial and threaded runs execute the same searches against the same
-/// frozen state, so results are bit-identical at any thread count.
-/// Fills route_edges (per parent subnet, deduplicated) and the res
-/// counters; the caller finalizes.
-void route_astar2(RouteResult& res, const RouteOptions& options,
-                  const std::vector<SubNet>& subnets,
-                  std::array<SideGrid, 2>& grids,
-                  std::array<PathRouter, 2>& routers,
-                  std::vector<std::vector<GEdge>>& route_edges) {
+/// What a negotiation left on the grids besides the routes' usage.
+struct NegotiationEnd {
+  bool history_written = false;  ///< a pass updated the history
+  bool restored = false;         ///< the best pass's paths were put back
+};
+
+/// The negotiation loop: Steiner-decompose the subnets listed in `listed`
+/// (ascending indices into `subnets`) into 2-pin subnets, route them
+/// short-first (fast path, then A*), then negotiate by congestion region —
+/// cluster the overflowed gcells, rip only the listed subnets crossing
+/// each region, search region reroutes in parallel against a frozen
+/// snapshot (private overlays), and commit serially in region order.
+/// Every unlisted subnet's usage must already be on the grids, where it
+/// stays as fixed usage (RouteState's carried routes); route_design lists
+/// every subnet on empty grids.  Serial and threaded runs execute the same
+/// searches against the same frozen state, so results are bit-identical at
+/// any thread count.  Fills route_edges of the listed subnets (per subnet,
+/// deduplicated) and the res counters; the caller finalizes.
+NegotiationEnd route_astar2(RouteResult& res, const RouteOptions& options,
+                            const std::vector<SubNet>& subnets,
+                            const std::vector<std::size_t>& listed,
+                            std::array<SideGrid, 2>& grids,
+                            std::array<PathRouter, 2>& routers,
+                            std::vector<std::vector<GEdge>>& route_edges) {
   // --- decompose over Steiner topologies -----------------------------------
-  // Blocks of subnets build their trees in parallel, each into its own
-  // slot; the serial append keeps subnet order, so each side's tps, and
+  // Blocks of listed subnets build their trees in parallel, each into its
+  // own slot; the serial append keeps list order, so each side's tps, and
   // every parent's contiguous span of them, are those of a serial run.
   const std::size_t n_blocks =
-      (subnets.size() + kSubnetBlock - 1) / kSubnetBlock;
+      (listed.size() + kSubnetBlock - 1) / kSubnetBlock;
   std::vector<std::vector<TwoPin>> block_tps(n_blocks);
   runtime::parallel_for(
       n_blocks,
@@ -1379,9 +1170,9 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
         std::vector<int> term_nodes;
         std::vector<SteinerPoint> terms;
         const std::size_t end =
-            std::min(subnets.size(), (b + 1) * kSubnetBlock);
-        for (std::size_t si = b * kSubnetBlock; si < end; ++si) {
-          const SubNet& sn = subnets[si];
+            std::min(listed.size(), (b + 1) * kSubnetBlock);
+        for (std::size_t k = b * kSubnetBlock; k < end; ++k) {
+          const SubNet& sn = subnets[listed[k]];
           const SideGrid& g = grids[static_cast<std::size_t>(sidx(sn.side))];
           term_nodes.clear();
           terms.clear();
@@ -1403,7 +1194,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
                 tree.points[static_cast<std::size_t>(seg.b)];
             if (pa == pb) continue;
             TwoPin tp;
-            tp.parent = static_cast<int>(si);
+            tp.parent = static_cast<int>(k);
             tp.a = g.node(pa.c, pa.r);
             tp.b = g.node(pb.c, pb.r);
             tp.len = std::abs(pa.c - pb.c) + std::abs(pa.r - pb.r);
@@ -1413,12 +1204,13 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       },
       options.threads);
   std::array<TwoPinSide, 2> sides;
-  // Each subnet's [first, end) span of its side's tps.
-  std::vector<std::pair<std::size_t, std::size_t>> spans(subnets.size());
+  // Each listed subnet's [first, end) span of its side's tps.
+  std::vector<std::pair<std::size_t, std::size_t>> spans(listed.size());
   for (const std::vector<TwoPin>& block : block_tps) {
     for (const TwoPin& tp : block) {
       const auto p = static_cast<std::size_t>(tp.parent);
-      TwoPinSide& ts = sides[static_cast<std::size_t>(sidx(subnets[p].side))];
+      TwoPinSide& ts =
+          sides[static_cast<std::size_t>(sidx(subnets[listed[p]].side))];
       if (spans[p].second == 0) spans[p].first = ts.tps.size();
       ts.tps.push_back(tp);
       spans[p].second = ts.tps.size();
@@ -1464,7 +1256,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
 
   // --- hard-overflow repair -------------------------------------------------
   // The Steiner topology is fixed before congestion is known, so some
-  // subnets end up pinned across hard-saturated edges that stage-1's
+  // subnets end up pinned across hard-saturated edges that a
   // congestion-aware tree growth would have skirted.  Repair one subnet
   // at a time: rip a crossing subnet and retry with hard-pruned search
   // only (fast path, window, full grid — never unpruned), keeping the new
@@ -1512,7 +1304,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
             monotone_fast_path(g, nullptr, ts.tps[t].a, ts.tps[t].b);
         if (repl.empty()) {
           repl = pr.connect_pruned(
-              {ts.tps[t].a}, ts.tps[t].b,
+              ts.tps[t].a, ts.tps[t].b,
               std::max(options.window_margin, ts.tps[t].len));
         }
         bool accepted = false;
@@ -1562,7 +1354,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   double best_hard = total_hard();
   double best_soft = grids[0].overflow() + grids[1].overflow();
   int stale_passes = 0;
-  recorder.record(0, {sides[0].tps.size(), sides[1].tps.size()});
+  recorder.record(0, {sides[0].tps.size(), sides[1].tps.size()}, {0, 0});
 
   std::array<std::size_t, 2> ripped_counts{0, 0};
   std::array<int, 2> region_counts{0, 0};
@@ -1719,9 +1511,11 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     ripped_counts[sz] = n_ripped;
   };
 
+  NegotiationEnd end;
   for (int pass = 1; pass < options.rrr_passes &&
                      best_hard > hard_floor + 1e-9 && stale_passes < 6;
        ++pass) {
+    end.history_written = true;
     if (pass == 1) best_paths = {sides[0].paths, sides[1].paths};
     runtime::parallel_invoke(options.threads, [&] { pass_side(0, pass); },
                              [&] { pass_side(1, pass); });
@@ -1747,36 +1541,44 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     }
   }
 
-  // Restore the best solution (usage arrays included, for diagnostics).
-  // The refcount union is order-independent, so recommitting in id order
-  // reproduces the exact grid state of the snapshot.  Nothing reads the
-  // color map after the passes, so the recommit leaves it empty.
+  // Restore the best solution (usage arrays included, for diagnostics):
+  // rip every listed path, then recommit the snapshot's.  The refcount
+  // union is order-independent, so recommitting in id order reproduces the
+  // exact usage of the snapshot; the unlisted usage is never touched.  The
+  // running totals are rescanned between the two, so with nothing carried
+  // they are the base-only fold of a fresh grid followed by the id-order
+  // commit.  Nothing reads the color map after the passes, so it is
+  // dropped first (rips and the recommit then skip it).
   if (!current_is_best) {
+    end.restored = true;
     for (std::size_t sz = 0; sz < 2; ++sz) {
-      grids[sz].clear_use();
-      sides[sz].refs.clear();
       sides[sz].cell_tps.clear();
+      for (std::size_t t = 0; t < sides[sz].tps.size(); ++t) {
+        rip_tp(grids[sz], sides[sz], t);
+      }
+      grids[sz].rescan_overflow();
       for (std::size_t t = 0; t < sides[sz].tps.size(); ++t) {
         commit_tp(grids[sz], sides[sz], t, std::move(best_paths[sz][t]));
       }
     }
   }
 
-  // Emit each parent subnet's deduplicated edge set, sorted by edge key for
-  // a stable order.  A parent's refcount is positive exactly on the edges
-  // its committed paths cross, so gathering the keys of its own contiguous
-  // span of paths yields that set without reading the table.
+  // Emit each listed subnet's deduplicated edge set, sorted by edge key
+  // for a stable order.  A parent's refcount is positive exactly on the
+  // edges its committed paths cross, so gathering the keys of its own
+  // contiguous span of paths yields that set without reading the table.
   runtime::parallel_for(
       n_blocks,
       [&](std::size_t b) {
         std::vector<int> keys;
-        const std::size_t end =
-            std::min(subnets.size(), (b + 1) * kSubnetBlock);
-        for (std::size_t si = b * kSubnetBlock; si < end; ++si) {
+        const std::size_t last =
+            std::min(listed.size(), (b + 1) * kSubnetBlock);
+        for (std::size_t k = b * kSubnetBlock; k < last; ++k) {
+          const std::size_t si = listed[k];
           const auto sz = static_cast<std::size_t>(sidx(subnets[si].side));
           const SideGrid& g = grids[sz];
           keys.clear();
-          for (std::size_t t = spans[si].first; t < spans[si].second; ++t) {
+          for (std::size_t t = spans[k].first; t < spans[k].second; ++t) {
             const std::vector<int>& path = sides[sz].paths[t];
             for (std::size_t i = 0; i + 1 < path.size(); ++i) {
               const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
@@ -1803,6 +1605,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       },
       options.threads);
   res.fastpath_routes = fastpath[0] + fastpath[1];
+  return end;
 }
 
 // --- results: wirelength, layer assignment, overflow + DRV accounting ---------
@@ -1916,7 +1719,7 @@ double pin_budget_of(const Floorplan& fp, const RouteOptions& options) {
   return options.pin_access_limit_per_um2 * fp.core.area_um2();
 }
 
-/// Emit the stage-2 routes with their quantile layers (moving each edge
+/// Emit the routes with their quantile layers (moving each edge
 /// list out of `route_edges`), then account.
 void finalize_route_result(RouteResult& res, const Floorplan& fp,
                            const tech::Technology& tech,
@@ -1978,7 +1781,9 @@ RouteResult route_design(const Netlist& nl, const Floorplan& fp,
   std::array<PathRouter, 2> routers{PathRouter(gs.grids[0]),
                                     PathRouter(gs.grids[1])};
   std::vector<std::vector<GEdge>> route_edges(subnets.size());
-  route_astar2(res, options, subnets, gs.grids, routers, route_edges);
+  std::vector<std::size_t> every(subnets.size());
+  std::iota(every.begin(), every.end(), std::size_t{0});
+  route_astar2(res, options, subnets, every, gs.grids, routers, route_edges);
   finalize_route_result(res, fp, tech, options, subnets, route_edges, gs,
                         routers);
   return res;
@@ -2347,8 +2152,10 @@ void RouteState::reroute(const Netlist& nl,
     pr.expansions = 0;
   }
   RouteResult out;
-  if (negotiate_subnets(out, s.options, s.subnets, s.gs.grids, s.routers,
-                        s.edges, routed, [&] { s.refold(); })) {
+  const NegotiationEnd end = route_astar2(out, s.options, s.subnets, routed,
+                                          s.gs.grids, s.routers, s.edges);
+  if (end.restored) s.refold();
+  if (end.history_written) {
     for (SideGrid& g : s.gs.grids) g.clear_history();
   }
   s.assign_layers(routed);

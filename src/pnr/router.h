@@ -42,23 +42,19 @@ namespace ffet::pnr {
 
 using tech::Side;
 
-/// The router has two negotiation loops:
-///
-///   * stage 2, route_design(): every multi-sink subnet is decomposed over
-///     a rectilinear Steiner topology (src/pnr/steiner.h) into
-///     independently-routed 2-pin subnets, uncongested subnets take a
-///     monotonic L/Z fast path that never touches the A* heap, and
-///     negotiation rips up by congestion *region* (src/pnr/region.h) with
-///     region reroutes batched across the thread pool (snapshot search +
-///     serial commit barrier, bit-identical at any thread count);
-///   * stage 1, RouteState / reroute_nets(): each per-side subnet is routed
-///     monolithically source-to-sinks with windowed A* (admissible
-///     Manhattan lower bound scaled by the per-pass minimum edge cost, a
-///     search window around {tree, target} that adaptively expands (x2,
-///     then full grid) when no hard-overflow-free path exists inside it, a
-///     per-pass edge-cost cache, and O(1) stamped tree membership), and
-///     negotiation rips up whole subnets.  The ECO reroutes through it; a
-///     full stage-1 route is a reroute with nothing carried.
+/// The router has one negotiation loop, run by route_design() on every
+/// subnet and by RouteState / reroute_nets() on the ECO's dirty ones:
+/// every multi-sink subnet is decomposed over a rectilinear Steiner
+/// topology (src/pnr/steiner.h) into independently-routed 2-pin subnets,
+/// uncongested subnets take a monotonic L/Z fast path that never touches
+/// the A* heap, and the rest fall back to windowed A* (admissible
+/// Manhattan lower bound scaled by the per-pass minimum edge cost, a
+/// search window around {source, target} that adaptively expands (x2,
+/// then full grid) when no hard-overflow-free path exists inside it, and a
+/// per-pass edge-cost cache).  Negotiation rips up by congestion *region*
+/// (src/pnr/region.h) with region reroutes batched across the thread pool
+/// (snapshot search + serial commit barrier, bit-identical at any thread
+/// count).
 struct RouteOptions {
   int gcell_tracks = 15;       ///< gcell edge length in M2 track pitches
   int rrr_passes = 24;         ///< rip-up-and-reroute iterations
@@ -93,15 +89,16 @@ struct RouteOptions {
   /// to threads == 1, which routes the frontside, then the backside.
   int threads = 1;
   /// Initial A* search-window margin, in gcells, around the bounding box
-  /// of {current tree, target sink}.  Windowed attempts admit only paths
+  /// of a 2-pin subnet's {source, target} (raised to the subnet's length
+  /// when that is larger).  Windowed attempts admit only paths
   /// that create no *hard* overflow; if none exists the margin doubles
   /// once, then the search falls back to the full grid with no pruning
   /// (so connectivity never depends on the window).
   int window_margin = 6;
-  /// Stage-2 region clustering: overflowed gcells within this Chebyshev
-  /// distance join one congestion region, and each region's bounding box
-  /// grows by `region_margin` gcells so the batched reroute sees
-  /// congestion context beyond the hot cells.  Ignored by stage 1.
+  /// Region clustering: overflowed gcells within this Chebyshev distance
+  /// join one congestion region, and each region's bounding box grows by
+  /// `region_margin` gcells so the batched reroute sees congestion context
+  /// beyond the hot cells.
   int region_merge_dist = 2;
   int region_margin = 3;
 };
@@ -128,8 +125,8 @@ struct NetRoute {
 };
 
 /// Convergence record of one negotiation pass.  Pass 0 is the initial
-/// route (ripped counts are the number of subnets *routed*); passes >= 1
-/// are rip-up-and-reroute rounds.  Overflows are measured after the pass.
+/// route (ripped counts are the number of 2-pin subnets *routed*); passes
+/// >= 1 are rip-up-and-reroute rounds.  Overflows are measured after the pass.
 struct RoutePassStat {
   int pass = 0;
   int ripped_front = 0;
@@ -142,9 +139,8 @@ struct RoutePassStat {
   long settled_back = 0;
   int window_expansions_front = 0;  ///< A* window retries (x2 / full grid)
   int window_expansions_back = 0;
-  // Stage-2 congestion-region counters: regions clustered this pass; the
-  // ripped counts above are then 2-pin subnet rip-ups scoped to those
-  // regions.  Zero in stage 1.
+  // Congestion-region counters: regions clustered this pass; the ripped
+  // counts above are then 2-pin subnet rip-ups scoped to those regions.
   int regions_front = 0;
   int regions_back = 0;
 };
@@ -176,20 +172,18 @@ struct RouteResult {
 
   // Convergence diagnostics: one entry per executed pass (see
   // RoutePassStat), the number of RRR passes actually run (excluding the
-  // initial route), and the total subnet-level rip-ups across all passes
-  // (2-pin subnets in stage 2; whole per-side subnets in stage 1).  With FFET_VERBOSE set the router also prints a one-line
-  // per-pass summary.
+  // initial route), and the total 2-pin subnet rip-ups across all passes.
+  // With FFET_VERBOSE set the router also prints a one-line per-pass
+  // summary.
   std::vector<RoutePassStat> pass_stats;
   int rrr_passes = 0;
   long ripups_total = 0;
   /// Congestion regions processed across all passes (region-level rip-up
-  /// events; zero in stage 1, which rips whole subnets in pass order with
-  /// no spatial scoping).
+  /// events).
   long region_ripups_total = 0;
 
-  /// Stage-2 decomposition counters: 2-pin subnets produced by the Steiner
-  /// decomposition (zero in stage 1, which routes per-side subnets
-  /// monolithically), and how many 2-pin routes (initial + reroutes) were
+  /// Decomposition counters: 2-pin subnets produced by the Steiner
+  /// decomposition, and how many 2-pin routes (initial + reroutes) were
   /// satisfied by the monotonic L/Z fast path without touching the A* heap.
   long steiner_subnets = 0;
   long fastpath_routes = 0;
@@ -204,7 +198,7 @@ struct RouteResult {
   }
 };
 
-/// Route all signal nets of a placed netlist in stage 2.  Sinks on
+/// Route all signal nets of a placed netlist.  Sinks on
 /// backside pins are reachable only because FFET output pins are
 /// dual-sided; requesting a route for a netlist with backside sinks on a
 /// technology without backside routing layers throws std::runtime_error (no
@@ -222,8 +216,9 @@ RouteResult route_design(const netlist::Netlist& nl, const Floorplan& fp,
 /// reroute() applies the pin-access deltas of the instances that were
 /// resized, moved, added or had a pin flipped, re-decomposes the nets those
 /// touch plus the dirty ones, rips out every subnet whose decomposition
-/// changed (and every dirty one) and re-commits only those through the
-/// stage-1 negotiation loop.  Every quantity a rebuild would derive is
+/// changed (and every dirty one) and re-routes only those through the
+/// negotiation loop route_design() runs, against the carried routes as
+/// fixed usage.  Every quantity a rebuild would derive is
 /// reproduced bit for bit (see DESIGN.md §11): pin-access bases are integer
 /// pin counts read through a RepeatedSum, the grids' running overflow
 /// totals are re-folded in a fresh build's commit order, and history is
@@ -307,9 +302,9 @@ std::vector<double> pin_demand_bases(const netlist::Netlist& nl,
 /// its layer assignment from `prev`, so its DEF wires — and extracted
 /// parasitics — are bit-identical to `prev`.
 ///
-/// The dirty subnets negotiate in the stage-1 loop, which also fills
-/// `pass_stats`.  A full stage-1 route is this with nothing carried:
-/// `reroute_nets(nl, fp, {}, {}, options)`.
+/// The dirty subnets negotiate in route_design()'s loop, which also fills
+/// `pass_stats`.  With nothing carried, `reroute_nets(nl, fp, {}, {},
+/// options)` returns exactly route_design(nl, fp, options).
 RouteResult reroute_nets(const netlist::Netlist& nl, const Floorplan& fp,
                          const RouteResult& prev,
                          const std::vector<netlist::NetId>& dirty_nets,

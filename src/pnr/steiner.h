@@ -1,8 +1,8 @@
 // steiner.h — rectilinear Steiner topology generation for the 2-pin
-// decomposition of multi-sink nets (router stage 2).
+// decomposition of multi-sink nets.
 //
-// The stage-2 router (route_design) no longer grows each net
-// source-to-sinks inside the maze search.  Instead every per-side subnet is
+// The router does not grow each net source-to-sinks inside the maze
+// search.  Instead every per-side subnet is
 // decomposed *before* routing over a rectilinear Steiner tree of its
 // terminals, and each tree segment becomes an independently-routed 2-pin
 // subnet — the structure nthu-route popularized (Construct_2d_tree /

@@ -136,12 +136,11 @@ std::string format_diff(const DiffReport& report);
 int eco_gate(const json::Value& base, const json::Value& now,
              std::string& out);
 
-/// The bench_router gate vs the committed baseline: for every config and
-/// both negotiation loops ("astar" stage 1, "astar2" stage 2) the
-/// deterministic work counters (passes, ripups, region_ripups,
-/// window_expansions, drv_wire, steiner_subnets, fastpath) and the
-/// wirelength must match exactly, per-route search effort may rise at most
-/// 20 %, and the stage-1-vs-stage-2 speedup may fall at most 20 %.
+/// The bench_router gate vs the committed baseline: for every config the
+/// route's deterministic work counters ("astar2": passes, ripups,
+/// region_ripups, window_expansions, drv_wire, steiner_subnets, fastpath)
+/// and the wirelength must match exactly, and per-route search effort may
+/// rise at most 20 %.
 int router_gate(const json::Value& base, const json::Value& now,
                 std::string& out);
 

@@ -517,21 +517,10 @@ struct RoutedDesign {
   RouteResult rr;
 };
 
-/// The stage-1 negotiation loop from nothing: a reroute with nothing
-/// carried.
-RouteResult route_stage1(const netlist::Netlist& nl, const Floorplan& fp,
-                         const RouteOptions& ro) {
-  return reroute_nets(nl, fp, {}, {}, ro);
-}
-
-using RouteFn = RouteResult (*)(const netlist::Netlist&, const Floorplan&,
-                                const RouteOptions&);
-
 RoutedDesign route_core(const netlist::Netlist& core,
                         const tech::Technology& tech,
                         const stdcell::Library& lib, double util,
-                        const RouteOptions& ro = {},
-                        RouteFn route = route_design) {
+                        const RouteOptions& ro = {}) {
   RoutedDesign rd{core, {}, {}};
   FloorplanOptions fo;
   fo.target_utilization = util;
@@ -539,12 +528,12 @@ RoutedDesign route_core(const netlist::Netlist& core,
   const PowerPlan pp = build_power_plan(rd.nl, rd.fp, lib);
   place(rd.nl, rd.fp, pp);
   build_clock_tree(rd.nl, rd.fp);
-  rd.rr = route(rd.nl, rd.fp, ro);
+  rd.rr = route_design(rd.nl, rd.fp, ro);
   return rd;
 }
 
 /// Union-find connectivity over every route: source and all sinks in one
-/// component (the invariant both negotiation loops must preserve).
+/// component (the invariant the negotiation loop must preserve).
 void expect_all_sinks_connected(const netlist::Netlist& nl,
                                 const RouteResult& rr) {
   for (const NetRoute& r : rr.routes) {
@@ -576,37 +565,54 @@ void expect_pass_stats_sum_to_totals(const RouteResult& rr) {
 }
 
 /// Two route results are the same route for route (net, side, edges,
-/// layers) and counter for counter, pass records included.
+/// layers, terminals, wirelength) and every other field bit for bit, pass
+/// records included.
 void expect_same_routing(const RouteResult& a, const RouteResult& b) {
   ASSERT_EQ(a.routes.size(), b.routes.size());
   for (std::size_t i = 0; i < a.routes.size(); ++i) {
     const NetRoute& x = a.routes[i];
     const NetRoute& y = b.routes[i];
-    EXPECT_EQ(x.net, y.net);
-    EXPECT_EQ(x.side, y.side);
+    EXPECT_EQ(x.net, y.net) << "route " << i;
+    EXPECT_EQ(x.side, y.side) << "route " << i;
     EXPECT_EQ(x.edges, y.edges) << "route " << i << " differs";
     EXPECT_EQ(x.h_layer_index, y.h_layer_index) << "route " << i;
     EXPECT_EQ(x.v_layer_index, y.v_layer_index) << "route " << i;
+    EXPECT_EQ(x.sink_gcells, y.sink_gcells) << "route " << i;
+    EXPECT_EQ(x.source_gcell, y.source_gcell) << "route " << i;
+    EXPECT_EQ(x.wirelength_um, y.wirelength_um) << "route " << i;
   }
-  EXPECT_EQ(a.rrr_passes, b.rrr_passes);
-  EXPECT_EQ(a.ripups_total, b.ripups_total);
-  EXPECT_EQ(a.settled_nodes, b.settled_nodes);
-  EXPECT_EQ(a.window_expansions, b.window_expansions);
-  EXPECT_EQ(a.overflow_total, b.overflow_total);
-  EXPECT_EQ(a.drv_wire, b.drv_wire);
-  EXPECT_EQ(a.drv_estimate, b.drv_estimate);
+  EXPECT_EQ(std::tie(a.gcols, a.grows, a.gcell_w, a.gcell_h),
+            std::tie(b.gcols, b.grows, b.gcell_w, b.gcell_h));
+  EXPECT_EQ(a.wirelength_front_um, b.wirelength_front_um);
+  EXPECT_EQ(a.wirelength_back_um, b.wirelength_back_um);
+  EXPECT_EQ(std::tie(a.nets_front, a.nets_back, a.overflow_total, a.drv_wire,
+                     a.drv_pin_access, a.drv_estimate, a.valid),
+            std::tie(b.nets_front, b.nets_back, b.overflow_total, b.drv_wire,
+                     b.drv_pin_access, b.drv_estimate, b.valid));
+  EXPECT_EQ(a.capacity_units, b.capacity_units);
+  EXPECT_EQ(a.wire_demand_units, b.wire_demand_units);
+  EXPECT_EQ(a.pin_demand_units, b.pin_demand_units);
+  EXPECT_EQ(std::tie(a.rrr_passes, a.ripups_total, a.region_ripups_total,
+                     a.steiner_subnets, a.fastpath_routes, a.settled_nodes,
+                     a.window_expansions),
+            std::tie(b.rrr_passes, b.ripups_total, b.region_ripups_total,
+                     b.steiner_subnets, b.fastpath_routes, b.settled_nodes,
+                     b.window_expansions));
   ASSERT_EQ(a.pass_stats.size(), b.pass_stats.size());
   for (std::size_t p = 0; p < a.pass_stats.size(); ++p) {
     const RoutePassStat& x = a.pass_stats[p];
     const RoutePassStat& y = b.pass_stats[p];
-    EXPECT_EQ(std::tie(x.pass, x.ripped_front, x.ripped_back,
-                       x.settled_front, x.settled_back,
-                       x.window_expansions_front, x.window_expansions_back),
-              std::tie(y.pass, y.ripped_front, y.ripped_back,
-                       y.settled_front, y.settled_back,
-                       y.window_expansions_front, y.window_expansions_back))
+    EXPECT_EQ(std::tie(x.pass, x.ripped_front, x.ripped_back, x.overflow_front,
+                       x.overflow_back, x.hard_overflow, x.settled_front,
+                       x.settled_back, x.window_expansions_front,
+                       x.window_expansions_back, x.regions_front,
+                       x.regions_back),
+              std::tie(y.pass, y.ripped_front, y.ripped_back, y.overflow_front,
+                       y.overflow_back, y.hard_overflow, y.settled_front,
+                       y.settled_back, y.window_expansions_front,
+                       y.window_expansions_back, y.regions_front,
+                       y.regions_back))
         << "pass " << p;
-    EXPECT_EQ(x.hard_overflow, y.hard_overflow) << "pass " << p;
   }
 }
 
@@ -854,14 +860,15 @@ TEST_F(PnrTest, RouterDeterministic) {
   ASSERT_EQ(a.rr.routes.size(), b.rr.routes.size());
 }
 
-// --- routing: the two negotiation loops -------------------------------------
+// --- routing: the negotiation loop ------------------------------------------
 
 TEST_F(PnrTest, AstarWindowExpandsUnderCongestion) {
   // Windowed attempts admit only hard-overflow-free paths, so on the
-  // congested fixture saturated edges force stage 1's window expansions
-  // (x2, then full grid); the full-grid fallback still connects every sink.
+  // congested fixture saturated edges force the A* fallback's window
+  // expansions (x2, then full grid); the full-grid fallback still connects
+  // every sink.
   const CongestedDesign cd(*ffet_tech_);
-  const RouteResult a = route_stage1(cd.nl, cd.fp, cd.options());
+  const RouteResult a = route_design(cd.nl, cd.fp, cd.options());
   EXPECT_GT(a.window_expansions, 0)
       << "a saturated 2+2 stack must trigger window expansion";
   expect_all_sinks_connected(cd.nl, a);
@@ -870,46 +877,46 @@ TEST_F(PnrTest, AstarWindowExpandsUnderCongestion) {
 
 TEST_F(PnrTest, RouterDeterministicAcrossThreadCounts) {
   // Algorithm 1 routes the two wafer sides independently, so threaded
-  // passes (front/back concurrent) must be bit-identical to serial ones —
-  // for both negotiation loops.
-  for (const RouteFn route : {route_design, route_stage1}) {
-    RouteOptions ro;
-    ro.threads = 1;
-    const RoutedDesign serial =
-        route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6, ro, route);
-    ro.threads = 4;
-    const RoutedDesign threaded =
-        route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6, ro, route);
+  // passes (front/back concurrent) must be bit-identical to serial ones.
+  RouteOptions ro;
+  ro.threads = 1;
+  const RoutedDesign serial =
+      route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6, ro);
+  ro.threads = 4;
+  const RoutedDesign threaded =
+      route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6, ro);
 
-    EXPECT_DOUBLE_EQ(serial.rr.total_wirelength_um(),
-                     threaded.rr.total_wirelength_um());
-    EXPECT_EQ(serial.rr.drv_estimate, threaded.rr.drv_estimate);
-    EXPECT_EQ(serial.rr.settled_nodes, threaded.rr.settled_nodes);
-    EXPECT_EQ(serial.rr.window_expansions, threaded.rr.window_expansions);
-    EXPECT_EQ(serial.rr.region_ripups_total, threaded.rr.region_ripups_total);
-    EXPECT_EQ(serial.rr.steiner_subnets, threaded.rr.steiner_subnets);
-    ASSERT_EQ(serial.rr.routes.size(), threaded.rr.routes.size());
-    for (std::size_t i = 0; i < serial.rr.routes.size(); ++i) {
-      const NetRoute& s = serial.rr.routes[i];
-      const NetRoute& t = threaded.rr.routes[i];
-      EXPECT_EQ(s.net, t.net);
-      EXPECT_EQ(s.side, t.side);
-      EXPECT_EQ(s.edges, t.edges) << "route " << i << " differs";
-    }
+  EXPECT_DOUBLE_EQ(serial.rr.total_wirelength_um(),
+                   threaded.rr.total_wirelength_um());
+  EXPECT_EQ(serial.rr.drv_estimate, threaded.rr.drv_estimate);
+  EXPECT_EQ(serial.rr.settled_nodes, threaded.rr.settled_nodes);
+  EXPECT_EQ(serial.rr.window_expansions, threaded.rr.window_expansions);
+  EXPECT_EQ(serial.rr.region_ripups_total, threaded.rr.region_ripups_total);
+  EXPECT_EQ(serial.rr.steiner_subnets, threaded.rr.steiner_subnets);
+  ASSERT_EQ(serial.rr.routes.size(), threaded.rr.routes.size());
+  for (std::size_t i = 0; i < serial.rr.routes.size(); ++i) {
+    const NetRoute& s = serial.rr.routes[i];
+    const NetRoute& t = threaded.rr.routes[i];
+    EXPECT_EQ(s.net, t.net);
+    EXPECT_EQ(s.side, t.side);
+    EXPECT_EQ(s.edges, t.edges) << "route " << i << " differs";
   }
 }
 
 TEST_F(PnrTest, RouteDesignIsStage2) {
-  // Stage 1 never decomposes into 2-pin subnets; route_design is stage 2,
-  // which always does (every multi-gcell net contributes at least one).
-  const RoutedDesign a =
-      route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6, {}, route_stage1);
+  // route_design decomposes every subnet over a Steiner topology: each
+  // subnet that spans more than one gcell contributes at least one 2-pin
+  // subnet.
   const RoutedDesign d = route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6);
-  EXPECT_EQ(a.rr.steiner_subnets, 0);
-  EXPECT_GT(d.rr.steiner_subnets, 0);
+  long multi_gcell = 0;
+  for (const NetRoute& r : d.rr.routes) {
+    if (!r.edges.empty()) ++multi_gcell;
+  }
+  EXPECT_GT(multi_gcell, 0);
+  EXPECT_GE(d.rr.steiner_subnets, multi_gcell);
 }
 
-// --- routing: stage 2 (Steiner / congestion regions) ------------------------
+// --- routing: Steiner decomposition / congestion regions --------------------
 
 /// Manhattan distance helper for Steiner checks.
 int manhattan(const SteinerPoint& a, const SteinerPoint& b) {
@@ -958,8 +965,8 @@ TEST(SteinerTest, TreeConnectsTerminalsAndBeatsStar) {
       }
       expect_tree_connects_terminals(tree);
       // The tree must never be longer than the star topology (source to
-      // every sink directly) — the bound stage 1's tree growth
-      // trivially meets, so stage 2 must meet it too.
+      // every sink directly), the bound a tree grown sink by sink from
+      // the source trivially meets.
       EXPECT_LE(tree.length(), star_length(terms)) << n << " terminals";
     }
   }
@@ -1079,32 +1086,29 @@ TEST(RegionTest, DeterministicUnderInputOrderAndDuplicates) {
   }
 }
 
-TEST_F(PnrTest, Astar2MatchesAstarQor) {
-  // The stage-2 Steiner/region loop must be QoR-equivalent to stage-1 A*
-  // on the seed designs: equal-or-better DRVs and total wirelength, every
-  // sink connected, and the 2-pin fast path must actually fire (monotone
-  // subnets skip the heap entirely).
-
-  struct Case {
-    const netlist::Netlist* core;
-    const tech::Technology* tech;
-    const stdcell::Library* lib;
+TEST_F(PnrTest, FullRerouteIsRouteDesign) {
+  // One negotiation loop: a reroute with nothing carried routes every
+  // subnet through the loop route_design runs, so it returns route_design's
+  // result route for route (edges, layer pair, sinks, source) and counter
+  // for counter — on both seed designs and on the congested fixture, whose
+  // negotiation runs rip-up passes and ends on the best-pass restore.
+  auto expect_one_loop = [](const netlist::Netlist& nl, const Floorplan& fp,
+                            const RouteOptions& ro,
+                            const RouteResult& design) {
+    expect_same_routing(design, reroute_nets(nl, fp, {}, {}, ro));
+    expect_all_sinks_connected(nl, design);
+    EXPECT_GT(design.fastpath_routes, 0)
+        << "uncongested 2-pin subnets should take the monotone fast path";
   };
-  for (const Case& c : {Case{ffet_core_, ffet_tech_, ffet_lib_},
-                        Case{cfet_core_, cfet_tech_, cfet_lib_}}) {
-    const RoutedDesign a =
-        route_core(*c.core, *c.tech, *c.lib, 0.6, {}, route_stage1);
-    const RoutedDesign s = route_core(*c.core, *c.tech, *c.lib, 0.6);
-    EXPECT_LE(s.rr.drv_wire, a.rr.drv_wire);
-    EXPECT_LE(s.rr.total_wirelength_um(), a.rr.total_wirelength_um() + 1e-6);
-    ASSERT_EQ(s.rr.routes.size(), a.rr.routes.size());
-    expect_all_sinks_connected(s.nl, s.rr);
-    EXPECT_GT(s.rr.steiner_subnets, 0);
-    EXPECT_GT(s.rr.fastpath_routes, 0)
-        << "uncongested subnets should take the monotone fast path";
-    EXPECT_LT(s.rr.settled_nodes, a.rr.settled_nodes)
-        << "the fast path should skip most heap searches";
+  for (const RoutedDesign& rd :
+       {route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6),
+        route_core(*cfet_core_, *cfet_tech_, *cfet_lib_, 0.6)}) {
+    expect_one_loop(rd.nl, rd.fp, {}, rd.rr);
   }
+  const CongestedDesign cd(*ffet_tech_);
+  const RouteResult congested = route_design(cd.nl, cd.fp, cd.options());
+  EXPECT_GT(congested.rrr_passes, 0) << "the fixture must negotiate";
+  expect_one_loop(cd.nl, cd.fp, cd.options(), congested);
 }
 
 TEST_F(PnrTest, Astar2DeterministicUnderCongestion) {
@@ -1247,15 +1251,75 @@ TEST_F(PnrTest, RerouteKeepsCarriedRoutesUnderCongestion) {
     EXPECT_EQ(r.h_layer_index, prev.routes[i].h_layer_index);
     EXPECT_EQ(r.v_layer_index, prev.routes[i].v_layer_index);
   }
+  // Pass 0 routes the 2-pin pieces of the rerouted subnets, and only those.
   ASSERT_FALSE(serial.pass_stats.empty());
+  EXPECT_GT(rerouted, 0);
   EXPECT_EQ(serial.pass_stats[0].ripped_front +
                 serial.pass_stats[0].ripped_back,
-            rerouted);
+            serial.steiner_subnets);
+  EXPECT_GE(serial.steiner_subnets, rerouted);
   EXPECT_GT(serial.settled_nodes, 0);
   EXPECT_GT(serial.rrr_passes, 0) << "the dirty nets must negotiate";
   expect_pass_stats_sum_to_totals(serial);
   expect_all_sinks_connected(cd.nl, serial);
   expect_same_routing(serial, threaded);
+}
+
+TEST_F(PnrTest, RerouteRestoresPassZeroWhenItStaysBest) {
+  // A reroute of three long nets on the congested fixture: the carried
+  // routes hold hard overflow that no rip-up of the dirty pieces removes,
+  // so no pass after the initial route beats it, the loop ends on the
+  // stale-pass stop, and the restore must put back exactly the pass-0
+  // routes — those a reroute whose pass budget stops after pass 0 keeps.
+  // Pass 1 moves a piece (its soft overflow differs from pass 0's), so a
+  // snapshot taken any later than the start of pass 1 restores other
+  // routes.
+  const CongestedDesign cd(*ffet_tech_);
+  const RouteOptions ro = cd.options();
+  const RouteResult prev = route_design(cd.nl, cd.fp, ro);
+  std::vector<NetId> long_nets;
+  for (const NetRoute& r : prev.routes) {
+    if (r.edges.size() >= 4 &&
+        (long_nets.empty() || long_nets.back() != r.net)) {
+      long_nets.push_back(r.net);
+    }
+  }
+  ASSERT_GT(long_nets.size(), 30u);
+  const std::vector<NetId> dirty(long_nets.begin() + 28,
+                                 long_nets.begin() + 31);
+
+  RouteState state(cd.nl, cd.fp, prev, ro);
+  state.reroute(cd.nl, dirty, {});
+  const RouteResult full = state.result();
+  ASSERT_GE(full.pass_stats.size(), 3u) << "the dirty nets must negotiate";
+  const RoutePassStat& p0 = full.pass_stats[0];
+  const RoutePassStat& p1 = full.pass_stats[1];
+  ASSERT_NE(p0.overflow_front + p0.overflow_back,
+            p1.overflow_front + p1.overflow_back)
+      << "pass 1 leaves the pass-0 routes in place";
+  for (std::size_t p = 1; p < full.pass_stats.size(); ++p) {
+    const RoutePassStat& x = full.pass_stats[p];
+    ASSERT_FALSE(x.hard_overflow < p0.hard_overflow ||
+                 (x.hard_overflow == p0.hard_overflow &&
+                  x.overflow_front + x.overflow_back <
+                      p0.overflow_front + p0.overflow_back))
+        << "pass " << x.pass << " beats pass 0; the pass-0 restore goes "
+        << "untested";
+  }
+
+  RouteOptions cut = ro;
+  cut.rrr_passes = 1;
+  const RouteResult pass0 = reroute_nets(cd.nl, cd.fp, prev, dirty, cut);
+  ASSERT_EQ(pass0.pass_stats.size(), 1u);
+  ASSERT_EQ(full.routes.size(), pass0.routes.size());
+  for (std::size_t i = 0; i < full.routes.size(); ++i) {
+    EXPECT_EQ(full.routes[i].edges, pass0.routes[i].edges) << "route " << i;
+    EXPECT_EQ(full.routes[i].h_layer_index, pass0.routes[i].h_layer_index);
+    EXPECT_EQ(full.routes[i].v_layer_index, pass0.routes[i].v_layer_index);
+  }
+  EXPECT_EQ(full.overflow_total, pass0.overflow_total);
+  EXPECT_EQ(full.drv_wire, pass0.drv_wire);
+  EXPECT_EQ(full.total_wirelength_um(), pass0.total_wirelength_um());
 }
 
 TEST_F(PnrTest, RouteStateMatchesFreshRerouteUnderCongestion) {
@@ -1270,17 +1334,6 @@ TEST_F(PnrTest, RouteStateMatchesFreshRerouteUnderCongestion) {
   const RouteOptions ro = cd.options();
   RouteState state(cd.nl, cd.fp, route_design(cd.nl, cd.fp, ro), ro);
 
-  auto expect_same = [](const RouteResult& a, const RouteResult& b) {
-    expect_same_routing(a, b);
-    for (std::size_t i = 0; i < a.routes.size() && i < b.routes.size(); ++i) {
-      EXPECT_EQ(a.routes[i].sink_gcells, b.routes[i].sink_gcells) << i;
-      EXPECT_EQ(a.routes[i].source_gcell, b.routes[i].source_gcell) << i;
-    }
-    EXPECT_EQ(a.wirelength_front_um, b.wirelength_front_um);
-    EXPECT_EQ(a.wirelength_back_um, b.wirelength_back_um);
-    EXPECT_EQ(a.drv_pin_access, b.drv_pin_access);
-    EXPECT_EQ(a.valid, b.valid);
-  };
   int negotiated = 0;
   auto trial = [&](const std::vector<NetId>& dirty,
                    const std::vector<netlist::InstId>& touched, bool accept,
@@ -1288,12 +1341,12 @@ TEST_F(PnrTest, RouteStateMatchesFreshRerouteUnderCongestion) {
     const RouteResult before = state.result();
     state.reroute(cd.nl, dirty, touched);
     const RouteResult fresh = reroute_nets(cd.nl, cd.fp, before, dirty, ro);
-    expect_same(state.result(), fresh);
+    expect_same_routing(state.result(), fresh);
     if (fresh.rrr_passes > 0) ++negotiated;
     if (!accept) {
       undo_edit();
       state.undo_reroute();
-      expect_same(state.result(), before);
+      expect_same_routing(state.result(), before);
     }
     for (const Side s : {Side::Front, Side::Back}) {
       EXPECT_EQ(state.pin_demand(s), pin_demand_bases(cd.nl, cd.fp, ro, s));
