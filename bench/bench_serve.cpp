@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   // ---- 2./3. through the service at each fleet size -----------------------
   bool all_identical = true;
   for (const int workers : {2, 4, 8}) {
-    const std::string tag = "w" + std::to_string(workers);
+    const std::string tag = std::string("w").append(std::to_string(workers));
     serve::ServeOptions opts;
     opts.socket_path = ".bench_serve_" + tag + ".sock";
     opts.cache_dir = ".bench_serve_cache_" + tag;  // fresh per fleet size

@@ -442,8 +442,8 @@ class RouteWires {
     density_.for_each_sample(
         {0, 0}, {grid_.gcell_w, 0},
         [&](std::size_t, double um) { step = um; });
-    sample_sum_ = geom::RepeatedSum(step);
     for (int side = 0; side < 2; ++side) {
+      sample_sums_[static_cast<std::size_t>(side)] = geom::RepeatedSum(step);
       samples_[static_cast<std::size_t>(side)].assign(
           density_.loads(side).size(), 0);
     }
@@ -467,16 +467,18 @@ class RouteWires {
   const DensityGrid& density() const { return density_; }
 
   /// Add (+1) or remove (-1) one side's route wires in the density field.
+  /// Each side has its own state, so the two sides may move concurrently.
   void move(Side s, std::span<const pnr::GEdge> edges, int sign) {
     const int side = s == Side::Front ? 0 : 1;
     auto& count = samples_[static_cast<std::size_t>(side)];
+    geom::RepeatedSum& sum = sample_sums_[static_cast<std::size_t>(side)];
     for (const pnr::GEdge& e : edges) {
       const io::RouteWire w = io::route_wire(grid_, e, 0, 0);
       density_.for_each_sample(w.from, w.to, [&](std::size_t bin, double um) {
-        if (um != sample_sum_.step()) {
+        if (um != sum.step()) {
           throw std::logic_error("route wire of unexpected length");
         }
-        density_.set_load(side, bin, sample_sum_(count[bin] += sign));
+        density_.set_load(side, bin, sum(count[bin] += sign));
       });
     }
   }
@@ -507,9 +509,10 @@ class RouteWires {
 
   pnr::RouteResult grid_;  ///< gcell geometry (routes empty)
   DensityGrid density_;
-  /// Density samples per bin and side; a bin's load is sample_sum_(count).
+  /// Density samples per bin and side; a bin's load is its side's
+  /// sample_sums_(count).  Each side grows its own sum table.
   std::array<std::vector<int>, 2> samples_;
-  geom::RepeatedSum sample_sum_;
+  std::array<geom::RepeatedSum, 2> sample_sums_;
   /// Routing layer per side and metal index.
   std::array<std::vector<const tech::MetalLayer*>, 2> layer_of_;
 };
@@ -518,8 +521,8 @@ class RouteWires {
 /// `build(tree, net)` builds one net's tree from its wire source.  Each
 /// tree is a pure function of read-only shared state (wire index, density
 /// grid, netlist), so a chunk of nets is built into per-net scratch slots
-/// in parallel without synchronization, then packed into the arena
-/// serially in net order — bit-identical to the serial loop while bounding
+/// in parallel without synchronization, then packed into the arena in net
+/// order (assign_trees) — bit-identical to the serial loop while bounding
 /// scratch memory to one chunk.  `num_wires` pre-sizes the arena.
 template <class BuildTree>
 RcNetlist extract_nets(const Netlist& nl, std::size_t num_wires,
@@ -547,9 +550,8 @@ RcNetlist extract_nets(const Netlist& nl, std::size_t num_wires,
           build(scratch[i], static_cast<netlist::NetId>(base + i));
         },
         threads, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-      out.assign_tree(static_cast<netlist::NetId>(base + i), scratch[i]);
-    }
+    out.assign_trees(static_cast<netlist::NetId>(base),
+                     std::span<const RcTree>(scratch.data(), count), threads);
   }
   FFET_METRIC_ADD("extract.nets", nl.num_nets());
 
@@ -560,18 +562,43 @@ RcNetlist extract_nets(const Netlist& nl, std::size_t num_wires,
 }  // namespace
 
 RcSpan RcNetlist::assign_tree(netlist::NetId id, const RcTree& t) {
-  RcSpan& s = spans_[static_cast<std::size_t>(id)];
-  const RcSpan replaced = s;
-  s.first_node = static_cast<std::uint32_t>(nodes_.size());
-  s.first_sink = static_cast<std::uint32_t>(sinks_.size());
-  s.num_nodes = static_cast<std::uint32_t>(t.nodes.size());
-  s.num_sinks = static_cast<std::uint32_t>(t.sink_nodes.size());
-  s.total_cap_ff = t.total_cap_ff;
-  s.wire_cap_ff = t.wire_cap_ff;
-  nodes_.insert(nodes_.end(), t.nodes.begin(), t.nodes.end());
-  elmore_.insert(elmore_.end(), t.elmore_ps.begin(), t.elmore_ps.end());
-  sinks_.insert(sinks_.end(), t.sink_nodes.begin(), t.sink_nodes.end());
+  const RcSpan replaced = spans_[static_cast<std::size_t>(id)];
+  assign_trees(id, {&t, 1}, 1);
   return replaced;
+}
+
+void RcNetlist::assign_trees(netlist::NetId first,
+                             std::span<const RcTree> trees, int threads) {
+  std::size_t node_end = nodes_.size();
+  std::size_t sink_end = sinks_.size();
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    const RcTree& t = trees[i];
+    RcSpan& s = spans_[static_cast<std::size_t>(first) + i];
+    s.first_node = static_cast<std::uint32_t>(node_end);
+    s.first_sink = static_cast<std::uint32_t>(sink_end);
+    s.num_nodes = static_cast<std::uint32_t>(t.nodes.size());
+    s.num_sinks = static_cast<std::uint32_t>(t.sink_nodes.size());
+    s.total_cap_ff = t.total_cap_ff;
+    s.wire_cap_ff = t.wire_cap_ff;
+    node_end += t.nodes.size();
+    sink_end += t.sink_nodes.size();
+  }
+  nodes_.resize(node_end);
+  elmore_.resize(node_end);
+  sinks_.resize(sink_end);
+  runtime::parallel_for(
+      trees.size(),
+      [&](std::size_t i) {
+        const RcTree& t = trees[i];
+        const RcSpan& s = spans_[static_cast<std::size_t>(first) + i];
+        std::copy(t.nodes.begin(), t.nodes.end(),
+                  nodes_.begin() + s.first_node);
+        std::copy(t.elmore_ps.begin(), t.elmore_ps.end(),
+                  elmore_.begin() + s.first_node);
+        std::copy(t.sink_nodes.begin(), t.sink_nodes.end(),
+                  sinks_.begin() + s.first_sink);
+      },
+      threads, 0);
 }
 
 void RcNetlist::restore_tree(netlist::NetId id, const RcSpan& span) {
@@ -644,16 +671,22 @@ RcNetlist extract_rc(const pnr::RouteResult& routes, const Netlist& nl,
   std::partial_sum(first.begin(), first.end(), first.begin());
   std::vector<const pnr::NetRoute*> by_net(first.back());
   std::vector<std::size_t> next(first.begin(), first.end() - 1);
-  RouteWires wires(routes, tech);
   std::size_t num_wires = 0;
   for (Side s : {Side::Front, Side::Back}) {
     for (const pnr::NetRoute& r : routes.routes) {
       if (r.side != s || !in_nl(r)) continue;
       by_net[next[static_cast<std::size_t>(r.net)]++] = &r;
-      wires.move(s, r.edges, +1);
       num_wires += r.edges.size();
     }
   }
+  RouteWires wires(routes, tech);
+  auto fill_side = [&](Side s) {
+    for (const pnr::NetRoute& r : routes.routes) {
+      if (r.side == s && in_nl(r)) wires.move(s, r.edges, +1);
+    }
+  };
+  runtime::parallel_invoke(
+      threads, [&] { fill_side(Side::Front); }, [&] { fill_side(Side::Back); });
   return extract_nets(
       nl, num_wires,
       [&](RcTree& tree, netlist::NetId n) {

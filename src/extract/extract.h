@@ -36,6 +36,8 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "io/def.h"
@@ -104,6 +106,33 @@ class RcTreeView {
   }
 };
 
+namespace detail {
+
+/// std::allocator whose value-less construct() leaves the storage as it
+/// is, so growing a vector of implicit-lifetime elements touches no page
+/// (the elements are written later, possibly by several threads).
+template <class T>
+struct UninitAllocator : std::allocator<T> {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+  template <class U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() = default;
+  template <class U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U*) noexcept {}
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+}  // namespace detail
+
 /// All nets' parasitics in one flat arena (nodes, Elmore delays and sink
 /// hookups), indexed by NetId through the span table.  The arena only
 /// grows at its end: a rebuilt tree is appended and its span repointed, so
@@ -140,6 +169,11 @@ class RcNetlist {
   /// returns the span it replaced (whose range becomes a hole —
   /// acceptable across ECO loops, which rebuild a handful of nets).
   RcSpan assign_tree(netlist::NetId id, const RcTree& t);
+  /// assign_tree() of nets first, first + 1, ... in turn, copying on up
+  /// to `threads` threads: the spans are laid out serially, then every
+  /// tree is copied into its own range.
+  void assign_trees(netlist::NetId first, std::span<const RcTree> trees,
+                    int threads);
   /// Point a net back at a span assign_tree() replaced.
   void restore_tree(netlist::NetId id, const RcSpan& span);
   /// Drop everything appended beyond the given arena sizes.
@@ -167,10 +201,13 @@ class RcNetlist {
   }
 
  private:
+  template <class T>
+  using Arena = std::vector<T, detail::UninitAllocator<T>>;
+
   std::vector<RcSpan> spans_;       ///< indexed by NetId
-  std::vector<RcNode> nodes_;
-  std::vector<double> elmore_;      ///< parallel to nodes_
-  std::vector<std::int32_t> sinks_;
+  Arena<RcNode> nodes_;
+  Arena<double> elmore_;            ///< parallel to nodes_
+  Arena<std::int32_t> sinks_;
 };
 
 /// Extract RC for every net of `nl` from the merged DEF.  `merged` must

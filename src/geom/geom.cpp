@@ -24,11 +24,13 @@ std::string format_um(double v) {
 }  // namespace
 
 std::string to_string_um(const Point& p) {
-  return "(" + format_um(to_um(p.x)) + ", " + format_um(to_um(p.y)) + ") um";
+  return std::string("(") + format_um(to_um(p.x)) + ", " +
+         format_um(to_um(p.y)) + ") um";
 }
 
 std::string to_string_um(const Rect& r) {
-  return "[" + to_string_um(r.lo) + " .. " + to_string_um(r.hi) + "]";
+  return std::string("[") + to_string_um(r.lo) + " .. " +
+         to_string_um(r.hi) + "]";
 }
 
 }  // namespace ffet::geom

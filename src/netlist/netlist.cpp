@@ -245,28 +245,54 @@ void Netlist::connect(InstId inst, std::string_view pin_name, NetId net) {
 
 void Netlist::reconnect_sink(InstId inst, std::string_view pin_name,
                              NetId new_net) {
-  Instance& i = instance(inst);
-  const int pin = i.type->pin_index(pin_name);
+  const int pin = instance(inst).type->pin_index(pin_name);
   if (pin < 0) {
     throw std::invalid_argument("no pin " + std::string(pin_name));
   }
-  const PinDir dir = i.type->pins()[static_cast<std::size_t>(pin)].dir;
-  if (dir == PinDir::Output) {
-    throw std::invalid_argument("reconnect_sink on driver pin " +
-                                instance_name(inst) + "/" +
-                                std::string(pin_name));
+  const SinkMove move{inst, pin, new_net};
+  reconnect_sinks({&move, 1});
+}
+
+void Netlist::reconnect_sinks(std::span<const SinkMove> moves) {
+  std::vector<PinRef> moved;
+  std::vector<NetId> old_nets;
+  moved.reserve(moves.size());
+  for (const SinkMove& m : moves) {
+    const Instance& i = instance(m.inst);
+    if (m.pin < 0 || static_cast<std::size_t>(m.pin) >= i.type->pins().size()) {
+      throw std::invalid_argument("no pin " + std::to_string(m.pin) +
+                                  " on " + instance_name(m.inst));
+    }
+    const auto& pin = i.type->pins()[static_cast<std::size_t>(m.pin)];
+    if (pin.dir == PinDir::Output) {
+      throw std::invalid_argument("reconnect_sink on driver pin " +
+                                  instance_name(m.inst) + "/" + pin.name);
+    }
+    moved.push_back({m.inst, m.pin});
+    const NetId old = pin_net(m.inst, m.pin);
+    if (old != kNoNet) old_nets.push_back(old);
   }
-  const std::size_t slot =
-      inst_first_pin_[static_cast<std::size_t>(inst)] +
-      static_cast<std::size_t>(pin);
-  const NetId old = pin_net_arena_[slot];
-  if (old != kNoNet) {
+  auto by_ref = [](const PinRef& a, const PinRef& b) {
+    return a.inst != b.inst ? a.inst < b.inst : a.pin < b.pin;
+  };
+  std::sort(moved.begin(), moved.end(), by_ref);
+  std::sort(old_nets.begin(), old_nets.end());
+  old_nets.erase(std::unique(old_nets.begin(), old_nets.end()),
+                 old_nets.end());
+  for (const NetId old : old_nets) {
     auto& sinks = net(old).sinks;
-    sinks.erase(std::remove(sinks.begin(), sinks.end(), PinRef{inst, pin}),
+    sinks.erase(std::remove_if(sinks.begin(), sinks.end(),
+                               [&](const PinRef& s) {
+                                 return std::binary_search(
+                                     moved.begin(), moved.end(), s, by_ref);
+                               }),
                 sinks.end());
   }
-  pin_net_arena_[slot] = new_net;
-  net(new_net).sinks.push_back({inst, pin});
+  for (const SinkMove& m : moves) {
+    pin_net_arena_[inst_first_pin_[static_cast<std::size_t>(m.inst)] +
+                   static_cast<std::size_t>(m.pin)] = m.net;
+    net(m.net).sinks.push_back({m.inst, m.pin});
+  }
 }
 
 void Netlist::resize_instance(InstId inst, const stdcell::CellType* new_type) {

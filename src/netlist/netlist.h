@@ -180,6 +180,19 @@ class Netlist {
   /// synthesis buffering and CTS).  Driver pins cannot be moved this way.
   void reconnect_sink(InstId inst, std::string_view pin_name, NetId new_net);
 
+  /// One reconnect_sink(): input pin `pin` of `inst` moves to `net`.
+  struct SinkMove {
+    InstId inst = kNoInst;
+    int pin = -1;
+    NetId net = kNoNet;
+  };
+  /// reconnect_sink() of every move, in order, with one stable erase per
+  /// old net instead of one scan of it per move: every net's sink list and
+  /// every pin binding end up as the one-at-a-time calls leave them.  A
+  /// pin may move at most once per call.  Every move is checked before
+  /// any is applied.
+  void reconnect_sinks(std::span<const SinkMove> moves);
+
   /// Replace the cell type of an instance with a same-footprint-family type
   /// (same function + pin names) — the gate-sizing primitive.
   void resize_instance(InstId inst, const stdcell::CellType* new_type);

@@ -128,6 +128,13 @@ class TreeBuilder {
     return n;
   }
 
+  /// Every sink's move from the root clock net to its leaf net, in the
+  /// order build() made them; nothing in build() reads the sinks' nets,
+  /// so the moves are applied in one batch afterwards.
+  const std::vector<Netlist::SinkMove>& sink_moves() const {
+    return sink_moves_;
+  }
+
   double buffer_delay_ps(const stdcell::CellType& type, double load_ff) const {
     const stdcell::TimingModel* m = type.timing_model();
     if (!m || m->arcs.empty()) {
@@ -169,10 +176,7 @@ class TreeBuilder {
       const double wire_ps =
           wire_delay_ps(geom::to_um(geom::manhattan(center, s.pos)));
       // Move the sink's CP pin from the root clock net to this leaf.
-      const auto& pin_name = nl_.instance(s.pin.inst)
-                                 .type->pins()[static_cast<std::size_t>(s.pin.pin)]
-                                 .name;
-      nl_.reconnect_sink(s.pin.inst, pin_name, leaf_net);
+      sink_moves_.push_back({s.pin.inst, s.pin.pin, leaf_net});
       out.sink_latency_ps[s.pin.inst] = upstream_ps + self_ps + wire_ps;
     }
 
@@ -215,6 +219,7 @@ class TreeBuilder {
   double wire_c_per_um_;
   double wire_r_per_um_;
   int counter_ = 0;
+  std::vector<Netlist::SinkMove> sink_moves_;
 };
 
 }  // namespace
@@ -242,6 +247,7 @@ CtsResult build_clock_tree(Netlist& nl, const Floorplan& fp,
 
   TreeBuilder builder(nl, fp, options);
   const auto root = builder.build(std::move(sinks), result, 0.0);
+  nl.reconnect_sinks(builder.sink_moves());
   // Root buffer hangs on the original clock net.
   nl.connect(root.buf,
              [&] {

@@ -1,7 +1,7 @@
 #include "pnr/router.h"
 
 #include <algorithm>
-#include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -802,82 +802,103 @@ struct TwoPin {
   int a = 0;       ///< endpoint gcell nodes
   int b = 0;
   int len = 0;     ///< Manhattan endpoint distance (route-order key)
+  /// Its parent's refcount region in the side's EdgeRefs; -1 when the
+  /// parent has this one piece only.
+  int ref_region = -1;
 };
 
-/// One side's edge refcounts: how many committed 2-pin paths of a
-/// parent subnet cross a grid edge, keyed by (parent << 32) | edge key.
-/// Open addressing with linear probing over flat key and count arrays, at
-/// most 3/4 full.  A count that falls to 0 keeps its slot (a later commit
-/// revives it), so the table holds every (parent, edge) ever committed and
-/// never deletes.
-class EdgeRefTable {
+/// One side's edge refcounts: how many committed 2-pin paths of a parent
+/// subnet cross a grid edge.  A parent with a single piece keeps no
+/// counts: its one path is simple, so it crosses each edge once and every
+/// commit and rip of it is a 0 -> 1 or 1 -> 0 transition.  Each
+/// multi-piece parent owns one region of a flat slot arena: open
+/// addressing over edge keys (e << 1) | dir with linear probing, at most
+/// 3/4 full, sized from its pieces' Steiner length.  A region that would
+/// pass 3/4 moves to the arena end at twice its size; its old slots are
+/// left behind.  A count that falls to 0 keeps its slot (a later commit
+/// revives it), so a region never deletes.
+class EdgeRefs {
  public:
-  static std::uint64_t key(int parent, int dir, int e) {
-    return (static_cast<std::uint64_t>(parent) << 32) |
-           static_cast<std::uint32_t>((e << 1) | dir);
+  static std::uint32_t key(int dir, int e) {
+    return static_cast<std::uint32_t>((e << 1) | dir);
   }
 
-  /// Size the table for about `n` keys before its first growth.
-  void reserve(std::size_t n) {
-    if (4 * n > 3 * keys_.size()) {
-      rehash(std::bit_ceil(std::max<std::size_t>(16, n + n / 3 + 1)));
-    }
+  /// Reserve room for regions of `len` total Steiner length to grow about
+  /// once each.  Reserved slots are not touched until used.
+  void reserve(std::size_t len) { slots_.reserve(4 * len); }
+
+  /// A new region for a parent whose pieces have Steiner length `len`;
+  /// returns its id.
+  int add_region(std::size_t len) {
+    regions_.push_back(allocate(len + len / 3 + 1));
+    return static_cast<int>(regions_.size() - 1);
   }
 
-  /// One more path crosses `key`; true on its 0 -> 1 transition.
-  bool add(std::uint64_t key) {
-    if (4 * (used_ + 1) > 3 * keys_.size()) {
-      rehash(std::max<std::size_t>(16, 2 * keys_.size()));
+  /// One more path of `region`'s parent crosses `key`; true on its 0 -> 1
+  /// transition.
+  bool add(int region, std::uint32_t key) {
+    Region& r = regions_[static_cast<std::size_t>(region)];
+    if (4 * (r.used + 1) > 3 * r.cap) grow(r);
+    Slot* s = find(r, key);
+    if (s->key == kEmpty) {
+      s->key = key;
+      ++r.used;
     }
-    std::size_t i = slot(key);
-    while (keys_[i] != key) {
-      if (keys_[i] == kEmpty) {
-        keys_[i] = key;
-        ++used_;
-        break;
-      }
-      i = (i + 1) & mask_;
-    }
-    return ++counts_[i] == 1;
+    return ++s->count == 1;
   }
 
-  /// One path fewer crosses `key`, which add() counted; true on its
-  /// 1 -> 0 transition.
-  bool remove(std::uint64_t key) {
-    std::size_t i = slot(key);
-    while (keys_[i] != key) i = (i + 1) & mask_;
-    return --counts_[i] == 0;
+  /// One path fewer of `region`'s parent crosses `key`, which add()
+  /// counted; true on its 1 -> 0 transition.
+  bool remove(int region, std::uint32_t key) {
+    return --find(regions_[static_cast<std::size_t>(region)], key)->count ==
+           0;
   }
 
  private:
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  struct Slot {
+    std::uint32_t key;
+    std::int32_t count;
+  };
+  struct Region {
+    std::size_t first = 0;
+    std::uint32_t cap = 0;
+    std::uint32_t used = 0;
+  };
 
-  std::size_t slot(std::uint64_t key) const {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  Region allocate(std::size_t cap) {
+    Region r;
+    r.first = slots_.size();
+    r.cap = static_cast<std::uint32_t>(cap);
+    slots_.resize(slots_.size() + cap, Slot{kEmpty, 0});
+    return r;
   }
 
-  /// Move every key into a table of `cap` slots (a power of two).
-  void rehash(std::size_t cap) {
-    std::vector<std::uint64_t> keys(cap, kEmpty);
-    std::vector<std::int32_t> counts(cap, 0);
-    keys.swap(keys_);
-    counts.swap(counts_);
-    mask_ = cap - 1;
-    shift_ = 64 - std::countr_zero(cap);
-    for (std::size_t j = 0; j < keys.size(); ++j) {
-      if (keys[j] == kEmpty) continue;
-      std::size_t i = slot(keys[j]);
-      while (keys_[i] != kEmpty) i = (i + 1) & mask_;
-      keys_[i] = keys[j];
-      counts_[i] = counts[j];
+  /// `key`'s slot in `r`, or the empty slot where it would go.
+  Slot* find(const Region& r, std::uint32_t key) {
+    Slot* base = slots_.data() + r.first;
+    std::uint32_t i = static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(key * 0x9E3779B9u) * r.cap) >> 32);
+    while (base[i].key != key && base[i].key != kEmpty) {
+      if (++i == r.cap) i = 0;
     }
+    return base + i;
   }
 
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::int32_t> counts_;
-  std::size_t used_ = 0;
-  std::size_t mask_ = 0;
-  int shift_ = 64;
+  /// Move `r`'s keys into a fresh region of twice its size at the arena
+  /// end.
+  void grow(Region& r) {
+    Region bigger = allocate(2 * std::size_t{r.cap});
+    for (std::size_t j = r.first; j < r.first + r.cap; ++j) {
+      const Slot old = slots_[j];
+      if (old.key != kEmpty) *find(bigger, old.key) = old;
+    }
+    bigger.used = r.used;
+    r = bigger;
+  }
+
+  std::vector<Region> regions_;
+  std::vector<Slot> slots_;
 };
 
 /// Per-side negotiation state: the 2-pin subnets (each parent's contiguous, in
@@ -889,7 +910,7 @@ class EdgeRefTable {
 struct TwoPinSide {
   std::vector<TwoPin> tps;
   std::vector<std::vector<int>> paths;          ///< committed node lists
-  EdgeRefTable refs;
+  EdgeRefs refs;
   std::vector<std::vector<int>> cell_tps;       ///< gcell -> tp ids
   std::vector<std::size_t> route_order;         ///< (len, id) ascending
 };
@@ -904,6 +925,35 @@ std::pair<int, int> edge_key(const SideGrid& g, int u, int v) {
   return {1, g.v_edge(c, r)};
 }
 
+/// True when no grid edge repeats along `path`.
+[[maybe_unused]] bool crosses_each_edge_once(const SideGrid& g,
+                                             const std::vector<int>& path) {
+  std::vector<std::uint32_t> keys;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
+    keys.push_back(EdgeRefs::key(dir, e));
+  }
+  std::sort(keys.begin(), keys.end());
+  return std::adjacent_find(keys.begin(), keys.end()) == keys.end();
+}
+
+/// Apply `delta` to every grid edge of `path` whose refcount in `region`
+/// makes the transition `count` reports (see EdgeRefs; a single-piece
+/// parent's edges all transition).
+template <class Count>
+void apply_path(SideGrid& g, const std::vector<int>& path, double delta,
+                Count&& count) {
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
+    if (!count(EdgeRefs::key(dir, e))) continue;
+    if (dir == 0) {
+      g.apply_use_h(static_cast<std::size_t>(e), delta);
+    } else {
+      g.apply_use_v(static_cast<std::size_t>(e), delta);
+    }
+  }
+}
+
 /// Commit a 2-pin path: bump the parent subnet's per-edge refcounts (the
 /// grid sees +1 only on a 0 -> 1 transition, so overlapping paths of one
 /// net occupy one track, as in a committed route's edge set), and, once
@@ -911,16 +961,13 @@ std::pair<int, int> edge_key(const SideGrid& g, int u, int v) {
 /// subnet id.
 void commit_tp(SideGrid& g, TwoPinSide& ts, std::size_t tp_id,
                std::vector<int> path) {
-  const int parent = ts.tps[tp_id].parent;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
-    if (ts.refs.add(EdgeRefTable::key(parent, dir, e))) {
-      if (dir == 0) {
-        g.apply_use_h(static_cast<std::size_t>(e), +1.0);
-      } else {
-        g.apply_use_v(static_cast<std::size_t>(e), +1.0);
-      }
-    }
+  const int region = ts.tps[tp_id].ref_region;
+  if (region < 0) {
+    assert(crosses_each_edge_once(g, path));
+    apply_path(g, path, +1.0, [](std::uint32_t) { return true; });
+  } else {
+    apply_path(g, path, +1.0,
+               [&](std::uint32_t key) { return ts.refs.add(region, key); });
   }
   if (!ts.cell_tps.empty()) {
     for (int n : path) {
@@ -935,16 +982,13 @@ void commit_tp(SideGrid& g, TwoPinSide& ts, std::size_t tp_id,
 /// swap-remove the subnet from the color map of every crossed gcell.
 void rip_tp(SideGrid& g, TwoPinSide& ts, std::size_t tp_id) {
   std::vector<int>& path = ts.paths[tp_id];
-  const int parent = ts.tps[tp_id].parent;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
-    if (ts.refs.remove(EdgeRefTable::key(parent, dir, e))) {
-      if (dir == 0) {
-        g.apply_use_h(static_cast<std::size_t>(e), -1.0);
-      } else {
-        g.apply_use_v(static_cast<std::size_t>(e), -1.0);
-      }
-    }
+  const int region = ts.tps[tp_id].ref_region;
+  if (region < 0) {
+    apply_path(g, path, -1.0, [](std::uint32_t) { return true; });
+  } else {
+    apply_path(g, path, -1.0, [&](std::uint32_t key) {
+      return ts.refs.remove(region, key);
+    });
   }
   if (!ts.cell_tps.empty()) {
     for (int n : path) {
@@ -1217,13 +1261,30 @@ NegotiationEnd route_astar2(RouteResult& res, const RouteOptions& options,
     }
   }
   block_tps = {};
+  // A refcount region for every parent of more than one piece, sized from
+  // its pieces' Steiner length.
   for (TwoPinSide& ts : sides) {
-    ts.paths.assign(ts.tps.size(), {});
     std::size_t total_len = 0;
     for (const TwoPin& tp : ts.tps) {
       total_len += static_cast<std::size_t>(tp.len);
     }
     ts.refs.reserve(total_len);
+  }
+  for (std::size_t p = 0; p < listed.size(); ++p) {
+    if (spans[p].second - spans[p].first < 2) continue;
+    TwoPinSide& ts =
+        sides[static_cast<std::size_t>(sidx(subnets[listed[p]].side))];
+    std::size_t len = 0;
+    for (std::size_t t = spans[p].first; t < spans[p].second; ++t) {
+      len += static_cast<std::size_t>(ts.tps[t].len);
+    }
+    const int region = ts.refs.add_region(len);
+    for (std::size_t t = spans[p].first; t < spans[p].second; ++t) {
+      ts.tps[t].ref_region = region;
+    }
+  }
+  for (TwoPinSide& ts : sides) {
+    ts.paths.assign(ts.tps.size(), {});
     ts.route_order.resize(ts.tps.size());
     std::iota(ts.route_order.begin(), ts.route_order.end(), std::size_t{0});
     std::sort(ts.route_order.begin(), ts.route_order.end(),

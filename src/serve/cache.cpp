@@ -125,7 +125,9 @@ bool ResultCache::store(const std::string& label, const std::string& line) {
   std::string path;
   for (int i = 0; i < 16 && path.empty(); ++i) {
     std::string cand = base;
-    if (i > 0) cand.insert(cand.size() - 5, "-" + std::to_string(i));
+    if (i > 0) {
+      cand.insert(cand.size() - 5, std::string("-") + std::to_string(i));
+    }
     const std::string existing = read_first_line(cand);
     if (existing.empty() || line_label(existing) == label) path = cand;
   }

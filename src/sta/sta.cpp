@@ -600,7 +600,11 @@ HoldReport Sta::analyze_hold(
     return it == clock_latency_ps->end() ? 0.0 : it->second;
   };
 
-  for (InstId id : nl_->topo_order()) {
+  // The order the last analysis cached is current unless the netlist grew
+  // or shrank since (the load and sink-index caches assume no other
+  // structural change between analyses either).
+  if (topo_pos_.size() != n_inst) rebuild_topo();
+  for (InstId id : topo_order_) {
     const netlist::Instance& inst = nl_->instance(id);
     const stdcell::TimingModel* model = inst.type->timing_model();
     if (!model) continue;

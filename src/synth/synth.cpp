@@ -187,7 +187,6 @@ int fix_hold(netlist::Netlist& nl,
     }
     so.pi_reference_latency_ps = mean_lat;
     sta::Sta sta(&nl, nullptr, so);
-    sta.analyze_timing(&clock_latency_ps);
     const sta::HoldReport rep = sta.analyze_hold(&clock_latency_ps);
     if (rep.violating_endpoints.empty()) break;
     for (const auto& [ff, slack] : rep.violating_endpoints) {

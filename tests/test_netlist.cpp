@@ -62,6 +62,43 @@ TEST_F(NetlistTest, ReconnectSinkMovesPin) {
   EXPECT_EQ(nl.pin_net(inv, 0), bn);
 }
 
+TEST_F(NetlistTest, BatchedSinkMovesMatchOneAtATime) {
+  // Ten inverters alternating between nets a and b; the moves interleave
+  // old nets, move pins onto a net that also loses pins, and move one pin
+  // onto the net it is already on.
+  Netlist nl("t", &lib_);
+  const NetId a = nl.add_net("a");
+  const NetId bn = nl.add_net("b");
+  const NetId c = nl.add_net("c");
+  const NetId d = nl.add_net("d");
+  std::vector<InstId> u;
+  for (int i = 0; i < 10; ++i) {
+    u.push_back(
+        nl.add_instance(std::string("u") + std::to_string(i), "INVD1"));
+    nl.connect(u.back(), "I", i % 2 == 0 ? a : bn);
+  }
+  const std::vector<Netlist::SinkMove> moves = {
+      {u[1], 0, c}, {u[4], 0, d}, {u[2], 0, c}, {u[7], 0, a},
+      {u[6], 0, bn}, {u[5], 0, bn}, {u[8], 0, a}, {u[3], 0, d}};
+  Netlist one = nl;
+  for (const Netlist::SinkMove& m : moves) {
+    one.reconnect_sink(m.inst, "I", m.net);
+  }
+  nl.reconnect_sinks(moves);
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    EXPECT_EQ(nl.net(n).sinks, one.net(n).sinks) << nl.net_name(n);
+  }
+  for (const InstId i : u) EXPECT_EQ(nl.pin_net(i, 0), one.pin_net(i, 0));
+
+  // A driver pin is refused before any move is applied.
+  const Netlist before = nl;
+  const std::vector<Netlist::SinkMove> bad = {{u[0], 0, c}, {u[5], 1, c}};
+  EXPECT_THROW(nl.reconnect_sinks(bad), std::invalid_argument);
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    EXPECT_EQ(nl.net(n).sinks, before.net(n).sinks) << nl.net_name(n);
+  }
+}
+
 TEST_F(NetlistTest, ResizeKeepsConnectivity) {
   Netlist nl("t", &lib_);
   const NetId a = nl.add_net("a");

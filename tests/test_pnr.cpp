@@ -498,6 +498,70 @@ TEST_F(PnrTest, ClockTreeCoversEverySequentialSink) {
   EXPECT_EQ(clock_nets, 1 + cts.num_buffers);
 }
 
+TEST_F(PnrTest, ClockTreeSinkMovesMatchOneAtATime) {
+  // Replay the clock tree's sink moves one reconnect_sink() at a time on
+  // the pre-CTS netlist: a leaf net's flops, in its sink order, were
+  // moved when the leaf was built, and leaves are built in net-id order.
+  netlist::Netlist nl = *ffet_core_;
+  FloorplanOptions fo;
+  fo.target_utilization = 0.7;
+  const Floorplan fp = make_floorplan(nl, *ffet_tech_, fo);
+  place(nl, fp, build_power_plan(nl, fp, *ffet_lib_));
+  netlist::Netlist ref = nl;
+  const int nets0 = nl.num_nets();
+  const int insts0 = nl.num_instances();
+  build_clock_tree(nl, fp);
+  ASSERT_GT(nl.num_nets(), nets0);
+  for (NetId n = nets0; n < nl.num_nets(); ++n) {
+    ASSERT_EQ(ref.add_net(nl.net_name(n)), n);
+  }
+  for (NetId n = nets0; n < nl.num_nets(); ++n) {
+    for (const netlist::PinRef& s : nl.net(n).sinks) {
+      if (s.inst >= insts0) continue;
+      ref.reconnect_sink(
+          s.inst,
+          nl.instance(s.inst).type->pins()[static_cast<std::size_t>(s.pin)]
+              .name,
+          n);
+    }
+  }
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    std::vector<netlist::PinRef> sinks;
+    for (const netlist::PinRef& s : nl.net(n).sinks) {
+      if (s.inst < insts0) sinks.push_back(s);
+    }
+    EXPECT_EQ(sinks, ref.net(n).sinks) << nl.net_name(n);
+  }
+  for (netlist::InstId i = 0; i < insts0; ++i) {
+    const auto got = nl.pin_nets(i);
+    const auto want = ref.pin_nets(i);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << nl.instance_name(i);
+  }
+  // FNV-1a over every net's sink list and every pin binding, recorded
+  // before the moves were batched: it pins each leaf's sink order too.
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](std::int64_t v) {
+    auto u = static_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      h ^= u & 0xffu;
+      h *= 1099511628211ull;
+      u >>= 8;
+    }
+  };
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    mix(static_cast<std::int64_t>(nl.net(n).sinks.size()));
+    for (const netlist::PinRef& s : nl.net(n).sinks) {
+      mix(s.inst);
+      mix(s.pin);
+    }
+  }
+  for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
+    for (const NetId n : nl.pin_nets(i)) mix(n);
+  }
+  EXPECT_EQ(h, 0x8bdcc9f78636d976ull);
+}
+
 TEST_F(PnrTest, CtsNoSinksIsNoop) {
   Builder b("comb", ffet_lib_);
   b.output("z", b.inv(b.input("a")));
@@ -1091,12 +1155,20 @@ TEST_F(PnrTest, FullRerouteIsRouteDesign) {
   // subnet through the loop route_design runs, so it returns route_design's
   // result route for route (edges, layer pair, sinks, source) and counter
   // for counter — on both seed designs and on the congested fixture, whose
-  // negotiation runs rip-up passes and ends on the best-pass restore.
+  // negotiation runs rip-up passes and ends on the best-pass restore.  On
+  // each, the grids' wire usage is the routes' edge count.
   auto expect_one_loop = [](const netlist::Netlist& nl, const Floorplan& fp,
                             const RouteOptions& ro,
                             const RouteResult& design) {
     expect_same_routing(design, reroute_nets(nl, fp, {}, {}, ro));
     expect_all_sinks_connected(nl, design);
+    // The per-parent refcounts put one unit of usage on each edge of each
+    // route's deduplicated edge set, and nothing else.
+    double edges = 0.0;
+    for (const NetRoute& r : design.routes) {
+      edges += static_cast<double>(r.edges.size());
+    }
+    EXPECT_EQ(design.wire_demand_units, edges);
     EXPECT_GT(design.fastpath_routes, 0)
         << "uncongested 2-pin subnets should take the monotone fast path";
   };

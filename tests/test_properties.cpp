@@ -198,7 +198,9 @@ TEST(GeomProperty, RectOperationsClosed) {
       EXPECT_TRUE(b.contains(i2));
     }
     // Interior overlap implies intersection.
-    if (a.overlaps_interior(b)) EXPECT_TRUE(a.intersects(b));
+    if (a.overlaps_interior(b)) {
+      EXPECT_TRUE(a.intersects(b));
+    }
   }
 }
 

@@ -200,7 +200,7 @@ TEST(ConfigJson, EveryLabelKnobSurvivesTheWire) {
     EXPECT_NE(cfg.label(), base.label());
     std::string error;
     const auto back = serve::configs_from_json_text(
-        "[" + flow::config_to_json(cfg) + "]", &error);
+        std::string("[") + flow::config_to_json(cfg) + "]", &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_EQ((*back)[0].label(), cfg.label());
   }

@@ -207,5 +207,30 @@ TEST_F(SynthTest, HoldFixInsertsBuffersOnlyWhenViolating) {
   EXPECT_EQ(sta.analyze_hold(&skewed).violations, 0);
 }
 
+TEST_F(SynthTest, HoldReportNeedsNoTimingPass) {
+  // fix_hold runs analyze_hold alone; its report must be bit for bit the
+  // one that follows a full analyze_timing.  The reduced RV32 core with a
+  // clock latency that grows with the flop's id makes some flops violate.
+  riscv::Rv32Options opt;
+  opt.num_registers = 8;
+  const netlist::Netlist nl = riscv::build_rv32_core(lib_, opt);
+  std::unordered_map<netlist::InstId, double> latency;
+  for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
+    if (nl.instance(i).type->sequential()) latency[i] = 3.0 * (i % 61);
+  }
+  sta::StaOptions so;
+  so.derate_early = 0.85;
+  sta::Sta timed(&nl, nullptr, so);
+  timed.analyze_timing(&latency);
+  const sta::HoldReport want = timed.analyze_hold(&latency);
+  sta::Sta alone(&nl, nullptr, so);
+  const sta::HoldReport got = alone.analyze_hold(&latency);
+  EXPECT_GT(want.violations, 0);
+  EXPECT_EQ(got.worst_slack_ps, want.worst_slack_ps);
+  EXPECT_EQ(got.violations, want.violations);
+  EXPECT_EQ(got.worst_endpoint, want.worst_endpoint);
+  EXPECT_EQ(got.violating_endpoints, want.violating_endpoints);
+}
+
 }  // namespace
 }  // namespace ffet::synth
