@@ -255,6 +255,15 @@ class Netlist {
     return static_cast<int>(inst_first_pin_[static_cast<std::size_t>(id) + 1] -
                             inst_first_pin_[static_cast<std::size_t>(id)]);
   }
+  /// Flat slot of the instance's pin 0 in the CSR pin arena: pin p of
+  /// instance i is slot `pin_offset(i) + p`, a dense index over
+  /// [0, pin_slots()) that per-pin tables can use instead of one vector
+  /// per instance.  Appending an instance appends its slots; pop_instance
+  /// drops them.
+  std::size_t pin_offset(InstId id) const {
+    return inst_first_pin_[static_cast<std::size_t>(id)];
+  }
+  std::size_t pin_slots() const { return inst_first_pin_.back(); }
 
   /// The instance's name: the explicit one if given, else the synthesized
   /// `_i<id>`.  `append_*` variants extend `out` without an intermediate

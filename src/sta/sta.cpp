@@ -35,12 +35,15 @@ double degrade_slew(double slew_ps, double elmore_ps) {
 namespace {
 /// Sentinel for "pin appears in no sink list"; lookups map it to 0, exactly
 /// like the original linear search's not-found fallback.
-constexpr std::size_t kNoSinkIndex = static_cast<std::size_t>(-1);
+constexpr std::uint32_t kNoSinkIndex = static_cast<std::uint32_t>(-1);
 
 /// Topological position of instances outside the timing graph
 /// (physical-only cells); they sort last in the incremental worklist and
 /// propagate as no-ops.
 constexpr int kNoTopoPos = INT_MAX;
+
+/// Report-tree value of an element that is no leaf.
+constexpr double kAbsent = -std::numeric_limits<double>::infinity();
 
 double clock_latency_of(
     const std::unordered_map<InstId, double>* clock_latency_ps, InstId id) {
@@ -59,6 +62,19 @@ NetId output_net_of(const Netlist& nl, InstId id) {
   return netlist::kNoNet;
 }
 
+/// The instance's connected data pin (input "D"), or -1: the pin every
+/// setup and hold endpoint scan checks.
+int connected_d_pin(const Netlist& nl, InstId id) {
+  const netlist::Instance& inst = nl.instance(id);
+  const auto pin_nets = nl.pin_nets(id);
+  for (std::size_t p = 0; p < pin_nets.size(); ++p) {
+    const auto& pin = inst.type->pins()[p];
+    if (pin.dir != PinDir::Input || pin.name != "D") continue;
+    if (pin_nets[p] != netlist::kNoNet) return static_cast<int>(p);
+  }
+  return -1;
+}
+
 /// The "a -> b -> ..." path rendering shared by TimingReport::critical_path
 /// and Sta::path_string — one formatter so the two stay bit-identical.
 std::string format_path_names(const Netlist& nl,
@@ -75,6 +91,67 @@ std::string format_path_names(const Netlist& nl,
   return desc;
 }
 }  // namespace
+
+// ---- ArgMaxTree ------------------------------------------------------------
+
+void Sta::ArgMaxTree::pull(std::size_t node) {
+  const std::uint32_t a = win_[2 * node];
+  const std::uint32_t b = win_[2 * node + 1];
+  // a indexes the left (lower) half: it keeps ties.
+  win_[node] = val_[b] > val_[a] ? b : a;
+}
+
+void Sta::ArgMaxTree::build(std::vector<double> leaves) {
+  n_ = leaves.size();
+  cap_ = 1;
+  depth_ = 0;
+  while (cap_ < n_) {
+    cap_ *= 2;
+    ++depth_;
+  }
+  val_ = std::move(leaves);
+  val_.resize(cap_, kAbsent);
+  win_.assign(2 * cap_, 0);
+  pending_.clear();
+  present_ = 0;
+  for (std::size_t i = 0; i < cap_; ++i) {
+    win_[cap_ + i] = static_cast<std::uint32_t>(i);
+    if (val_[i] != kAbsent) ++present_;
+  }
+  for (std::size_t node = cap_ - 1; node >= 1; --node) pull(node);
+}
+
+void Sta::ArgMaxTree::resize(std::size_t n) {
+  if (n > cap_) {
+    std::vector<double> leaves = std::move(val_);
+    leaves.resize(n, kAbsent);
+    build(std::move(leaves));
+    return;
+  }
+  for (std::size_t i = n; i < n_; ++i) set(i, kAbsent);
+  n_ = n;
+}
+
+void Sta::ArgMaxTree::set(std::size_t i, double v) {
+  present_ += (v != kAbsent) - (val_[i] != kAbsent);
+  val_[i] = v;
+  pending_.push_back(static_cast<std::uint32_t>(i));
+}
+
+void Sta::ArgMaxTree::flush() {
+  if (pending_.size() * static_cast<std::size_t>(depth_) >= cap_) {
+    for (std::size_t node = cap_ - 1; node >= 1; --node) pull(node);
+  } else {
+    for (const std::uint32_t i : pending_) {
+      for (std::size_t node = (cap_ + i) / 2; node >= 1; node /= 2) {
+        pull(node);
+      }
+    }
+  }
+  pending_.clear();
+}
+
+// ---- caches ----------------------------------------------------------------
 
 Sta::Sta(const Netlist* nl, const extract::RcNetlist* rc, StaOptions options)
     : nl_(nl), rc_(rc), opt_(options) {}
@@ -96,7 +173,7 @@ double Sta::net_load_ff(NetId net) const {
 }
 
 std::size_t Sta::sink_index(InstId inst, std::size_t pin) const {
-  const std::size_t idx = sink_index_[static_cast<std::size_t>(inst)][pin];
+  const std::uint32_t idx = sink_index_[nl_->pin_offset(inst) + pin];
   return idx == kNoSinkIndex ? 0 : idx;
 }
 
@@ -105,7 +182,6 @@ void Sta::ensure_caches() const {
   FFET_TRACE_SCOPE("sta.precompute");
   caches_built_ = true;
   const auto n_nets = static_cast<std::size_t>(nl_->num_nets());
-  const auto n_inst = static_cast<std::size_t>(nl_->num_instances());
 
   net_load_.assign(n_nets, 0.0);
   runtime::parallel_for(
@@ -116,42 +192,43 @@ void Sta::ensure_caches() const {
       opt_.threads, 0);
 
   // Sink-index map: each (inst, pin) belongs to exactly one net's sink
-  // list, so parallel per-net fills touch disjoint cells.
-  sink_index_.resize(n_inst);
-  for (std::size_t i = 0; i < n_inst; ++i) {
-    sink_index_[i].assign(
-        static_cast<std::size_t>(nl_->pin_count(static_cast<InstId>(i))),
-        kNoSinkIndex);
-  }
+  // list, so parallel per-net fills touch disjoint slots.
+  sink_index_.assign(nl_->pin_slots(), kNoSinkIndex);
   runtime::parallel_for(
       n_nets,
       [&](std::size_t n) {
         const netlist::Net& net = nl_->net(static_cast<NetId>(n));
         for (std::size_t s = 0; s < net.sinks.size(); ++s) {
           const PinRef& ref = net.sinks[s];
-          auto& cell =
-              sink_index_[static_cast<std::size_t>(ref.inst)]
-                         [static_cast<std::size_t>(ref.pin)];
-          if (cell == kNoSinkIndex) cell = s;  // keep the first match
+          std::uint32_t& slot =
+              sink_index_[nl_->pin_offset(ref.inst) +
+                          static_cast<std::size_t>(ref.pin)];
+          // Keep the first match.
+          if (slot == kNoSinkIndex) slot = static_cast<std::uint32_t>(s);
         }
       },
       opt_.threads, 0);
 }
 
-void Sta::refresh_caches_for(const std::vector<NetId>& nets) const {
-  ensure_caches();
-  // Structural growth/shrink: size the tables to the current netlist
-  // (fresh entries are filled below from the dirty-net list).
-  net_load_.resize(static_cast<std::size_t>(nl_->num_nets()), 0.0);
-  const auto n_inst = static_cast<std::size_t>(nl_->num_instances());
-  sink_index_.resize(n_inst);
-  for (std::size_t i = 0; i < n_inst; ++i) {
-    const std::size_t pins =
-        static_cast<std::size_t>(nl_->pin_count(static_cast<InstId>(i)));
-    if (sink_index_[i].size() != pins) {
-      sink_index_[i].assign(pins, kNoSinkIndex);
+std::vector<NetId> Sta::affected_nets(const DirtySet& dirty) const {
+  std::vector<NetId> nets = dirty.nets;
+  for (const InstId id : dirty.insts) {
+    for (const NetId n : nl_->pin_nets(id)) {
+      if (n != netlist::kNoNet) nets.push_back(n);
     }
   }
+  std::sort(nets.begin(), nets.end());
+  nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
+  return nets;
+}
+
+void Sta::refresh_caches_for(const std::vector<NetId>& nets) const {
+  ensure_caches();
+  // Structural growth/shrink: size the tables to the current netlist.
+  // Pins and nets are appended and popped at the end, so the surviving
+  // entries keep their slots; fresh ones are filled from the dirty nets.
+  net_load_.resize(static_cast<std::size_t>(nl_->num_nets()), 0.0);
+  sink_index_.resize(nl_->pin_slots(), kNoSinkIndex);
   for (const NetId n : nets) {
     net_load_[static_cast<std::size_t>(n)] = compute_net_load_ff(n);
     // Re-derive the sink indices of this net's current sinks with the same
@@ -159,15 +236,19 @@ void Sta::refresh_caches_for(const std::vector<NetId>& nets) const {
     // indices of every later sink in the list).
     const netlist::Net& net = nl_->net(n);
     for (const PinRef& ref : net.sinks) {
-      sink_index_[static_cast<std::size_t>(ref.inst)]
-                 [static_cast<std::size_t>(ref.pin)] = kNoSinkIndex;
+      sink_index_[nl_->pin_offset(ref.inst) +
+                  static_cast<std::size_t>(ref.pin)] = kNoSinkIndex;
     }
     for (std::size_t s = 0; s < net.sinks.size(); ++s) {
       const PinRef& ref = net.sinks[s];
-      auto& cell = sink_index_[static_cast<std::size_t>(ref.inst)]
-                              [static_cast<std::size_t>(ref.pin)];
-      if (cell == kNoSinkIndex) cell = s;  // keep the first match
+      std::uint32_t& slot = sink_index_[nl_->pin_offset(ref.inst) +
+                                        static_cast<std::size_t>(ref.pin)];
+      if (slot == kNoSinkIndex) slot = static_cast<std::uint32_t>(s);
     }
+    // Power: the net's switching term and its driver's internal term read
+    // the load.
+    dirty_power_net(n);
+    if (net.driver.inst != netlist::kNoInst) dirty_power_inst(net.driver.inst);
   }
 }
 
@@ -181,13 +262,78 @@ double Sta::sink_wire_delay_ps(NetId net, std::size_t sink_idx) const {
 
 void Sta::rebuild_topo() const {
   topo_order_ = nl_->topo_order();
+  // Flip-flops first: a launch arrival is read by the combinational cells
+  // its Q feeds, which topo_order() (whose only edges are combinational)
+  // may list before it.
+  std::stable_partition(topo_order_.begin(), topo_order_.end(),
+                        [&](InstId id) {
+                          return nl_->instance(id).type->sequential();
+                        });
   topo_pos_.assign(static_cast<std::size_t>(nl_->num_instances()),
                    kNoTopoPos);
   for (std::size_t k = 0; k < topo_order_.size(); ++k) {
     topo_pos_[static_cast<std::size_t>(topo_order_[k])] =
         static_cast<int>(k);
   }
+  order_stale_ = false;
 }
+
+void Sta::place_new_instances(std::size_t first_new,
+                              const std::vector<NetId>& nets) {
+  // (position, id) is a topological order when every edge driver → sink
+  // runs forward in it; the worklist pops in that order, so any such
+  // positions give the bits of a fresh analysis.  A new combinational
+  // instance takes the latest position among its drivers, a flip-flop
+  // (a source) -1: with the largest id it sorts after each of them.
+  const auto n_inst = static_cast<std::size_t>(nl_->num_instances());
+  topo_pos_.resize(n_inst, kNoTopoPos);
+  for (std::size_t i = first_new; i < n_inst; ++i) {
+    const auto id = static_cast<InstId>(i);
+    const netlist::Instance& inst = nl_->instance(id);
+    if (inst.type->physical_only()) continue;
+    int pos = -1;
+    const auto pin_nets = nl_->pin_nets(id);
+    for (std::size_t p = 0; p < pin_nets.size(); ++p) {
+      if (inst.type->sequential()) break;  // a source
+      if (inst.type->pins()[p].dir == PinDir::Output) continue;
+      if (pin_nets[p] == netlist::kNoNet) continue;
+      const InstId d = nl_->net(pin_nets[p]).driver.inst;
+      if (d == netlist::kNoInst) continue;
+      const int dp = topo_pos_[static_cast<std::size_t>(d)];
+      if (dp != kNoTopoPos) pos = std::max(pos, dp);
+    }
+    topo_pos_[i] = pos;
+  }
+  order_stale_ = true;
+  // Every edge that may be new lies on a dirty net (new instances list
+  // theirs); if one runs backwards, re-derive the whole order.  Drivers
+  // outside the timing graph never change, so their edges never bind.
+  for (const NetId n : nets) {
+    const netlist::Net& net = nl_->net(n);
+    const InstId d = net.driver.inst;
+    if (d == netlist::kNoInst) continue;
+    const std::pair<int, InstId> from{topo_pos_[static_cast<std::size_t>(d)],
+                                      d};
+    if (from.first == kNoTopoPos) continue;
+    for (const PinRef& s : net.sinks) {
+      const netlist::Instance& si = nl_->instance(s.inst);
+      if (si.type->sequential() || si.type->physical_only()) continue;
+      if (std::pair{topo_pos_[static_cast<std::size_t>(s.inst)], s.inst} <=
+          from) {
+        rebuild_topo();
+        return;
+      }
+    }
+  }
+}
+
+void Sta::update_caches(const DirtySet& dirty) {
+  refresh_caches_for(affected_nets(dirty));
+  if (dirty.structure_changed) rebuild_topo();
+  arrival_.clear();  // the setup tables no longer describe the netlist
+}
+
+// ---- propagation ------------------------------------------------------------
 
 void Sta::input_arrival_ps(NetId net_id, std::size_t sink_idx, double& arr,
                            double& slw, InstId& src) const {
@@ -269,64 +415,87 @@ bool Sta::propagate_instance(
   return changed;
 }
 
-TimingReport Sta::build_report(
+// ---- report -----------------------------------------------------------------
+
+double Sta::slew_leaf(InstId id) const {
+  // The instances the propagation maximizes over: combinational cells
+  // with a timing model and a connected output.
+  const netlist::Instance& inst = nl_->instance(id);
+  if (!inst.type->timing_model() || inst.type->sequential()) return kAbsent;
+  if (output_net_of(*nl_, id) == netlist::kNoNet) return kAbsent;
+  return slew_[static_cast<std::size_t>(id)];
+}
+
+double Sta::ff_end_leaf(
+    InstId id,
+    const std::unordered_map<InstId, double>* clock_latency_ps) const {
+  const netlist::Instance& inst = nl_->instance(id);
+  if (!inst.type->sequential()) return kAbsent;
+  const TimingModel* model = inst.type->timing_model();
+  if (!model) return kAbsent;
+  const int p = connected_d_pin(*nl_, id);
+  if (p < 0) return kAbsent;
+  double arr, slw;
+  InstId src;
+  input_arrival_ps(nl_->pin_net(id, p),
+                   sink_index(id, static_cast<std::size_t>(p)), arr, slw,
+                   src);
+  // Capture edge benefits from this FF's own insertion latency.
+  return arr + model->setup_ps - clock_latency_of(clock_latency_ps, id);
+}
+
+double Sta::po_end_leaf(netlist::PortId port) const {
+  const netlist::Port& p = nl_->port(port);
+  if (p.is_input || p.net == netlist::kNoNet) return kAbsent;
+  const InstId d = nl_->net(p.net).driver.inst;
+  if (d == netlist::kNoInst) return kAbsent;
+  return arrival_[static_cast<std::size_t>(d)];
+}
+
+void Sta::build_report_trees(
     const std::unordered_map<InstId, double>* clock_latency_ps) {
-  TimingReport rep;
-
-  // Worst output slew over the combinational instances that propagated
-  // (same filter as the propagation loop; slew_ stores exactly the values
-  // the full pass maximized over, so this scan is bit-identical to the
-  // in-loop accumulation).
-  for (int i = 0; i < nl_->num_instances(); ++i) {
-    const netlist::Instance& inst = nl_->instance(i);
-    const TimingModel* model = inst.type->timing_model();
-    if (!model || inst.type->sequential()) continue;
-    if (output_net_of(*nl_, i) == netlist::kNoNet) continue;
-    rep.max_slew_ps =
-        std::max(rep.max_slew_ps, slew_[static_cast<std::size_t>(i)]);
+  latency_ = clock_latency_ps;
+  const auto n_inst = static_cast<std::size_t>(nl_->num_instances());
+  std::vector<double> slews(n_inst), ff_paths(n_inst);
+  for (std::size_t i = 0; i < n_inst; ++i) {
+    slews[i] = slew_leaf(static_cast<InstId>(i));
+    ff_paths[i] = ff_end_leaf(static_cast<InstId>(i), clock_latency_ps);
   }
+  slew_tree_.build(std::move(slews));
+  ff_ends_.build(std::move(ff_paths));
+  std::vector<double> po_arrivals(static_cast<std::size_t>(nl_->num_ports()));
+  for (std::size_t k = 0; k < po_arrivals.size(); ++k) {
+    po_arrivals[k] = po_end_leaf(static_cast<netlist::PortId>(k));
+  }
+  po_ends_.build(std::move(po_arrivals));
+}
 
-  // Endpoints: flip-flop D pins (setup) and primary outputs.
+TimingReport Sta::build_report() {
+  slew_tree_.flush();
+  ff_ends_.flush();
+  po_ends_.flush();
+  TimingReport rep;
+  // The full scan's accumulations: max slew from 0, and the worst endpoint
+  // from 0 under strict `>` — flip-flops by id, then primary outputs in
+  // port order, so a port wins only when strictly worse.
+  rep.max_slew_ps = std::max(0.0, slew_tree_.best_value());
+  rep.endpoints = ff_ends_.present() + po_ends_.present();
   double worst = 0.0;
   InstId worst_end = netlist::kNoInst;
   InstId worst_src = netlist::kNoInst;
-  for (int i = 0; i < nl_->num_instances(); ++i) {
-    const netlist::Instance& inst = nl_->instance(i);
-    if (!inst.type->sequential()) continue;
-    const TimingModel* model = inst.type->timing_model();
-    if (!model) continue;
-    const auto pin_nets = nl_->pin_nets(i);
-    for (std::size_t p = 0; p < pin_nets.size(); ++p) {
-      const auto& pin = inst.type->pins()[p];
-      if (pin.dir != PinDir::Input || pin.name != "D") continue;
-      const NetId net_id = pin_nets[p];
-      if (net_id == netlist::kNoNet) continue;
-      const std::size_t sink_idx = sink_index(i, p);
-      double arr, slw;
-      InstId src;
-      input_arrival_ps(net_id, sink_idx, arr, slw, src);
-      // Capture edge benefits from this FF's own insertion latency.
-      const double path =
-          arr + model->setup_ps - clock_latency_of(clock_latency_ps, i);
-      if (path > worst) {
-        worst = path;
-        worst_end = i;
-        worst_src = src;
-      }
-      ++rep.endpoints;
-    }
+  if (ff_ends_.best_value() > worst) {
+    worst = ff_ends_.best_value();
+    worst_end = static_cast<InstId>(ff_ends_.best());
+    worst_src =
+        nl_->net(nl_->pin_net(worst_end, connected_d_pin(*nl_, worst_end)))
+            .driver.inst;
   }
-  for (const netlist::Port& port : nl_->ports()) {
-    if (port.is_input || port.net == netlist::kNoNet) continue;
-    const netlist::Net& net = nl_->net(port.net);
-    if (net.driver.inst == netlist::kNoInst) continue;
-    const double arr = arrival_[static_cast<std::size_t>(net.driver.inst)];
-    if (arr > worst) {
-      worst = arr;
-      worst_end = net.driver.inst;
-      worst_src = from_[static_cast<std::size_t>(net.driver.inst)];
-    }
-    ++rep.endpoints;
+  if (po_ends_.best_value() > worst) {
+    worst = po_ends_.best_value();
+    const netlist::Port& port =
+        nl_->port(static_cast<netlist::PortId>(po_ends_.best()));
+    worst_end = nl_->net(port.net).driver.inst;
+    worst_src = from_[static_cast<std::size_t>(worst_end)];
   }
 
   rep.critical_path_ps = worst + opt_.clock_skew_ps + opt_.uncertainty_ps;
@@ -355,99 +524,122 @@ TimingReport Sta::analyze_timing(
   arrival_.assign(n_inst, 0.0);
   slew_.assign(n_inst, opt_.input_slew_ps);
   from_.assign(n_inst, netlist::kNoInst);
+  power_.valid = false;  // every slew may have moved
 
-  // Propagate in topological order.  topo_order() lists sequential
-  // instances (sources) before the combinational cone they feed.
   for (InstId id : topo_order_) propagate_instance(id, clock_latency_ps);
 
-  return build_report(clock_latency_ps);
+  build_report_trees(clock_latency_ps);
+  return build_report();
 }
 
 TimingReport Sta::update_timing(
     const DirtySet& dirty,
     const std::unordered_map<InstId, double>* clock_latency_ps) {
-  // No prior full analysis to update (or an unannounced structural
-  // change) — fall back to the full pass.
+  // No prior full analysis to update, an unannounced structural change or
+  // another latency map — fall back to the full pass.
   if (arrival_.empty() || topo_order_.empty() ||
+      clock_latency_ps != latency_ ||
       (!dirty.structure_changed &&
        arrival_.size() != static_cast<std::size_t>(nl_->num_instances()))) {
     return analyze_timing(clock_latency_ps);
   }
   FFET_TRACE_SCOPE("sta.update");
+  const auto n_inst = static_cast<std::size_t>(nl_->num_instances());
+  const std::vector<NetId> nets = affected_nets(dirty);
+  refresh_caches_for(nets);
   if (dirty.structure_changed) {
-    rebuild_topo();
-    const auto n_inst = static_cast<std::size_t>(nl_->num_instances());
+    const std::size_t first_new = arrival_.size();
     arrival_.resize(n_inst, 0.0);
     slew_.resize(n_inst, opt_.input_slew_ps);
     from_.resize(n_inst, netlist::kNoInst);
-  }
-  const auto n_inst = static_cast<std::size_t>(nl_->num_instances());
-
-  // Expand to the affected net set: the dirty nets plus every net touching
-  // a dirty instance (its delay depends on the output load; its sinks see
-  // new wire delays when it was resized/moved).
-  std::vector<NetId> nets = dirty.nets;
-  for (const InstId id : dirty.insts) {
-    for (const NetId n : nl_->pin_nets(id)) {
-      if (n != netlist::kNoNet) nets.push_back(n);
+    place_new_instances(first_new, nets);
+    slew_tree_.resize(n_inst);
+    ff_ends_.resize(n_inst);
+    if (po_ends_.size() != static_cast<std::size_t>(nl_->num_ports())) {
+      po_ends_.resize(static_cast<std::size_t>(nl_->num_ports()));
+      for (std::size_t k = 0; k < po_ends_.size(); ++k) {
+        po_ends_.set(k, po_end_leaf(static_cast<netlist::PortId>(k)));
+      }
     }
+    // Added power terms are dirty (their nets and instances are listed).
+    power_.switching.resize(static_cast<std::size_t>(nl_->num_nets()));
+    power_.internal.resize(n_inst);
+    power_.leakage.resize(n_inst);
   }
-  std::sort(nets.begin(), nets.end());
-  nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-  refresh_caches_for(nets);
+  queued_.resize(n_inst, 0);
+  for (const InstId id : dirty.insts) dirty_power_inst(id);
 
   // Seeds: every instance whose own computation reads a dirty quantity —
   // drivers (output load changed) and sinks (wire delay changed) of the
   // affected nets, plus the dirty instances themselves.
-  std::vector<InstId> seeds = dirty.insts;
+  std::vector<InstId> touched = dirty.insts;
   for (const NetId n : nets) {
     const netlist::Net& net = nl_->net(n);
-    if (net.driver.inst != netlist::kNoInst) seeds.push_back(net.driver.inst);
-    for (const PinRef& s : net.sinks) seeds.push_back(s.inst);
+    if (net.driver.inst != netlist::kNoInst) touched.push_back(net.driver.inst);
+    for (const PinRef& s : net.sinks) touched.push_back(s.inst);
   }
-  std::sort(seeds.begin(), seeds.end());
-  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
 
-  // Levelized worklist: pop in topological position order, so every
+  // Levelized worklist: pop in (topological position, id) order, so every
   // instance is recomputed at most once and only after all its recomputed
   // predecessors — the per-instance arithmetic then sees exactly the same
-  // inputs as a full pass.
+  // inputs as a full pass.  `touched` collects every queued instance;
+  // flip-flops among them get their endpoint leaf refreshed.
   using Entry = std::pair<int, InstId>;  // (topo position, instance)
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> work;
-  std::vector<char> queued(n_inst, 0);
-  std::vector<char> processed(n_inst, 0);
-  for (const InstId id : seeds) {
-    queued[static_cast<std::size_t>(id)] = 1;
-    work.push({topo_pos_[static_cast<std::size_t>(id)], id});
+  for (const InstId id : touched) {
+    const auto sid = static_cast<std::size_t>(id);
+    if (queued_[sid]) continue;
+    queued_[sid] = 1;
+    work.push({topo_pos_[sid], id});
   }
-
   long recomputed = 0;
   while (!work.empty()) {
-    const auto [pos, id] = work.top();
+    const InstId id = work.top().second;
     work.pop();
-    const auto sid = static_cast<std::size_t>(id);
-    if (processed[sid]) continue;
-    processed[sid] = 1;
     ++recomputed;
-    if (!propagate_instance(id, clock_latency_ps)) continue;
+    const bool changed = propagate_instance(id, clock_latency_ps);
+    slew_tree_.set(static_cast<std::size_t>(id), slew_leaf(id));
+    if (!changed) continue;
+    dirty_power_inst(id);
     // The stored (arrival, slew) changed: downstream combinational sinks
     // must recompute.  Sequential sinks are endpoints — their launch does
-    // not depend on the D input, and the endpoint scan below re-reads the
-    // new arrival directly.
+    // not depend on the D input; their endpoint leaf is refreshed below.
     const NetId out_net = output_net_of(*nl_, id);
     if (out_net == netlist::kNoNet) continue;
-    for (const PinRef& s : nl_->net(out_net).sinks) {
+    const netlist::Net& net = nl_->net(out_net);
+    if (net.port >= 0) {
+      po_ends_.set(static_cast<std::size_t>(net.port), po_end_leaf(net.port));
+    }
+    for (const PinRef& s : net.sinks) {
       const auto ss = static_cast<std::size_t>(s.inst);
-      if (queued[ss] || nl_->instance(s.inst).type->sequential()) continue;
-      queued[ss] = 1;
-      work.push({topo_pos_[ss], s.inst});
+      if (queued_[ss]) continue;
+      queued_[ss] = 1;
+      touched.push_back(s.inst);
+      if (!nl_->instance(s.inst).type->sequential()) {
+        work.push({topo_pos_[ss], s.inst});
+      }
+    }
+  }
+  for (const InstId id : touched) {
+    const auto sid = static_cast<std::size_t>(id);
+    if (!queued_[sid]) continue;
+    queued_[sid] = 0;
+    if (nl_->instance(id).type->sequential()) {
+      ff_ends_.set(sid, ff_end_leaf(id, clock_latency_ps));
+    }
+  }
+  // A primary output on an affected net may have a new driver.
+  for (const NetId n : nets) {
+    const netlist::PortId port = nl_->net(n).port;
+    if (port >= 0) {
+      po_ends_.set(static_cast<std::size_t>(port), po_end_leaf(port));
     }
   }
   last_update_recomputed_ = recomputed;
   FFET_METRIC_ADD("sta.incremental_updates", 1);
   FFET_METRIC_ADD("sta.incremental_recomputed", recomputed);
 
-  return build_report(clock_latency_ps);
+  return build_report();
 }
 
 std::vector<PathEnd> Sta::worst_paths(
@@ -455,32 +647,13 @@ std::vector<PathEnd> Sta::worst_paths(
     const std::unordered_map<InstId, double>* clock_latency_ps) const {
   std::vector<PathEnd> ends;
   for (int i = 0; i < nl_->num_instances(); ++i) {
-    const netlist::Instance& inst = nl_->instance(i);
-    if (!inst.type->sequential()) continue;
-    const TimingModel* model = inst.type->timing_model();
-    if (!model) continue;
-    const auto pin_nets = nl_->pin_nets(i);
-    for (std::size_t p = 0; p < pin_nets.size(); ++p) {
-      const auto& pin = inst.type->pins()[p];
-      if (pin.dir != PinDir::Input || pin.name != "D") continue;
-      const NetId net_id = pin_nets[p];
-      if (net_id == netlist::kNoNet) continue;
-      const std::size_t sink_idx = sink_index(i, p);
-      double arr, slw;
-      InstId src;
-      input_arrival_ps(net_id, sink_idx, arr, slw, src);
-      ends.push_back(
-          {i, false,
-           arr + model->setup_ps - clock_latency_of(clock_latency_ps, i)});
-    }
+    const double path = ff_end_leaf(i, clock_latency_ps);
+    if (path != kAbsent) ends.push_back({i, false, path});
   }
-  for (const netlist::Port& port : nl_->ports()) {
-    if (port.is_input || port.net == netlist::kNoNet) continue;
-    const netlist::Net& net = nl_->net(port.net);
-    if (net.driver.inst == netlist::kNoInst) continue;
-    ends.push_back(
-        {net.driver.inst, true,
-         arrival_[static_cast<std::size_t>(net.driver.inst)]});
+  for (netlist::PortId port = 0; port < nl_->num_ports(); ++port) {
+    const double arr = po_end_leaf(port);
+    if (arr == kAbsent) continue;
+    ends.push_back({nl_->net(nl_->port(port).net).driver.inst, true, arr});
   }
   // Worst-first; ties resolve like the full scan's strict-greater
   // comparison: the endpoint visited first wins (FFs by id, then POs).
@@ -500,23 +673,8 @@ double Sta::endpoint_path_ps(
     InstId endpoint, bool is_port,
     const std::unordered_map<InstId, double>* clock_latency_ps) const {
   if (is_port) return arrival_[static_cast<std::size_t>(endpoint)];
-  const netlist::Instance& inst = nl_->instance(endpoint);
-  const TimingModel* model = inst.type->timing_model();
-  if (!model) return 0.0;
-  const auto pin_nets = nl_->pin_nets(endpoint);
-  for (std::size_t p = 0; p < pin_nets.size(); ++p) {
-    const auto& pin = inst.type->pins()[p];
-    if (pin.dir != PinDir::Input || pin.name != "D") continue;
-    const NetId net_id = pin_nets[p];
-    if (net_id == netlist::kNoNet) continue;
-    const std::size_t sink_idx = sink_index(endpoint, p);
-    double arr, slw;
-    InstId src;
-    input_arrival_ps(net_id, sink_idx, arr, slw, src);
-    return arr + model->setup_ps -
-           clock_latency_of(clock_latency_ps, endpoint);
-  }
-  return 0.0;
+  const double path = ff_end_leaf(endpoint, clock_latency_ps);
+  return path == kAbsent ? 0.0 : path;
 }
 
 std::vector<InstId> Sta::path_instances(const PathEnd& e) const {
@@ -524,17 +682,8 @@ std::vector<InstId> Sta::path_instances(const PathEnd& e) const {
   InstId src = netlist::kNoInst;
   if (e.is_port) {
     src = from_[static_cast<std::size_t>(e.endpoint)];
-  } else {
-    const netlist::Instance& inst = nl_->instance(e.endpoint);
-    const auto pin_nets = nl_->pin_nets(e.endpoint);
-    for (std::size_t p = 0; p < pin_nets.size(); ++p) {
-      const auto& pin = inst.type->pins()[p];
-      if (pin.dir != PinDir::Input || pin.name != "D") continue;
-      const NetId net_id = pin_nets[p];
-      if (net_id == netlist::kNoNet) continue;
-      src = nl_->net(net_id).driver.inst;
-      break;
-    }
+  } else if (const int p = connected_d_pin(*nl_, e.endpoint); p >= 0) {
+    src = nl_->net(nl_->pin_net(e.endpoint, p)).driver.inst;
   }
   for (InstId cur = src; cur != netlist::kNoInst;
        cur = from_[static_cast<std::size_t>(cur)]) {
@@ -594,16 +743,10 @@ HoldReport Sta::analyze_hold(
   std::vector<double> min_arrival(n_inst, 0.0);
   std::vector<double> min_slew(n_inst, opt_.input_slew_ps);
 
-  auto clock_latency = [&](InstId id) {
-    if (!clock_latency_ps) return 0.0;
-    const auto it = clock_latency_ps->find(id);
-    return it == clock_latency_ps->end() ? 0.0 : it->second;
-  };
-
-  // The order the last analysis cached is current unless the netlist grew
-  // or shrank since (the load and sink-index caches assume no other
-  // structural change between analyses either).
-  if (topo_pos_.size() != n_inst) rebuild_topo();
+  // The cached order is current unless instances were placed into it
+  // since, or the netlist grew or shrank (the load and sink-index caches
+  // assume no other structural change between analyses either).
+  if (order_stale_ || topo_pos_.size() != n_inst) rebuild_topo();
   for (InstId id : topo_order_) {
     const netlist::Instance& inst = nl_->instance(id);
     const stdcell::TimingModel* model = inst.type->timing_model();
@@ -618,7 +761,8 @@ HoldReport Sta::analyze_hold(
       const double d = opt_.derate_early *
                        std::min(arc->delay_rise.lookup(15.0, load),
                                 arc->delay_fall.lookup(15.0, load));
-      min_arrival[static_cast<std::size_t>(id)] = clock_latency(id) + d;
+      min_arrival[static_cast<std::size_t>(id)] =
+          clock_latency_of(clock_latency_ps, id) + d;
       min_slew[static_cast<std::size_t>(id)] =
           std::min(arc->trans_rise.lookup(15.0, load),
                    arc->trans_fall.lookup(15.0, load));
@@ -668,32 +812,30 @@ HoldReport Sta::analyze_hold(
     if (!inst.type->sequential()) continue;
     const stdcell::TimingModel* model = inst.type->timing_model();
     if (!model) continue;
-    const auto pin_nets = nl_->pin_nets(i);
-    for (std::size_t p = 0; p < pin_nets.size(); ++p) {
-      const auto& pin = inst.type->pins()[p];
-      if (pin.dir != PinDir::Input || pin.name != "D") continue;
-      const NetId net_id = pin_nets[p];
-      if (net_id == netlist::kNoNet) continue;
-      const netlist::Net& net = nl_->net(net_id);
-      const std::size_t sink_idx = sink_index(i, p);
-      double arr = opt_.input_delay_ps + opt_.pi_reference_latency_ps;
-      if (net.driver.inst != netlist::kNoInst) {
-        arr = min_arrival[static_cast<std::size_t>(net.driver.inst)];
-      }
-      arr += sink_wire_delay_ps(net_id, sink_idx) * opt_.derate_early;
-      // Hold check at the same edge: data must stay stable past the
-      // capture flop's hold window, which opens at its clock latency.
-      const double skew =
-          clock_latency_ps ? clock_latency(i) : opt_.clock_skew_ps;
-      const double slack = arr - model->hold_ps - skew;
-      if (slack < rep.worst_slack_ps) {
-        rep.worst_slack_ps = slack;
-        rep.worst_endpoint = nl_->instance_name(i) + "/D";
-      }
-      if (slack < 0.0) {
-        ++rep.violations;
-        rep.violating_endpoints.push_back({i, slack});
-      }
+    const int p = connected_d_pin(*nl_, i);
+    if (p < 0) continue;
+    const NetId net_id = nl_->pin_net(i, p);
+    const netlist::Net& net = nl_->net(net_id);
+    double arr = opt_.input_delay_ps + opt_.pi_reference_latency_ps;
+    if (net.driver.inst != netlist::kNoInst) {
+      arr = min_arrival[static_cast<std::size_t>(net.driver.inst)];
+    }
+    arr += sink_wire_delay_ps(net_id,
+                              sink_index(i, static_cast<std::size_t>(p))) *
+           opt_.derate_early;
+    // Hold check at the same edge: data must stay stable past the
+    // capture flop's hold window, which opens at its clock latency.
+    const double skew = clock_latency_ps
+                            ? clock_latency_of(clock_latency_ps, i)
+                            : opt_.clock_skew_ps;
+    const double slack = arr - model->hold_ps - skew;
+    if (slack < rep.worst_slack_ps) {
+      rep.worst_slack_ps = slack;
+      rep.worst_endpoint = nl_->instance_name(i) + "/D";
+    }
+    if (slack < 0.0) {
+      ++rep.violations;
+      rep.violating_endpoints.push_back({i, slack});
     }
   }
   if (rep.worst_slack_ps == std::numeric_limits<double>::max()) {
@@ -702,45 +844,125 @@ HoldReport Sta::analyze_hold(
   return rep;
 }
 
+// ---- power ------------------------------------------------------------------
+
+namespace {
+double toggle_of(const Netlist& nl, NetId n,
+                 const std::vector<double>* toggle_rates,
+                 double default_toggle) {
+  if (toggle_rates && static_cast<std::size_t>(n) < toggle_rates->size()) {
+    return (*toggle_rates)[static_cast<std::size_t>(n)];
+  }
+  return nl.net(n).is_clock ? 2.0 : default_toggle;
+}
+}  // namespace
+
+double Sta::switching_term(NetId n, double vdd, double freq_ghz,
+                           const std::vector<double>* toggle_rates,
+                           double default_toggle) const {
+  // alpha/2 * C * V^2 * f   (fF * V^2 * GHz = uW).
+  return 0.5 * toggle_of(*nl_, n, toggle_rates, default_toggle) *
+         net_load_ff(n) * vdd * vdd * freq_ghz;
+}
+
+void Sta::instance_power_terms(InstId i, double freq_ghz,
+                               const std::vector<double>* toggle_rates,
+                               double default_toggle, double& internal,
+                               double& leakage) const {
+  internal = 0.0;
+  leakage = 0.0;
+  const TimingModel* model = nl_->instance(i).type->timing_model();
+  if (!model) return;
+  leakage = model->leakage_nw / 1000.0;
+  if (model->arcs.empty()) return;
+  const NetId out_net = output_net_of(*nl_, i);
+  if (out_net == netlist::kNoNet) return;
+  // Per-transition NLDM energy at the driver's output slew and load.
+  const double load = net_load_ff(out_net);
+  const auto si = static_cast<std::size_t>(i);
+  const double slw = si < slew_.size() ? slew_[si] : opt_.input_slew_ps;
+  const TimingArc& arc = model->arcs.front();
+  const double e_avg = 0.5 * (arc.energy_rise.lookup(slw, load) +
+                              arc.energy_fall.lookup(slw, load));
+  // fJ per transition * transitions/cycle * GHz = uW.
+  internal = e_avg * toggle_of(*nl_, out_net, toggle_rates, default_toggle) *
+             freq_ghz;
+}
+
+void Sta::dirty_power_net(NetId n) const {
+  if (!power_.valid) return;
+  if (power_.dirty_nets.size() > power_.switching.size()) {
+    power_.valid = false;  // a full pass is cheaper than the backlog
+    return;
+  }
+  power_.dirty_nets.push_back(n);
+}
+
+void Sta::dirty_power_inst(InstId i) const {
+  if (!power_.valid) return;
+  if (power_.dirty_insts.size() > power_.internal.size()) {
+    power_.valid = false;
+    return;
+  }
+  power_.dirty_insts.push_back(i);
+}
+
 PowerReport Sta::analyze_power(double freq_ghz,
                                const std::vector<double>* toggle_rates,
                                double default_toggle) const {
   FFET_TRACE_SCOPE("sta.power");
+  const double vdd = nl_->library().tech().device().vdd_v;
+  const auto n_nets = static_cast<std::size_t>(nl_->num_nets());
+  const auto n_inst = static_cast<std::size_t>(nl_->num_instances());
+  PowerTerms& t = power_;
+  const bool reuse =
+      t.valid && t.freq_ghz == freq_ghz &&
+      t.default_toggle == default_toggle &&
+      t.has_toggles == (toggle_rates != nullptr) &&
+      (!toggle_rates || t.toggles == *toggle_rates) &&
+      t.switching.size() == n_nets && t.internal.size() == n_inst;
+  if (reuse) {
+    for (const NetId n : t.dirty_nets) {
+      if (static_cast<std::size_t>(n) >= n_nets) continue;  // popped
+      t.switching[static_cast<std::size_t>(n)] =
+          switching_term(n, vdd, freq_ghz, toggle_rates, default_toggle);
+    }
+    for (const InstId i : t.dirty_insts) {
+      const auto si = static_cast<std::size_t>(i);
+      if (si >= n_inst) continue;
+      instance_power_terms(i, freq_ghz, toggle_rates, default_toggle,
+                           t.internal[si], t.leakage[si]);
+    }
+  } else {
+    t.valid = true;
+    t.freq_ghz = freq_ghz;
+    t.default_toggle = default_toggle;
+    t.has_toggles = toggle_rates != nullptr;
+    t.toggles = toggle_rates ? *toggle_rates : std::vector<double>{};
+    t.switching.resize(n_nets);
+    t.internal.resize(n_inst);
+    t.leakage.resize(n_inst);
+    for (std::size_t n = 0; n < n_nets; ++n) {
+      t.switching[n] = switching_term(static_cast<NetId>(n), vdd, freq_ghz,
+                                      toggle_rates, default_toggle);
+    }
+    for (std::size_t i = 0; i < n_inst; ++i) {
+      instance_power_terms(static_cast<InstId>(i), freq_ghz, toggle_rates,
+                           default_toggle, t.internal[i], t.leakage[i]);
+    }
+  }
+  t.dirty_nets.clear();
+  t.dirty_insts.clear();
+
+  // Each sum runs in index order over the same term values a full pass
+  // computes.  Elements without a term hold +0.0, which leaves the
+  // running sum's bits alone: it starts at +0.0 and can never become -0.0.
   PowerReport rep;
   rep.freq_ghz = freq_ghz;
-  const double vdd = nl_->library().tech().device().vdd_v;
-
-  auto toggle_of = [&](NetId n) {
-    if (toggle_rates && static_cast<std::size_t>(n) < toggle_rates->size()) {
-      return (*toggle_rates)[static_cast<std::size_t>(n)];
-    }
-    return nl_->net(n).is_clock ? 2.0 : default_toggle;
-  };
-
-  // Net switching power: alpha/2 * C * V^2 * f   (fF * V^2 * GHz = uW).
-  for (int n = 0; n < nl_->num_nets(); ++n) {
-    const double cap = net_load_ff(n);
-    rep.switching_uw += 0.5 * toggle_of(n) * cap * vdd * vdd * freq_ghz;
-  }
-
-  // Internal power: per-transition NLDM energy at each driver.
-  for (int i = 0; i < nl_->num_instances(); ++i) {
-    const netlist::Instance& inst = nl_->instance(i);
-    const TimingModel* model = inst.type->timing_model();
-    if (!model) continue;
-    rep.leakage_uw += model->leakage_nw / 1000.0;
-    if (model->arcs.empty()) continue;
-    const NetId out_net = output_net_of(*nl_, i);
-    if (out_net == netlist::kNoNet) continue;
-    const double load = net_load_ff(out_net);
-    const double slw =
-        slew_.empty() ? opt_.input_slew_ps
-                      : slew_[static_cast<std::size_t>(i)];
-    const TimingArc& arc = model->arcs.front();
-    const double e_avg = 0.5 * (arc.energy_rise.lookup(slw, load) +
-                                arc.energy_fall.lookup(slw, load));
-    // fJ per transition * transitions/cycle * GHz = uW.
-    rep.internal_uw += e_avg * toggle_of(out_net) * freq_ghz;
+  for (const double x : t.switching) rep.switching_uw += x;
+  for (std::size_t i = 0; i < n_inst; ++i) {
+    rep.leakage_uw += t.leakage[i];
+    rep.internal_uw += t.internal[i];
   }
   return rep;
 }

@@ -20,6 +20,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -77,8 +78,8 @@ struct TimingReport {
 /// analysis: nets whose parasitics / load / sink list changed, and
 /// instances whose cell master (or clock latency) changed.  Set
 /// `structure_changed` whenever instances or nets were added or removed —
-/// the incremental update then re-derives the topological order; otherwise
-/// the cached order from the previous analysis is reused.
+/// the incremental update then sizes its tables to the netlist and orders
+/// the new instances; otherwise the cached order is reused as is.
 struct DirtySet {
   std::vector<netlist::NetId> nets;
   std::vector<netlist::InstId> insts;
@@ -136,14 +137,26 @@ class Sta {
   /// propagation stops where recomputed values are bitwise unchanged).
   /// The returned report — and the arrival/slew tables — are bit-identical
   /// to a fresh full analyze_timing() on the current netlist state.  With
-  /// `dirty.structure_changed` the topological order is rebuilt and the
-  /// per-instance tables are resized; newly added nets/instances must then
-  /// be listed in the dirty set.  Falls back to a full analysis when no
-  /// prior one exists.  Serial and deterministic at any `threads` setting.
+  /// `dirty.structure_changed` the per-instance tables are resized and
+  /// newly added nets/instances must be listed in the dirty set; a new
+  /// instance is ordered right after its latest driver, and the order is
+  /// re-derived only when a dirty net's edge would run against it.
+  /// Removed instances (LIFO pops) need no re-ordering.  Falls back to a
+  /// full analysis when no prior one exists or `clock_latency_ps` differs
+  /// from the last analysis's map.  Serial and deterministic at any
+  /// `threads` setting.  Cost: O(dirty cone · log n).
   TimingReport update_timing(
       const DirtySet& dirty,
       const std::unordered_map<netlist::InstId, double>* clock_latency_ps =
           nullptr);
+
+  /// Announce netlist edits to a timer that is not re-timed (hold fixing):
+  /// refreshes the load and sink-index caches of the dirty nets and of
+  /// every net on a dirty instance, and re-derives the topological order
+  /// on a structural change, so the next analyze_hold() sees the edited
+  /// netlist exactly as a fresh timer would.  The setup tables are
+  /// dropped: the next update_timing() runs a full analysis.
+  void update_caches(const DirtySet& dirty);
 
   /// The `k` worst endpoints by unconstrained path delay, valid after an
   /// analysis.  Ordered worst-first; ties resolve exactly like the full
@@ -205,7 +218,11 @@ class Sta {
 
   /// Power at `freq_ghz` with per-net toggle rates (toggles per cycle,
   /// indexed by NetId); null uses `default_toggle` for data nets and 2.0
-  /// for clock nets.
+  /// for clock nets.  The per-net switching and per-instance internal and
+  /// leakage terms are kept between calls: a call with the same frequency,
+  /// toggle vector and default toggle recomputes only the terms that
+  /// update_timing() dirtied and re-sums each term array in index order,
+  /// bit-identical to a full pass.  Any other call runs the full pass.
   PowerReport analyze_power(double freq_ghz,
                             const std::vector<double>* toggle_rates = nullptr,
                             double default_toggle = 0.15) const;
@@ -220,6 +237,52 @@ class Sta {
   }
 
  private:
+  /// Tournament tree over indexed values: the root names the largest
+  /// value, ties going to the lowest index — the winner of a strict-`>`
+  /// scan in index order.  Absent entries hold −∞.  set() writes the leaf
+  /// only; flush() then re-plays the k changed leaves' paths, or rebuilds
+  /// every node when that is cheaper: O(min(k log n, n)).
+  class ArgMaxTree {
+   public:
+    /// Rebuild from `leaves` (−∞ = absent) in O(n).
+    void build(std::vector<double> leaves);
+    /// Grow with absent leaves or drop the tail; keeps the other values.
+    void resize(std::size_t n);
+    void set(std::size_t i, double v);
+    void flush();
+    std::size_t size() const { return n_; }
+    int present() const { return present_; }
+    /// The winner as of the last flush().
+    std::size_t best() const { return win_[1]; }
+    double best_value() const { return val_[win_[1]]; }
+
+   private:
+    void pull(std::size_t node);
+    std::size_t n_ = 0;
+    std::size_t cap_ = 1;
+    int depth_ = 0;  ///< log2(cap_)
+    int present_ = 0;
+    std::vector<double> val_;         ///< cap_ leaves, −∞ past n_
+    std::vector<std::uint32_t> win_;  ///< winning leaf per node (1 = root)
+    std::vector<std::uint32_t> pending_;  ///< leaves set since flush()
+  };
+
+  /// Per-net and per-instance power terms of the last analyze_power()
+  /// call, valid for its frequency and toggles; `dirty_*` name the terms
+  /// update_timing() invalidated since.
+  struct PowerTerms {
+    bool valid = false;
+    double freq_ghz = 0.0;
+    double default_toggle = 0.0;
+    bool has_toggles = false;
+    std::vector<double> toggles;
+    std::vector<double> switching;  ///< per net
+    std::vector<double> internal;   ///< per instance
+    std::vector<double> leakage;    ///< per instance
+    std::vector<netlist::NetId> dirty_nets;
+    std::vector<netlist::InstId> dirty_insts;
+  };
+
   double net_load_ff(netlist::NetId net) const;
   double compute_net_load_ff(netlist::NetId net) const;
   double sink_wire_delay_ps(netlist::NetId net, std::size_t sink_idx) const;
@@ -229,11 +292,18 @@ class Sta {
   /// Build the per-net load and sink-index caches (parallel_for over nets;
   /// lazy, built on first analysis).
   void ensure_caches() const;
+  /// The dirty nets plus every net on a dirty instance, sorted and unique.
+  std::vector<netlist::NetId> affected_nets(const DirtySet& dirty) const;
   /// Resize the lazy caches to the current netlist and recompute the
-  /// entries of `nets` (update_timing support).
+  /// entries of `nets` (O(|nets| + their sinks)).
   void refresh_caches_for(const std::vector<netlist::NetId>& nets) const;
   /// Rebuild topo_order_/topo_pos_ from the current netlist.
   void rebuild_topo() const;
+  /// Give instances [first_new, n) a topological position after their
+  /// latest driver; re-derive the whole order instead when an edge of
+  /// `nets` would run against (position, id) order.
+  void place_new_instances(std::size_t first_new,
+                           const std::vector<netlist::NetId>& nets);
   /// Arrival and slew at an instance input pin fed by `net_id`.
   void input_arrival_ps(netlist::NetId net_id, std::size_t sink_idx,
                         double& arr, double& slw, netlist::InstId& src) const;
@@ -243,10 +313,32 @@ class Sta {
   bool propagate_instance(
       netlist::InstId id,
       const std::unordered_map<netlist::InstId, double>* clock_latency_ps);
-  /// Endpoint scan + critical-path reconstruction + max-slew scan over the
-  /// current arrival/slew tables (shared by full and incremental paths).
-  TimingReport build_report(
+  /// Report leaves: an instance's slew if it is a propagating
+  /// combinational cell, a flip-flop's D-pin path delay, a primary
+  /// output's arrival (−∞ where the element is no such leaf).
+  double slew_leaf(netlist::InstId id) const;
+  double ff_end_leaf(
+      netlist::InstId id,
+      const std::unordered_map<netlist::InstId, double>* clock_latency_ps)
+      const;
+  double po_end_leaf(netlist::PortId port) const;
+  /// Rebuild every report leaf from the current tables (O(n)).
+  void build_report_trees(
       const std::unordered_map<netlist::InstId, double>* clock_latency_ps);
+  /// Report from the leaf trees: worst endpoint (first in the full scan's
+  /// order on ties), max slew, endpoint count and the critical path.
+  TimingReport build_report();
+  /// Power terms of one net / instance (the full pass's term expressions).
+  double switching_term(netlist::NetId n, double vdd, double freq_ghz,
+                        const std::vector<double>* toggle_rates,
+                        double default_toggle) const;
+  void instance_power_terms(netlist::InstId i, double freq_ghz,
+                            const std::vector<double>* toggle_rates,
+                            double default_toggle, double& internal,
+                            double& leakage) const;
+  /// Queue power terms for recomputation (no-op while none are cached).
+  void dirty_power_net(netlist::NetId n) const;
+  void dirty_power_inst(netlist::InstId i) const;
 
   const netlist::Netlist* nl_;
   const extract::RcNetlist* rc_;
@@ -256,17 +348,27 @@ class Sta {
   std::vector<netlist::InstId> from_;  ///< per-instance worst-arc source
   std::vector<netlist::InstId> critical_insts_;
   long last_update_recomputed_ = 0;
+  /// The latency map the report leaves were computed with.
+  const std::unordered_map<netlist::InstId, double>* latency_ = nullptr;
+  ArgMaxTree slew_tree_;    ///< per InstId
+  ArgMaxTree ff_ends_;      ///< per InstId: flip-flop D-pin endpoints
+  ArgMaxTree po_ends_;      ///< per PortId: primary-output endpoints
+  std::vector<char> queued_;  ///< worklist marks, all 0 between updates
 
   mutable bool caches_built_ = false;
   mutable std::vector<double> net_load_;  ///< per-net driver load (fF)
-  /// Per-instance, per-pin sink index (kNoSinkIndex = pin not in any sink
-  /// list; reads map it to 0).
-  mutable std::vector<std::vector<std::size_t>> sink_index_;
-  /// Topological order cached by the last analysis (update_timing reuses
-  /// it; rebuilt on structure changes).  topo_pos_ maps InstId → position
-  /// (kNoTopoPos for instances outside the timing graph).
+  /// Per-pin sink index, indexed by the netlist's flat pin slot
+  /// (kNoSinkIndex = pin not in any sink list; reads map it to 0).
+  mutable std::vector<std::uint32_t> sink_index_;
+  /// Topological order cached by the last rebuild and each instance's
+  /// position in it (kNoTopoPos for instances outside the timing graph).
+  /// The worklist orders by (position, id); instances placed since the
+  /// rebuild share their driver's position, so topo_order_ is then stale
+  /// (`order_stale_`) while topo_pos_ stays a valid order.
   mutable std::vector<netlist::InstId> topo_order_;
   mutable std::vector<int> topo_pos_;
+  mutable bool order_stale_ = false;
+  mutable PowerTerms power_;
 };
 
 }  // namespace ffet::sta

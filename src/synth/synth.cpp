@@ -77,29 +77,31 @@ SynthReport size_for_frequency(Netlist& nl, const SynthOptions& options) {
   const double target_ps = 1000.0 / options.target_freq_ghz;
   const stdcell::Library& lib = nl.library();
 
+  // One wireload timer for every pass: each pass re-times only the cone
+  // of the cells it upsized, bit-identical to a fresh analysis.
+  sta::Sta sta(&nl, nullptr);
+  sta::TimingReport t = sta.analyze_timing();
   for (int pass = 0; pass < options.max_passes; ++pass) {
     rep.passes = pass + 1;
-    sta::Sta sta(&nl, nullptr);  // wireload model
-    const sta::TimingReport t = sta.analyze_timing();
     rep.est_freq_ghz = t.achieved_freq_ghz;
     if (t.critical_path_ps <= target_ps) {
       rep.met = true;
       return rep;
     }
-    int changed = 0;
+    sta::DirtySet upsized;
     for (InstId id : sta.critical_instances()) {
       const netlist::Instance& inst = nl.instance(id);
       if (inst.type->physical_only() || inst.fixed) continue;
       const stdcell::CellType* up = next_drive(lib, *inst.type);
       if (!up) continue;
       nl.resize_instance(id, up);
-      ++changed;
+      upsized.insts.push_back(id);
     }
-    rep.upsized += changed;
-    if (changed == 0) break;  // ladder exhausted on the critical path
+    rep.upsized += static_cast<int>(upsized.insts.size());
+    if (upsized.insts.empty()) break;  // ladder exhausted on the critical path
+    t = sta.update_timing(upsized);
   }
-  sta::Sta sta(&nl, nullptr);
-  rep.est_freq_ghz = sta.analyze_timing().achieved_freq_ghz;
+  rep.est_freq_ghz = t.achieved_freq_ghz;
   rep.met = 1000.0 / rep.est_freq_ghz <= target_ps;
   return rep;
 }
@@ -175,26 +177,32 @@ int fix_hold(netlist::Netlist& nl,
       0.9 * std::min(arc.delay_rise.lookup(10.0, 1.5),
                      arc.delay_fall.lookup(10.0, 1.5));
 
+  sta::StaOptions so;
+  so.derate_early = 0.85;  // conservative min-delay view
+  double mean_lat = 0.0;
+  if (!clock_latency_ps.empty()) {
+    for (const auto& [id, lat] : clock_latency_ps) mean_lat += lat;
+    mean_lat /= static_cast<double>(clock_latency_ps.size());
+  }
+  so.pi_reference_latency_ps = mean_lat;
+  // One timer for every pass: after a pass's buffers, only the touched
+  // nets' caches are refreshed before the next hold analysis.
+  sta::Sta sta(&nl, nullptr, so);
+
   int inserted = 0;
   int serial = 0;
   for (int pass = 0; pass < 4; ++pass) {
-    sta::StaOptions so;
-    so.derate_early = 0.85;  // conservative min-delay view
-    double mean_lat = 0.0;
-    if (!clock_latency_ps.empty()) {
-      for (const auto& [id, lat] : clock_latency_ps) mean_lat += lat;
-      mean_lat /= static_cast<double>(clock_latency_ps.size());
-    }
-    so.pi_reference_latency_ps = mean_lat;
-    sta::Sta sta(&nl, nullptr, so);
     const sta::HoldReport rep = sta.analyze_hold(&clock_latency_ps);
     if (rep.violating_endpoints.empty()) break;
+    sta::DirtySet touched;
+    touched.structure_changed = true;
     for (const auto& [ff, slack] : rep.violating_endpoints) {
       const int need = std::max(
           1, static_cast<int>((margin_ps - slack) / buf_delay + 0.999));
       const geom::Point ff_pos = nl.instance(ff).pos;
       const int d_pin = nl.instance(ff).type->pin_index("D");
       netlist::NetId src = nl.pin_net(ff, static_cast<std::size_t>(d_pin));
+      touched.nets.push_back(src);
       for (int k = 0; k < need; ++k) {
         const netlist::NetId mid =
             nl.add_net("hold_net_" + std::to_string(serial));
@@ -205,11 +213,13 @@ int fix_hold(netlist::Netlist& nl,
         nl.instance(b).pos = ff_pos;
         nl.connect(b, "I", src);
         nl.connect(b, "Z", mid);
+        touched.insts.push_back(b);
         src = mid;
         ++inserted;
       }
       nl.reconnect_sink(ff, "D", src);
     }
+    sta.update_caches(touched);
   }
   return inserted;
 }

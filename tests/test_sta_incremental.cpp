@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "liberty/characterize.h"
@@ -68,6 +69,72 @@ class StaIncrementalTest : public ::testing::Test {
       EXPECT_EQ(gp[i].is_port, wp[i].is_port) << "rank " << i;
       EXPECT_EQ(gp[i].path_ps, wp[i].path_ps) << "rank " << i;
     }
+  }
+
+  /// One buffer splice: `moved` sinks of `net` moved onto `leaf` behind
+  /// `buf`, with the net's sink order before the edit.
+  struct Splice {
+    NetId net = netlist::kNoNet;
+    NetId leaf = netlist::kNoNet;
+    InstId buf = netlist::kNoInst;
+    std::vector<netlist::PinRef> moved;
+    std::vector<netlist::PinRef> orig_sinks;
+  };
+
+  static const std::string& pin_name(const netlist::Netlist& nl,
+                                     const netlist::PinRef& p) {
+    return nl.instance(p.inst)
+        .type->pins()[static_cast<std::size_t>(p.pin)]
+        .name;
+  }
+
+  /// Splice a BUFD2 in front of `moved` (sinks of `net`), as the ECO's
+  /// repeater transform does; returns the dirty set to time it with.
+  DirtySet splice(netlist::Netlist& nl, Splice& sp) {
+    sp.orig_sinks = nl.net(sp.net).sinks;
+    sp.leaf = nl.add_net("splice_leaf_" + std::to_string(nl.num_nets()));
+    sp.buf = nl.add_instance("splice_buf_" + std::to_string(nl.num_instances()),
+                             lib_.find("BUFD2"));
+    nl.connect(sp.buf, "Z", sp.leaf);
+    for (const netlist::PinRef& s : sp.moved) {
+      nl.reconnect_sink(s.inst, pin_name(nl, s), sp.leaf);
+    }
+    nl.connect(sp.buf, "I", sp.net);
+    DirtySet d;
+    d.nets = {sp.net, sp.leaf};
+    d.insts = {sp.buf};
+    d.structure_changed = true;
+    return d;
+  }
+
+  /// Undo the latest splice exactly, as an ECO revert does: the buffer
+  /// and its leaf are popped and the net's sink order is restored.
+  static DirtySet unsplice(netlist::Netlist& nl, const Splice& sp) {
+    for (const netlist::PinRef& s : sp.moved) {
+      nl.reconnect_sink(s.inst, pin_name(nl, s), sp.net);
+    }
+    nl.disconnect_pin(sp.buf, "I");
+    nl.disconnect_pin(sp.buf, "Z");
+    nl.pop_instance();
+    nl.pop_net();
+    for (const netlist::PinRef& s : sp.orig_sinks) {
+      nl.disconnect_pin(s.inst, pin_name(nl, s));
+    }
+    for (const netlist::PinRef& s : sp.orig_sinks) {
+      nl.connect(s.inst, pin_name(nl, s), sp.net);
+    }
+    DirtySet d;
+    d.nets = {sp.net};
+    d.structure_changed = true;
+    return d;
+  }
+
+  static void expect_same_power(const PowerReport& got,
+                                const PowerReport& want) {
+    EXPECT_EQ(got.switching_uw, want.switching_uw);
+    EXPECT_EQ(got.internal_uw, want.internal_uw);
+    EXPECT_EQ(got.leakage_uw, want.leakage_uw);
+    EXPECT_EQ(got.freq_ghz, want.freq_ghz);
   }
 
   tech::Technology tech_;
@@ -175,6 +242,114 @@ TEST_F(StaIncrementalTest, StructuralBufferInsertMatchesFullAnalysis) {
   Sta fresh(&nl, nullptr);
   TimingReport ref = fresh.analyze_timing();
   expect_bit_identical(upd, ref, sta, fresh);
+
+  // Revert as the ECO does: pop the buffer and its leaf, restore the
+  // victim's sink order, and update on the same timer.
+  Splice sp;
+  sp.net = victim;
+  sp.leaf = leaf;
+  sp.buf = bid;
+  sp.moved = sinks;
+  sp.orig_sinks = sinks;
+  const DirtySet undo = unsplice(nl, sp);
+  ASSERT_TRUE(nl.validate().empty());
+  const TimingReport reverted = sta.update_timing(undo);
+  Sta fresh2(&nl, nullptr);
+  const TimingReport ref2 = fresh2.analyze_timing();
+  expect_bit_identical(reverted, ref2, sta, fresh2);
+}
+
+TEST_F(StaIncrementalTest, PowerAfterUpdatesMatchesFreshAnalysis) {
+  // Random resizes, buffer splices and LIFO undos on one timer; after
+  // every update its power must equal a fresh timer's, field for field.
+  // Most calls repeat the frequency and toggles (the incremental path);
+  // some switch either, which must fall back to a full pass.  The
+  // characterized output transitions depend on the load only; adding an
+  // input-slew term makes slews move through whole cones, so internal
+  // power terms change away from the edited nets too.
+  for (const auto& cell : lib_.cells()) {
+    stdcell::TimingModel* model = cell->timing_model();
+    if (!model) continue;
+    for (stdcell::TimingArc& arc : model->arcs) {
+      for (stdcell::NldmTable* t : {&arc.trans_rise, &arc.trans_fall}) {
+        std::vector<double> v = t->values();
+        for (std::size_t i = 0; i < t->slew_axis().size(); ++i) {
+          for (std::size_t j = 0; j < t->load_axis().size(); ++j) {
+            v[i * t->load_axis().size() + j] += 0.3 * t->slew_axis()[i];
+          }
+        }
+        *t = stdcell::NldmTable(t->slew_axis(), t->load_axis(), v);
+      }
+    }
+  }
+  netlist::Netlist nl = make_design(8);
+  StaOptions so;
+  so.threads = 4;
+  Sta sta(&nl, nullptr, so);
+  sta.analyze_timing();
+  sta.analyze_power(1.2);
+
+  std::mt19937 rng(5);
+  std::vector<Splice> stack;
+  int resizes = 0, splices = 0, undos = 0;
+  for (int step = 0; step < 60; ++step) {
+    DirtySet dirty;
+    const unsigned op = rng() % 3;
+    if (op == 2 && !stack.empty()) {
+      dirty = unsplice(nl, stack.back());
+      stack.pop_back();
+      ++undos;
+    } else if (op == 1) {
+      // A multi-sink data net; move a random non-empty subset of sinks.
+      Splice sp;
+      for (int tries = 0; tries < 50 && sp.net == netlist::kNoNet; ++tries) {
+        const auto n = static_cast<NetId>(rng() % nl.num_nets());
+        const netlist::Net& net = nl.net(n);
+        if (net.is_clock || net.driver.inst == netlist::kNoInst) continue;
+        if (net.sinks.size() < 2) continue;
+        sp.net = n;
+      }
+      if (sp.net == netlist::kNoNet) continue;
+      for (const netlist::PinRef& s : nl.net(sp.net).sinks) {
+        if (rng() % 2) sp.moved.push_back(s);
+      }
+      if (sp.moved.empty()) sp.moved.push_back(nl.net(sp.net).sinks.back());
+      dirty = splice(nl, sp);
+      stack.push_back(sp);
+      ++splices;
+    } else {
+      const auto id = static_cast<InstId>(rng() % nl.num_instances());
+      const netlist::Instance& inst = nl.instance(id);
+      if (inst.type->physical_only()) continue;
+      const std::string base(stdcell::to_string(inst.type->function()));
+      const stdcell::CellType* other = lib_.find(
+          base + (inst.type->structure().drive == 1 ? "D2" : "D1"));
+      if (!other || other == inst.type) continue;
+      nl.resize_instance(id, other);
+      dirty.insts.push_back(id);
+      ++resizes;
+    }
+    ASSERT_TRUE(nl.validate().empty()) << "step " << step;
+    const TimingReport upd = sta.update_timing(dirty);
+    Sta fresh(&nl, nullptr, so);
+    const TimingReport ref = fresh.analyze_timing();
+    expect_bit_identical(upd, ref, sta, fresh);
+
+    const double freq = step % 7 == 3 ? 0.9 : 1.2;
+    std::vector<double> toggles;
+    if (step % 5 == 4) {
+      for (NetId n = 0; n < nl.num_nets(); ++n) {
+        toggles.push_back(0.05 + 0.01 * static_cast<double>(n % 17));
+      }
+    }
+    const std::vector<double>* tr = toggles.empty() ? nullptr : &toggles;
+    SCOPED_TRACE("step " + std::to_string(step));
+    expect_same_power(sta.analyze_power(freq, tr),
+                      fresh.analyze_power(freq, tr));
+  }
+  EXPECT_GT(resizes, 5);
+  EXPECT_GT(splices, 5);
+  EXPECT_GT(undos, 3);
 }
 
 TEST_F(StaIncrementalTest, WorstPathsOrderingAndEndpointQueries) {

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "liberty/characterize.h"
 #include "netlist/builder.h"
 #include "netlist/sim.h"
@@ -26,6 +33,115 @@ class SynthTest : public ::testing::Test {
   tech::Technology tech_;
   stdcell::Library lib_;
 };
+
+/// Sizing with a fresh wireload timer per pass and one more after the
+/// loop: the reference the shared-timer size_for_frequency must match.
+/// The fanout buffering comes from size_for_frequency with no passes.
+SynthReport size_with_fresh_timers(netlist::Netlist& nl,
+                                   const SynthOptions& options) {
+  SynthOptions buffer_only = options;
+  buffer_only.max_passes = 0;
+  SynthReport rep = size_for_frequency(nl, buffer_only);
+  rep.passes = 0;
+  rep.met = false;
+  const double target_ps = 1000.0 / options.target_freq_ghz;
+  for (int pass = 0; pass < options.max_passes; ++pass) {
+    rep.passes = pass + 1;
+    sta::Sta sta(&nl, nullptr);
+    const sta::TimingReport t = sta.analyze_timing();
+    rep.est_freq_ghz = t.achieved_freq_ghz;
+    if (t.critical_path_ps <= target_ps) {
+      rep.met = true;
+      return rep;
+    }
+    int changed = 0;
+    for (const netlist::InstId id : sta.critical_instances()) {
+      const netlist::Instance& inst = nl.instance(id);
+      if (inst.type->physical_only() || inst.fixed) continue;
+      const int d = inst.type->structure().drive;
+      const std::string base(stdcell::to_string(inst.type->function()));
+      const stdcell::CellType* up = nullptr;
+      for (int nd : {d * 2, d * 4}) {
+        up = nl.library().find(base + "D" + std::to_string(nd));
+        if (up) break;
+      }
+      if (!up) continue;
+      nl.resize_instance(id, up);
+      ++changed;
+    }
+    rep.upsized += changed;
+    if (changed == 0) break;
+  }
+  sta::Sta sta(&nl, nullptr);
+  rep.est_freq_ghz = sta.analyze_timing().achieved_freq_ghz;
+  rep.met = 1000.0 / rep.est_freq_ghz <= target_ps;
+  return rep;
+}
+
+/// Hold fixing with a fresh timer per pass: the reference the shared-timer
+/// fix_hold must match.  Returns the buffers inserted; `passes` counts the
+/// passes that inserted any.
+int fix_hold_with_fresh_timers(
+    netlist::Netlist& nl,
+    const std::unordered_map<netlist::InstId, double>& latency, int& passes,
+    double margin_ps = 4.0) {
+  const stdcell::CellType& buf = nl.library().at("BUFD1");
+  const stdcell::TimingArc& arc = buf.timing_model()->arcs.front();
+  const double buf_delay =
+      0.9 * std::min(arc.delay_rise.lookup(10.0, 1.5),
+                     arc.delay_fall.lookup(10.0, 1.5));
+  sta::StaOptions so;
+  so.derate_early = 0.85;
+  double mean_lat = 0.0;
+  for (const auto& [id, lat] : latency) mean_lat += lat;
+  if (!latency.empty()) mean_lat /= static_cast<double>(latency.size());
+  so.pi_reference_latency_ps = mean_lat;
+  int inserted = 0;
+  int serial = 0;
+  passes = 0;
+  for (int pass = 0; pass < 4; ++pass) {
+    sta::Sta sta(&nl, nullptr, so);
+    const sta::HoldReport rep = sta.analyze_hold(&latency);
+    if (rep.violating_endpoints.empty()) break;
+    ++passes;
+    for (const auto& [ff, slack] : rep.violating_endpoints) {
+      const int need = std::max(
+          1, static_cast<int>((margin_ps - slack) / buf_delay + 0.999));
+      const int d_pin = nl.instance(ff).type->pin_index("D");
+      netlist::NetId src = nl.pin_net(ff, d_pin);
+      for (int k = 0; k < need; ++k) {
+        const netlist::NetId mid =
+            nl.add_net("hold_net_" + std::to_string(serial));
+        const netlist::InstId b =
+            nl.add_instance("hold_buf_" + std::to_string(serial), &buf);
+        ++serial;
+        nl.instance(b).pos = nl.instance(ff).pos;
+        nl.connect(b, "I", src);
+        nl.connect(b, "Z", mid);
+        src = mid;
+        ++inserted;
+      }
+      nl.reconnect_sink(ff, "D", src);
+    }
+  }
+  return inserted;
+}
+
+/// FNV-1a over the instances' cell names in id order.
+std::uint64_t cell_type_digest(const netlist::Netlist& nl) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&](unsigned char c) {
+    h ^= c;
+    h *= 1099511628211ull;
+  };
+  for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
+    for (const char c : nl.instance(i).type->name()) {
+      mix(static_cast<unsigned char>(c));
+    }
+    mix('\n');
+  }
+  return h;
+}
 
 TEST_F(SynthTest, BuffersHighFanoutNets) {
   Builder b("fo", &lib_);
@@ -89,6 +205,36 @@ TEST_F(SynthTest, TighterTargetMeansMoreAreaAndHigherFreq) {
   EXPECT_GT(rep_fast.upsized, rep_slow.upsized);
   EXPECT_GT(fast.stats().total_cell_area_um2, slow.stats().total_cell_area_um2);
   EXPECT_GT(rep_fast.est_freq_ghz, rep_slow.est_freq_ghz * 1.05);
+}
+
+TEST_F(SynthTest, OneTimerSizingMatchesPerPassRebuild) {
+  // RV32 at 1.5 GHz misses its target, so every one of the 16 passes runs
+  // and re-times the previous pass's upsized cells on the shared timer.
+  // The digests are the cell types the per-pass-rebuild loop produced.
+  const std::pair<int, std::uint64_t> cores[] = {
+      {8, 0x2a956f419273125bull}, {32, 0xeaca43bb3c8087a9ull}};
+  for (const auto& [registers, digest] : cores) {
+    riscv::Rv32Options opt;
+    opt.num_registers = registers;
+    SynthOptions so;
+    so.target_freq_ghz = 1.5;
+    netlist::Netlist got_nl = riscv::build_rv32_core(lib_, opt);
+    netlist::Netlist want_nl = riscv::build_rv32_core(lib_, opt);
+    const SynthReport got = size_for_frequency(got_nl, so);
+    const SynthReport want = size_with_fresh_timers(want_nl, so);
+    EXPECT_EQ(got.passes, so.max_passes) << registers;
+    EXPECT_EQ(got.est_freq_ghz, want.est_freq_ghz) << registers;
+    EXPECT_EQ(got.met, want.met) << registers;
+    EXPECT_EQ(got.upsized, want.upsized) << registers;
+    EXPECT_EQ(got.buffers_added, want.buffers_added) << registers;
+    EXPECT_EQ(got.passes, want.passes) << registers;
+    ASSERT_EQ(got_nl.num_instances(), want_nl.num_instances());
+    for (netlist::InstId i = 0; i < got_nl.num_instances(); ++i) {
+      ASSERT_EQ(got_nl.instance(i).type, want_nl.instance(i).type)
+          << registers << " regs, " << got_nl.instance_name(i);
+    }
+    EXPECT_EQ(cell_type_digest(got_nl), digest) << registers;
+  }
 }
 
 TEST_F(SynthTest, SizingPreservesRiscvFunction) {
@@ -205,6 +351,44 @@ TEST_F(SynthTest, HoldFixInsertsBuffersOnlyWhenViolating) {
   sta::Sta sta(&c, nullptr, so);
   sta.analyze_timing(&skewed);
   EXPECT_EQ(sta.analyze_hold(&skewed).violations, 0);
+}
+
+TEST_F(SynthTest, OneTimerHoldFixMatchesFreshTimerReplay) {
+  // A negative margin makes each pass add one buffer per violating flop,
+  // so flops that violate by more than one buffer's delay need later
+  // passes, which analyze hold on the shared timer after update_caches.
+  // Every instance, pin binding and sink order must equal the
+  // per-pass-rebuild replay.
+  riscv::Rv32Options opt;
+  opt.num_registers = 8;
+  const netlist::Netlist core = riscv::build_rv32_core(lib_, opt);
+  std::unordered_map<netlist::InstId, double> latency;
+  for (netlist::InstId i = 0; i < core.num_instances(); ++i) {
+    if (core.instance(i).type->sequential()) latency[i] = 9.0 * (i % 23);
+  }
+  netlist::Netlist got = core;
+  netlist::Netlist want = core;
+  int passes = 0;
+  const double margin_ps = -1000.0;
+  const int got_added = fix_hold(got, latency, margin_ps);
+  const int want_added =
+      fix_hold_with_fresh_timers(want, latency, passes, margin_ps);
+  EXPECT_GE(passes, 2);
+  EXPECT_GT(got_added, 0);
+  EXPECT_EQ(got_added, want_added);
+  ASSERT_EQ(got.num_instances(), want.num_instances());
+  ASSERT_EQ(got.num_nets(), want.num_nets());
+  for (netlist::InstId i = 0; i < got.num_instances(); ++i) {
+    ASSERT_EQ(got.instance_name(i), want.instance_name(i));
+    ASSERT_EQ(got.instance(i).type, want.instance(i).type);
+    const auto gp = got.pin_nets(i);
+    const auto wp = want.pin_nets(i);
+    ASSERT_TRUE(std::equal(gp.begin(), gp.end(), wp.begin(), wp.end()))
+        << got.instance_name(i);
+  }
+  for (netlist::NetId n = 0; n < got.num_nets(); ++n) {
+    ASSERT_EQ(got.net(n).sinks, want.net(n).sinks) << got.net_name(n);
+  }
 }
 
 TEST_F(SynthTest, HoldReportNeedsNoTimingPass) {
