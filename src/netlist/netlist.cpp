@@ -511,9 +511,16 @@ std::vector<InstId> Netlist::topo_order() const {
     }
   }
 
+  // Sequential instances first, in id order: a flop's Q is read by the
+  // combinational cells it feeds, whatever their ids.  They add no edges,
+  // so the combinational part of the order is the same either way.
   std::queue<InstId> ready;
   for (std::size_t i = 0; i < instances_.size(); ++i) {
-    if (instances_[i].type->physical_only()) continue;
+    if (instances_[i].type->sequential()) ready.push(static_cast<InstId>(i));
+  }
+  for (std::size_t i = 0; i < instances_.size(); ++i) {
+    const stdcell::CellType& type = *instances_[i].type;
+    if (type.physical_only() || type.sequential()) continue;
     if (pending[i] == 0) ready.push(static_cast<InstId>(i));
   }
 

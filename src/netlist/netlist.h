@@ -303,8 +303,9 @@ class Netlist {
   std::vector<std::string> validate() const;
 
   /// Instances in topological order of the combinational graph (PIs and
-  /// register outputs are sources; register D pins and POs are sinks).
-  /// Throws std::runtime_error on a combinational cycle.
+  /// register outputs are sources; register D pins and POs are sinks):
+  /// every sequential instance first, in id order, then the combinational
+  /// ones.  Throws std::runtime_error on a combinational cycle.
   std::vector<InstId> topo_order() const;
 
   /// Pre-size the instance/net/pin arenas (builder-scale hint; optional).

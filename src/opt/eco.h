@@ -92,8 +92,8 @@ struct EcoReport {
   double est_power_delta_uw = 0.0;
 
   /// Incremental-STA effort: update_timing() calls, total instances they
-  /// re-propagated, and wall time vs the full analyses run at the pass
-  /// boundaries — the incremental-vs-full speedup the bench reports.
+  /// re-propagated, and wall time vs the one full analysis the loop opens
+  /// with — the incremental-vs-full speedup the bench reports.
   long sta_updates = 0;
   long sta_recomputed = 0;
   double incr_sta_ms = 0.0;

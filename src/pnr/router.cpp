@@ -510,8 +510,6 @@ void refold_totals(SideGrid& g, ForEachRoute&& for_each_route) {
 
 /// A subnet to route: source + sinks on one side.
 struct SubNet {
-  NetId net = netlist::kNoNet;
-  Side side = Side::Front;
   int source = 0;
   std::vector<int> sinks;
 };
@@ -550,11 +548,9 @@ void for_each_landing_edge(const SideGrid& g, int node, FH&& h, FV&& v) {
   if (r + 1 < g.rows) v(static_cast<std::size_t>(g.v_edge(c, r)));
 }
 
-/// Everything derived from the floorplan + pin landscape before any net is
-/// routed: the two per-side grids with pin-access demand folded into the
-/// bases, and the per-side pin totals for the access-DRV check.  Shared by
-/// the full route and the incremental reroute so both see identical
-/// resources.
+/// The two per-side grids of a floorplan, with their capacities and no
+/// usage, and the per-side pin totals for the access-DRV check.  The
+/// RouteState that owns them folds the pin-access demand into the bases.
 struct GridSetup {
   std::array<SideGrid, 2> grids;
   std::array<long, 2> pin_totals{0, 0};
@@ -563,8 +559,7 @@ struct GridSetup {
   geom::Nm gsize = 0;
 };
 
-GridSetup build_grid_setup(const Netlist& nl, const Floorplan& fp,
-                           const tech::Technology& tech,
+GridSetup build_grid_setup(const Floorplan& fp, const tech::Technology& tech,
                            const RouteOptions& options) {
   GridSetup gs;
   gs.gsize = options.gcell_tracks * tech.track_pitch();
@@ -573,7 +568,6 @@ GridSetup build_grid_setup(const Netlist& nl, const Floorplan& fp,
   gs.grows = std::max(
       1, static_cast<int>((fp.core.height() + gs.gsize - 1) / gs.gsize));
 
-  // --- build the per-side grids ------------------------------------------------
   for (Side s : {Side::Front, Side::Back}) {
     SideGrid& g = gs.grids[static_cast<std::size_t>(sidx(s))];
     g.cols = gs.gcols;
@@ -603,29 +597,6 @@ GridSetup build_grid_setup(const Netlist& nl, const Floorplan& fp,
     g.v_use = g.v_base;
     g.v_hist = g.v_base;
   }
-
-  // --- pin-access demand -------------------------------------------------------
-  // Every pin consumes a share of the routing resources around its gcell on
-  // the side(s) where its landing metal lives.  This is where FFET FM12's
-  // "higher pin density ... due to FFET's smaller cell area" (Fig. 8c)
-  // penalty enters, and what dual-sided pin redistribution relieves.  Every
-  // landing adds the same share, so an edge's base is the RepeatedSum of
-  // its landing count whatever the instance order (RouteState relies on
-  // it).
-  const double d = options.pin_access_demand / 2.0;
-  for (int i = 0; i < nl.num_instances(); ++i) {
-    for_each_pin_landing(nl, i, [&](Side s, geom::Point pos) {
-      SideGrid& g = gs.grids[static_cast<std::size_t>(sidx(s))];
-      ++gs.pin_totals[static_cast<std::size_t>(sidx(s))];
-      if (!g.wired()) return;  // no layers: no wiring
-      for_each_landing_edge(
-          g, g.clamp_gcell(pos), [&](std::size_t e) { g.h_base[e] += d; },
-          [&](std::size_t e) { g.v_base[e] += d; });
-    });
-  }
-  // Bases are final: derive hard capacities, the edge-cost cache, and the
-  // incremental overflow totals.
-  for (SideGrid& g : gs.grids) g.finalize(options.dr_slack);
   return gs;
 }
 
@@ -638,10 +609,7 @@ void decompose_net(const Netlist& nl, NetId n, bool has_back,
                    const std::array<SideGrid, 2>& grids,
                    std::array<SubNet, 2>& out) {
   for (Side s : {Side::Front, Side::Back}) {
-    SubNet& sn = out[static_cast<std::size_t>(sidx(s))];
-    sn = SubNet{};
-    sn.net = n;
-    sn.side = s;
+    out[static_cast<std::size_t>(sidx(s))] = SubNet{};
   }
   const netlist::Net& net = nl.net(n);
   // Source gcell: driving cell pin or input port.
@@ -693,21 +661,6 @@ void decompose_net(const Netlist& nl, NetId n, bool has_back,
     }
     sn.source = grids[sz].clamp_gcell(src_pos);
   }
-}
-
-std::vector<SubNet> decompose_subnets(const Netlist& nl,
-                                      const tech::Technology& tech,
-                                      const GridSetup& gs) {
-  const bool has_back = tech.num_routing_layers(Side::Back) > 0;
-  std::vector<SubNet> subnets;
-  std::array<SubNet, 2> per_side;
-  for (int n = 0; n < nl.num_nets(); ++n) {
-    decompose_net(nl, n, has_back, gs.grids, per_side);
-    for (SubNet& sn : per_side) {
-      if (!sn.sinks.empty()) subnets.push_back(std::move(sn));
-    }
-  }
-  return subnets;
 }
 
 /// Per-pass PathFinder history update: decay, then bump every overflowed
@@ -1184,19 +1137,22 @@ struct NegotiationEnd {
 };
 
 /// The negotiation loop: Steiner-decompose the subnets listed in `listed`
-/// (ascending indices into `subnets`) into 2-pin subnets, route them
+/// (ascending slots 2 * net + side of `sources` and `sinks`; the slot's
+/// parity is its side) into 2-pin subnets, route them
 /// short-first (fast path, then A*), then negotiate by congestion region —
 /// cluster the overflowed gcells, rip only the listed subnets crossing
 /// each region, search region reroutes in parallel against a frozen
 /// snapshot (private overlays), and commit serially in region order.
 /// Every unlisted subnet's usage must already be on the grids, where it
-/// stays as fixed usage (RouteState's carried routes); route_design lists
-/// every subnet on empty grids.  Serial and threaded runs execute the same
-/// searches against the same frozen state, so results are bit-identical at
-/// any thread count.  Fills route_edges of the listed subnets (per subnet,
-/// deduplicated) and the res counters; the caller finalizes.
+/// stays as fixed usage (RouteState's carried routes; with nothing carried,
+/// as in route_design, every subnet is listed on empty grids).  Serial and
+/// threaded runs execute the same searches against the same frozen state,
+/// so results are bit-identical at any thread count.  Fills route_edges of
+/// the listed subnets (per subnet, deduplicated) and the res counters; the
+/// caller assigns layers and accounts.
 NegotiationEnd route_astar2(RouteResult& res, const RouteOptions& options,
-                            const std::vector<SubNet>& subnets,
+                            const std::vector<int>& sources,
+                            const std::vector<std::vector<int>>& sinks,
                             const std::vector<std::size_t>& listed,
                             std::array<SideGrid, 2>& grids,
                             std::array<PathRouter, 2>& routers,
@@ -1216,8 +1172,8 @@ NegotiationEnd route_astar2(RouteResult& res, const RouteOptions& options,
         const std::size_t end =
             std::min(listed.size(), (b + 1) * kSubnetBlock);
         for (std::size_t k = b * kSubnetBlock; k < end; ++k) {
-          const SubNet& sn = subnets[listed[k]];
-          const SideGrid& g = grids[static_cast<std::size_t>(sidx(sn.side))];
+          const std::size_t slot = listed[k];
+          const SideGrid& g = grids[slot % 2];
           term_nodes.clear();
           terms.clear();
           auto add_term = [&](int n) {
@@ -1227,8 +1183,8 @@ NegotiationEnd route_astar2(RouteResult& res, const RouteOptions& options,
             term_nodes.push_back(n);
             terms.push_back({g.col_of(n), g.row_of(n)});
           };
-          add_term(sn.source);
-          for (int s : sn.sinks) add_term(s);
+          add_term(sources[slot]);
+          for (int s : sinks[slot]) add_term(s);
           if (terms.size() < 2) continue;  // all terminals share one gcell
           const SteinerTree tree = build_steiner_tree(terms);
           for (const SteinerSeg& seg : tree.segs) {
@@ -1254,7 +1210,7 @@ NegotiationEnd route_astar2(RouteResult& res, const RouteOptions& options,
     for (const TwoPin& tp : block) {
       const auto p = static_cast<std::size_t>(tp.parent);
       TwoPinSide& ts =
-          sides[static_cast<std::size_t>(sidx(subnets[listed[p]].side))];
+          sides[listed[p] % 2];
       if (spans[p].second == 0) spans[p].first = ts.tps.size();
       ts.tps.push_back(tp);
       spans[p].second = ts.tps.size();
@@ -1273,7 +1229,7 @@ NegotiationEnd route_astar2(RouteResult& res, const RouteOptions& options,
   for (std::size_t p = 0; p < listed.size(); ++p) {
     if (spans[p].second - spans[p].first < 2) continue;
     TwoPinSide& ts =
-        sides[static_cast<std::size_t>(sidx(subnets[listed[p]].side))];
+        sides[listed[p] % 2];
     std::size_t len = 0;
     for (std::size_t t = spans[p].first; t < spans[p].second; ++t) {
       len += static_cast<std::size_t>(ts.tps[t].len);
@@ -1636,7 +1592,7 @@ NegotiationEnd route_astar2(RouteResult& res, const RouteOptions& options,
             std::min(listed.size(), (b + 1) * kSubnetBlock);
         for (std::size_t k = b * kSubnetBlock; k < last; ++k) {
           const std::size_t si = listed[k];
-          const auto sz = static_cast<std::size_t>(sidx(subnets[si].side));
+          const std::size_t sz = si % 2;
           const SideGrid& g = grids[sz];
           keys.clear();
           for (std::size_t t = spans[k].first; t < spans[k].second; ++t) {
@@ -1700,73 +1656,9 @@ int pick_layer(const std::vector<int>& ladder, std::size_t rank,
   return ladder[k];
 }
 
-/// The length-rank order of subnets: edge count, then net, then side — a
-/// strict total order, so a subnet's rank is well defined (and countable
-/// without a sort, as RouteState does).
-bool shorter(std::size_t len_a, NetId net_a, Side side_a, std::size_t len_b,
-             NetId net_b, Side side_b) {
-  if (len_a != len_b) return len_a < len_b;
-  if (net_a != net_b) return net_a < net_b;
-  return sidx(side_a) < sidx(side_b);
-}
-
 /// A routed subnet's wirelength: its gcell edges plus the local pin hookup.
 double route_wirelength_um(std::size_t num_edges, double gsize_um) {
   return static_cast<double>(num_edges) * gsize_um + 0.2;
-}
-
-/// The result's overflow, DRV verdict and diagnostics, shared by both
-/// loops (the routes and wirelength totals are already in `res`).
-void account_route_result(RouteResult& res, const GridSetup& gs,
-                          double pin_budget,
-                          const std::array<PathRouter, 2>& routers) {
-  double overflow = 0.0;
-  double hard_overflow = 0.0;
-  for (const SideGrid& g : gs.grids) {
-    overflow += g.overflow();
-    hard_overflow += g.hard_overflow();
-    res.capacity_units +=
-        g.h_cap * static_cast<double>(g.h_use.size()) +
-        g.v_cap * static_cast<double>(g.v_use.size());
-    for (double u : g.h_use) res.wire_demand_units += u;
-    for (double u : g.v_use) res.wire_demand_units += u;
-    for (double u : g.h_base) res.pin_demand_units += u;
-    for (double u : g.v_base) res.pin_demand_units += u;
-  }
-  res.overflow_total = static_cast<int>(std::round(overflow));
-  res.drv_wire = static_cast<int>(std::round(hard_overflow));
-  res.settled_nodes = routers[0].settled + routers[1].settled;
-  res.window_expansions = routers[0].expansions + routers[1].expansions;
-
-  // Pin-access DRVs: when a side's pin density exceeds what the detailed
-  // router can hook up, every pin beyond the budget becomes an access
-  // violation.  Density is evaluated block-wide per side — the sharp,
-  // deterministic version of the paper's pin-density routability limit.
-  double pin_drv = 0.0;
-  for (int side = 0; side < 2; ++side) {
-    // A side without routing layers carries no signal hookup (its pin
-    // landings are unused metal), so it cannot produce access violations.
-    if (!gs.grids[static_cast<std::size_t>(side)].wired()) continue;
-    pin_drv += std::max(
-        0.0,
-        static_cast<double>(gs.pin_totals[static_cast<std::size_t>(side)]) -
-            pin_budget);
-  }
-  res.drv_pin_access = static_cast<int>(std::round(pin_drv));
-
-  res.drv_estimate = res.drv_wire + res.drv_pin_access;
-  res.valid = res.drv_estimate < 10;  // the paper's validity rule
-
-  FFET_METRIC_ADD("route.ripups", res.ripups_total);
-  FFET_METRIC_ADD("route.region_ripups", res.region_ripups_total);
-  FFET_METRIC_ADD("route.steiner_subnets", res.steiner_subnets);
-  FFET_METRIC_ADD("route.fastpath_routes", res.fastpath_routes);
-  FFET_METRIC_ADD("route.drv.wire", res.drv_wire);
-  FFET_METRIC_ADD("route.drv.pin_access", res.drv_pin_access);
-  FFET_METRIC_ADD("route.settled_nodes", res.settled_nodes);
-  FFET_METRIC_ADD("route.window_expansions", res.window_expansions);
-  FFET_METRIC_OBSERVE("route.rrr_passes", res.rrr_passes);
-  FFET_METRIC_OBSERVE("route.overflow", overflow);
 }
 
 void set_geometry(RouteResult& res, const GridSetup& gs) {
@@ -1776,81 +1668,9 @@ void set_geometry(RouteResult& res, const GridSetup& gs) {
   res.grows = gs.grows;
 }
 
-double pin_budget_of(const Floorplan& fp, const RouteOptions& options) {
-  return options.pin_access_limit_per_um2 * fp.core.area_um2();
-}
-
-/// Emit the routes with their quantile layers (moving each edge
-/// list out of `route_edges`), then account.
-void finalize_route_result(RouteResult& res, const Floorplan& fp,
-                           const tech::Technology& tech,
-                           const RouteOptions& options,
-                           const std::vector<SubNet>& subnets,
-                           std::vector<std::vector<GEdge>>& route_edges,
-                           const GridSetup& gs,
-                           const std::array<PathRouter, 2>& routers) {
-  set_geometry(res, gs);
-  const double gsize_um = geom::to_um(gs.gsize);
-  // Layer assignment by wirelength quantile: longer nets ride higher layers.
-  std::vector<std::size_t> by_len(subnets.size());
-  for (std::size_t i = 0; i < by_len.size(); ++i) by_len[i] = i;
-  std::sort(by_len.begin(), by_len.end(), [&](std::size_t a, std::size_t b) {
-    return shorter(route_edges[a].size(), subnets[a].net, subnets[a].side,
-                   route_edges[b].size(), subnets[b].net, subnets[b].side);
-  });
-  std::vector<std::size_t> rank_of(subnets.size(), 0);
-  for (std::size_t rank = 0; rank < by_len.size(); ++rank) {
-    rank_of[by_len[rank]] = rank;
-  }
-
-  const LayerLadders ladders(tech);
-  res.routes.reserve(subnets.size());
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    const SubNet& sn = subnets[si];
-    const auto sz = static_cast<std::size_t>(sidx(sn.side));
-    NetRoute nr;
-    nr.net = sn.net;
-    nr.side = sn.side;
-    nr.edges = std::move(route_edges[si]);
-    nr.sink_gcells = sn.sinks;
-    nr.source_gcell = sn.source;
-    nr.wirelength_um = route_wirelength_um(nr.edges.size(), gsize_um);
-    nr.h_layer_index = pick_layer(ladders.h[sz], rank_of[si], subnets.size());
-    nr.v_layer_index = pick_layer(ladders.v[sz], rank_of[si], subnets.size());
-
-    if (sn.side == Side::Front) {
-      res.wirelength_front_um += nr.wirelength_um;
-      ++res.nets_front;
-    } else {
-      res.wirelength_back_um += nr.wirelength_um;
-      ++res.nets_back;
-    }
-    res.routes.push_back(std::move(nr));
-  }
-  account_route_result(res, gs, pin_budget_of(fp, options), routers);
-}
-
 }  // namespace
 
-RouteResult route_design(const Netlist& nl, const Floorplan& fp,
-                         const RouteOptions& options) {
-  FFET_TRACE_SCOPE("route.design");
-  const tech::Technology& tech = nl.library().tech();
-  RouteResult res;
-  GridSetup gs = build_grid_setup(nl, fp, tech, options);
-  std::vector<SubNet> subnets = decompose_subnets(nl, tech, gs);
-  std::array<PathRouter, 2> routers{PathRouter(gs.grids[0]),
-                                    PathRouter(gs.grids[1])};
-  std::vector<std::vector<GEdge>> route_edges(subnets.size());
-  std::vector<std::size_t> every(subnets.size());
-  std::iota(every.begin(), every.end(), std::size_t{0});
-  route_astar2(res, options, subnets, every, gs.grids, routers, route_edges);
-  finalize_route_result(res, fp, tech, options, subnets, route_edges, gs,
-                        routers);
-  return res;
-}
-
-// --- RouteState: the routing state kept across incremental reroutes ----------
+// --- RouteState: the one routing driver --------------------------------------
 
 struct RouteState::Impl {
   /// A connected pin's landing gcell on one side (see for_each_pin_landing).
@@ -1858,13 +1678,19 @@ struct RouteState::Impl {
     int node = 0;
     Side side = Side::Front;
   };
-  /// A slot as it stood before the last reroute first touched it.
+  /// A slot as it stood before the last reroute first touched it (its
+  /// subnet is logged in subnet_log, and only when the reroute replaces
+  /// it).  Packed: the first reroute of route_design logs every slot.
   struct SlotLog {
+    std::vector<GEdge> edges;
+    std::uint32_t slot : 31;
+    std::uint32_t present : 1;
+    std::array<std::int16_t, 2> layers;
+  };
+  /// A subnet the last reroute replaced.
+  struct SubnetLog {
     std::size_t slot = 0;
     SubNet subnet;
-    std::vector<GEdge> edges;
-    std::array<int, 2> layers{0, 0};
-    char present = 0;
   };
   /// An instance's landing span before the last reroute replaced it.
   struct InstLog {
@@ -1879,13 +1705,15 @@ struct RouteState::Impl {
   GridSetup gs;
   std::array<PathRouter, 2> routers;
   LayerLadders ladders;
-  /// Landings per edge: the base is pin_sum(count), bit-identical to the
-  /// sequential sum build_grid_setup forms.
+  /// Landings per edge: the base is pin_sum(count), the value adding the
+  /// per-landing share one landing at a time reaches, in any order.
   geom::RepeatedSum pin_sum;
   std::array<std::vector<int>, 2> h_pins, v_pins;
 
-  // Subnet slots, indexed 2 * net + side.
-  std::vector<SubNet> subnets;
+  // Subnet slots, indexed 2 * net + side: the index is the subnet's net
+  // and side, so only its source and sinks are stored.
+  std::vector<int> sources;
+  std::vector<std::vector<int>> sinks;
   std::vector<std::vector<GEdge>> edges;  ///< committed route per slot
   std::vector<std::array<int, 2>> layers;  ///< (h, v) layer index per slot
   std::vector<char> present;  ///< the slot is a subnet of the current design
@@ -1903,6 +1731,7 @@ struct RouteState::Impl {
   std::vector<int> queued_epoch;  ///< the reroute that queued a slot
   std::vector<int> dirty_epoch;  ///< per net: listed dirty this reroute
   std::vector<SlotLog> slot_log;
+  std::vector<SubnetLog> subnet_log;
   std::vector<InstLog> inst_log;
   bool can_undo = false;
   std::size_t undo_slots = 0;
@@ -1916,22 +1745,52 @@ struct RouteState::Impl {
   Impl(const Netlist& nl, const Floorplan& fp, const RouteOptions& opts)
       : options(opts),
         has_back(nl.library().tech().num_routing_layers(Side::Back) > 0),
-        pin_budget(pin_budget_of(fp, opts)),
-        gs(build_grid_setup(nl, fp, nl.library().tech(), opts)),
+        pin_budget(opts.pin_access_limit_per_um2 * fp.core.area_um2()),
+        gs(build_grid_setup(fp, nl.library().tech(), opts)),
         routers{PathRouter(gs.grids[0]), PathRouter(gs.grids[1])},
         ladders(nl.library().tech()),
         pin_sum(opts.pin_access_demand / 2.0) {
     gsize_um = geom::to_um(gs.gsize);
+    // Pin-access demand: every pin consumes a share of the routing
+    // resources around its gcell on the side(s) where its landing metal
+    // lives.  This is where FFET FM12's "higher pin density ... due to
+    // FFET's smaller cell area" (Fig. 8c) penalty enters, and what
+    // dual-sided pin redistribution relieves.
+    inst_landings.resize(static_cast<std::size_t>(nl.num_instances()));
+    for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
+      collect_landings(nl, i);
+    }
     for (std::size_t s = 0; s < 2; ++s) {
       h_pins[s].assign(gs.grids[s].h_base.size(), 0);
       v_pins[s].assign(gs.grids[s].v_base.size(), 0);
+    }
+    for (const Landing& l : landings) {
+      const auto sz = static_cast<std::size_t>(sidx(l.side));
+      ++gs.pin_totals[sz];
+      if (!gs.grids[sz].wired()) continue;  // no layers: no wiring
+      for_each_landing_edge(
+          gs.grids[sz], l.node, [&](std::size_t e) { ++h_pins[sz][e]; },
+          [&](std::size_t e) { ++v_pins[sz][e]; });
+    }
+    // Bases are final: derive hard capacities, the edge-cost cache and the
+    // running overflow totals.
+    for (std::size_t s = 0; s < 2; ++s) {
+      SideGrid& g = gs.grids[s];
+      for (std::size_t e = 0; e < g.h_base.size(); ++e) {
+        g.h_base[e] = pin_sum(h_pins[s][e]);
+      }
+      for (std::size_t e = 0; e < g.v_base.size(); ++e) {
+        g.v_base[e] = pin_sum(v_pins[s][e]);
+      }
+      g.finalize(options.dr_slack);
     }
   }
 
   SideGrid& grid_of(std::size_t slot) { return gs.grids[slot % 2]; }
 
   void resize_slots(std::size_t n) {
-    subnets.resize(n);
+    sources.resize(n, 0);
+    sinks.resize(n);
     edges.resize(n);
     layers.resize(n, {0, 0});
     present.resize(n, 0);
@@ -1981,11 +1840,14 @@ struct RouteState::Impl {
   void take(std::size_t slot) {
     if (slot_epoch[slot] == epoch) return;
     slot_epoch[slot] = epoch;
-    SlotLog l{slot, subnets[slot], std::move(edges[slot]), layers[slot],
-              present[slot]};
+    commit(grid_of(slot), edges[slot], -1.0);
+    assert(slot < (std::size_t{1} << 31));
+    slot_log.push_back({std::move(edges[slot]),
+                        static_cast<std::uint32_t>(slot),
+                        static_cast<std::uint32_t>(present[slot]),
+                        {static_cast<std::int16_t>(layers[slot][0]),
+                         static_cast<std::int16_t>(layers[slot][1])}});
     edges[slot].clear();
-    commit(grid_of(slot), l.edges, -1.0);
-    slot_log.push_back(std::move(l));
   }
 
   /// Re-fold both grids' running totals over the committed routes in slot
@@ -2000,40 +1862,36 @@ struct RouteState::Impl {
     }
   }
 
-  /// Layer pairs for the freshly routed slots: the rank of each among all
-  /// present subnets in the `shorter` order, counted in one pass instead of
-  /// a re-sort.
-  void assign_layers(const std::vector<std::size_t>& routed) {
-    auto key_less = [&](std::size_t a, std::size_t b) {
-      return shorter(edges[a].size(), subnets[a].net, subnets[a].side,
-                     edges[b].size(), subnets[b].net, subnets[b].side);
-    };
-    std::vector<std::size_t> sorted = routed;
-    std::sort(sorted.begin(), sorted.end(), key_less);
-    // below[k]: present slots ordered before sorted[k], as a difference
-    // array over positions (a slot precedes every key above it).
-    std::vector<std::size_t> below(sorted.size() + 1, 0);
+  /// Layer pairs for the slots this reroute queued, by wirelength quantile
+  /// (longer routes ride higher layers): the rank of each among all present
+  /// subnets ordered by edge count, then slot (that is, net, then side),
+  /// counted over the slots in two passes instead of sorted.
+  void assign_layers() {
+    // below[len]: present slots with fewer edges than len (after the
+    // prefix sum), then advanced past each slot of length len in turn.
+    std::vector<std::size_t> below;
     std::size_t n = 0;
     for (std::size_t q = 0; q < present.size(); ++q) {
       if (!present[q]) continue;
       ++n;
-      const auto pos = static_cast<std::size_t>(
-          std::upper_bound(sorted.begin(), sorted.end(), q, key_less) -
-          sorted.begin());
-      ++below[pos];
+      const std::size_t len = edges[q].size();
+      if (len + 1 >= below.size()) below.resize(len + 2, 0);
+      ++below[len + 1];
     }
-    std::size_t rank = 0;
-    for (std::size_t k = 0; k < sorted.size(); ++k) {
-      rank += below[k];
-      const std::size_t slot = sorted[k];
-      const std::size_t sz = slot % 2;
-      layers[slot] = {pick_layer(ladders.h[sz], rank, n),
-                      pick_layer(ladders.v[sz], rank, n)};
+    std::partial_sum(below.begin(), below.end(), below.begin());
+    for (std::size_t q = 0; q < present.size(); ++q) {
+      if (!present[q]) continue;
+      const std::size_t rank = below[edges[q].size()]++;
+      if (queued_epoch[q] != epoch) continue;  // carried: layers kept
+      const std::size_t sz = q % 2;
+      layers[q] = {pick_layer(ladders.h[sz], rank, n),
+                   pick_layer(ladders.v[sz], rank, n)};
     }
   }
 
-  /// The wirelength totals, folded over the routes in slot order exactly
-  /// as finalize_route_result folds them, then the shared accounting.
+  /// Fill `out` around the counters the negotiation left in it: the grid
+  /// geometry, the wirelength totals (folded over the routes in slot
+  /// order), overflow, the DRV verdict and the diagnostics.
   void account(RouteResult& out) {
     set_geometry(out, gs);
     for (std::size_t slot = 0; slot < present.size(); ++slot) {
@@ -2047,7 +1905,74 @@ struct RouteState::Impl {
         ++out.nets_back;
       }
     }
-    account_route_result(out, gs, pin_budget, routers);
+
+    double overflow = 0.0;
+    double hard_overflow = 0.0;
+    for (const SideGrid& g : gs.grids) {
+      overflow += g.overflow();
+      hard_overflow += g.hard_overflow();
+      out.capacity_units += g.h_cap * static_cast<double>(g.h_use.size()) +
+                            g.v_cap * static_cast<double>(g.v_use.size());
+      for (double u : g.h_use) out.wire_demand_units += u;
+      for (double u : g.v_use) out.wire_demand_units += u;
+      for (double u : g.h_base) out.pin_demand_units += u;
+      for (double u : g.v_base) out.pin_demand_units += u;
+    }
+    out.overflow_total = static_cast<int>(std::round(overflow));
+    out.drv_wire = static_cast<int>(std::round(hard_overflow));
+    out.settled_nodes = routers[0].settled + routers[1].settled;
+    out.window_expansions = routers[0].expansions + routers[1].expansions;
+
+    // Pin-access DRVs: when a side's pin density exceeds what the detailed
+    // router can hook up, every pin beyond the budget becomes an access
+    // violation.  Density is evaluated block-wide per side — the sharp,
+    // deterministic version of the paper's pin-density routability limit.
+    double pin_drv = 0.0;
+    for (std::size_t s = 0; s < 2; ++s) {
+      // A side without routing layers carries no signal hookup (its pin
+      // landings are unused metal), so it cannot produce access violations.
+      if (!gs.grids[s].wired()) continue;
+      pin_drv += std::max(
+          0.0, static_cast<double>(gs.pin_totals[s]) - pin_budget);
+    }
+    out.drv_pin_access = static_cast<int>(std::round(pin_drv));
+
+    out.drv_estimate = out.drv_wire + out.drv_pin_access;
+    out.valid = out.drv_estimate < 10;  // the paper's validity rule
+
+    FFET_METRIC_ADD("route.ripups", out.ripups_total);
+    FFET_METRIC_ADD("route.region_ripups", out.region_ripups_total);
+    FFET_METRIC_ADD("route.steiner_subnets", out.steiner_subnets);
+    FFET_METRIC_ADD("route.fastpath_routes", out.fastpath_routes);
+    FFET_METRIC_ADD("route.drv.wire", out.drv_wire);
+    FFET_METRIC_ADD("route.drv.pin_access", out.drv_pin_access);
+    FFET_METRIC_ADD("route.settled_nodes", out.settled_nodes);
+    FFET_METRIC_ADD("route.window_expansions", out.window_expansions);
+    FFET_METRIC_OBSERVE("route.rrr_passes", out.rrr_passes);
+    FFET_METRIC_OBSERVE("route.overflow", overflow);
+  }
+
+  /// The summary plus one NetRoute per present slot, in slot order.  With
+  /// `move_out` the summary and every edge and sink list are moved out of
+  /// the state instead of copied.
+  RouteResult emit(bool move_out) {
+    RouteResult out = move_out ? std::move(res) : res;
+    out.routes.reserve(
+        static_cast<std::size_t>(out.nets_front + out.nets_back));
+    for (std::size_t slot = 0; slot < present.size(); ++slot) {
+      if (!present[slot]) continue;
+      NetRoute nr;
+      nr.net = static_cast<NetId>(slot / 2);
+      nr.side = slot % 2 == 0 ? Side::Front : Side::Back;
+      nr.edges = move_out ? std::move(edges[slot]) : edges[slot];
+      nr.sink_gcells = move_out ? std::move(sinks[slot]) : sinks[slot];
+      nr.source_gcell = sources[slot];
+      nr.wirelength_um = route_wirelength_um(nr.edges.size(), gsize_um);
+      nr.h_layer_index = layers[slot][0];
+      nr.v_layer_index = layers[slot][1];
+      out.routes.push_back(std::move(nr));
+    }
+    return out;
   }
 };
 
@@ -2055,18 +1980,6 @@ RouteState::RouteState(const Netlist& nl, const Floorplan& fp,
                        const RouteResult& prev, const RouteOptions& options)
     : impl_(std::make_unique<Impl>(nl, fp, options)) {
   Impl& s = *impl_;
-  s.inst_landings.resize(static_cast<std::size_t>(nl.num_instances()));
-  for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
-    s.collect_landings(nl, i);
-  }
-  for (const Impl::Landing& l : s.landings) {
-    const auto sz = static_cast<std::size_t>(sidx(l.side));
-    if (!s.gs.grids[sz].wired()) continue;
-    for_each_landing_edge(
-        s.gs.grids[sz], l.node, [&](std::size_t e) { ++s.h_pins[sz][e]; },
-        [&](std::size_t e) { ++s.v_pins[sz][e]; });
-  }
-
   // Decompose every net; carry (and commit, in slot order) each subnet
   // whose route in `prev` still matches its terminals.
   const auto num_nets = static_cast<std::size_t>(nl.num_nets());
@@ -2085,11 +1998,12 @@ RouteState::RouteState(const Netlist& nl, const Floorplan& fp,
     for (std::size_t side = 0; side < 2; ++side) {
       if (fresh[side].sinks.empty()) continue;
       const std::size_t slot = 2 * n + side;
-      s.subnets[slot] = std::move(fresh[side]);
+      s.sources[slot] = fresh[side].source;
+      s.sinks[slot] = std::move(fresh[side].sinks);
       s.present[slot] = 1;
       const NetRoute* p = prev_of[n][side];
-      if (p && p->source_gcell == s.subnets[slot].source &&
-          p->sink_gcells == s.subnets[slot].sinks) {
+      if (p && p->source_gcell == s.sources[slot] &&
+          p->sink_gcells == s.sinks[slot]) {
         s.edges[slot] = p->edges;
         s.layers[slot] = {p->h_layer_index, p->v_layer_index};
         commit(s.grid_of(slot), s.edges[slot], +1.0);
@@ -2111,16 +2025,17 @@ void RouteState::reroute(const Netlist& nl,
   FFET_TRACE_SCOPE("route.reroute");
   Impl& s = *impl_;
   if (static_cast<std::size_t>(nl.num_instances()) < s.inst_landings.size() ||
-      2 * static_cast<std::size_t>(nl.num_nets()) < s.subnets.size()) {
+      2 * static_cast<std::size_t>(nl.num_nets()) < s.sinks.size()) {
     throw std::invalid_argument(
         "RouteState::reroute: instances or nets were removed (only "
         "undo_reroute() takes back what a reroute saw added)");
   }
   ++s.epoch;
   s.slot_log.clear();
+  s.subnet_log.clear();
   s.inst_log.clear();
   s.can_undo = true;
-  s.undo_slots = s.subnets.size();
+  s.undo_slots = s.sinks.size();
   s.undo_insts = s.inst_landings.size();
   s.undo_landings = s.landings.size();
   s.undo_pending = s.pending;
@@ -2153,6 +2068,8 @@ void RouteState::reroute(const Netlist& nl,
   const auto num_nets = static_cast<std::size_t>(nl.num_nets());
   s.resize_slots(2 * num_nets);
   std::vector<std::size_t> routed;
+  routed.reserve(s.pending.size());
+  s.slot_log.reserve(s.pending.size());
   auto queue = [&](std::size_t slot) {
     if (s.queued_epoch[slot] == s.epoch) return;
     s.queued_epoch[slot] = s.epoch;
@@ -2192,13 +2109,18 @@ void RouteState::reroute(const Netlist& nl,
       const bool queued = s.queued_epoch[slot] == s.epoch;
       if (!s.present[slot] && !want) continue;
       if (!dirty && !queued && s.present[slot] && want &&
-          s.subnets[slot].source == fresh[side].source &&
-          s.subnets[slot].sinks == fresh[side].sinks) {
+          s.sources[slot] == fresh[side].source &&
+          s.sinks[slot] == fresh[side].sinks) {
         continue;  // carried
       }
       s.take(slot);
       s.present[slot] = want ? 1 : 0;
-      s.subnets[slot] = want ? std::move(fresh[side]) : SubNet{};
+      // Each net is re-decomposed at most once per reroute, so this logs
+      // every replaced subnet once.
+      s.subnet_log.push_back(
+          {slot, {s.sources[slot], std::move(s.sinks[slot])}});
+      s.sources[slot] = want ? fresh[side].source : 0;
+      s.sinks[slot] = want ? std::move(fresh[side].sinks) : std::vector<int>();
       if (want) queue(slot);
     }
   }
@@ -2213,13 +2135,14 @@ void RouteState::reroute(const Netlist& nl,
     pr.expansions = 0;
   }
   RouteResult out;
-  const NegotiationEnd end = route_astar2(out, s.options, s.subnets, routed,
-                                          s.gs.grids, s.routers, s.edges);
+  const NegotiationEnd end =
+      route_astar2(out, s.options, s.sources, s.sinks, routed, s.gs.grids,
+                   s.routers, s.edges);
   if (end.restored) s.refold();
   if (end.history_written) {
     for (SideGrid& g : s.gs.grids) g.clear_history();
   }
-  s.assign_layers(routed);
+  s.assign_layers();
   s.account(out);
   s.res = std::move(out);
   FFET_METRIC_ADD("route.reroutes", 1);
@@ -2233,13 +2156,17 @@ void RouteState::undo_reroute() {
   for (auto it = s.slot_log.rbegin(); it != s.slot_log.rend(); ++it) {
     SideGrid& g = s.grid_of(it->slot);
     commit(g, s.edges[it->slot], -1.0);
-    s.subnets[it->slot] = std::move(it->subnet);
     s.edges[it->slot] = std::move(it->edges);
-    s.layers[it->slot] = it->layers;
-    s.present[it->slot] = it->present;
+    s.layers[it->slot] = {it->layers[0], it->layers[1]};
+    s.present[it->slot] = static_cast<char>(it->present);
     commit(g, s.edges[it->slot], +1.0);
   }
   s.slot_log.clear();
+  for (Impl::SubnetLog& l : s.subnet_log) {
+    s.sources[l.slot] = l.subnet.source;
+    s.sinks[l.slot] = std::move(l.subnet.sinks);
+  }
+  s.subnet_log.clear();
   s.resize_slots(s.undo_slots);
 
   for (auto it = s.inst_log.rbegin(); it != s.inst_log.rend(); ++it) {
@@ -2287,26 +2214,9 @@ RouteState::Change RouteState::change(std::size_t i) const {
 
 const RouteResult& RouteState::summary() const { return impl_->res; }
 
-RouteResult RouteState::result() const {
-  const Impl& s = *impl_;
-  RouteResult out = s.res;
-  out.routes.reserve(static_cast<std::size_t>(out.nets_front + out.nets_back));
-  for (std::size_t slot = 0; slot < s.present.size(); ++slot) {
-    if (!s.present[slot]) continue;
-    const SubNet& sn = s.subnets[slot];
-    NetRoute nr;
-    nr.net = sn.net;
-    nr.side = sn.side;
-    nr.edges = s.edges[slot];
-    nr.sink_gcells = sn.sinks;
-    nr.source_gcell = sn.source;
-    nr.wirelength_um = route_wirelength_um(s.edges[slot].size(), s.gsize_um);
-    nr.h_layer_index = s.layers[slot][0];
-    nr.v_layer_index = s.layers[slot][1];
-    out.routes.push_back(std::move(nr));
-  }
-  return out;
-}
+RouteResult RouteState::result() const& { return impl_->emit(false); }
+
+RouteResult RouteState::result() && { return impl_->emit(true); }
 
 std::vector<double> RouteState::pin_demand(Side side) const {
   const SideGrid& g = impl_->gs.grids[static_cast<std::size_t>(sidx(side))];
@@ -2323,12 +2233,15 @@ std::pair<double, double> RouteState::overflow_totals() const {
 
 std::vector<double> pin_demand_bases(const Netlist& nl, const Floorplan& fp,
                                      const RouteOptions& options, Side side) {
-  const GridSetup gs =
-      build_grid_setup(nl, fp, nl.library().tech(), options);
-  const SideGrid& g = gs.grids[static_cast<std::size_t>(sidx(side))];
-  std::vector<double> out = g.h_base;
-  out.insert(out.end(), g.v_base.begin(), g.v_base.end());
-  return out;
+  return RouteState(nl, fp, {}, options).pin_demand(side);
+}
+
+RouteResult route_design(const Netlist& nl, const Floorplan& fp,
+                         const RouteOptions& options) {
+  FFET_TRACE_SCOPE("route.design");
+  RouteState state(nl, fp, {}, options);
+  state.reroute(nl, {}, {});
+  return std::move(state).result();
 }
 
 RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
@@ -2337,7 +2250,7 @@ RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
                          const RouteOptions& options) {
   RouteState state(nl, fp, prev, options);
   state.reroute(nl, dirty_nets, {});
-  return state.result();
+  return std::move(state).result();
 }
 
 }  // namespace ffet::pnr

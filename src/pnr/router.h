@@ -42,12 +42,14 @@ namespace ffet::pnr {
 
 using tech::Side;
 
-/// The router has one negotiation loop, run by route_design() on every
-/// subnet and by RouteState / reroute_nets() on the ECO's dirty ones:
-/// every multi-sink subnet is decomposed over a rectilinear Steiner
-/// topology (src/pnr/steiner.h) into independently-routed 2-pin subnets,
-/// uncongested subnets take a monotonic L/Z fast path that never touches
-/// the A* heap, and the rest fall back to windowed A* (admissible
+/// The router has one driver, RouteState, and one negotiation loop, which
+/// the state's reroute() runs on the subnets it queues: every subnet for
+/// route_design() (a state with nothing carried), the dirty ones for the
+/// ECO's reroutes.  Every multi-sink subnet is decomposed over a
+/// rectilinear Steiner topology (src/pnr/steiner.h) into independently
+/// routed 2-pin subnets, uncongested subnets take a monotonic L/Z fast
+/// path that never touches the A* heap, and the rest fall back to windowed
+/// A* (admissible
 /// Manhattan lower bound scaled by the per-pass minimum edge cost, a
 /// search window around {source, target} that adaptively expands (x2,
 /// then full grid) when no hard-overflow-free path exists inside it, and a
@@ -198,27 +200,31 @@ struct RouteResult {
   }
 };
 
-/// Route all signal nets of a placed netlist.  Sinks on
-/// backside pins are reachable only because FFET output pins are
-/// dual-sided; requesting a route for a netlist with backside sinks on a
-/// technology without backside routing layers throws std::runtime_error (no
-/// bridging cells in this flow).
+/// Route all signal nets of a placed netlist: a RouteState with nothing
+/// carried, rerouted once, its result moved out.  Sinks on backside pins
+/// are reachable only because FFET output pins are dual-sided; requesting
+/// a route for a netlist with backside sinks on a technology without
+/// backside routing layers throws std::runtime_error (no bridging cells in
+/// this flow).
 RouteResult route_design(const netlist::Netlist& nl, const Floorplan& fp,
                          const RouteOptions& options = {});
 
-/// The routing state of one design kept alive across incremental reroutes
-/// (the ECO loop's router): both per-side grids with their committed usage
-/// and pin-access demand, the per-side subnet decomposition of every net,
-/// the committed routes with their layer pairs, and the two maze routers.
-/// Subnets live in one slot per (net, side), slot 2 * net + side, so the
-/// slot order is the order route_design emits routes in.
+/// The router's one driver: the routing state of one design, built once and
+/// kept alive across reroutes (route_design() builds one with nothing
+/// carried and reroutes it once; the ECO loop keeps one for all its
+/// trials).  It holds both per-side grids with their committed usage and
+/// pin-access demand, the per-side subnet decomposition of every net, the
+/// committed routes with their layer pairs, and the two maze routers.
+/// Subnets live in one slot per (net, side), slot 2 * net + side, and
+/// result() emits routes in slot order.  Routes, layer pairs and the
+/// result's totals are emitted only here.
 ///
 /// reroute() applies the pin-access deltas of the instances that were
 /// resized, moved, added or had a pin flipped, re-decomposes the nets those
 /// touch plus the dirty ones, rips out every subnet whose decomposition
-/// changed (and every dirty one) and re-routes only those through the
-/// negotiation loop route_design() runs, against the carried routes as
-/// fixed usage.  Every quantity a rebuild would derive is
+/// changed (and every dirty one) and routes those, plus every subnet left
+/// without a route, through the negotiation loop, against the carried
+/// routes as fixed usage.  Every quantity a rebuild would derive is
 /// reproduced bit for bit (see DESIGN.md §11): pin-access bases are integer
 /// pin counts read through a RepeatedSum, the grids' running overflow
 /// totals are re-folded in a fresh build's commit order, and history is
@@ -274,7 +280,10 @@ class RouteState {
   const RouteResult& summary() const;
   /// The full RouteResult (summary plus the routes in slot order) —
   /// exactly what reroute_nets() would return for the same sequence.
-  RouteResult result() const;
+  RouteResult result() const&;
+  /// The same, with the routes' edge and sink lists moved out of the state
+  /// instead of copied; the state is then fit only for destruction.
+  RouteResult result() &&;
 
   /// The pin-access demand base of every edge on `side` (horizontal edges,
   /// then vertical) — for checking the maintained grid against
@@ -289,8 +298,8 @@ class RouteState {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The pin-access demand bases of a grid built from scratch for `nl` (same
-/// layout as RouteState::pin_demand).
+/// The pin-access demand bases of a RouteState built from scratch for `nl`
+/// (same layout as RouteState::pin_demand).
 std::vector<double> pin_demand_bases(const netlist::Netlist& nl,
                                      const Floorplan& fp,
                                      const RouteOptions& options, Side side);
@@ -302,9 +311,9 @@ std::vector<double> pin_demand_bases(const netlist::Netlist& nl,
 /// its layer assignment from `prev`, so its DEF wires — and extracted
 /// parasitics — are bit-identical to `prev`.
 ///
-/// The dirty subnets negotiate in route_design()'s loop, which also fills
+/// The dirty subnets negotiate in the one loop, which also fills
 /// `pass_stats`.  With nothing carried, `reroute_nets(nl, fp, {}, {},
-/// options)` returns exactly route_design(nl, fp, options).
+/// options)` is route_design(nl, fp, options).
 RouteResult reroute_nets(const netlist::Netlist& nl, const Floorplan& fp,
                          const RouteResult& prev,
                          const std::vector<netlist::NetId>& dirty_nets,

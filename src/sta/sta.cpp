@@ -261,14 +261,9 @@ double Sta::sink_wire_delay_ps(NetId net, std::size_t sink_idx) const {
 }
 
 void Sta::rebuild_topo() const {
+  // Flip-flops come first, so a launch arrival is set before the
+  // combinational cells its Q feeds read it.
   topo_order_ = nl_->topo_order();
-  // Flip-flops first: a launch arrival is read by the combinational cells
-  // its Q feeds, which topo_order() (whose only edges are combinational)
-  // may list before it.
-  std::stable_partition(topo_order_.begin(), topo_order_.end(),
-                        [&](InstId id) {
-                          return nl_->instance(id).type->sequential();
-                        });
   topo_pos_.assign(static_cast<std::size_t>(nl_->num_instances()),
                    kNoTopoPos);
   for (std::size_t k = 0; k < topo_order_.size(); ++k) {

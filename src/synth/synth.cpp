@@ -106,65 +106,6 @@ SynthReport size_for_frequency(Netlist& nl, const SynthOptions& options) {
   return rep;
 }
 
-}  // namespace ffet::synth
-
-namespace ffet::synth {
-
-int buffer_long_nets(netlist::Netlist& nl, double max_hpwl_um) {
-  const stdcell::Library& lib = nl.library();
-  const stdcell::CellType& buf = lib.at("BUFD4");
-  const geom::Nm max_span = geom::from_um(max_hpwl_um);
-  int inserted = 0;
-  int serial = 0;
-
-  const int n_nets = nl.num_nets();  // snapshot: we add nets below
-  for (netlist::NetId n = 0; n < n_nets; ++n) {
-    const netlist::Net& net = nl.net(n);
-    if (net.is_clock) continue;
-    if (net.driver.inst == netlist::kNoInst) continue;
-    if (net.sinks.empty()) continue;
-
-    const geom::Point drv = nl.pin_position(net.driver);
-    // Far sinks: beyond half the budget from the driver.
-    std::vector<netlist::PinRef> far;
-    double cx = 0, cy = 0;
-    for (const netlist::PinRef& s : net.sinks) {
-      const geom::Point p = nl.pin_position(s);
-      if (geom::manhattan(drv, p) > max_span) {
-        far.push_back(s);
-        cx += static_cast<double>(p.x);
-        cy += static_cast<double>(p.y);
-      }
-    }
-    if (far.empty()) continue;
-    // Keep the output port (if any) on the original net; move far cell
-    // sinks behind a repeater placed at their centroid's midpoint toward
-    // the driver (splits the line roughly in half).
-    const geom::Point centroid{
-        static_cast<geom::Nm>(cx / static_cast<double>(far.size())),
-        static_cast<geom::Nm>(cy / static_cast<double>(far.size()))};
-    const geom::Point mid{(drv.x + centroid.x) / 2, (drv.y + centroid.y) / 2};
-
-    const netlist::NetId leaf =
-        nl.add_net("rep_net_" + std::to_string(serial));
-    const netlist::InstId b =
-        nl.add_instance("rep_buf_" + std::to_string(serial), &buf);
-    ++serial;
-    nl.instance(b).pos = mid;
-    nl.connect(b, "Z", leaf);
-    for (const netlist::PinRef& s : far) {
-      const auto& pin_name =
-          nl.instance(s.inst)
-              .type->pins()[static_cast<std::size_t>(s.pin)]
-              .name;
-      nl.reconnect_sink(s.inst, pin_name, leaf);
-    }
-    nl.connect(b, "I", n);
-    ++inserted;
-  }
-  return inserted;
-}
-
 int fix_hold(netlist::Netlist& nl,
              const std::unordered_map<netlist::InstId, double>&
                  clock_latency_ps,

@@ -39,18 +39,6 @@ struct SynthReport {
 SynthReport size_for_frequency(netlist::Netlist& nl,
                                const SynthOptions& options = {});
 
-}  // namespace ffet::synth
-
-namespace ffet::synth {
-
-/// Placement-aware repeater insertion: nets with sinks farther than
-/// `max_hpwl_um` from their driver get a repeater (BUFD4) at the midpoint
-/// toward the far-sink centroid, splitting the RC line.  Single-level and
-/// deliberately simple; NOT part of the default flow (on this block it
-/// trades pin budget and wirelength for little delay), exposed for
-/// experiments on larger dies where long thin-metal lines dominate.
-int buffer_long_nets(netlist::Netlist& nl, double max_hpwl_um = 12.0);
-
 /// Post-CTS hold fixing: insert delay buffers in front of flip-flop D pins
 /// whose min-delay paths violate hold under the clock-tree latencies
 /// (classic useful-skew repair).  Uses a conservative (derated, zero-wire)

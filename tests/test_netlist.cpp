@@ -195,6 +195,36 @@ TEST_F(NetlistTest, DffFeedbackIsNotACycle) {
   EXPECT_NO_THROW(nl.topo_order());
 }
 
+TEST_F(NetlistTest, TopoOrderListsFlopsFirstOnALogicFirstNetlist) {
+  // Built logic-first: the inverter (id 0) reads the Q of a flop with a
+  // higher id.  The flop must come first, both in the order and in the
+  // simulator walking it, which otherwise reads the previous Q.
+  Netlist nl("logic_first", &lib_);
+  const PortId d = nl.add_input("d");
+  const PortId clk = nl.add_input("clk");
+  const PortId z = nl.add_output("z");
+  const NetId q = nl.add_net("q");
+  const InstId inv = nl.add_instance("u_inv", "INVD1");
+  const InstId ff = nl.add_instance("u_ff", "DFFD1");
+  nl.connect(inv, "I", q);
+  nl.connect(inv, "ZN", nl.port(z).net);
+  nl.connect(ff, "D", nl.port(d).net);
+  nl.connect(ff, "CP", nl.port(clk).net);
+  nl.connect(ff, "Q", q);
+  ASSERT_TRUE(nl.validate().empty());
+  EXPECT_EQ(nl.topo_order(), (std::vector<InstId>{ff, inv}));
+
+  Simulator sim(&nl);
+  sim.set_input("d", true);
+  sim.tick();  // captures d = 1
+  EXPECT_TRUE(sim.net_value(q));
+  EXPECT_FALSE(sim.output("z"));
+  sim.set_input("d", false);
+  sim.tick();  // captures d = 0
+  EXPECT_FALSE(sim.net_value(q));
+  EXPECT_TRUE(sim.output("z"));
+}
+
 // --- simulator ------------------------------------------------------------
 
 TEST_F(NetlistTest, SimulatorCombinational) {

@@ -395,6 +395,24 @@ TEST(EcoTest, ImprovesTimingWithinPowerBudget) {
   EXPECT_GT(t.achieved_freq_ghz, 0.0);
 }
 
+TEST(EcoTest, PostTimingIsAFreshAnalysisOfTheResult) {
+  // The post-ECO numbers come from the loop's incrementally updated timing,
+  // not from a closing full analysis: they must equal a fresh timer's on
+  // the returned netlist and parasitics, bit for bit.
+  Fixture f;
+  EcoOptions eo;
+  eo.passes = 2;
+  const EcoReport rep =
+      run_eco(f.nl, f.fp, f.pp, f.routes, f.rc, f.cts.sink_latency_ps, eo);
+  ASSERT_GT(rep.accepted, 0);
+  ASSERT_GT(rep.reverted, 0);
+  EXPECT_EQ(rep.full_sta_runs, 1);
+  sta::Sta fresh(&f.nl, &f.rc, eo.sta);
+  const sta::TimingReport t = fresh.analyze_timing(&f.cts.sink_latency_ps);
+  EXPECT_EQ(rep.post_wns_ps, t.critical_path_ps);
+  EXPECT_EQ(rep.post_freq_ghz, t.achieved_freq_ghz);
+}
+
 TEST(EcoTest, DeterministicAcrossThreadCounts) {
   Fixture a, b;
   EcoOptions e1, e4;

@@ -286,41 +286,6 @@ TEST_F(SynthTest, SizingIsIdempotentOnceMet) {
   EXPECT_EQ(nl.num_instances(), n_before);
 }
 
-TEST_F(SynthTest, LongNetRepeatersSplitFarSinks) {
-  Builder b("long", &lib_);
-  const NetId a = b.input("a");
-  const NetId x = b.inv(a);
-  std::vector<NetId> sinks;
-  for (int i = 0; i < 4; ++i) sinks.push_back(b.inv(x));
-  b.output("z", b.or_tree(sinks));
-  netlist::Netlist nl = b.take();
-  // Hand placement: driver at origin, two sinks near, two sinks 30 um away.
-  const auto driver = nl.net(x).driver.inst;
-  nl.instance(driver).pos = {0, 0};
-  int k = 0;
-  for (const netlist::PinRef& s : nl.net(x).sinks) {
-    nl.instance(s.inst).pos =
-        (k++ < 2) ? geom::Point{1000, 0} : geom::Point{30000, 0};
-  }
-  // Downstream or-tree nets are also long under this hand placement, so
-  // more than one repeater may appear; net x must get exactly one.
-  const int inserted = buffer_long_nets(nl, 12.0);
-  EXPECT_GE(inserted, 1);
-  EXPECT_TRUE(nl.validate().empty());
-  // The original net keeps the near sinks plus the repeater input.
-  EXPECT_EQ(nl.net(x).sinks.size(), 3u);
-  // No far sink remains more than the threshold from its (new) driver.
-  for (int n = 0; n < nl.num_nets(); ++n) {
-    const netlist::Net& net = nl.net(n);
-    if (net.driver.inst == netlist::kNoInst || net.is_clock) continue;
-    const geom::Point d = nl.pin_position(net.driver);
-    for (const netlist::PinRef& s : net.sinks) {
-      EXPECT_LE(geom::manhattan(d, nl.pin_position(s)), 2 * 15000)
-          << nl.net_name(n);
-    }
-  }
-}
-
 TEST_F(SynthTest, HoldFixInsertsBuffersOnlyWhenViolating) {
   Builder b("hold", &lib_);
   const NetId clk = b.input("clk");
